@@ -15,6 +15,7 @@ from .collapse import (
     CollapseCertificate,
     FreePair,
     StageRecord,
+    StageReplay,
     VerificationReport,
     collapse_schedule,
     cone_vertex_collapse,
@@ -43,6 +44,7 @@ from .errors import (
     CapExceededError,
     InvalidSourceError,
     InvariantViolationError,
+    MalformedCertificateError,
     NonIntegralError,
     NotAFaceError,
     NotAFaceOfHatError,

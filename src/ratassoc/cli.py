@@ -19,6 +19,7 @@ from . import __version__
 from .collapse import CollapseCertificate, collapse_schedule, verify_certificate
 from .complexes import (
     DEFAULT_FACE_CAP,
+    DEFAULT_MAX_B,
     FHVector,
     build_ass,
     build_hat_ass,
@@ -53,7 +54,7 @@ def _path_cap() -> int:
 
 
 def _max_b() -> int:
-    return int(os.environ.get("RATASSOC_MAX_B", 14))
+    return int(os.environ.get("RATASSOC_MAX_B", DEFAULT_MAX_B))
 
 
 def _build(model: str, a: int, b: int):
@@ -141,7 +142,7 @@ def cmd_collapse(args) -> int:
 
 def cmd_verify(args) -> int:
     with open(args.cert, "r", encoding="utf-8") as fh:
-        cert = CollapseCertificate.from_json(json.load(fh))
+        cert = CollapseCertificate.from_json(json.load(fh), max_b=_max_b())
     hat = _build("hat", cert.a, cert.b)
     ass = _build("ass", cert.a, cert.b)
     report = verify_certificate(hat, ass, cert)

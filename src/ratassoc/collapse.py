@@ -17,23 +17,48 @@ descending order; for the edge {i-k, j-k} it first clears the crossing
 triples {i-k, s-k, j-k} (cone vertex i-s) and then the edge itself (cone
 vertex i-j).  The terminal complex must equal the lattice-path model
 exactly, face set for face set.
+
+A certificate (schema 2) stores what fixes each batch, not the pairs it
+removes::
+
+    {"schema": 2, "a": a, "b": b, "steps": [stage, ...]}
+    stage = {"r": r, "q": q, "cone": [i, j], "target": [[i, j], ...], "pairs": n}
+
+with one stage per batch in schedule order: ``r`` and ``q`` locate it (see
+:class:`StageRecord`), ``cone`` is the cone diagonal c, ``target`` the face
+T whose containing faces it removes and ``pairs`` the number of pairs.  A
+stage expands against the current face set into the pairs (F', F' + c),
+one for every face F' containing T and avoiding c, largest F' first.
+:func:`verify_certificate` does that expansion with its own code and
+checks, stage by stage, that T is present and avoids c, that the
+expansion has exactly ``pairs`` pairs, that each F' + c is present (it is
+one bigger than F' by construction) and each pair is free at its turn,
+and that no face containing T is left; then the terminal face set must
+equal the lattice-path model.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .complexes import (
+    DEFAULT_MAX_B,
     SimplicialComplex,
+    bit_positions,
+    bits_of,
     build_ass,
     build_hat_ass,
     compatibility_masks,
+    face_text,
     face_to_lists,
+    skeleton_adjacency,
 )
 from .errors import (
+    CapExceededError,
     InvariantViolationError,
+    MalformedCertificateError,
     NotAFaceError,
     NotConeVertexError,
     NotPerfectMatchingError,
@@ -47,6 +72,14 @@ from .obstruction import (
     wedge_completion,
 )
 from .polygon import Diagonal, all_admissible_diagonals, check_slope_pair
+
+SCHEMA = 2
+_STAGE_KEYS = frozenset(("r", "q", "cone", "target", "pairs"))
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise MalformedCertificateError(message)
 
 
 @dataclass(frozen=True)
@@ -64,7 +97,8 @@ class StageRecord:
     ``r`` is the 1-based edge index in the ascending edge order (stages run
     r = N down to 1); ``q`` counts the crossing-face batches 1..p, with
     q = p+1 the closing batch for the edge itself; ``target`` is the face
-    whose containing faces the batch removes.
+    whose containing faces the batch removes, and ``n_steps`` the number
+    of pairs it removes.
     """
 
     r: int
@@ -74,110 +108,95 @@ class StageRecord:
     n_steps: int
 
 
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        yield bit
-
-
-def _bit_positions(mask: int) -> tuple[int, ...]:
-    return tuple(b.bit_length() - 1 for b in _bits(mask))
-
-
 class CollapseCertificate:
-    """Ordered free pairs realizing the collapse, re-checkable offline."""
+    """The stages of a collapse, re-checkable offline.
 
-    __slots__ = ("a", "b", "ground", "_bit", "mask_steps", "stages")
+    ``stages`` lists the cone-vertex batches in schedule order, each fixed
+    by its target face T, cone diagonal c and pair count; the JSON form
+    (schema 2, see the module docstring) stores one ``{"r", "q", "cone",
+    "target", "pairs"}`` object per stage under ``"steps"``.  The pairs are
+    not kept: :class:`StageReplay` re-derives them as (F', F' + c) for
+    every current face F' containing T and avoiding c, largest F' first,
+    and checks the target, the count and each pair's freeness at its turn.
+    """
+
+    __slots__ = ("a", "b", "ground", "stages")
 
     def __init__(
         self,
         a: int,
         b: int,
         ground: tuple[Diagonal, ...],
-        mask_steps: list[tuple[int, int, int]],
         stages: tuple[StageRecord, ...],
     ):
         self.a = a
         self.b = b
         self.ground = ground
-        self._bit = {d: 1 << i for i, d in enumerate(ground)}
-        self.mask_steps = mask_steps  # (facet mask, subface mask, stage index)
         self.stages = stages
 
     @property
     def n_steps(self) -> int:
-        return len(self.mask_steps)
-
-    def _face_of(self, mask: int) -> frozenset[Diagonal]:
-        return frozenset(self.ground[p] for p in _bit_positions(mask))
-
-    @property
-    def steps(self) -> list[FreePair]:
-        return [
-            FreePair(self._face_of(f), self._face_of(s)) for f, s, _ in self.mask_steps
-        ]
+        """The number of free pairs over all stages."""
+        return sum(s.n_steps for s in self.stages)
 
     def to_json(self) -> dict:
-        steps = []
-        for fmask, smask, stage_idx in self.mask_steps:
-            stage = self.stages[stage_idx]
-            steps.append(
-                {
-                    "facet": face_to_lists(self._face_of(fmask)),
-                    "subface": face_to_lists(self._face_of(smask)),
-                    "stage": {
-                        "r": stage.r,
-                        "q": stage.q,
-                        "cone": [stage.cone.i, stage.cone.j],
-                    },
-                }
-            )
-        return {"schema": 1, "a": self.a, "b": self.b, "steps": steps}
+        steps = [
+            {
+                "r": s.r,
+                "q": s.q,
+                "cone": [s.cone.i, s.cone.j],
+                "target": face_to_lists(s.target),
+                "pairs": s.n_steps,
+            }
+            for s in self.stages
+        ]
+        return {"schema": SCHEMA, "a": self.a, "b": self.b, "steps": steps}
 
     @classmethod
-    def from_json(cls, doc: dict) -> "CollapseCertificate":
-        a, b = doc["a"], doc["b"]
+    def from_json(cls, doc, *, max_b: int = DEFAULT_MAX_B) -> "CollapseCertificate":
+        """Read a schema-2 document, checking its shape and every diagonal.
+
+        Raises MalformedCertificateError (or the slope-pair errors) on any
+        departure from the schema, and CapExceededError when b > ``max_b``.
+        Whether the stages collapse anything is for the verifier to decide.
+        """
+        _require(isinstance(doc, dict), "certificate must be a JSON object")
+        schema = doc.get("schema")
+        _require(schema == SCHEMA, f"unsupported certificate schema {schema!r}, expected {SCHEMA}")
+        _require(set(doc) == {"schema", "a", "b", "steps"},
+                 'certificate keys must be exactly "schema", "a", "b" and "steps"')
+        a, b, steps = doc["a"], doc["b"], doc["steps"]
+        _require(type(a) is int and type(b) is int, "a and b must be integers")
         check_slope_pair(a, b)
+        if b > max_b:
+            raise CapExceededError(f"b = {b} exceeds the size guard {max_b}")
         ground = all_admissible_diagonals(a, b)
-        bit = {d: 1 << i for i, d in enumerate(ground)}
+        by_ends = {(d.i, d.j): d for d in ground}
+        _require(isinstance(steps, list), '"steps" must be a list of stages')
 
-        def mask_of(pairs) -> int:
-            m = 0
-            for i, j in pairs:
-                m |= bit[Diagonal(i, j, b)]
-            return m
+        def diagonal(value, where: str) -> Diagonal:
+            _require(isinstance(value, list) and len(value) == 2
+                     and all(type(v) is int for v in value),
+                     f"{where}: a diagonal must be a pair [i, j] of integers")
+            d = by_ends.get(tuple(value))
+            _require(d is not None,
+                     f"{where}: {value[0]}-{value[1]} is not an admissible diagonal of ({a},{b})")
+            return d
 
-        mask_steps: list[tuple[int, int, int]] = []
-        raw_stages: list[tuple[int, int, Diagonal]] = []
-        by_key: dict[tuple[int, int, int, int], int] = {}
-        counts: dict[int, int] = {}
-        last_subface: dict[int, int] = {}
-        for step in doc["steps"]:
-            st = step["stage"]
-            cone = Diagonal(st["cone"][0], st["cone"][1], b)
-            key = (st["r"], st["q"], cone.i, cone.j)
-            if key not in by_key:
-                by_key[key] = len(raw_stages)
-                raw_stages.append((st["r"], st["q"], cone))
-            idx = by_key[key]
-            smask = mask_of(step["subface"])
-            counts[idx] = counts.get(idx, 0) + 1
-            # the batch removes pairs largest first, so its last subface is
-            # the batch target itself
-            last_subface[idx] = smask
-            mask_steps.append((mask_of(step["facet"]), smask, idx))
-        stages = tuple(
-            StageRecord(
-                r,
-                q,
-                cone,
-                frozenset(ground[p] for p in _bit_positions(last_subface[idx])),
-                counts[idx],
-            )
-            for idx, (r, q, cone) in enumerate(raw_stages)
-        )
-        return cls(a, b, ground, mask_steps, stages)
+        stages = []
+        for k, st in enumerate(steps):
+            where = f"stage {k}"
+            _require(isinstance(st, dict) and set(st) == _STAGE_KEYS,
+                     f'{where} must be an object with keys "r", "q", "cone", "target" and "pairs"')
+            r, q, n, target = st["r"], st["q"], st["pairs"], st["target"]
+            _require(all(type(v) is int for v in (r, q, n)) and r >= 1 and q >= 1 and n >= 0,
+                     f"{where}: r and q must be positive integers, pairs a non-negative integer")
+            _require(isinstance(target, list) and target != [],
+                     f"{where}: target must be a non-empty list")
+            face = frozenset(diagonal(v, where) for v in target)
+            _require(len(face) == len(target), f"{where}: target repeats a diagonal")
+            stages.append(StageRecord(r, q, diagonal(st["cone"], where), face, n))
+        return cls(a, b, ground, tuple(stages))
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
@@ -190,75 +209,55 @@ class CollapseCertificate:
 # -- engine ----------------------------------------------------------------
 
 
-def _remove_face(
-    mask: int,
-    masks: set[int],
-    pool: set[int] | None,
-    index: dict[int, set[int]] | None,
-) -> None:
-    masks.remove(mask)
-    if pool is not None:
-        pool.discard(mask)
-    if index is not None:
-        for bit in _bits(mask):
-            bucket = index.get(bit)
-            if bucket is not None:
-                bucket.discard(mask)
-
-
-def _cone_batch(
-    masks: set[int],
-    pool: set[int] | None,
-    face_mask: int,
-    cone_bit: int,
-    n_ground: int,
-    compat: list[int] | None,
-    index: dict[int, set[int]] | None,
-    out: list[tuple[int, int, int]],
-    stage_idx: int,
-) -> int:
+def _cone_batch(masks: set[int], face_mask: int, cone_bit: int, compat: list[int]) -> list[int]:
     """Collapse away every face containing ``face_mask`` via the cone bit.
 
-    ``pool`` must contain every face of ``masks`` containing ``face_mask``
-    (pass None to scan all of ``masks``).  The cone condition is verified
-    up front; each emitted pair is verified free at its turn through the
-    cofacet test.  Returns the number of pairs emitted.
+    ``compat[p]`` must cover every vertex that shares a face with vertex
+    ``p``.  The faces containing ``face_mask`` are found by a search upward
+    from it through ``compat``, complete because ``masks`` is downward
+    closed.  The cone condition is verified up front; each pair is verified
+    free at its turn through the cofacet test.  Returns the smaller face of
+    each removed pair, in removal order.
     """
     if face_mask not in masks:
         raise NotAFaceError(f"face {face_mask:#x} is not in the complex")
     if face_mask & cone_bit:
         raise NotConeVertexError("cone vertex already belongs to the face")
-    source = masks if pool is None else pool
-    delta = [m for m in source if m & face_mask == face_mask]
+    common = (1 << len(compat)) - 1
+    for pos in bit_positions(face_mask):
+        common &= compat[pos]
+    delta = [face_mask]
+    stack = [(face_mask, common & ~face_mask)]
+    while stack:
+        face, cand = stack.pop()
+        for bit in bits_of(cand):
+            cand ^= bit  # faces above face | bit add only higher vertices
+            if face | bit in masks:
+                delta.append(face | bit)
+                stack.append((face | bit, cand & compat[bit.bit_length() - 1]))
     for m in delta:
         if not m & cone_bit and (m | cone_bit) not in masks:
             raise NotConeVertexError(
-                f"cone condition fails: face {m:#x} has no extension", witness=m
+                "cone condition fails: a face has no extension", witness=m
             )
     smaller = [m for m in delta if not m & cone_bit]
     if 2 * len(smaller) != len(delta):
         raise InvariantViolationError("cone pairing does not partition the star")
-    smaller.sort(key=lambda m: (-m.bit_count(), _bit_positions(m | cone_bit)))
-    all_bits = (1 << n_ground) - 1
+    smaller.sort(key=int.bit_count, reverse=True)
     for m in smaller:
         facet = m | cone_bit
-        if compat is None:
-            cand = all_bits & ~m
-        else:
-            cand = all_bits
-            for pos in _bit_positions(m):
-                cand &= compat[pos]
-            cand &= ~m
-        for bit in _bits(cand):
+        cand = common
+        for pos in bit_positions(m & ~face_mask):
+            cand &= compat[pos]
+        for bit in bits_of(cand & ~m):
             other = m | bit
             if other != facet and other in masks:
                 raise InvariantViolationError(
                     f"pair ({facet:#x}, {m:#x}) is not free: extra cofacet {other:#x}"
                 )
-        _remove_face(facet, masks, pool, index)
-        _remove_face(m, masks, pool, index)
-        out.append((facet, m, stage_idx))
-    return len(smaller)
+        masks.remove(facet)
+        masks.remove(m)
+    return smaller
 
 
 def cone_vertex_collapse(
@@ -278,10 +277,10 @@ def cone_vertex_collapse(
     if face_mask not in cpx.mask_set:
         raise NotAFaceError(f"{sorted(d.text() for d in face)} is not a face")
     masks = cpx.copy_mask_set()
-    raw: list[tuple[int, int, int]] = []
-    _cone_batch(masks, None, face_mask, cone_bit, len(cpx.ground), None, None, raw, 0)
+    everything = [(1 << len(cpx.ground)) - 1] * len(cpx.ground)
+    smaller = _cone_batch(masks, face_mask, cone_bit, everything)
     result = SimplicialComplex._trusted(cpx.ground, cpx._bit, masks, cpx.a, cpx.b)
-    pairs = [FreePair(cpx._face_of(f), cpx._face_of(s)) for f, s, _ in raw]
+    pairs = [FreePair(cpx._face_of(m | cone_bit), cpx._face_of(m)) for m in smaller]
     return pairs, result
 
 
@@ -298,7 +297,8 @@ def collapse_schedule(
     Obstruction edges are processed strictly in descending edge order; for
     each edge, crossing triples are cleared first (in increasing index
     order), then the edge itself.  The terminal face set must equal the
-    lattice-path model exactly or ScheduleFailedError is raised.
+    lattice-path model exactly or ScheduleFailedError is raised, carrying
+    the stage coordinates and, when there is one, the failing face.
     """
     check_slope_pair(a, b)
     if hat is None:
@@ -310,60 +310,34 @@ def collapse_schedule(
     ground = hat.ground
     bit = hat._bit
     current = hat.copy_mask_set()
-    mask_steps: list[tuple[int, int, int]] = []
     stages: list[StageRecord] = []
 
-    if graph.edges:
-        compat = compatibility_masks(ground)
-        needed_bits = set()
-        for e in graph.edges:
-            needed_bits.add(bit[e.lesser])
-            needed_bits.add(bit[e.greater])
-        index: dict[int, set[int]] = {nb: set() for nb in needed_bits}
-        for m in current:
-            for nb in _bits(m):
-                if nb in index:
-                    index[nb].add(m)
-
-        for r in range(len(graph.edges), 0, -1):
-            edge = graph.edges[r - 1]
-            ik_bit, jk_bit = bit[edge.lesser], bit[edge.greater]
-            edge_mask = ik_bit | jk_bit
-            pool = index[ik_bit] & index[jk_bit]
-            s_list = crossing_indices(edge, graph)
+    compat = compatibility_masks(ground)
+    for r in range(len(graph.edges), 0, -1):
+        edge = graph.edges[r - 1]
+        batches = [
+            (half_wedge_completion(edge, s, graph), edge.pair() | {Diagonal(s, edge.apex, b)})
+            for s in crossing_indices(edge, graph)
+        ]
+        batches.append((wedge_completion(edge), edge.pair()))
+        for q, (cone, target) in enumerate(batches, start=1):
             try:
-                for q, s in enumerate(s_list, start=1):
-                    cone = half_wedge_completion(edge, s, graph)
-                    target_mask = edge_mask | bit[Diagonal(s, edge.apex, b)]
-                    n = _cone_batch(
-                        current, pool, target_mask, bit[cone],
-                        len(ground), compat, index, mask_steps, len(stages),
-                    )
-                    stages.append(
-                        StageRecord(r, q, cone, frozenset((edge.lesser, edge.greater, Diagonal(s, edge.apex, b))), n)
-                    )
-                cone = wedge_completion(edge)
-                n = _cone_batch(
-                    current, pool, edge_mask, bit[cone],
-                    len(ground), compat, index, mask_steps, len(stages),
-                )
-                stages.append(
-                    StageRecord(r, len(s_list) + 1, cone, edge.pair(), n)
-                )
+                smaller = _cone_batch(current, hat._mask_of(target), bit[cone], compat)
             except (NotConeVertexError, NotAFaceError, InvariantViolationError) as exc:
+                witness = getattr(exc, "witness", None)
+                face = None if witness is None else face_text(hat._face_of(witness))
+                where = f"stage (r={r}, q={q}, cone {cone.text()}) failed"
                 raise ScheduleFailedError(
-                    f"stage (r={r}) failed: {exc}", r=r, face=getattr(exc, "witness", None)
+                    f"{where}: {exc}" + (f" at face {face}" if face else ""),
+                    r=r, q=q, face=face,
                 ) from exc
-            if pool:
-                raise ScheduleFailedError(
-                    f"stage (r={r}) left {len(pool)} faces containing the edge", r=r
-                )
+            stages.append(StageRecord(r, q, cone, target, len(smaller)))
 
     if current != ass.mask_set:
         raise ScheduleFailedError(
             f"terminal complex has {len(current)} faces, expected {ass.n_faces}"
         )
-    return CollapseCertificate(a, b, ground, mask_steps, tuple(stages))
+    return CollapseCertificate(a, b, ground, tuple(stages))
 
 
 # -- verification ------------------------------------------------------------
@@ -371,7 +345,13 @@ def collapse_schedule(
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Replay outcome; ``ok`` requires every step free and terminal equality."""
+    """Replay outcome; ``ok`` requires every stage to expand into free
+    pairs and the terminal face set to equal the target.
+
+    ``steps_applied`` counts the pairs removed; ``failure_index`` is the
+    index of the rejected stage, or the number of stages when only the
+    terminal comparison fails; ``reason`` is a fixed phrase.
+    """
 
     ok: bool
     steps_applied: int
@@ -379,6 +359,109 @@ class VerificationReport:
     reason: str | None
     terminal_face_count: int
     target_matched: bool
+
+
+class StageReplay:
+    """Expands certificate stages into free pairs on a private face set.
+
+    Shares no code with the schedule generator.  By default the faces
+    containing a stage target are found by a search upward from the target
+    through the 1-skeleton of the start complex, and the cofacet test draws
+    its candidates from the same 1-skeleton; both are complete because the
+    start complex is downward closed and removing free pairs keeps it so.
+    With ``exhaustive`` neither relies on that: the star is a scan of every
+    remaining face, and so is each freeness test.  ``pairs`` collects the
+    removed (facet, subface) masks in expansion order.
+    """
+
+    def __init__(
+        self,
+        start: SimplicialComplex,
+        cert: CollapseCertificate,
+        *,
+        exhaustive: bool = False,
+    ):
+        if start.ground != cert.ground:
+            raise ValueError("certificate ground set does not match the start complex")
+        self.masks = start.copy_mask_set()
+        self.pairs: list[tuple[int, int]] = []
+        self.exhaustive = exhaustive
+        self._bit = {d: 1 << i for i, d in enumerate(start.ground)}
+        adj = skeleton_adjacency(self.masks, len(start.ground))
+        self._adj = {1 << p: row for p, row in enumerate(adj)}
+
+    def _star(self, target: int, common: int) -> list[int]:
+        """The faces containing ``target``; ``common`` holds the vertices
+        adjacent to all of it."""
+        masks, adj = self.masks, self._adj
+        if self.exhaustive:
+            return [m for m in masks if m & target == target]
+        star = [target]
+        stack = [(target, common)]
+        while stack:
+            face, cand = stack.pop()
+            for x in bits_of(cand):
+                cand ^= x  # children of face | x draw only on higher vertices
+                if face | x in masks:
+                    star.append(face | x)
+                    stack.append((face | x, cand & adj[x]))
+        return star
+
+    def expand(self, stage: StageRecord) -> str | None:
+        """Remove the pairs of ``stage``, checking each at its turn.
+
+        Returns None, or the fixed reason of the first check that fails;
+        the pairs removed before it stay removed.
+        """
+        masks, adj, pairs = self.masks, self._adj, self.pairs
+        target = 0
+        for d in stage.target:
+            target |= self._bit[d]
+        cone = self._bit[stage.cone]
+        if target not in masks:
+            return "stage target missing from current complex"
+        if target & cone:
+            return "stage target contains its cone"
+        common = -1
+        for x in bits_of(target):
+            common &= adj[x]
+        common &= ~target
+        star = self._star(target, common)
+        lower = sorted(m for m in star if not m & cone)
+        lower.sort(key=int.bit_count, reverse=True)  # largest first, ties by mask
+        if len(lower) != stage.n_steps:
+            return "expanded pair count differs from the certificate"
+        for sub in lower:
+            facet = sub | cone
+            if facet not in masks:
+                return "cone extension missing from current complex"
+            if self.exhaustive:
+                if any(m & sub == sub and m != sub and m != facet for m in masks):
+                    return "subface has another proper superface"
+            else:
+                # every cofacet of sub contains the target, so it extends
+                # sub by a vertex of ``common`` adjacent to all of sub
+                cand = common & ~cone
+                for x in bits_of(sub & ~target):
+                    cand &= adj[x]
+                for x in bits_of(cand & ~sub):
+                    if sub | x in masks:
+                        return "subface has another cofacet"
+            masks.remove(facet)
+            masks.remove(sub)
+            pairs.append((facet, sub))
+        if any(m in masks for m in star):
+            return "faces containing the stage target remain"
+        return None
+
+    def run(self, stages: Iterable[StageRecord]) -> tuple[int, str] | None:
+        """Expand ``stages`` in order, stopping at the first rejected one;
+        returns its index and reason, or None when every stage expands."""
+        for k, stage in enumerate(stages):
+            reason = self.expand(stage)
+            if reason is not None:
+                return k, reason
+        return None
 
 
 def verify_certificate(
@@ -390,58 +473,21 @@ def verify_certificate(
 ) -> VerificationReport:
     """Replay a certificate against fresh face sets.
 
-    Each step must remove a pair (facet, subface) with the facet present,
-    the subface present and one smaller, and the facet the unique face
-    properly containing the subface at that moment.  With ``exhaustive``
-    the uniqueness test scans every remaining face; otherwise it scans the
-    subface's possible cofacets, equivalent for downward-closed families.
-    Shares no state with the schedule generator.
+    Every stage is expanded by :class:`StageReplay`: its target must be
+    present and avoid the cone, its expansion must have the recorded pair
+    count, and each pair (F', F' + c) must be present with F' + c the only
+    face properly containing F' at its turn; no face containing the target
+    may be left after the stage.  The terminal face set must equal
+    ``target``.  Stops at the first rejected stage.
     """
-    if start.ground != cert.ground:
-        raise ValueError("certificate ground set does not match the start complex")
-    masks = start.copy_mask_set()
-    n_ground = len(start.ground)
-    all_bits = (1 << n_ground) - 1
-
-    def fail(idx: int, reason: str) -> VerificationReport:
-        return VerificationReport(
-            False, idx, idx, reason, len(masks), masks == target.mask_set
-        )
-
-    for idx, (fmask, smask, _) in enumerate(cert.mask_steps):
-        if fmask not in masks:
-            return fail(idx, "facet missing from current complex")
-        if smask not in masks:
-            return fail(idx, "subface missing from current complex")
-        if smask & fmask != smask or fmask.bit_count() != smask.bit_count() + 1:
-            return fail(idx, "subface is not a codimension-1 face of the facet")
-        if exhaustive:
-            extra = [
-                m for m in masks if m != smask and m != fmask and m & smask == smask
-            ]
-            if extra:
-                return fail(idx, "subface has another proper superface")
-        else:
-            cand = all_bits & ~smask
-            ok = True
-            for bitv in _bits(cand):
-                other = smask | bitv
-                if other != fmask and other in masks:
-                    ok = False
-                    break
-            if not ok:
-                return fail(idx, "subface has another cofacet")
-        masks.remove(fmask)
-        masks.remove(smask)
-
-    matched = masks == target.mask_set
+    replay = StageReplay(start, cert, exhaustive=exhaustive)
+    failure = replay.run(cert.stages)
+    matched = replay.masks == target.mask_set
+    if failure is None and not matched:
+        failure = (len(cert.stages), "terminal face set differs from target")
+    index, reason = failure or (None, None)
     return VerificationReport(
-        matched,
-        len(cert.mask_steps),
-        None if matched else len(cert.mask_steps),
-        None if matched else "terminal face set differs from target",
-        len(masks),
-        matched,
+        failure is None, len(replay.pairs), index, reason, len(replay.masks), matched
     )
 
 
@@ -453,8 +499,9 @@ def extract_morse_matching(
     """The (subface, facet) pairs of the certificate as a perfect matching
     on the faces removed by the collapse.
 
-    Verifies that the pairs cover the difference between the two models
-    exactly once each and that matched faces differ by one diagonal.
+    The pairs come from the verifier's expansion of the stages, so each is
+    free at its turn and its faces differ by the cone diagonal; the
+    matching must cover the difference between the two models exactly.
     """
     if hat is None:
         hat = build_hat_ass(cert.a, cert.b)
@@ -463,29 +510,13 @@ def extract_morse_matching(
     diff = hat.mask_set - ass.mask_set
     if len(diff) % 2:
         raise NotPerfectMatchingError(f"difference has odd size {len(diff)}")
-    seen: set[int] = set()
-    out = []
-    for fmask, smask, _ in cert.mask_steps:
-        if smask & fmask != smask or fmask.bit_count() != smask.bit_count() + 1:
-            raise NotPerfectMatchingError(
-                "matched faces do not differ by exactly one diagonal",
-                witness=cert._face_of(fmask),
-            )
-        for m in (fmask, smask):
-            if m not in diff:
-                raise NotPerfectMatchingError(
-                    "certificate removes a face outside the difference",
-                    witness=cert._face_of(m),
-                )
-            if m in seen:
-                raise NotPerfectMatchingError(
-                    "face matched twice", witness=cert._face_of(m)
-                )
-            seen.add(m)
-        out.append((cert._face_of(smask), cert._face_of(fmask)))
-    if seen != diff:
-        missing = next(iter(diff - seen))
-        raise NotPerfectMatchingError(
-            "difference face left unmatched", witness=cert._face_of(missing)
-        )
-    return out
+    replay = StageReplay(hat, cert)
+    failure = replay.run(cert.stages)
+    if failure is not None:
+        raise NotPerfectMatchingError("stage %d does not expand: %s" % failure)
+    removed = {m for pair in replay.pairs for m in pair}
+    for stray, message in ((removed - diff, "certificate removes a face outside the difference"),
+                           (diff - removed, "difference face left unmatched")):
+        if stray:
+            raise NotPerfectMatchingError(message, witness=hat._face_of(min(stray)))
+    return [(hat._face_of(s), hat._face_of(f)) for f, s in replay.pairs]

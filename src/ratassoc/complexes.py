@@ -111,12 +111,7 @@ class SimplicialComplex:
         return m
 
     def _face_of(self, mask: int) -> frozenset[Diagonal]:
-        out = []
-        while mask:
-            bit = mask & -mask
-            out.append(self.ground[bit.bit_length() - 1])
-            mask ^= bit
-        return frozenset(out)
+        return frozenset(self.ground[p] for p in bit_positions(mask))
 
     # -- queries ---------------------------------------------------------
 
@@ -228,6 +223,37 @@ class SimplicialComplex:
         source = doc.get("faces") or doc["facets"]
         faces = [[Diagonal(i, j, b) for i, j in face] for face in source]
         return cls(ground, faces, a=doc.get("a"), b=b)
+
+
+def bits_of(mask: int) -> Iterator[int]:
+    """The set bits of ``mask`` as single-bit integers, lowest first."""
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        yield bit
+
+
+def bit_positions(mask: int) -> tuple[int, ...]:
+    """Ground indices of the set bits of ``mask``, lowest first."""
+    return tuple(bit.bit_length() - 1 for bit in bits_of(mask))
+
+
+def skeleton_adjacency(masks: set[int], n_ground: int) -> list[int]:
+    """Adjacency bitmasks of the 1-skeleton.
+
+    By downward closure, any coface of a face extends it by a vertex
+    adjacent to all of its members, so these masks bound coface searches
+    soundly for arbitrary downward-closed families.
+    """
+    adj = [0] * n_ground
+    for m in masks:
+        if m.bit_count() == 2:
+            low = m & -m
+            u = low.bit_length() - 1
+            v = (m ^ low).bit_length() - 1
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return adj
 
 
 def _downward_closure(masks: set[int]) -> set[int]:
@@ -356,7 +382,7 @@ def rational_catalan(a: int, b: int) -> int:
 
 
 def rational_kirkman(a: int, b: int, i: int) -> int:
-    """C(a, i) * C(b+i-1, i-1) / a, the number of faces with i diagonals."""
+    """C(a, i) * C(b+i-1, i-1) / a, the number of faces with i-1 diagonals."""
     check_slope_pair(a, b)
     if not 1 <= i <= a:
         raise ValueError(f"need 1 <= i <= a, got i={i}")
@@ -436,14 +462,7 @@ def is_flag(cpx: SimplicialComplex) -> FlagReport:
     """
     n = len(cpx.ground)
     masks = cpx.mask_set
-    adj = [0] * n
-    for m in masks:
-        if m.bit_count() == 2:
-            low = m & -m
-            u = low.bit_length() - 1
-            v = (m ^ low).bit_length() - 1
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+    adj = skeleton_adjacency(masks, n)
     present = [i for i in range(n) if (1 << i) in masks]
     stack = [(1 << i, adj[i] & ~((1 << (i + 1)) - 1)) for i in present]
     while stack:

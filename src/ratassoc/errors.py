@@ -56,6 +56,10 @@ class ScheduleFailedError(RatAssocError):
         self.face = face
 
 
+class MalformedCertificateError(RatAssocError, ValueError):
+    """A certificate document does not follow the certificate schema."""
+
+
 class AdmissibilityViolatedError(RatAssocError):
     """A diagonal guaranteed admissible by a structural result is not.
 

@@ -24,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from math import comb, gcd
 
-from .complexes import SimplicialComplex, build_ass
+from .complexes import SimplicialComplex, bits_of, build_ass, skeleton_adjacency
 from .errors import InvariantViolationError, NonIntegralError
 from .polygon import all_admissible_diagonals, all_diagonals, check_slope_pair
 
@@ -49,33 +49,8 @@ class BettiVector:
         return {k - 1: v for k, v in enumerate(self.values) if v}
 
 
-def _bits(mask: int):
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        yield bit
-
-
 def _boundary_cells(mask: int) -> list[int]:
-    return [mask ^ bit for bit in _bits(mask)]
-
-
-def _skeleton_adjacency(masks: set[int], n_ground: int) -> list[int]:
-    """Adjacency bitmasks of the 1-skeleton.
-
-    By downward closure, any coface of a face extends it by a vertex
-    adjacent to all of its members, so these masks bound coface searches
-    soundly for arbitrary downward-closed families.
-    """
-    adj = [0] * n_ground
-    for m in masks:
-        if m.bit_count() == 2:
-            low = m & -m
-            u = low.bit_length() - 1
-            v = (m ^ low).bit_length() - 1
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-    return adj
+    return [mask ^ bit for bit in bits_of(mask)]
 
 
 def _reduce_cells(masks: set[int], adj: list[int], n_ground: int) -> set[int]:
@@ -91,10 +66,10 @@ def _reduce_cells(masks: set[int], adj: list[int], n_ground: int) -> set[int]:
 
     def coface_candidates(m: int):
         cand = all_bits
-        for bit in _bits(m):
+        for bit in bits_of(m):
             cand &= adj[bit.bit_length() - 1]
         cand &= ~m
-        for bit in _bits(cand):
+        for bit in bits_of(cand):
             yield m | bit
 
     queue = deque(m for m in alive if bd_count[m] == 1)
@@ -166,7 +141,7 @@ class BoundaryMatrix:
         self.columns: list[list[tuple[int, int]]] = []
         for m in cols:
             col = []
-            for pos, bit in enumerate(_bits(m)):
+            for pos, bit in enumerate(bits_of(m)):
                 cell = m ^ bit
                 r = row_index.get(cell)
                 if r is not None:
@@ -281,7 +256,7 @@ def betti_numbers(
     if method == "direct":
         cells = set(cpx.mask_set)
     elif method == "auto":
-        adj = _skeleton_adjacency(cpx.mask_set, len(cpx.ground))
+        adj = skeleton_adjacency(cpx.mask_set, len(cpx.ground))
         cells = _reduce_cells(cpx.mask_set, adj, len(cpx.ground))
     else:
         raise ValueError(f"unknown method {method!r}")

@@ -1,0 +1,155 @@
+"""``cli.main(argv)`` contract: certificate round trips, tampered and
+malformed certificates, caps and byte-stable output."""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from ratassoc import cli
+
+from helpers import coprime_pairs
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def run(capsys, *argv: str) -> tuple[int, str, str]:
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def emit(tmp_path, capsys, a: int, b: int) -> Path:
+    path = tmp_path / f"cert-{a}-{b}.json"
+    code, out, _ = run(capsys, "collapse", "--a", str(a), "--b", str(b), "--emit", str(path))
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["written"] == str(path)
+    return path
+
+
+def write(tmp_path, doc) -> Path:
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("a,b", coprime_pairs(max_b=9))
+def test_collapse_then_verify_round_trip(tmp_path, capsys, a, b):
+    path = emit(tmp_path, capsys, a, b)
+    steps = sum(stage["pairs"] for stage in json.loads(path.read_text())["steps"])
+    code, out, _ = run(capsys, "verify", "--cert", str(path))
+    doc = json.loads(out)
+    assert code == cli.EXIT_OK
+    assert doc["ok"] and doc["target_matched"] and doc["failure_index"] is None
+    assert doc["steps_applied"] == steps
+
+
+def test_golden_certificate_5_8(tmp_path, capsys):
+    golden = (GOLDEN / "cert_5_8.json").read_text(encoding="utf-8")
+    code, out, _ = run(capsys, "collapse", "--a", "5", "--b", "8", "--emit", "-")
+    assert code == cli.EXIT_OK
+    assert out == golden
+    assert emit(tmp_path, capsys, 5, 8).read_text(encoding="utf-8") == golden
+
+
+def test_collapse_and_verify_output_is_byte_stable(tmp_path, capsys):
+    path = emit(tmp_path, capsys, 4, 7)
+    first = run(capsys, "verify", "--cert", str(path))
+    assert first == run(capsys, "verify", "--cert", str(path))
+    assert first[1] == (
+        '{\n  "a": 4,\n  "b": 7,\n  "failure_index": null,\n  "ok": true,\n'
+        '  "reason": null,\n  "schema": 1,\n  "steps_applied": 34,\n'
+        '  "target_matched": true,\n  "terminal_face_count": 79\n}\n'
+    )
+
+
+def _drop_first(doc):
+    del doc["steps"][0]
+
+
+def _wrong_cone(doc):
+    doc["steps"][0]["cone"] = [1, 3]
+
+
+def _wrong_target(doc):
+    doc["steps"][0]["target"] = [[1, 8], [3, 8]]
+
+
+def _pairs_up(doc):
+    doc["steps"][0]["pairs"] += 1
+
+
+def _pairs_down(doc):
+    doc["steps"][0]["pairs"] -= 1
+
+
+@pytest.mark.parametrize(
+    "tamper", [_drop_first, _wrong_cone, _wrong_target, _pairs_up, _pairs_down]
+)
+def test_tampered_certificate_exits_1(tmp_path, capsys, tamper):
+    doc = json.loads(emit(tmp_path, capsys, 5, 8).read_text())
+    tamper(doc)
+    code, out, err = run(capsys, "verify", "--cert", str(write(tmp_path, doc)))
+    report = json.loads(out)
+    assert code == cli.EXIT_VERIFY
+    assert report["ok"] is False and report["failure_index"] == 0
+    assert report["reason"] and not err
+
+
+def _stage(**changes):
+    stage = {"r": 2, "q": 1, "cone": [1, 3], "target": [[1, 5], [3, 5]], "pairs": 1}
+    stage.update(changes)
+    return stage
+
+
+GOOD_3_5 = {"schema": 2, "a": 3, "b": 5, "steps": [_stage()]}
+
+MALFORMED = {
+    "missing-steps": {"schema": 2, "a": 3, "b": 5},
+    "top-level-list": [GOOD_3_5],
+    "inadmissible-diagonal": {**GOOD_3_5, "steps": [_stage(target=[[0, 3], [3, 5]])]},
+    "schema-99": {**GOOD_3_5, "schema": 99},
+    "schema-1": {**GOOD_3_5, "schema": 1},
+    "non-integer-pairs": {**GOOD_3_5, "steps": [_stage(pairs="1")]},
+    "float-pairs": {**GOOD_3_5, "steps": [_stage(pairs=1.0)]},
+    "short-cone": {**GOOD_3_5, "steps": [_stage(cone=[1])]},
+    "long-cone": {**GOOD_3_5, "steps": [_stage(cone=[1, 3, 5])]},
+    "empty-target": {**GOOD_3_5, "steps": [_stage(target=[])]},
+    "repeated-target": {**GOOD_3_5, "steps": [_stage(target=[[1, 5], [1, 5]])]},
+    "stage-not-object": {**GOOD_3_5, "steps": [[2, 1]]},
+    "extra-key": {**GOOD_3_5, "extra": 0},
+    "steps-not-list": {**GOOD_3_5, "steps": {}},
+    "not-coprime": {**GOOD_3_5, "a": 2, "b": 4},
+    "string-a": {**GOOD_3_5, "a": "3"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_certificate_exits_2(tmp_path, capsys, name):
+    code, out, err = run(capsys, "verify", "--cert", str(write(tmp_path, MALFORMED[name])))
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_invalid_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("{", encoding="utf-8")
+    code, _, err = run(capsys, "verify", "--cert", str(path))
+    assert code == cli.EXIT_USAGE and err.startswith("error: ")
+
+
+def test_well_formed_3_5_document_verifies(tmp_path, capsys):
+    doc = {**GOOD_3_5, "steps": [_stage(), _stage(r=1, cone=[0, 2], target=[[0, 4], [2, 4]])]}
+    code, out, _ = run(capsys, "verify", "--cert", str(write(tmp_path, doc)))
+    assert code == cli.EXIT_OK and json.loads(out)["steps_applied"] == 2
+
+
+def test_verify_over_size_guard_exits_3(tmp_path, capsys, monkeypatch):
+    path = emit(tmp_path, capsys, 5, 8)
+    monkeypatch.setenv("RATASSOC_MAX_B", "7")
+    code, out, err = run(capsys, "verify", "--cert", str(path))
+    assert code == cli.EXIT_CAP and out == "" and err.startswith("cap exceeded: ")

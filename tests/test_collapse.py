@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratassoc import (
     CollapseCertificate,
@@ -8,9 +12,14 @@ from ratassoc import (
     NotAFaceError,
     NotConeVertexError,
     NotPerfectMatchingError,
+    ScheduleFailedError,
     SimplicialComplex,
+    StageRecord,
+    StageReplay,
+    collapse_schedule,
     cone_vertex_collapse,
     extract_morse_matching,
+    face_text,
     verify_certificate,
 )
 
@@ -69,9 +78,14 @@ def test_schedule_3_5_shape():
     cert = schedule(3, 5)
     assert cert.n_steps == 2
     assert len(hat(3, 5).mask_set - ass(3, 5).mask_set) == 4
+    assert [(s.r, s.q, s.cone.text(), face_text(s.target), s.n_steps) for s in cert.stages] == [
+        (2, 1, "1-3", "1-5,3-5", 1),
+        (1, 1, "0-2", "0-4,2-4", 1),
+    ]
+    # the pairs are re-derived by the verifier's expansion of the stages
     texts = [
-        (tuple(sorted(x.text() for x in p.facet)), tuple(sorted(x.text() for x in p.subface)))
-        for p in cert.steps
+        (tuple(sorted(x.text() for x in fac)), tuple(sorted(x.text() for x in sub)))
+        for sub, fac in extract_morse_matching(cert, hat(3, 5), ass(3, 5))
     ]
     assert texts == [
         (("1-3", "1-5", "3-5"), ("1-5", "3-5")),
@@ -108,13 +122,14 @@ def test_exhaustive_verification_agrees(a, b):
 
 def test_reversed_certificate_fails_immediately():
     cert = schedule(5, 8)
-    reversed_cert = CollapseCertificate(
-        cert.a, cert.b, cert.ground, list(reversed(cert.mask_steps)), cert.stages
-    )
-    report = verify_certificate(hat(5, 8), ass(5, 8), reversed_cert)
-    assert not report.ok
-    assert report.failure_index == 0
-    assert "cofacet" in report.reason or "superface" in report.reason
+    reversed_cert = CollapseCertificate(cert.a, cert.b, cert.ground, cert.stages[::-1])
+    for exhaustive in (False, True):
+        report = verify_certificate(hat(5, 8), ass(5, 8), reversed_cert, exhaustive=exhaustive)
+        assert not report.ok
+        assert report.failure_index == 0
+        assert report.steps_applied == 0
+        assert report.reason == "expanded pair count differs from the certificate"
+        assert report.terminal_face_count == hat(5, 8).n_faces
 
 
 def test_wrong_target_detected():
@@ -130,28 +145,25 @@ def test_stage_boundary_invariant(a, b):
     the deletion of all edges with index >= r from the starting complex."""
     cert = schedule(a, b)
     graph = obstruction_graph(a, b)
-    masks = hat(a, b).copy_mask_set()
     bit = {diag: 1 << i for i, diag in enumerate(cert.ground)}
     edge_masks = [bit[e.lesser] | bit[e.greater] for e in graph.edges]
-    step = 0
+    replay = StageReplay(hat(a, b), cert)
+    closing = {}
     for stage in cert.stages:
-        for _ in range(stage.n_steps):
-            fmask, smask, _ = cert.mask_steps[step]
-            masks.discard(fmask)
-            masks.discard(smask)
-            step += 1
-        closing = stage.q == len(
-            [s for s in cert.stages if s.r == stage.r]
-        )  # last batch of this edge
-        if closing:
-            r = stage.r
+        closing[stage.r] = max(closing.get(stage.r, 0), stage.q)
+    for stage in cert.stages:
+        before = len(replay.pairs)
+        replay.expand(stage)
+        assert len(replay.pairs) - before == stage.n_steps
+        if stage.q == closing[stage.r]:
             expect = {
                 m
                 for m in hat(a, b).mask_set
-                if not any(m & em == em for em in edge_masks[r - 1 :])
+                if not any(m & em == em for em in edge_masks[stage.r - 1 :])
             }
-            assert masks == expect
-    assert step == cert.n_steps
+            assert replay.masks == expect
+    assert sorted(closing) == list(range(1, len(graph.edges) + 1))
+    assert len(replay.pairs) == cert.n_steps
 
 
 def test_morse_matching_on_small_pairs():
@@ -178,26 +190,130 @@ def test_morse_matching_5_8_counts():
 
 def test_morse_matching_rejects_corrupted_certificate():
     cert = schedule(3, 5)
-    broken = CollapseCertificate(
-        cert.a, cert.b, cert.ground, cert.mask_steps[:1], cert.stages
+    truncated = CollapseCertificate(cert.a, cert.b, cert.ground, cert.stages[:1])
+    with pytest.raises(NotPerfectMatchingError, match="left unmatched"):
+        extract_morse_matching(truncated, hat(3, 5), ass(3, 5))
+    stage = cert.stages[0]
+    recounted = CollapseCertificate(
+        cert.a, cert.b, cert.ground, (replace(stage, n_steps=2),) + cert.stages[1:]
     )
-    with pytest.raises(NotPerfectMatchingError):
-        extract_morse_matching(broken, hat(3, 5), ass(3, 5))
+    with pytest.raises(NotPerfectMatchingError, match="does not expand"):
+        extract_morse_matching(recounted, hat(3, 5), ass(3, 5))
 
 
 @pytest.mark.parametrize("a,b", [(3, 5), (5, 8)])
 def test_certificate_json_round_trip(a, b):
     cert = schedule(a, b)
     doc = cert.to_json()
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
+    assert [st["pairs"] for st in doc["steps"]] == [s.n_steps for s in cert.stages]
     back = CollapseCertificate.loads(cert.dumps())
-    assert back.mask_steps == cert.mask_steps
-    assert [(s.r, s.q, s.cone) for s in back.stages] == [
-        (s.r, s.q, s.cone) for s in cert.stages
-    ]
-    assert verify_certificate(hat(a, b), ass(a, b), back).ok
+    assert back.stages == cert.stages
+    assert back.n_steps == cert.n_steps
+    assert back.dumps() == cert.dumps()
+    report = verify_certificate(hat(a, b), ass(a, b), back)
+    assert report.ok and report.steps_applied == cert.n_steps
 
 
 def test_difference_is_even_for_all_small_pairs():
     for a, b in coprime_pairs(max_b=9):
         assert len(hat(a, b).mask_set - ass(a, b).mask_set) % 2 == 0
+
+
+def test_stage_expansion_matches_cone_vertex_collapse():
+    """The verifier's expansion of the first (5,8) stage removes the same
+    pairs, in the same sizes order, as the generator's cone batch."""
+    cert = schedule(5, 8)
+    stage = cert.stages[0]
+    pairs, result = cone_vertex_collapse(hat(5, 8), stage.target, stage.cone)
+    replay = StageReplay(hat(5, 8), cert)
+    replay.expand(stage)
+    expanded = [(hat(5, 8)._face_of(f), hat(5, 8)._face_of(s)) for f, s in replay.pairs]
+    assert sorted(expanded, key=str) == sorted(((p.facet, p.subface) for p in pairs), key=str)
+    assert [len(s) for _, s in expanded] == [len(p.subface) for p in pairs]
+    assert replay.masks == result.mask_set
+
+
+def test_schedule_failure_carries_stage_and_face():
+    h = hat(5, 8)
+    stage = schedule(5, 8).stages[0]
+    grown = h._mask_of(stage.target | {stage.cone})
+    # drop one facet above the first stage's cone extension
+    facet = next(m for m in h.mask_set if m & grown == grown and m in h._compute_facet_masks())
+    broken = SimplicialComplex._trusted(h.ground, h._bit, h.mask_set - {facet}, 5, 8)
+    with pytest.raises(ScheduleFailedError) as info:
+        collapse_schedule(5, 8, hat=broken, ass=ass(5, 8), graph=obstruction_graph(5, 8))
+    err = info.value
+    assert (err.r, err.q) == (stage.r, stage.q)
+    assert err.face == face_text(h._face_of(facet & ~h._bit[stage.cone]))
+    assert f"(r={stage.r}, q={stage.q}, cone {stage.cone.text()})" in str(err)
+
+
+def test_exhaustive_freeness_check_fires():
+    """Without downward closure, a stage can leave F' a second superface;
+    the exhaustive replay catches it at that pair's turn."""
+    x, c, y = d(0, 2, 5), d(0, 3, 5), d(0, 4, 5)
+    ground = (x, c, y)
+    cpx = SimplicialComplex(ground, [[x, c]])
+    bit = cpx._bit
+    masks = cpx.copy_mask_set() | {bit[x] | bit[c] | bit[y]}
+    family = SimplicialComplex._trusted(cpx.ground, bit, masks, None, 5)
+    cert = CollapseCertificate(3, 5, cpx.ground, (StageRecord(1, 1, c, frozenset([x]), 1),))
+    report = verify_certificate(family, family, cert, exhaustive=True)
+    assert not report.ok
+    assert (report.failure_index, report.steps_applied) == (0, 0)
+    assert report.reason == "subface has another proper superface"
+
+
+def test_valid_swap_is_accepted_by_both_replays():
+    cert = schedule(5, 8)
+    stages = list(cert.stages)
+    assert [(s.r, s.q) for s in stages[8:10]] == [(3, 1), (2, 1)]
+    stages[8], stages[9] = stages[9], stages[8]
+    swapped = CollapseCertificate(5, 8, cert.ground, tuple(stages))
+    for exhaustive in (False, True):
+        assert verify_certificate(hat(5, 8), ass(5, 8), swapped, exhaustive=exhaustive).ok
+
+
+MUTATION_PAIRS = [(3, 5), (3, 8), (4, 7), (5, 7), (5, 8)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_dropped_or_swapped_stages(data):
+    """A mutated certificate is rejected, or accepted by the exhaustive
+    replay as well; the two replays agree on every report field."""
+    a, b = data.draw(st.sampled_from(MUTATION_PAIRS), label="pair")
+    cert = schedule(a, b)
+    stages = list(cert.stages)
+    i = data.draw(st.integers(0, len(stages) - 1), label="i")
+    drop = data.draw(st.booleans(), label="drop")
+    if drop:
+        del stages[i]
+    else:
+        j = data.draw(st.integers(0, len(stages) - 1).filter(lambda j: j != i), label="j")
+        stages[i], stages[j] = stages[j], stages[i]
+    mutated = CollapseCertificate(a, b, cert.ground, tuple(stages))
+    report = verify_certificate(hat(a, b), ass(a, b), mutated)
+    assert report == verify_certificate(hat(a, b), ass(a, b), mutated, exhaustive=True)
+    if drop:
+        assert not report.ok
+
+
+@pytest.mark.parametrize(
+    "target,cone,pairs,reason",
+    [
+        (((0, 4), (1, 5)), (1, 3), 1, "stage target missing from current complex"),
+        (((1, 5), (3, 5)), (3, 5), 1, "stage target contains its cone"),
+        (((1, 5), (3, 5)), (1, 3), 2, "expanded pair count differs from the certificate"),
+        # 0-2 crosses 1-5: no face containing the target extends by it
+        (((1, 5), (3, 5)), (0, 2), 2, "cone extension missing from current complex"),
+    ],
+)
+def test_stage_rejection_reasons(target, cone, pairs, reason):
+    stage = StageRecord(2, 1, d(*cone, 5), face(5, *target), pairs)
+    cert = CollapseCertificate(3, 5, hat(3, 5).ground, (stage,))
+    for exhaustive in (False, True):
+        report = verify_certificate(hat(3, 5), ass(3, 5), cert, exhaustive=exhaustive)
+        assert (report.ok, report.failure_index, report.steps_applied) == (False, 0, 0)
+        assert report.reason == reason
