@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 cap
 exceeded.  All outputs are deterministic; JSON is emitted with sorted keys
 and fixed indentation so identical invocations are byte-identical.
 
-Caps can be overridden with the environment variables RATASSOC_FACE_CAP
-and RATASSOC_PATH_CAP.
+Caps can be overridden with the environment variables RATASSOC_FACE_CAP,
+RATASSOC_PATH_CAP and RATASSOC_MAX_B; every command that builds a model
+builds it under them.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .homology import alexander_duality_check, alexander_partition_check, betti_
 from .lattice import DEFAULT_PATH_CAP
 from .membership import valley_path
 from .obstruction import build_obstruction_graph
-from .polygon import check_slope_pair
+from .polygon import check_hat_face, check_slope_pair
 from .render import face_svg
 
 EXIT_OK = 0
@@ -118,7 +119,9 @@ def cmd_obstruction(args) -> int:
 
 
 def cmd_collapse(args) -> int:
-    cert = collapse_schedule(args.a, args.b)
+    cert = collapse_schedule(
+        args.a, args.b, hat=_build("hat", args.a, args.b), ass=_build("ass", args.a, args.b)
+    )
     payload = cert.dumps()
     if args.emit == "-":
         sys.stdout.write(payload)
@@ -185,7 +188,12 @@ def cmd_duality(args) -> int:
     sweeps = []
     ok = partition.ok
     for a, _, _ in partition.pairs:
-        report = alexander_duality_check(a, args.b)
+        report = alexander_duality_check(
+            a,
+            args.b,
+            ass_left=_build("ass", a, args.b),
+            ass_right=_build("ass", args.b - a, args.b),
+        )
         ok = ok and report.ok
         sweeps.append(
             {
@@ -215,6 +223,7 @@ def cmd_duality(args) -> int:
 def cmd_render(args) -> int:
     face = parse_face(args.face, args.b)
     check_slope_pair(args.a, args.b)
+    check_hat_face(face, args.a, args.b)
     svg = face_svg(face, args.b)
     if args.out == "-":
         sys.stdout.write(svg)

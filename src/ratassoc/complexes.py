@@ -15,7 +15,7 @@ construction but in general not pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
@@ -404,35 +404,26 @@ class FHVector:
     ``f`` is (f_-1, f_0, ..., f_d) and ``h`` is (h_0, ..., h_{d+1}),
     related by h_k = sum_i (-1)^{k-i} C(d+1-i, k-i) f_{i-1}.  Equivalently
     sum_k h_k t^{D-k} = sum_i f_{i-1} (t-1)^{D-i} with D = d+1, which pins
-    the top entry: sum(h) = f_d.
+    the top entry: sum(h) = f_d.  Only ``f`` is passed in; ``h`` is
+    computed from it, so a mismatched pair cannot be constructed.
     """
 
     f: tuple[int, ...]
-    h: tuple[int, ...]
+    h: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         cap = len(self.f) - 1
-        expect = tuple(
+        h = tuple(
             sum((-1) ** (k - i) * comb(cap - i, k - i) * self.f[i] for i in range(k + 1))
             for k in range(cap + 1)
         )
-        if self.h != expect:
-            raise InvariantViolationError(f"h-vector {self.h} does not match f-vector {self.f}")
-        if sum(self.h) != self.f[-1]:
+        if sum(h) != self.f[-1]:
             raise InvariantViolationError("h-vector top-term consistency failed")
-
-    @classmethod
-    def from_f(cls, f: tuple[int, ...]) -> "FHVector":
-        cap = len(f) - 1
-        h = tuple(
-            sum((-1) ** (k - i) * comb(cap - i, k - i) * f[i] for i in range(k + 1))
-            for k in range(cap + 1)
-        )
-        return cls(tuple(f), h)
+        object.__setattr__(self, "h", h)
 
     @classmethod
     def of(cls, cpx: SimplicialComplex) -> "FHVector":
-        return cls.from_f(cpx.f_vector_counts())
+        return cls(cpx.f_vector_counts())
 
 
 def f_vector(cpx: SimplicialComplex) -> FHVector:

@@ -149,8 +149,7 @@ class BoundaryMatrix:
             self.columns.append(col)
 
     def rank_gf2(self) -> int:
-        rows: dict[int, int] = {}  # pivot row -> bitmask over columns... row-major packing
-        # pack columns into integers indexed by row: eliminate column by column
+        # each column as a bitmask over its rows, eliminated column by column
         packed = []
         for col in self.columns:
             v = 0

@@ -2,7 +2,10 @@
 
 An (a, b)-Dyck path runs from (0, 0) to (b, a) in north and east steps and
 stays weakly above the line y = (a/b) x.  Because gcd(a, b) = 1 the path
-touches the line only at its endpoints.
+touches the line only at its endpoints.  Besides its step word a path is
+held as its north-step sequence ``xs``: ``xs[y]`` is the x-coordinate of
+the north step from height y to y+1, and ``xs[a] = b``.  Row y of the path
+is then the east run from ``xs[y-1]`` to ``xs[y]`` at height y.
 
 A laser is fired from the bottom point of a north step (other than the
 origin) with slope a/b toward the northeast; it stops at the first point
@@ -17,9 +20,9 @@ floating point enters any predicate in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import CapExceededError, InvalidSourceError, InvariantViolationError
 from .polygon import Diagonal, check_slope_pair, crosses, is_admissible
@@ -41,27 +44,32 @@ class LaserHit(NamedTuple):
 
 @dataclass(frozen=True)
 class DyckPath:
-    """An (a, b)-Dyck path stored as a step word over {N, E}."""
+    """An (a, b)-Dyck path stored as a step word over {N, E}, with its
+    north-step sequence ``xs`` derived from the word."""
 
     a: int
     b: int
     word: str
+    xs: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_slope_pair(self.a, self.b)
         w = self.word
         if len(w) != self.a + self.b or w.count("N") != self.a or w.count("E") != self.b:
             raise ValueError(f"word {w!r} is not an (N^{self.a}, E^{self.b}) shuffle")
-        north = east = 0
+        xs = []
+        east = 0
         for step in w:
             if step == "N":
-                north += 1
+                xs.append(east)
             elif step == "E":
                 east += 1
-                if north * self.b < east * self.a:
+                if len(xs) * self.b < east * self.a:
                     raise ValueError(f"word {w!r} dips below the line y = {self.a}/{self.b} x")
             else:
                 raise ValueError(f"bad step {step!r} in {w!r}")
+        xs.append(east)
+        object.__setattr__(self, "xs", tuple(xs))
 
     def __str__(self) -> str:
         return self.word
@@ -93,33 +101,13 @@ class DyckPath:
             pts.append(LatticePoint(x, y))
         return pts
 
-    def east_steps(self) -> list[tuple[int, int]]:
-        """East steps as (left endpoint x, height y), in path order."""
-        out = []
-        x = y = 0
-        for step in self.word:
-            if step == "E":
-                out.append((x, y))
-                x += 1
-            else:
-                y += 1
-        return out
-
     def north_step_bottoms(self) -> list[LatticePoint]:
         """Bottom points of all north steps, in path order (origin included)."""
-        out = []
-        x = y = 0
-        for step in self.word:
-            if step == "N":
-                out.append(LatticePoint(x, y))
-                y += 1
-            else:
-                x += 1
-        return out
+        return [LatticePoint(x, y) for y, x in enumerate(self.xs[:-1])]
 
     def vertical_run_xs(self) -> list[int]:
         """x-coordinates holding a vertical run, in increasing order."""
-        return sorted({p.x for p in self.north_step_bottoms()})
+        return sorted(set(self.xs[:-1]))
 
 
 def enumerate_dyck_paths(a: int, b: int, max_words: int | None = DEFAULT_PATH_CAP) -> list[DyckPath]:
@@ -133,29 +121,22 @@ def enumerate_dyck_paths(a: int, b: int, max_words: int | None = DEFAULT_PATH_CA
         raise CapExceededError(
             f"C({a + b},{a}) = {comb(a + b, a)} exceeds the enumeration cap {max_words}"
         )
+    # an explicit stack, not a recursive closure: a closure that calls
+    # itself is a reference cycle, which would keep every path alive
+    # until the cyclic garbage collector runs
     out: list[DyckPath] = []
-    word: list[str] = []
-
-    def extend(north: int, east: int) -> None:
+    stack = [("", 0, 0)]
+    while stack:
+        word, north, east = stack.pop()
         if north == a and east == b:
-            out.append(DyckPath(a, b, "".join(word)))
-            return
-        if north < a:
-            word.append("N")
-            extend(north + 1, east)
-            word.pop()
+            out.append(DyckPath(a, b, word))
+            continue
+        # E is pushed first so that the N branch comes out first
         if east < b and north * b >= (east + 1) * a:
-            word.append("E")
-            extend(north, east + 1)
-            word.pop()
-
-    extend(0, 0)
+            stack.append((word + "E", north, east + 1))
+        if north < a:
+            stack.append((word + "N", north + 1, east))
     return out
-
-
-def iter_dyck_paths(a: int, b: int, max_words: int | None = DEFAULT_PATH_CAP) -> Iterator[DyckPath]:
-    """Iterator form of :func:`enumerate_dyck_paths` (same order)."""
-    return iter(enumerate_dyck_paths(a, b, max_words))
 
 
 def partition_of(path: DyckPath) -> tuple[int, ...]:
@@ -165,8 +146,7 @@ def partition_of(path: DyckPath) -> tuple[int, ...]:
     from the top, so the tuple is weakly decreasing and fits under the
     staircase cut out by the line.
     """
-    xs = [p.x for p in path.north_step_bottoms()]
-    return tuple(reversed(xs))
+    return tuple(reversed(path.xs[:-1]))
 
 
 def young_contains(inner: Sequence[int], outer: Sequence[int]) -> bool:
@@ -178,41 +158,27 @@ def young_contains(inner: Sequence[int], outer: Sequence[int]) -> bool:
 
 def valleys(path: DyckPath) -> list[LatticePoint]:
     """EN corners of the path, west to east."""
-    out = []
-    x = y = 0
-    prev = ""
-    for step in path.word:
-        if step == "N":
-            if prev == "E":
-                out.append(LatticePoint(x, y))
-            y += 1
-        else:
-            x += 1
-        prev = step
-    return out
+    xs = path.xs
+    return [LatticePoint(xs[y], y) for y in range(1, path.a) if xs[y] > xs[y - 1]]
 
 
-def laser_hit_on_east_steps(
-    east_steps: Iterable[tuple[int, int]], a: int, b: int, x0: int, y0: int
-) -> int | None:
-    """Right endpoint x of the first east step whose open interior meets the
-    slope-a/b ray from (x0, y0).
+def _laser_hit(xs: Sequence[int], a: int, b: int, y0: int) -> int:
+    """Right endpoint x of the east step hit by the laser from (xs[y0], y0).
 
-    ``east_steps`` must come in path order.  The first east step crossed by
-    the ray is the first point of the path the ray meets at all: the ray
-    leaves its source into the region below the path, horizontal steps can
-    only be crossed upward, and a vertical step cannot be reached from the
-    region below the path without crossing a horizontal step first.  Strict
-    inequalities suffice because coprimality rules out lattice hits.
+    Only ``xs[y0:]`` is read, so a path grown downward from (b, a) can fire
+    as soon as its row y0 is placed.  At height y the ray is at
+    x = xs[y0] + (y - y0) b/a, which coprimality keeps off the integers for
+    0 < y - y0 < a.  Row y's east run ends at xs[y], so the ray meets the
+    path in the first row y > y0 with a (xs[y] - xs[y0]) > (y - y0) b, inside
+    the unit step ending at floor of the ray's x plus one.  Below that row
+    the ray stays strictly east of the path, so it meets no north step
+    first.  A source strictly above the line is hit by row a at the latest.
     """
-    for x1, y in east_steps:
-        if y <= y0:
-            continue
-        lhs = a * (x1 - x0)
-        mid = (y - y0) * b
-        if lhs < mid < lhs + a:
-            return x1 + 1
-    return None
+    x0 = xs[y0]
+    for y in range(y0 + 1, a + 1):
+        if a * (xs[y] - x0) > (y - y0) * b:
+            return x0 + (y - y0) * b // a + 1
+    raise InvariantViolationError(f"laser from ({x0},{y0}) escaped the path")
 
 
 def fire_laser(path: DyckPath, source: LatticePoint) -> LaserHit:
@@ -224,12 +190,9 @@ def fire_laser(path: DyckPath, source: LatticePoint) -> LaserHit:
     source = LatticePoint(*source)
     if source == (0, 0):
         raise InvalidSourceError("lasers cannot be fired from the origin")
-    if source not in path.north_step_bottoms():
+    if not (0 <= source.y < path.a and path.xs[source.y] == source.x):
         raise InvalidSourceError(f"{source} is not the bottom of a north step of {path.word}")
-    hit = laser_hit_on_east_steps(path.east_steps(), path.a, path.b, source.x, source.y)
-    if hit is None:
-        raise InvariantViolationError(f"laser from {source} on {path.word} escaped the path")
-    return LaserHit(source, hit)
+    return LaserHit(source, _laser_hit(path.xs, path.a, path.b, source.y))
 
 
 def laser_diagonal(path: DyckPath, source: LatticePoint) -> Diagonal:
@@ -244,13 +207,16 @@ def laser_diagonal(path: DyckPath, source: LatticePoint) -> Diagonal:
 def facet_of(path: DyckPath) -> frozenset[Diagonal]:
     """Laser diagonals from every non-origin north-step bottom of the path.
 
-    The result has exactly a-1 pairwise noncrossing diagonals.
+    The result has exactly a-1 pairwise noncrossing admissible diagonals.
     """
-    sources = [p for p in path.north_step_bottoms() if p != (0, 0)]
-    diag = [laser_diagonal(path, p) for p in sources]
+    a, b, xs = path.a, path.b, path.xs
+    diag = [Diagonal(xs[y], _laser_hit(xs, a, b, y), b) for y in range(1, a)]
     face = frozenset(diag)
-    if len(face) != path.a - 1:
+    if len(face) != a - 1:
         raise InvariantViolationError(f"facet of {path.word} has {len(face)} diagonals, not a-1")
+    for d in diag:
+        if not is_admissible(d, a, b):
+            raise InvariantViolationError(f"laser diagonal {d} of {path.word} is not admissible")
     for m in range(len(diag)):
         for n in range(m + 1, len(diag)):
             if crosses(diag[m], diag[n]):

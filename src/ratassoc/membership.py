@@ -11,10 +11,11 @@ i-j1, ..., i-jr of F (j1 < ... < jr), south steps are added until the laser
 diagonals fired from the new column-i lattice points have produced all of
 them.  Lasers from successively lower points hit strictly farther east, so
 either every required diagonal appears, or the column bottoms out through
-the line y = (a/b) x and F is rejected.  The suffix built so far always
-covers the column range the lasers can reach, so each laser is well
-defined.  The empty face yields the path of a north run followed by an
-east run.
+the line y = (a/b) x and F is rejected.  Each south step fixes one entry
+of the north-step sequence, from the top down, and a laser reads only the
+rows at and above its source, so each laser is well defined on the part
+built so far.  The empty face yields the path of a north run followed by
+an east run.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import InvariantViolationError, NotAFaceOfHatError
-from .lattice import DyckPath, facet_of, laser_diagonal, laser_hit_on_east_steps, valleys
-from .polygon import Diagonal, check_slope_pair, crosses, is_admissible
+from .errors import InvariantViolationError
+from .lattice import DyckPath, _laser_hit, facet_of, laser_diagonal, valleys
+from .polygon import Diagonal, check_hat_face, check_slope_pair
 
 
 @dataclass(frozen=True)
@@ -44,19 +45,6 @@ class MembershipResult:
         return self.valley_path is not None
 
 
-def _check_hat_face(face: frozenset[Diagonal], a: int, b: int) -> None:
-    for d in face:
-        if d.b != b:
-            raise NotAFaceOfHatError(f"diagonal {d} lives on b={d.b}, not b={b}")
-        if not is_admissible(d, a, b):
-            raise NotAFaceOfHatError(f"diagonal {d} is not ({a},{b})-admissible")
-    members = sorted(face, key=lambda d: d.key())
-    for m in range(len(members)):
-        for n in range(m + 1, len(members)):
-            if crosses(members[m], members[n]):
-                raise NotAFaceOfHatError(f"diagonals {members[m]} and {members[n]} cross")
-
-
 def valley_path(face: Iterable[Diagonal], a: int, b: int) -> MembershipResult:
     """Build the valley path of ``face`` or reject it.
 
@@ -67,43 +55,27 @@ def valley_path(face: Iterable[Diagonal], a: int, b: int) -> MembershipResult:
     """
     check_slope_pair(a, b)
     face = frozenset(face)
-    _check_hat_face(face, a, b)
+    check_hat_face(face, a, b)
 
     wanted: dict[int, set[int]] = {}
     for d in face:
         wanted.setdefault(d.i, set()).add(d.j)
 
-    # the backward path: step tokens in reverse order, plus the east steps
-    # built so far as (left x, height), newest (westmost) first
-    rev_steps: list[str] = []
-    east_rev: list[tuple[int, int]] = []
+    # the north-step sequence, filled from the top row down
+    xs = [0] * a + [b]
     cy = a
-
-    def fire(x0: int, y0: int) -> int:
-        hit = laser_hit_on_east_steps(reversed(east_rev), a, b, x0, y0)
-        if hit is None:
-            raise InvariantViolationError(f"laser from ({x0},{y0}) escaped the partial path")
-        return hit
-
     for i in range(b, -1, -1):
         needed = set(wanted.get(i, ()))
         while needed:
             cy -= 1
-            rev_steps.append("N")
-            if cy * b < a * i:
+            # below the line, or at the origin where no laser fires and
+            # the next south step would cross the line: a rejection
+            if cy * b < a * i or (i, cy) == (0, 0):
                 return MembershipResult(None, i)
-            if (i, cy) == (0, 0):
-                # no laser fires from the origin; the next south step
-                # would cross the line, so this is already a rejection
-                return MembershipResult(None, i)
-            needed.discard(fire(i, cy))
-        if i > 0:
-            rev_steps.append("E")
-            east_rev.append((i - 1, cy))
-        else:
-            rev_steps.extend("N" * cy)
+            xs[cy] = i
+            needed.discard(_laser_hit(xs, a, b, cy))
 
-    path = DyckPath(a, b, "".join(reversed(rev_steps)))
+    path = DyckPath(a, b, "N".join("E" * (x1 - x0) for x0, x1 in zip([0] + xs, xs)))
     got = facet_of(path)
     if not face <= got:
         raise InvariantViolationError(f"valley path {path.word} misses part of {face}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .errors import BadOrderError, NotCoprimeError
+from .errors import BadOrderError, NotAFaceOfHatError, NotCoprimeError
 
 
 def check_slope_pair(a: int, b: int) -> None:
@@ -132,6 +132,21 @@ def crosses(d: Diagonal, e: Diagonal) -> bool:
     if d.b != e.b:
         raise ValueError(f"cannot compare diagonals of different polygons: {d}, {e}")
     return (d.i < e.i < d.j < e.j) or (e.i < d.i < e.j < d.j)
+
+
+def check_hat_face(face: frozenset[Diagonal], a: int, b: int) -> None:
+    """Raise NotAFaceOfHatError unless ``face`` is a noncrossing set of
+    (a, b)-admissible diagonals, a face of the noncrossing model."""
+    for d in face:
+        if d.b != b:
+            raise NotAFaceOfHatError(f"diagonal {d} lives on b={d.b}, not b={b}")
+        if not is_admissible(d, a, b):
+            raise NotAFaceOfHatError(f"diagonal {d} is not ({a},{b})-admissible")
+    members = sorted(face, key=lambda d: d.key())
+    for m in range(len(members)):
+        for n in range(m + 1, len(members)):
+            if crosses(members[m], members[n]):
+                raise NotAFaceOfHatError(f"diagonals {members[m]} and {members[n]} cross")
 
 
 def translate(d: Diagonal, k: int) -> Diagonal | None:

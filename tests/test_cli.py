@@ -153,3 +153,38 @@ def test_verify_over_size_guard_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("RATASSOC_MAX_B", "7")
     code, out, err = run(capsys, "verify", "--cert", str(path))
     assert code == cli.EXIT_CAP and out == "" and err.startswith("cap exceeded: ")
+
+
+@pytest.mark.parametrize(
+    "argv,env",
+    [
+        (["collapse", "--a", "5", "--b", "7", "--emit", "-"], {"RATASSOC_MAX_B": "5"}),
+        (["duality", "--b", "7"], {"RATASSOC_MAX_B": "5"}),
+        (["collapse", "--a", "5", "--b", "8", "--emit", "-"], {"RATASSOC_FACE_CAP": "100"}),
+        (["duality", "--b", "8"], {"RATASSOC_FACE_CAP": "100"}),
+        (["collapse", "--a", "5", "--b", "8", "--emit", "-"], {"RATASSOC_PATH_CAP": "100"}),
+    ],
+)
+def test_collapse_and_duality_honour_caps(capsys, monkeypatch, argv, env):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_CAP and out == ""
+    assert err.startswith("cap exceeded: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "face,reason",
+    [("0-3", "diagonal 0-3 is not (3,5)-admissible"), ("0-4,1-5", "diagonals 0-4 and 1-5 cross")],
+)
+@pytest.mark.parametrize("command", ["render", "membership"])
+def test_face_outside_noncrossing_model_exits_2(capsys, command, face, reason):
+    code, out, err = run(capsys, command, "--a", "3", "--b", "5", "--face", face)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err == f"error: {reason}\n"
+
+
+def test_render_draws_a_valid_face(capsys):
+    code, out, err = run(capsys, "render", "--a", "5", "--b", "8", "--face", "0-5,2-4")
+    assert code == cli.EXIT_OK and err == ""
+    assert out.startswith("<svg") and out.count("<line ") == 2

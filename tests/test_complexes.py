@@ -98,6 +98,13 @@ def test_fh_top_term_consistency():
         assert sum(fh.h) == fh.f[-1]
 
 
+def test_fh_vector_derives_h_from_f():
+    fh = FHVector.of(ass(3, 5))
+    assert FHVector(fh.f) == fh
+    with pytest.raises(TypeError):
+        FHVector(fh.f, (1, 4, 3))
+
+
 def test_formula_examples():
     assert rational_catalan(3, 5) == 7
     assert rational_kirkman(3, 5, 2) == 6

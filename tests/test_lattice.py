@@ -151,11 +151,19 @@ def test_facet_examples():
 
 
 def test_facets_biject_with_paths():
+    """Every facet is the set of oracle lasers of its path, and distinct
+    paths give distinct facets."""
     for a, b in coprime_pairs(max_sum=12):
         paths = enumerate_dyck_paths(a, b)
         facets = {facet_of(p) for p in paths}
-        assert all(len(facet_of(p)) == a - 1 for p in paths)
         assert len(facets) == len(paths) == rational_catalan(a, b)
+        for path in paths:
+            # north-step bottoms read off the step word, not the path's xs
+            pts = path.points()
+            sources = [pts[k] for k, step in enumerate(path.word) if step == "N" and k > 0]
+            expect = {Diagonal(p.x, laser_hit_oracle(path, p), b) for p in sources}
+            assert len(expect) == a - 1
+            assert facet_of(path) == expect
 
 
 _PAIRS = [(3, 5), (5, 8), (4, 7), (7, 10), (5, 12), (7, 12)]
