@@ -220,7 +220,7 @@ def _cone_batch(masks: set[int], face_mask: int, cone_bit: int, compat: list[int
     each removed pair, in removal order.
     """
     if face_mask not in masks:
-        raise NotAFaceError(f"face {face_mask:#x} is not in the complex")
+        raise NotAFaceError("the target face is not in the complex", witness=face_mask)
     if face_mask & cone_bit:
         raise NotConeVertexError("cone vertex already belongs to the face")
     common = (1 << len(compat)) - 1
@@ -253,7 +253,7 @@ def _cone_batch(masks: set[int], face_mask: int, cone_bit: int, compat: list[int
             other = m | bit
             if other != facet and other in masks:
                 raise InvariantViolationError(
-                    f"pair ({facet:#x}, {m:#x}) is not free: extra cofacet {other:#x}"
+                    "a pair is not free: its smaller face has a second cofacet", witness=m
                 )
         masks.remove(facet)
         masks.remove(m)
@@ -324,8 +324,7 @@ def collapse_schedule(
             try:
                 smaller = _cone_batch(current, hat._mask_of(target), bit[cone], compat)
             except (NotConeVertexError, NotAFaceError, InvariantViolationError) as exc:
-                witness = getattr(exc, "witness", None)
-                face = None if witness is None else face_text(hat._face_of(witness))
+                face = None if exc.witness is None else face_text(hat._face_of(exc.witness))
                 where = f"stage (r={r}, q={q}, cone {cone.text()}) failed"
                 raise ScheduleFailedError(
                     f"{where}: {exc}" + (f" at face {face}" if face else ""),

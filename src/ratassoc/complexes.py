@@ -65,7 +65,7 @@ class SimplicialComplex:
     collapse machinery works on private copies of the mask set.
     """
 
-    __slots__ = ("ground", "a", "b", "_bit", "_masks", "_facet_masks")
+    __slots__ = ("ground", "a", "b", "_bit", "_masks", "_facet_masks", "_reduced")
 
     def __init__(
         self,
@@ -84,6 +84,7 @@ class SimplicialComplex:
             masks.add(self._mask_of(face))
         self._masks = _downward_closure(masks)
         self._facet_masks: list[int] | None = None
+        self._reduced: set[int] | None = None  # filled by homology.betti_numbers
 
     @classmethod
     def _trusted(
@@ -102,6 +103,7 @@ class SimplicialComplex:
         self._bit = bit
         self._masks = masks
         self._facet_masks = None
+        self._reduced = None
         return self
 
     def _mask_of(self, face: Iterable[Diagonal]) -> int:

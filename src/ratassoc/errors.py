@@ -4,7 +4,15 @@ from __future__ import annotations
 
 
 class RatAssocError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``witness``, when given, is the offending object (a face mask or a
+    face), so a caller can name it in its own terms.
+    """
+
+    def __init__(self, message: str = "", witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class NotCoprimeError(RatAssocError, ValueError):
@@ -38,10 +46,6 @@ class NotConeVertexError(RatAssocError):
     F' + {c} is not in the complex.
     """
 
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class ScheduleFailedError(RatAssocError):
     """The collapse schedule diverged from its expected structure.
@@ -73,10 +77,6 @@ class NonIntegralError(RatAssocError):
 
 class NotPerfectMatchingError(RatAssocError):
     """Extracted face pairing is not a perfect matching on the difference."""
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class InvariantViolationError(RatAssocError):

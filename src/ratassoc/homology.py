@@ -10,12 +10,17 @@ elimination over GF(2), and division-free integer elimination with gcd
 normalization over the rationals.  Agreement of the two Betti vectors
 rules out 2-torsion at this scale.
 
-Large complexes are first shrunk by free-pair removals in both directions
-(removing a cell together with its unique boundary cell, or a cell
-together with its unique coboundary cell).  Either removal restricts the
-boundary map without modification and preserves homology, so the ranks of
-the shrunken chain complex are the ranks of the original.  The direct
-no-preprocessing path is kept and cross-checked in the tests.
+Large complexes are first shrunk (:func:`_reduce_cells`).  The closed star
+of one vertex is coned off: it is a subcomplex and a cone, hence acyclic
+with its empty face, so the cells outside it carry the reduced homology of
+the whole complex.  Free pairs are then removed in both directions
+(coreductions: a cell with its unique boundary cell left; collapses: a
+cell with its unique coface left).  Each step restricts the boundary map
+without modification and preserves homology, so the ranks of the shrunken
+chain complex are the ranks of the original.  The reduced cell set depends
+only on the complex, so it is computed once per complex and shared by both
+fields.  The direct no-preprocessing path is kept and cross-checked in the
+tests.
 """
 
 from __future__ import annotations
@@ -49,83 +54,127 @@ class BettiVector:
         return {k - 1: v for k, v in enumerate(self.values) if v}
 
 
-def _boundary_cells(mask: int) -> list[int]:
-    return [mask ^ bit for bit in bits_of(mask)]
+def _coface_bits(m: int, adj: list[int], all_bits: int) -> int:
+    """The vertices x outside ``m`` for which m+x can be a face: the common
+    neighbours of the members of ``m`` (all vertices when ``m`` is empty)."""
+    cand = all_bits
+    rest = m
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        cand &= adj[bit.bit_length() - 1]
+    return cand & ~m
 
 
 def _reduce_cells(masks: set[int], adj: list[int], n_ground: int) -> set[int]:
-    """Shrink the cell set by free-pair removals in both directions.
+    """Shrink a downward-closed cell set to one with the same reduced homology.
 
-    ``masks`` must be downward closed (so every boundary cell is present
-    initially).  The returned alive set carries the same homology under
-    the restricted simplicial boundary map.
+    ``adj`` is the 1-skeleton adjacency of ``masks`` (any superset works).
+    Three passes, each a restriction of the simplicial boundary map:
+
+    1. Cone off the closed star {F : F+v in K} of the present vertex v of
+       highest degree.  The star is a subcomplex and a cone on v, so its
+       augmented chain complex is acyclic; by the long exact sequence of the
+       pair, the cells outside it (with the restricted boundary) carry the
+       reduced homology of K.  Those cells are closed upward in K.
+    2. Coreductions: remove a cell with exactly one boundary cell left,
+       together with that boundary cell.
+    3. Collapses: remove a cell with exactly one coface left, together with
+       that coface.
+
+    Both queues are FIFO; a LIFO order leaves far more cells behind.
+    Returns the cells that remain.  The result does not depend on the
+    field, so :func:`betti_numbers` keeps it on the complex and each
+    complex is reduced once.
     """
-    alive = set(masks)
-    bd_count = {m: m.bit_count() for m in alive}
+    present = [p for p in range(n_ground) if 1 << p in masks]
+    if not present:
+        return set(masks)  # at most the empty face: nothing to pair
+    apex = 1 << max(present, key=lambda p: adj[p].bit_count())
+    near = adj[apex.bit_length() - 1]
+    alive = {}
+    for m in masks:
+        if m & apex or m | apex in masks:
+            continue
+        # F-x lies in the star only if all of F-x neighbours the apex:
+        # x is the one member of F outside ``near``, or F has none
+        count = m.bit_count()
+        far = m & ~near
+        if not far & (far - 1):
+            rest = far or m
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                if m ^ bit | apex in masks:
+                    count -= 1
+        alive[m] = count
     all_bits = (1 << n_ground) - 1
 
-    def coface_candidates(m: int):
-        cand = all_bits
-        for bit in bits_of(m):
-            cand &= adj[bit.bit_length() - 1]
-        cand &= ~m
-        for bit in bits_of(cand):
-            yield m | bit
-
-    queue = deque(m for m in alive if bd_count[m] == 1)
-
-    def note_removal(gone: int) -> None:
-        for w in coface_candidates(gone):
-            c = bd_count.get(w)
-            if c is not None and w in alive:
-                bd_count[w] = c - 1
-                if c - 1 == 1:
-                    queue.append(w)
-
+    # coreductions; ``alive`` maps each cell to its live boundary count
+    queue = deque(m for m, c in alive.items() if c == 1)
     while queue:
         m = queue.popleft()
-        if m not in alive or bd_count[m] != 1:
+        if alive.get(m) != 1:
             continue
-        partner = None
-        for cell in _boundary_cells(m):
-            if cell in alive:
-                partner = cell
+        rest = m
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if m ^ bit in alive:
+                partner = m ^ bit
                 break
-        if partner is None:
+        else:
             raise InvariantViolationError("boundary bookkeeping out of sync")
-        alive.discard(m)
-        alive.discard(partner)
-        note_removal(m)
-        note_removal(partner)
+        del alive[m], alive[partner]
+        for gone in (m, partner):
+            cand = _coface_bits(gone, adj, all_bits)
+            while cand:
+                bit = cand & -cand
+                cand ^= bit
+                c = alive.get(gone | bit)
+                if c is not None:
+                    alive[gone | bit] = c - 1
+                    if c == 2:
+                        queue.append(gone | bit)
 
-    # collapse direction: cells with a unique coface left
-    cb_count = {m: 0 for m in alive}
+    # collapses; ``alive`` maps each cell to its live coface count
+    cofaces = {}
     for m in alive:
-        for w in coface_candidates(m):
-            if w in alive:
-                cb_count[m] += 1
-    queue = deque(m for m in alive if cb_count[m] == 1)
+        cand = _coface_bits(m, adj, all_bits)
+        count = 0
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            if m | bit in alive:
+                count += 1
+        cofaces[m] = count
+    alive = cofaces
+    queue = deque(m for m, c in alive.items() if c == 1)
     while queue:
         m = queue.popleft()
-        if m not in alive or cb_count.get(m) != 1:
+        if alive.get(m) != 1:
             continue
-        partner = None
-        for w in coface_candidates(m):
-            if w in alive:
-                partner = w
+        cand = _coface_bits(m, adj, all_bits)
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            if m | bit in alive:
+                partner = m | bit
                 break
-        if partner is None:
+        else:
             raise InvariantViolationError("coboundary bookkeeping out of sync")
-        alive.discard(m)
-        alive.discard(partner)
+        del alive[m], alive[partner]
         for gone in (m, partner):
-            for cell in _boundary_cells(gone):
-                c = cb_count.get(cell)
-                if c is not None and cell in alive:
-                    cb_count[cell] = c - 1
-                    if c - 1 == 1:
-                        queue.append(cell)
-    return alive
+            rest = gone
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                c = alive.get(gone ^ bit)
+                if c is not None:
+                    alive[gone ^ bit] = c - 1
+                    if c == 2:
+                        queue.append(gone ^ bit)
+    return set(alive)
 
 
 class BoundaryMatrix:
@@ -245,8 +294,10 @@ def betti_numbers(
     """Reduced Betti numbers of the complex over the chosen field.
 
     ``method="direct"`` builds full boundary matrices (and asserts that the
-    boundary composes to zero); ``"auto"`` shrinks by free-pair removals
-    first.  An Euler-characteristic cross-check against the face counts is
+    boundary composes to zero); ``"auto"`` shrinks the cell set with
+    :func:`_reduce_cells` first, once per complex: the reduced set depends
+    only on the complex, so it is kept on it and reused for every field.
+    An Euler-characteristic cross-check against the face counts is
     enforced in both paths.
     """
     if field not in FIELDS:
@@ -255,8 +306,10 @@ def betti_numbers(
     if method == "direct":
         cells = set(cpx.mask_set)
     elif method == "auto":
-        adj = skeleton_adjacency(cpx.mask_set, len(cpx.ground))
-        cells = _reduce_cells(cpx.mask_set, adj, len(cpx.ground))
+        if cpx._reduced is None:
+            adj = skeleton_adjacency(cpx.mask_set, len(cpx.ground))
+            cpx._reduced = _reduce_cells(cpx.mask_set, adj, len(cpx.ground))
+        cells = cpx._reduced
     else:
         raise ValueError(f"unknown method {method!r}")
     by_dim, mats = _build_matrices(cells)

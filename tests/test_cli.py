@@ -1,14 +1,17 @@
 """``cli.main(argv)`` contract: certificate round trips, tampered and
-malformed certificates, caps and byte-stable output."""
+malformed certificates, homology and duality against the closed forms,
+caps and byte-stable output."""
 
 from __future__ import annotations
 
 import json
+from collections import Counter
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
 
-from ratassoc import cli
+from ratassoc import cli, homology
 
 from helpers import coprime_pairs
 
@@ -188,3 +191,70 @@ def test_render_draws_a_valid_face(capsys):
     code, out, err = run(capsys, "render", "--a", "5", "--b", "8", "--face", "0-5,2-4")
     assert code == cli.EXIT_OK and err == ""
     assert out.startswith("<svg") and out.count("<line ") == 2
+
+
+@pytest.mark.parametrize("field", ["both", "gf2", "q"])
+@pytest.mark.parametrize("model", ["ass", "hat"])
+@pytest.mark.parametrize("a,b", coprime_pairs(max_b=8))
+def test_homology_is_a_wedge_of_spheres(capsys, a, b, model, field):
+    code, out, err = run(
+        capsys, "homology", "--a", str(a), "--b", str(b), "--model", model, "--field", field
+    )
+    assert code == cli.EXIT_OK and err == ""
+    wedge = {str(a - 2): comb(b, a) // b}
+    fields = ["gf2", "q"] if field == "both" else [field]
+    doc = json.loads(out)
+    assert (doc["a"], doc["b"], doc["model"]) == (a, b, model)
+    assert doc["reduced_betti_nonzero"] == {f: wedge for f in fields}
+
+
+@pytest.mark.parametrize("b", range(3, 10))
+def test_duality_matches_closed_forms(capsys, b):
+    code, out, err = run(capsys, "duality", "--b", str(b))
+    assert code == cli.EXIT_OK and err == ""
+    doc = json.loads(out)
+    assert doc["ok"] and doc["partition_ok"]
+    assert doc["total_diagonals"] == (b + 1) * (b - 2) // 2
+    coprime = [a for a in range(1, b) if gcd(a, b) == 1]
+    assert [row["a"] for row in doc["duality"]] == coprime
+    for row in doc["duality"]:
+        rank = comb(b, row["a"]) // b
+        assert row == {"a": row["a"], "dual_a": b - row["a"], "expected_rank": rank,
+                       "rank_left": rank, "rank_right": rank, "ok": True}
+
+
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        (["homology", "--a", "5", "--b", "8", "--model", "hat", "--field", "both"],
+         "homology_5_8_hat.json"),
+        (["duality", "--b", "9"], "duality_9.json"),
+    ],
+)
+def test_homology_and_duality_golden_output(capsys, argv, golden):
+    code, out, _ = run(capsys, *argv)
+    assert code == cli.EXIT_OK
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_each_model_is_built_and_reduced_once(capsys, monkeypatch):
+    built, reduced = Counter(), []
+    build_ass, reduce_cells = cli.build_ass, homology._reduce_cells
+
+    def counting_build(a, b, **kwargs):
+        built[a, b] += 1
+        return build_ass(a, b, **kwargs)
+
+    def counting_reduce(masks, adj, n_ground):
+        reduced.append(n_ground)
+        return reduce_cells(masks, adj, n_ground)
+
+    monkeypatch.setattr(cli, "build_ass", counting_build)
+    monkeypatch.setattr(homology, "_reduce_cells", counting_reduce)
+    assert run(capsys, "duality", "--b", "9")[0] == cli.EXIT_OK
+    assert built == {(a, 9): 1 for a in (1, 2, 4, 5, 7, 8)}
+    assert len(reduced) == 6
+    reduced.clear()
+    argv = ["homology", "--a", "5", "--b", "8", "--model", "hat", "--field", "both"]
+    assert run(capsys, *argv)[0] == cli.EXIT_OK
+    assert len(reduced) == 1

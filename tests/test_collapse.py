@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ratassoc import (
     CollapseCertificate,
     Diagonal,
+    InvariantViolationError,
     NotAFaceError,
     NotConeVertexError,
     NotPerfectMatchingError,
@@ -22,6 +23,7 @@ from ratassoc import (
     face_text,
     verify_certificate,
 )
+from ratassoc.collapse import _cone_batch
 
 from helpers import ass, coprime_pairs, hat, is_fuss, obstruction_graph, schedule
 
@@ -66,6 +68,21 @@ def test_cone_vertex_rejections():
         cone_vertex_collapse(cpx, face(5, (0, 2), (0, 4), (2, 4)), d(1, 3, 5))
     with pytest.raises(NotAFaceError):
         cone_vertex_collapse(cpx, face(5, (0, 4), (1, 5)), d(0, 2, 5))
+
+
+def test_cone_batch_errors_carry_the_face_not_hex():
+    # vertices 0..3, target {0}, cone 1; {0,2,3} is not reached by the upward
+    # search (its face {0,2} is missing), so {0,3} has a second cofacet
+    masks = {0b0001, 0b0011, 0b1001, 0b1011, 0b1101}
+    everything = [0b1111] * 4
+    with pytest.raises(InvariantViolationError) as info:
+        _cone_batch(set(masks), 0b0001, 0b0010, everything)
+    assert info.value.witness == 0b1001
+    assert "not free" in str(info.value) and "0x" not in str(info.value)
+    with pytest.raises(NotAFaceError) as info:
+        _cone_batch(set(masks), 0b0100, 0b0010, everything)
+    assert info.value.witness == 0b0100
+    assert "0x" not in str(info.value)
 
 
 @pytest.mark.parametrize("a,b", [(2, 3), (3, 4), (3, 7), (4, 9), (2, 11)])

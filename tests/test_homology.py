@@ -4,6 +4,8 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratassoc import (
     Diagonal,
@@ -13,7 +15,8 @@ from ratassoc import (
     betti_numbers,
     check_wedge,
 )
-from ratassoc.homology import _build_matrices, _check_dd_zero
+from ratassoc.complexes import skeleton_adjacency
+from ratassoc.homology import _build_matrices, _check_dd_zero, _reduce_cells
 
 from helpers import all_facets, ass, coprime_pairs, hat
 
@@ -65,6 +68,41 @@ def test_reduction_agrees_on_random_subcomplexes():
                     betti_numbers(cpx, field).values
                     == betti_numbers(cpx, field, method="direct").values
                 )
+
+
+# nine vertices, some of which may lie in no face at all
+VERTICES = [Diagonal(0, k, 12) for k in range(2, 11)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sets(st.sampled_from(VERTICES), max_size=5), max_size=8))
+def test_reduction_agrees_with_direct_on_random_families(facets):
+    """Any downward-closed family: isolated vertices, several components and
+    the lone empty face (no facets) included."""
+    cpx = SimplicialComplex(VERTICES, facets)
+    direct = {f: betti_numbers(cpx, f, method="direct").values for f in ("gf2", "q")}
+    assert betti_numbers(cpx, "gf2").values == direct["gf2"]
+    reduced = cpx._reduced
+    # the second field reuses the reduction; a fresh object gives the same
+    assert betti_numbers(cpx, "q").values == direct["q"]
+    assert cpx._reduced is reduced
+    assert betti_numbers(SimplicialComplex(VERTICES, facets), "q").values == direct["q"]
+    if facets and facets[0]:
+        smaller = cpx.deletion([sorted(facets[0], key=Diagonal.key)[:1]])
+        assert smaller._reduced is None
+        for f in ("gf2", "q"):
+            assert (
+                betti_numbers(smaller, f).values
+                == betti_numbers(smaller, f, method="direct").values
+            )
+
+
+def test_reduction_leaves_few_cells_on_7_12():
+    """The reduction's queue order decides how many cells reach the rank
+    step; FIFO leaves one cell per sphere here, LIFO 5,644."""
+    cpx = ass(7, 12)
+    adj = skeleton_adjacency(cpx.mask_set, len(cpx.ground))
+    assert len(_reduce_cells(cpx.mask_set, adj, len(cpx.ground))) <= 66
 
 
 @pytest.mark.parametrize("a,b", [(2, 3), (3, 5), (2, 5), (4, 7), (5, 8)])
