@@ -4,9 +4,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 cap
 exceeded.  All outputs are deterministic; JSON is emitted with sorted keys
 and fixed indentation so identical invocations are byte-identical.
 
-Caps can be overridden with the environment variables RATASSOC_FACE_CAP,
-RATASSOC_PATH_CAP and RATASSOC_MAX_B; every command that builds a model
-builds it under them.
+Caps can be overridden with the two environment variables RATASSOC_FACE_CAP
+and RATASSOC_MAX_B; every command that builds a model builds it under them.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .complexes import (
 )
 from .errors import CapExceededError, RatAssocError
 from .homology import alexander_duality_check, alexander_partition_check, betti_numbers
-from .lattice import DEFAULT_PATH_CAP
 from .membership import valley_path
 from .obstruction import build_obstruction_graph
 from .polygon import check_hat_face, check_slope_pair
@@ -50,10 +48,6 @@ def _face_cap() -> int:
     return int(os.environ.get("RATASSOC_FACE_CAP", DEFAULT_FACE_CAP))
 
 
-def _path_cap() -> int:
-    return int(os.environ.get("RATASSOC_PATH_CAP", DEFAULT_PATH_CAP))
-
-
 def _max_b() -> int:
     return int(os.environ.get("RATASSOC_MAX_B", DEFAULT_MAX_B))
 
@@ -61,7 +55,7 @@ def _max_b() -> int:
 def _build(model: str, a: int, b: int):
     if model == "hat":
         return build_hat_ass(a, b, max_faces=_face_cap(), max_b=_max_b())
-    return build_ass(a, b, max_faces=_face_cap(), max_b=_max_b(), max_words=_path_cap())
+    return build_ass(a, b, max_faces=_face_cap(), max_b=_max_b())
 
 
 def _add_pair_args(p: argparse.ArgumentParser) -> None:
@@ -185,6 +179,8 @@ def cmd_homology(args) -> int:
 
 def cmd_duality(args) -> int:
     b = args.b
+    if b > _max_b():  # before the partition check, which is O(b^3)
+        raise CapExceededError(f"b = {b} exceeds the size guard {_max_b()}")
     partition = alexander_partition_check(b)
     rows: dict[int, dict] = {}
     for a, _, _ in partition.pairs:

@@ -5,12 +5,12 @@ Faces are stored as integer bitmasks over a canonically ordered ground set
 (diagonals sorted by (j, i)), so membership, subset tests, and deletions
 are single integer operations.  The empty face (mask 0) is always present.
 
-``build_hat_ass`` materializes the noncrossing model: every mutually
-noncrossing set of admissible diagonals is a face.  ``build_ass``
-materializes the lattice-path model: facets are the laser sets of Dyck
-paths, closed downward.  The second is a subcomplex of the first, pure of
-dimension a-2, with Kirkman/Narayana face counts; the first is flag by
-construction but in general not pure.
+One kernel, ``clique_complex``, builds both flag models.  ``build_hat_ass``
+gives the noncrossing model, the clique complex of the noncrossing pairs
+of admissible diagonals.  ``build_ass`` gives the lattice-path model, whose
+facets are the laser sets of Dyck paths, as the clique complex of the
+Dyck-facet skeleton, checked.  The second is a subcomplex of the first, pure
+of dimension a-2, with Kirkman/Narayana face counts; the first need not be.
 """
 
 from __future__ import annotations
@@ -297,6 +297,32 @@ def compatibility_masks(ground: tuple[Diagonal, ...]) -> list[int]:
     return compat
 
 
+def clique_complex(adj: list[int], vertices: int, max_faces: int, what: str):
+    """The cliques of the graph ``adj`` on ``vertices`` (a mask set) and the
+    maximal ones (a list); rows of ``adj`` exclude their own bit.  A clique's
+    common neighbours are exactly the vertices that extend it, so it is
+    maximal exactly when it has none: the empty clique when ``vertices`` is 0."""
+    faces = {0}
+    maximal = [] if vertices else [0]
+    stack = [(0, vertices, vertices)]  # (clique, candidates, common neighbours)
+    while stack:
+        mask, cand, common = stack.pop()
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            row = adj[bit.bit_length() - 1]
+            child = mask | bit
+            faces.add(child)
+            if len(faces) > max_faces:
+                raise CapExceededError(f"{what} exceeds the face cap {max_faces}")
+            child_cand = cand & row  # only vertices above the new one: no clique twice
+            if child_cand:
+                stack.append((child, child_cand, common & row))
+            elif not common & row:
+                maximal.append(child)
+    return faces, maximal
+
+
 def build_hat_ass(
     a: int,
     b: int,
@@ -304,34 +330,17 @@ def build_hat_ass(
     max_faces: int = DEFAULT_FACE_CAP,
     max_b: int = DEFAULT_MAX_B,
 ) -> SimplicialComplex:
-    """The noncrossing model: all noncrossing sets of admissible diagonals."""
+    """The noncrossing model: the clique complex of the compatibility graph."""
     check_slope_pair(a, b)
     if b > max_b:
         raise CapExceededError(f"b = {b} exceeds the size guard {max_b}")
     ground = all_admissible_diagonals(a, b)
-    n = len(ground)
-    compat = compatibility_masks(ground)
-    masks = {0}
-    all_bits = (1 << n) - 1
-    stack = [(0, all_bits)]
-    while stack:
-        mask, cand = stack.pop()
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            v = bit.bit_length() - 1
-            child = mask | bit
-            masks.add(child)
-            if len(masks) > max_faces:
-                raise CapExceededError(
-                    f"noncrossing family of ({a},{b}) exceeds the face cap {max_faces}"
-                )
-            # candidates above v keep the DFS duplicate-free
-            child_cand = cand & compat[v]
-            if child_cand:
-                stack.append((child, child_cand))
+    masks, maximal = clique_complex(compatibility_masks(ground), (1 << len(ground)) - 1,
+                                    max_faces, f"noncrossing family of ({a},{b})")
     bit = {d: 1 << i for i, d in enumerate(ground)}
-    return SimplicialComplex._trusted(ground, bit, masks, a, b)
+    cpx = SimplicialComplex._trusted(ground, bit, masks, a, b)
+    cpx._facet_masks = sorted(maximal, key=lambda m: (m.bit_count(), m))
+    return cpx
 
 
 def build_ass(
@@ -340,9 +349,10 @@ def build_ass(
     *,
     max_faces: int = DEFAULT_FACE_CAP,
     max_b: int = DEFAULT_MAX_B,
-    max_words: int = 10**7,
 ) -> SimplicialComplex:
-    """The lattice-path model: downward closure of the Dyck path facets."""
+    """The lattice-path model: the clique complex of the Dyck-facet skeleton,
+    checked.  Its maximal cliques must be the Dyck facets: each face is then
+    a clique and each clique lies in a facet, so the model is flag."""
     check_slope_pair(a, b)
     if b > max_b:
         raise CapExceededError(f"b = {b} exceeds the size guard {max_b}")
@@ -352,7 +362,7 @@ def build_ass(
     ground = all_admissible_diagonals(a, b)
     bit = {d: 1 << i for i, d in enumerate(ground)}
     facet_masks = set()
-    for path in enumerate_dyck_paths(a, b, max_words):
+    for path in enumerate_dyck_paths(a, b, None):  # no path cap: Cat(a,b) <= predicted
         m = 0
         for d in facet_of(path):
             m |= bit[d]
@@ -361,9 +371,16 @@ def build_ass(
         raise InvariantViolationError(
             f"({a},{b}) facets do not biject with Dyck paths: {len(facet_masks)}"
         )
-    masks = _downward_closure(facet_masks)
+    adj, vertices = [0] * len(ground), 0
+    for m in facet_masks:
+        vertices |= m
+        for p in bit_positions(m):
+            adj[p] |= m ^ (1 << p)
+    masks, maximal = clique_complex(adj, vertices, max_faces, f"lattice-path model of ({a},{b})")
+    if set(maximal) != facet_masks:
+        raise InvariantViolationError(f"({a},{b}): skeleton cliques are not the Dyck facets")
     cpx = SimplicialComplex._trusted(ground, bit, masks, a, b)
-    cpx._facet_masks = sorted(facet_masks, key=lambda m: (m.bit_count(), m))
+    cpx._facet_masks = sorted(maximal, key=lambda m: (m.bit_count(), m))  # ints shared with masks
     return cpx
 
 

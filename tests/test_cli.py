@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ratassoc import cli, homology
+from ratassoc import cli, complexes, homology
 
 from helpers import coprime_pairs
 
@@ -165,10 +165,31 @@ def test_verify_over_size_guard_exits_3(tmp_path, capsys, monkeypatch):
         (["duality", "--b", "7"], {"RATASSOC_MAX_B": "5"}),
         (["collapse", "--a", "5", "--b", "8", "--emit", "-"], {"RATASSOC_FACE_CAP": "100"}),
         (["duality", "--b", "8"], {"RATASSOC_FACE_CAP": "100"}),
-        (["collapse", "--a", "5", "--b", "8", "--emit", "-"], {"RATASSOC_PATH_CAP": "100"}),
     ],
 )
 def test_collapse_and_duality_honour_caps(capsys, monkeypatch, argv, env):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_CAP and out == ""
+    assert err.startswith("cap exceeded: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,env,module,name",
+    [
+        # the face cap bounds path enumeration: Cat(a,b) is a term of the Kirkman sum
+        (["fvector", "--a", "5", "--b", "8"], {"RATASSOC_FACE_CAP": "100"},
+         complexes, "enumerate_dyck_paths"),
+        # the size guard comes before the partition check, which is O(b^3)
+        (["duality", "--b", "400"], {}, cli, "alexander_partition_check"),
+    ],
+)
+def test_caps_refuse_before_the_work(capsys, monkeypatch, argv, env, module, name):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{name} ran before the cap check")
+
+    monkeypatch.setattr(module, name, forbidden)
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     code, out, err = run(capsys, *argv)

@@ -6,18 +6,24 @@ from ratassoc import (
     CapExceededError,
     Diagonal,
     FHVector,
+    InvariantViolationError,
     NonIntegralError,
     SimplicialComplex,
+    all_admissible_diagonals,
     build_ass,
     build_hat_ass,
+    complexes,
     deletion,
+    enumerate_dyck_paths,
     f_vector,
+    facet_of,
     h_vector,
     is_flag,
     rational_catalan,
     rational_kirkman,
     rational_narayana,
 )
+from ratassoc.complexes import compatibility_masks, skeleton_adjacency
 
 from helpers import ass, coprime_pairs, hat, is_fuss, obstruction_graph
 
@@ -126,9 +132,40 @@ def test_exact_division_guard():
 
 
 def test_is_flag_on_models():
-    for a, b in [(3, 5), (5, 8), (4, 7), (2, 3)]:
+    for a, b in coprime_pairs(max_b=9):
         assert is_flag(ass(a, b)).is_flag
         assert is_flag(hat(a, b)).is_flag
+
+
+@pytest.mark.parametrize("a,b", coprime_pairs(max_b=10))
+def test_path_model_is_the_closure_of_its_dyck_facets(a, b):
+    facets = [facet_of(p) for p in enumerate_dyck_paths(a, b)]
+    assert ass(a, b) == SimplicialComplex(all_admissible_diagonals(a, b), facets, a, b)
+
+
+@pytest.mark.parametrize("a,b", coprime_pairs(max_b=10))
+def test_hat_facets_are_the_scanned_maximal_faces(a, b):
+    cpx = hat(a, b)
+    copy = SimplicialComplex._trusted(cpx.ground, cpx._bit, cpx.mask_set, a, b)
+    assert copy._compute_facet_masks() == cpx._compute_facet_masks()
+    assert copy.facets() == cpx.facets()
+
+
+@pytest.mark.parametrize("b", [2, 3, 7])
+def test_a_equal_one_is_the_empty_face(b):
+    for cpx in (build_ass(1, b), build_hat_ass(1, b)):
+        assert cpx.mask_set == {0} and cpx.ground == ()
+        assert cpx.facets() == [frozenset()]
+
+
+def test_build_ass_rejects_a_skeleton_with_other_maximal_cliques(monkeypatch):
+    # three "facets" that are the edges of a triangle: Cat(2,5) = 3 of them,
+    # but the triangle itself is a clique of their skeleton and no facet
+    v03, v14, v25 = d(0, 3), d(1, 4), d(2, 5)
+    edges = iter([{v03, v14}, {v14, v25}, {v03, v25}])
+    monkeypatch.setattr(complexes, "facet_of", lambda path: next(edges))
+    with pytest.raises(InvariantViolationError, match="not the Dyck facets"):
+        build_ass(2, 5)
 
 
 def test_is_flag_witness_on_hollow_triangle():
@@ -150,11 +187,19 @@ def test_deletion_examples():
     assert cpx.deletion([]) == cpx
 
 
-@pytest.mark.parametrize("a,b", [(3, 5), (5, 8), (4, 7), (5, 7), (3, 7)])
+@pytest.mark.parametrize("a,b", coprime_pairs(max_b=10))
 def test_deleting_obstruction_edges_yields_path_model(a, b):
     graph = obstruction_graph(a, b)
     edges = [list(e.pair()) for e in graph.edges]
     assert deletion(hat(a, b), edges) == ass(a, b)
+    # the edges are exactly the noncrossing pairs the path model's skeleton lacks
+    ground = ass(a, b).ground
+    index = {v: i for i, v in enumerate(ground)}
+    compat = compatibility_masks(ground)
+    skeleton = skeleton_adjacency(ass(a, b).mask_set, len(ground))
+    missing = {(u, v) for u in range(len(ground)) for v in range(u + 1, len(ground))
+               if compat[u] >> v & 1 and not skeleton[u] >> v & 1}
+    assert {tuple(sorted((index[e.lesser], index[e.greater]))) for e in graph.edges} == missing
 
 
 def test_build_caps():
