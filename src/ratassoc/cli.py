@@ -170,7 +170,7 @@ def cmd_homology(args) -> int:
         "a": args.a,
         "b": args.b,
         "model": args.model,
-        "dim": cpx.dim,
+        "dim": vec.dim,
         "reduced_betti_nonzero": betti,
     }
     sys.stdout.write(_dumps(doc))

@@ -15,6 +15,7 @@ of dimension a-2, with Kirkman/Narayana face counts; the first need not be.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
@@ -173,11 +174,9 @@ class SimplicialComplex:
         return [self._face_of(m) for m in self._compute_facet_masks()]
 
     def f_vector_counts(self) -> tuple[int, ...]:
-        """(f_-1, f_0, ..., f_dim) by direct counting."""
-        counts = [0] * (self.dim + 2)
-        for m in self._masks:
-            counts[m.bit_count()] += 1
-        return tuple(counts)
+        """(f_-1, f_0, ..., f_dim) by direct counting, in one pass."""
+        sizes = Counter(map(int.bit_count, self._masks))
+        return tuple(sizes[k] for k in range(max(sizes, default=-1) + 1))
 
     def is_pure(self) -> bool:
         sizes = {m.bit_count() for m in self._compute_facet_masks()}
@@ -334,9 +333,13 @@ def build_hat_ass(
     check_slope_pair(a, b)
     if b > max_b:
         raise CapExceededError(f"b = {b} exceeds the size guard {max_b}")
+    what = f"noncrossing family of ({a},{b})"
+    # the lattice-path model is a subcomplex: its face count is a lower bound
+    if sum(rational_kirkman(a, b, i) for i in range(1, a + 1)) > max_faces:
+        raise CapExceededError(f"{what} exceeds the face cap {max_faces}")
     ground = all_admissible_diagonals(a, b)
     masks, maximal = clique_complex(compatibility_masks(ground), (1 << len(ground)) - 1,
-                                    max_faces, f"noncrossing family of ({a},{b})")
+                                    max_faces, what)
     bit = {d: 1 << i for i, d in enumerate(ground)}
     cpx = SimplicialComplex._trusted(ground, bit, masks, a, b)
     cpx._facet_masks = sorted(maximal, key=lambda m: (m.bit_count(), m))
@@ -362,7 +365,7 @@ def build_ass(
     ground = all_admissible_diagonals(a, b)
     bit = {d: 1 << i for i, d in enumerate(ground)}
     facet_masks = set()
-    for path in enumerate_dyck_paths(a, b, None):  # no path cap: Cat(a,b) <= predicted
+    for path in enumerate_dyck_paths(a, b):  # Cat(a,b) <= predicted bounds this
         m = 0
         for d in facet_of(path):
             m |= bit[d]

@@ -10,22 +10,18 @@ elimination over GF(2), and division-free integer elimination with gcd
 normalization over the rationals.  Agreement of the two Betti vectors
 rules out 2-torsion at this scale.
 
-Large complexes are first shrunk (:func:`_reduce_cells`).  The closed star
-of one vertex is coned off: it is a subcomplex and a cone, hence acyclic
-with its empty face, so the cells outside it carry the reduced homology of
-the whole complex.  Free pairs are then removed in both directions
-(coreductions: a cell with its unique boundary cell left; collapses: a
-cell with its unique coface left).  Each step restricts the boundary map
-without modification and preserves homology, so the ranks of the shrunken
-chain complex are the ranks of the original.  The reduced cell set depends
-only on the complex, so it is computed once per complex and shared by both
-fields.  The direct no-preprocessing path is kept and cross-checked in the
-tests.
+Large complexes are first shrunk (:func:`_reduce_cells`).  When the
+complex is flag, a matching tree on its 1-skeleton pairs off all but a few
+critical cells; when those all lie in one dimension, discrete Morse theory
+makes them the homology, over every field, and the rank step sees only
+them.  Any other complex keeps every cell and the exact ranks decide.  The
+cell set depends only on the complex, so it is computed once per complex
+and shared by both fields.  The direct no-preprocessing path is kept and
+cross-checked in the tests.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from math import comb, gcd
 
@@ -54,127 +50,93 @@ class BettiVector:
         return {k - 1: v for k, v in enumerate(self.values) if v}
 
 
-def _coface_bits(m: int, adj: list[int], all_bits: int) -> int:
-    """The vertices x outside ``m`` for which m+x can be a face: the common
-    neighbours of the members of ``m`` (all vertices when ``m`` is empty)."""
-    cand = all_bits
-    rest = m
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        cand &= adj[bit.bit_length() - 1]
-    return cand & ~m
+def _clique_count(adj: list[int], vertices: int, limit: int) -> int:
+    """The number of cliques of the graph ``adj`` on ``vertices``, the empty
+    clique included, or some number above ``limit`` once the count passes it.
+
+    A vertex adjacent to every other remaining one doubles the count of the
+    rest; otherwise the count splits on the highest vertex p into the
+    cliques without p and those with it.  Each leaf adds at least 1 and is
+    reached through at most one split per vertex, so the work stays within
+    (limit + 1) leaves whatever the graph.
+    """
+    count = 0
+    stack = [(vertices, 1)]  # (remaining vertices, cliques each of theirs stands for)
+    while stack and count <= limit:
+        free, weight = stack.pop()
+        rest = free
+        while rest:  # a vertex adjacent to all the others stays so without them
+            bit = rest & -rest
+            rest ^= bit
+            if free & ~adj[bit.bit_length() - 1] == bit:
+                free ^= bit
+                weight *= 2
+        if not free:
+            count += weight
+            continue
+        top = free.bit_length() - 1
+        stack.append((free ^ 1 << top, weight))
+        stack.append((free & adj[top], weight))
+    return count
 
 
 def _reduce_cells(masks: set[int], adj: list[int], n_ground: int) -> set[int]:
-    """Shrink a downward-closed cell set to one with the same reduced homology.
+    """A cell set with the same reduced homology as the downward-closed
+    ``masks``: its critical cells when they decide it, else all of it.
 
-    ``adj`` is the 1-skeleton adjacency of ``masks`` (any superset works).
-    Three passes, each a restriction of the simplicial boundary map:
+    ``adj`` is the 1-skeleton adjacency of ``masks``.  Every face is a
+    clique of it, so the faces are all of its cliques, and the complex is
+    flag, exactly when the clique count equals ``len(masks)``.  A non-flag
+    complex keeps every cell.
 
-    1. Cone off the closed star {F : F+v in K} of the present vertex v of
-       highest degree.  The star is a subcomplex and a cone on v, so its
-       augmented chain complex is acyclic; by the long exact sequence of the
-       pair, the cells outside it (with the restricted boundary) carry the
-       reduced homology of K.  Those cells are closed upward in K.
-    2. Coreductions: remove a cell with exactly one boundary cell left,
-       together with that boundary cell.
-    3. Collapses: remove a cell with exactly one coface left, together with
-       that coface.
+    On a flag complex the matching tree (Bousquet-Melou, Linusson and
+    Nevo, J. Algebraic Combin. 27, 2008) walks nodes (A, free) whose faces
+    are A + S for the cliques S of the graph on ``free``:
 
-    Both queues are FIFO; a LIFO order leaves far more cells behind.
-    Returns the cells that remain.  The result does not depend on the
-    field, so :func:`betti_numbers` keeps it on the complex and each
-    complex is reduced once.
+    - ``free`` empty: A is a critical cell;
+    - some c in ``free`` adjacent to all the others: the faces form a cone
+      on c, and toggling c matches them all;
+    - otherwise split on the highest free vertex p into (A, free - p) and
+      (A + p, free & adj[p]).
+
+    The faces containing p form an upper set, so each split is a poset map
+    to {0 < 1}, and the patchwork theorem (Kozlov, Combinatorial Algebraic
+    Topology, 2008, Thm 11.10) makes the whole matching acyclic, the empty
+    face included.  When every critical cell lies in one dimension d, the
+    Morse complex has no differential (Forman, Adv. Math. 134, 1998): over
+    every field the reduced Betti number in dimension d is the number of
+    critical cells and all others vanish, so the critical cells stand in for
+    the complex.  Critical cells in two or more dimensions keep every cell.
+
+    The result does not depend on the field, so :func:`betti_numbers`
+    keeps it on the complex and each complex is reduced once.
     """
-    present = [p for p in range(n_ground) if 1 << p in masks]
-    if not present:
-        return set(masks)  # at most the empty face: nothing to pair
-    apex = 1 << max(present, key=lambda p: adj[p].bit_count())
-    near = adj[apex.bit_length() - 1]
-    alive = {}
-    for m in masks:
-        if m & apex or m | apex in masks:
-            continue
-        # F-x lies in the star only if all of F-x neighbours the apex:
-        # x is the one member of F outside ``near``, or F has none
-        count = m.bit_count()
-        far = m & ~near
-        if not far & (far - 1):
-            rest = far or m
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                if m ^ bit | apex in masks:
-                    count -= 1
-        alive[m] = count
-    all_bits = (1 << n_ground) - 1
-
-    # coreductions; ``alive`` maps each cell to its live boundary count
-    queue = deque(m for m, c in alive.items() if c == 1)
-    while queue:
-        m = queue.popleft()
-        if alive.get(m) != 1:
-            continue
-        rest = m
+    vertices = 0
+    for p in range(n_ground):
+        if 1 << p in masks:
+            vertices |= 1 << p
+    if _clique_count(adj, vertices, len(masks)) != len(masks):
+        return set(masks)
+    critical = set()
+    stack = [(0, vertices)]
+    while stack:
+        face, free = stack.pop()
+        rest = free
         while rest:
             bit = rest & -rest
             rest ^= bit
-            if m ^ bit in alive:
-                partner = m ^ bit
-                break
+            if free & ~adj[bit.bit_length() - 1] == bit:
+                break  # a cone: every face of the node is matched
         else:
-            raise InvariantViolationError("boundary bookkeeping out of sync")
-        del alive[m], alive[partner]
-        for gone in (m, partner):
-            cand = _coface_bits(gone, adj, all_bits)
-            while cand:
-                bit = cand & -cand
-                cand ^= bit
-                c = alive.get(gone | bit)
-                if c is not None:
-                    alive[gone | bit] = c - 1
-                    if c == 2:
-                        queue.append(gone | bit)
-
-    # collapses; ``alive`` maps each cell to its live coface count
-    cofaces = {}
-    for m in alive:
-        cand = _coface_bits(m, adj, all_bits)
-        count = 0
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            if m | bit in alive:
-                count += 1
-        cofaces[m] = count
-    alive = cofaces
-    queue = deque(m for m, c in alive.items() if c == 1)
-    while queue:
-        m = queue.popleft()
-        if alive.get(m) != 1:
-            continue
-        cand = _coface_bits(m, adj, all_bits)
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            if m | bit in alive:
-                partner = m | bit
-                break
-        else:
-            raise InvariantViolationError("coboundary bookkeeping out of sync")
-        del alive[m], alive[partner]
-        for gone in (m, partner):
-            rest = gone
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                c = alive.get(gone ^ bit)
-                if c is not None:
-                    alive[gone ^ bit] = c - 1
-                    if c == 2:
-                        queue.append(gone ^ bit)
-    return set(alive)
+            if not free:
+                critical.add(face)
+                continue
+            top = free.bit_length() - 1
+            stack.append((face, free ^ 1 << top))
+            stack.append((face | 1 << top, free & adj[top]))
+    if len({m.bit_count() for m in critical}) > 1:
+        return set(masks)
+    return critical
 
 
 class BoundaryMatrix:
@@ -294,15 +256,19 @@ def betti_numbers(
     """Reduced Betti numbers of the complex over the chosen field.
 
     ``method="direct"`` builds full boundary matrices (and asserts that the
-    boundary composes to zero); ``"auto"`` shrinks the cell set with
-    :func:`_reduce_cells` first, once per complex: the reduced set depends
-    only on the complex, so it is kept on it and reused for every field.
-    An Euler-characteristic cross-check against the face counts is
-    enforced in both paths.
+    boundary composes to zero).  ``"auto"`` ranks the cells
+    :func:`_reduce_cells` leaves, once per complex: the critical cells of
+    the matching tree when the complex is flag and they lie in one
+    dimension, where the ranks are zero and the Betti numbers are their
+    counts, and every cell otherwise.  The cell set depends only on the
+    complex, so it is kept on it and reused for every field.  An
+    Euler-characteristic cross-check against the face counts is enforced
+    in both paths.
     """
     if field not in FIELDS:
         raise ValueError(f"unknown field {field!r}; expected one of {FIELDS}")
-    dim = cpx.dim
+    f = cpx.f_vector_counts()
+    dim = len(f) - 2
     if method == "direct":
         cells = set(cpx.mask_set)
     elif method == "auto":
@@ -321,7 +287,6 @@ def betti_numbers(
         n_k = len(by_dim.get(k, []))
         values.append(n_k - ranks.get(k, 0) - ranks.get(k + 1, 0))
     vec = BettiVector(field, dim, tuple(values))
-    f = cpx.f_vector_counts()
     euler_faces = sum((-1) ** k * f[k + 1] for k in range(-1, dim + 1))
     euler_betti = sum((-1) ** k * vec.tilde(k) for k in range(-1, dim + 1))
     if euler_faces != euler_betti:
@@ -359,7 +324,7 @@ def check_wedge(a: int, b: int, *, ass: SimplicialComplex | None = None) -> Wedg
     bq = betti_numbers(ass, "q")
     ok = True
     notes = []
-    for k in range(-1, ass.dim + 1):
+    for k in range(-1, bg.dim + 1):
         want = expected if k == a - 2 else 0
         for vec in (bg, bq):
             if vec.tilde(k) != want:

@@ -21,13 +21,10 @@ floating point enters any predicate in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 from typing import NamedTuple, Sequence
 
-from .errors import CapExceededError, InvalidSourceError, InvariantViolationError
+from .errors import InvalidSourceError, InvariantViolationError
 from .polygon import Diagonal, check_slope_pair, crosses, is_admissible
-
-DEFAULT_PATH_CAP = 10**7
 
 
 class LatticePoint(NamedTuple):
@@ -110,17 +107,9 @@ class DyckPath:
         return sorted(set(self.xs[:-1]))
 
 
-def enumerate_dyck_paths(a: int, b: int, max_words: int | None = DEFAULT_PATH_CAP) -> list[DyckPath]:
-    """All (a, b)-Dyck paths in lexicographic word order with N < E.
-
-    Raises CapExceededError when C(a+b, a) exceeds ``max_words`` (the cap
-    bounds the search space, not the Dyck count itself).
-    """
+def enumerate_dyck_paths(a: int, b: int) -> list[DyckPath]:
+    """All (a, b)-Dyck paths in lexicographic word order with N < E."""
     check_slope_pair(a, b)
-    if max_words is not None and comb(a + b, a) > max_words:
-        raise CapExceededError(
-            f"C({a + b},{a}) = {comb(a + b, a)} exceeds the enumeration cap {max_words}"
-        )
     # an explicit stack, not a recursive closure: a closure that calls
     # itself is a reference cycle, which would keep every path alive
     # until the cyclic garbage collector runs

@@ -183,6 +183,9 @@ def test_collapse_and_duality_honour_caps(capsys, monkeypatch, argv, env):
          complexes, "enumerate_dyck_paths"),
         # the size guard comes before the partition check, which is O(b^3)
         (["duality", "--b", "400"], {}, cli, "alexander_partition_check"),
+        # the lattice-path model's Kirkman face count bounds the noncrossing model's
+        (["build", "--model", "hat", "--a", "5", "--b", "8"], {"RATASSOC_FACE_CAP": "100"},
+         complexes, "clique_complex"),
     ],
 )
 def test_caps_refuse_before_the_work(capsys, monkeypatch, argv, env, module, name):

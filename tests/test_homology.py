@@ -16,7 +16,7 @@ from ratassoc import (
     check_wedge,
 )
 from ratassoc.complexes import skeleton_adjacency
-from ratassoc.homology import _build_matrices, _check_dd_zero, _reduce_cells
+from ratassoc.homology import _build_matrices, _check_dd_zero, _clique_count, _reduce_cells
 
 from helpers import all_facets, ass, coprime_pairs, hat
 
@@ -97,12 +97,61 @@ def test_reduction_agrees_with_direct_on_random_families(facets):
             )
 
 
-def test_reduction_leaves_few_cells_on_7_12():
-    """The reduction's queue order decides how many cells reach the rank
-    step; FIFO leaves one cell per sphere here, LIFO 5,644."""
-    cpx = ass(7, 12)
-    adj = skeleton_adjacency(cpx.mask_set, len(cpx.ground))
-    assert len(_reduce_cells(cpx.mask_set, adj, len(cpx.ground))) <= 66
+def _skeleton(cpx):
+    n = len(cpx.ground)
+    vertices = sum(1 << p for p in range(n) if 1 << p in cpx.mask_set)
+    return skeleton_adjacency(cpx.mask_set, n), vertices
+
+
+def _reduce(cpx):
+    return _reduce_cells(cpx.mask_set, _skeleton(cpx)[0], len(cpx.ground))
+
+
+@pytest.mark.parametrize("model", [ass, hat], ids=["ass", "hat"])
+@pytest.mark.parametrize("a,b", coprime_pairs(max_b=10) + [(7, 12)])
+def test_reduction_leaves_one_cell_per_sphere(a, b, model):
+    """Both models are flag and their matching trees are perfect: the cells
+    left are C(b,a)/b critical cells with a-1 diagonals each.  Falling back
+    to direct ranks would leave every face."""
+    cells = _reduce(model(a, b))
+    assert len(cells) == comb(b, a) // b
+    assert {m.bit_count() for m in cells} == {a - 1}
+
+
+@pytest.mark.parametrize("a,b", coprime_pairs(max_b=10))
+def test_clique_count_is_the_face_count_of_both_models(a, b):
+    for cpx in (ass(a, b), hat(a, b)):
+        adj, vertices = _skeleton(cpx)
+        assert _clique_count(adj, vertices, cpx.n_faces) == cpx.n_faces
+
+
+HOLLOW_TRIANGLE = [[VERTICES[0], VERTICES[1]], [VERTICES[1], VERTICES[2]], [VERTICES[0], VERTICES[2]]]
+POINT_AND_SQUARE = [[VERTICES[0]]] + [[VERTICES[i], VERTICES[i % 4 + 1]] for i in range(1, 5)]
+
+
+@pytest.mark.parametrize(
+    "facets,betti",
+    [(HOLLOW_TRIANGLE, {1: 1}), (POINT_AND_SQUARE, {0: 1, 1: 1})],
+    ids=["hollow-triangle", "point-and-square"],
+)
+def test_reduction_keeps_every_cell_when_the_tree_cannot_decide(facets, betti):
+    """Not flag (the hollow triangle), or flag with homology in two
+    dimensions (a point beside a square), so the tree cannot be perfect:
+    every cell goes to the exact ranks."""
+    cpx = SimplicialComplex(VERTICES, facets)
+    assert _reduce(cpx) == cpx.mask_set
+    for field in ("gf2", "q"):
+        vec = betti_numbers(cpx, field)
+        assert vec.values == betti_numbers(cpx, field, method="direct").values
+        assert vec.nonzero() == betti
+
+
+def test_clique_count_passes_the_face_count_of_a_hollow_triangle():
+    cpx = SimplicialComplex(VERTICES, HOLLOW_TRIANGLE)
+    adj, vertices = _skeleton(cpx)
+    assert cpx.n_faces == 7
+    assert _clique_count(adj, vertices, 10**9) == 8
+    assert _clique_count(adj, vertices, cpx.n_faces) > cpx.n_faces
 
 
 @pytest.mark.parametrize("a,b", [(2, 3), (3, 5), (2, 5), (4, 7), (5, 8)])

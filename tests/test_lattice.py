@@ -1,14 +1,13 @@
 from __future__ import annotations
 
 import random
-from math import ceil, comb
+from math import ceil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratassoc import (
-    CapExceededError,
     Diagonal,
     DyckPath,
     InvalidSourceError,
@@ -63,12 +62,6 @@ def test_enumeration_counts_and_order():
 def test_enumeration_contains_example_path():
     words = {p.word for p in enumerate_dyck_paths(5, 8)}
     assert D58.word in words
-
-
-def test_enumeration_cap():
-    assert comb(23, 9) > 500
-    with pytest.raises(CapExceededError):
-        enumerate_dyck_paths(9, 14, max_words=500)
 
 
 def test_partition_examples():
