@@ -5,7 +5,9 @@ exceeded.  All outputs are deterministic; JSON is emitted with sorted keys
 and fixed indentation so identical invocations are byte-identical.
 
 Caps can be overridden with the two environment variables RATASSOC_FACE_CAP
-and RATASSOC_MAX_B; every command that builds a model builds it under them.
+and RATASSOC_MAX_B; every command that builds a model builds it under them,
+and ``obstruction`` and ``duality``, whose first work grows with b alone,
+refuse a b over RATASSOC_MAX_B before doing any.
 """
 
 from __future__ import annotations
@@ -50,6 +52,11 @@ def _face_cap() -> int:
 
 def _max_b() -> int:
     return int(os.environ.get("RATASSOC_MAX_B", DEFAULT_MAX_B))
+
+
+def _guard_b(b: int) -> None:
+    if b > _max_b():
+        raise CapExceededError(f"b = {b} exceeds the size guard {_max_b()}")
 
 
 def _build(model: str, a: int, b: int):
@@ -101,6 +108,7 @@ def cmd_membership(args) -> int:
 
 
 def cmd_obstruction(args) -> int:
+    _guard_b(args.b)
     graph = build_obstruction_graph(args.a, args.b)
     if args.format == "dot":
         sys.stdout.write(graph.to_dot())
@@ -114,7 +122,8 @@ def cmd_obstruction(args) -> int:
 
 def cmd_collapse(args) -> int:
     cert = collapse_schedule(
-        args.a, args.b, hat=_build("hat", args.a, args.b), ass=_build("ass", args.a, args.b)
+        args.a, args.b, hat=_build("hat", args.a, args.b), ass=_build("ass", args.a, args.b),
+        graph=build_obstruction_graph(args.a, args.b),
     )
     payload = cert.dumps()
     if args.emit == "-":
@@ -179,8 +188,7 @@ def cmd_homology(args) -> int:
 
 def cmd_duality(args) -> int:
     b = args.b
-    if b > _max_b():  # before the partition check, which is O(b^3)
-        raise CapExceededError(f"b = {b} exceeds the size guard {_max_b()}")
+    _guard_b(b)  # before the partition check, which is O(b^3)
     partition = alexander_partition_check(b)
     rows: dict[int, dict] = {}
     for a, _, _ in partition.pairs:

@@ -48,8 +48,6 @@ from .complexes import (
     SimplicialComplex,
     bit_positions,
     bits_of,
-    build_ass,
-    build_hat_ass,
     compatibility_masks,
     face_text,
     face_to_lists,
@@ -66,7 +64,6 @@ from .errors import (
 )
 from .obstruction import (
     ObstructionGraph,
-    build_obstruction_graph,
     crossing_indices,
     half_wedge_completion,
     wedge_completion,
@@ -288,11 +285,12 @@ def collapse_schedule(
     a: int,
     b: int,
     *,
-    hat: SimplicialComplex | None = None,
-    ass: SimplicialComplex | None = None,
-    graph: ObstructionGraph | None = None,
+    hat: SimplicialComplex,
+    ass: SimplicialComplex,
+    graph: ObstructionGraph,
 ) -> CollapseCertificate:
-    """Generate the full collapse certificate for the pair (a, b).
+    """Generate the full collapse certificate for the pair (a, b) from its
+    two models and its obstruction graph.
 
     Obstruction edges are processed strictly in descending edge order; for
     each edge, crossing triples are cleared first (in increasing index
@@ -301,12 +299,6 @@ def collapse_schedule(
     the stage coordinates and, when there is one, the failing face.
     """
     check_slope_pair(a, b)
-    if hat is None:
-        hat = build_hat_ass(a, b)
-    if ass is None:
-        ass = build_ass(a, b)
-    if graph is None:
-        graph = build_obstruction_graph(a, b)
     ground = hat.ground
     bit = hat._bit
     current = hat.copy_mask_set()
@@ -492,8 +484,8 @@ def verify_certificate(
 
 def extract_morse_matching(
     cert: CollapseCertificate,
-    hat: SimplicialComplex | None = None,
-    ass: SimplicialComplex | None = None,
+    hat: SimplicialComplex,
+    ass: SimplicialComplex,
 ) -> list[tuple[frozenset[Diagonal], frozenset[Diagonal]]]:
     """The (subface, facet) pairs of the certificate as a perfect matching
     on the faces removed by the collapse.
@@ -502,10 +494,6 @@ def extract_morse_matching(
     free at its turn and its faces differ by the cone diagonal; the
     matching must cover the difference between the two models exactly.
     """
-    if hat is None:
-        hat = build_hat_ass(cert.a, cert.b)
-    if ass is None:
-        ass = build_ass(cert.a, cert.b)
     diff = hat.mask_set - ass.mask_set
     if len(diff) % 2:
         raise NotPerfectMatchingError(f"difference has odd size {len(diff)}")

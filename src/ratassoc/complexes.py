@@ -240,20 +240,18 @@ def bit_positions(mask: int) -> tuple[int, ...]:
 
 
 def skeleton_adjacency(masks: set[int], n_ground: int) -> list[int]:
-    """Adjacency bitmasks of the 1-skeleton.
+    """Adjacency bitmasks of the 1-skeleton, read by testing each vertex pair.
 
     By downward closure, any coface of a face extends it by a vertex
     adjacent to all of its members, so these masks bound coface searches
     soundly for arbitrary downward-closed families.
     """
     adj = [0] * n_ground
-    for m in masks:
-        if m.bit_count() == 2:
-            low = m & -m
-            u = low.bit_length() - 1
-            v = (m ^ low).bit_length() - 1
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+    for u in range(n_ground):
+        for v in range(u + 1, n_ground):
+            if 1 << u | 1 << v in masks:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
     return adj
 
 
@@ -320,6 +318,44 @@ def clique_complex(adj: list[int], vertices: int, max_faces: int, what: str):
             elif not common & row:
                 maximal.append(child)
     return faces, maximal
+
+
+def clique_tree(adj: list[int], vertices: int, limit: int) -> tuple[int, list[int]]:
+    """The number of cliques of the graph ``adj`` on ``vertices``, the empty
+    clique included, and the cliques its matching tree leaves unmatched; the
+    count is some number above ``limit`` once it passes it, and the list is
+    then partial.
+
+    A node (A, free, w) stands for w * (cliques of the graph on ``free``)
+    cliques A + S.  A free vertex adjacent to all the other free ones is a
+    cone apex: it doubles the count of the rest, so it leaves ``free`` and
+    doubles w.  With no free vertex left the node adds w to the count, and
+    A is a leaf reached through no cone when w is 1.  Otherwise the node
+    splits on the highest free vertex p into (A, free - p, w) and
+    (A + p, free & adj[p], w).  Each leaf adds at least 1 and is reached
+    through at most one split per vertex, so the work stays within
+    (limit + 1) leaves whatever the graph.
+    """
+    count, unmatched = 0, []
+    stack = [(0, vertices, 1)]
+    while stack and count <= limit:
+        face, free, weight = stack.pop()
+        rest = free
+        while rest:  # a vertex adjacent to all the others stays so without them
+            bit = rest & -rest
+            rest ^= bit
+            if free & ~adj[bit.bit_length() - 1] == bit:
+                free ^= bit
+                weight *= 2
+        if not free:
+            count += weight
+            if weight == 1:
+                unmatched.append(face)
+            continue
+        top = free.bit_length() - 1
+        stack.append((face, free ^ 1 << top, weight))
+        stack.append((face | 1 << top, free & adj[top], weight))
+    return count, unmatched
 
 
 def build_hat_ass(
@@ -467,27 +503,25 @@ class FlagReport(NamedTuple):
 
 
 def is_flag(cpx: SimplicialComplex) -> FlagReport:
-    """Search the 1-skeleton's cliques for an empty face.
+    """Whether every clique of the 1-skeleton is a face.
 
-    A witness is a vertex set, every two of whose members span a face,
-    which is itself not a face.  The search walks cliques in index order
-    and stops at the first miss, so flag complexes cost O(number of faces).
+    Every face is a clique, so the complex is flag exactly when the clique
+    count of :func:`clique_tree` equals the face count.  Otherwise some
+    clique is missing, and adding its vertices one at a time to the empty
+    face leaves the faces at some face F and vertex v adjacent to all of F.
+    The first such F + v in (size, mask) order is the witness: a clique
+    that is not a face but all of whose facets are.
     """
-    n = len(cpx.ground)
     masks = cpx.mask_set
-    adj = skeleton_adjacency(masks, n)
-    present = [i for i in range(n) if (1 << i) in masks]
-    stack = [(1 << i, adj[i] & ~((1 << (i + 1)) - 1)) for i in present]
-    while stack:
-        mask, cand = stack.pop()
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            v = bit.bit_length() - 1
-            clique = mask | bit
-            if clique.bit_count() >= 3 and clique not in masks:
-                return FlagReport(False, cpx._face_of(clique))
-            child_cand = cand & adj[v]
-            if child_cand:
-                stack.append((clique, child_cand))
-    return FlagReport(True, None)
+    adj = skeleton_adjacency(masks, len(cpx.ground))
+    vertices = sum(1 << p for p in range(len(cpx.ground)) if 1 << p in masks)
+    if clique_tree(adj, vertices, len(masks))[0] == len(masks):
+        return FlagReport(True, None)
+    for face in sorted(masks, key=lambda m: (m.bit_count(), m)):
+        common = vertices
+        for p in bit_positions(face):
+            common &= adj[p]
+        for bit in bits_of(common):
+            if face | bit not in masks:
+                return FlagReport(False, cpx._face_of(face | bit))
+    return FlagReport(False, frozenset())  # the void complex lacks even the empty clique

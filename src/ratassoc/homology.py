@@ -10,9 +10,11 @@ elimination over GF(2), and division-free integer elimination with gcd
 normalization over the rationals.  Agreement of the two Betti vectors
 rules out 2-torsion at this scale.
 
-Large complexes are first shrunk (:func:`_reduce_cells`).  When the
-complex is flag, a matching tree on its 1-skeleton pairs off all but a few
-critical cells; when those all lie in one dimension, discrete Morse theory
+Large complexes are first shrunk (:func:`_reduce_cells`).  One walk over
+the 1-skeleton, :func:`ratassoc.complexes.clique_tree`, counts its cliques
+and is at once a matching tree.  The count equals the face count exactly
+when the complex is flag; the tree then pairs off all but a few critical
+cells, and when those all lie in one dimension, discrete Morse theory
 makes them the homology, over every field, and the rank step sees only
 them.  Any other complex keeps every cell and the exact ranks decide.  The
 cell set depends only on the complex, so it is computed once per complex
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, gcd
 
-from .complexes import SimplicialComplex, bits_of, build_ass, skeleton_adjacency
+from .complexes import SimplicialComplex, bits_of, clique_tree, skeleton_adjacency
 from .errors import InvariantViolationError, NonIntegralError
 from .polygon import all_admissible_diagonals, all_diagonals, check_slope_pair
 
@@ -50,54 +52,22 @@ class BettiVector:
         return {k - 1: v for k, v in enumerate(self.values) if v}
 
 
-def _clique_count(adj: list[int], vertices: int, limit: int) -> int:
-    """The number of cliques of the graph ``adj`` on ``vertices``, the empty
-    clique included, or some number above ``limit`` once the count passes it.
-
-    A vertex adjacent to every other remaining one doubles the count of the
-    rest; otherwise the count splits on the highest vertex p into the
-    cliques without p and those with it.  Each leaf adds at least 1 and is
-    reached through at most one split per vertex, so the work stays within
-    (limit + 1) leaves whatever the graph.
-    """
-    count = 0
-    stack = [(vertices, 1)]  # (remaining vertices, cliques each of theirs stands for)
-    while stack and count <= limit:
-        free, weight = stack.pop()
-        rest = free
-        while rest:  # a vertex adjacent to all the others stays so without them
-            bit = rest & -rest
-            rest ^= bit
-            if free & ~adj[bit.bit_length() - 1] == bit:
-                free ^= bit
-                weight *= 2
-        if not free:
-            count += weight
-            continue
-        top = free.bit_length() - 1
-        stack.append((free ^ 1 << top, weight))
-        stack.append((free & adj[top], weight))
-    return count
-
-
 def _reduce_cells(masks: set[int], adj: list[int], n_ground: int) -> set[int]:
     """A cell set with the same reduced homology as the downward-closed
     ``masks``: its critical cells when they decide it, else all of it.
 
     ``adj`` is the 1-skeleton adjacency of ``masks``.  Every face is a
     clique of it, so the faces are all of its cliques, and the complex is
-    flag, exactly when the clique count equals ``len(masks)``.  A non-flag
-    complex keeps every cell.
+    flag, exactly when the clique count of :func:`clique_tree` equals
+    ``len(masks)``.  A non-flag complex keeps every cell.
 
-    On a flag complex the matching tree (Bousquet-Melou, Linusson and
-    Nevo, J. Algebraic Combin. 27, 2008) walks nodes (A, free) whose faces
-    are A + S for the cliques S of the graph on ``free``:
-
-    - ``free`` empty: A is a critical cell;
-    - some c in ``free`` adjacent to all the others: the faces form a cone
-      on c, and toggling c matches them all;
-    - otherwise split on the highest free vertex p into (A, free - p) and
-      (A + p, free & adj[p]).
+    On a flag complex the walk of :func:`clique_tree` is the matching tree
+    of Bousquet-Melou, Linusson and Nevo (J. Algebraic Combin. 27, 2008):
+    a node (A, free) holds the faces A + S for the cliques S of the graph
+    on ``free``; at a cone apex c toggling c matches all of them; otherwise
+    the node splits on the highest free vertex p into (A, free - p) and
+    (A + p, free & adj[p]).  The leaves reached through no cone are the
+    critical cells.
 
     The faces containing p form an upper set, so each split is a poset map
     to {0 < 1}, and the patchwork theorem (Kozlov, Combinatorial Algebraic
@@ -111,32 +81,11 @@ def _reduce_cells(masks: set[int], adj: list[int], n_ground: int) -> set[int]:
     The result does not depend on the field, so :func:`betti_numbers`
     keeps it on the complex and each complex is reduced once.
     """
-    vertices = 0
-    for p in range(n_ground):
-        if 1 << p in masks:
-            vertices |= 1 << p
-    if _clique_count(adj, vertices, len(masks)) != len(masks):
+    vertices = sum(1 << p for p in range(n_ground) if 1 << p in masks)
+    count, critical = clique_tree(adj, vertices, len(masks))
+    if count != len(masks) or len({m.bit_count() for m in critical}) > 1:
         return set(masks)
-    critical = set()
-    stack = [(0, vertices)]
-    while stack:
-        face, free = stack.pop()
-        rest = free
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            if free & ~adj[bit.bit_length() - 1] == bit:
-                break  # a cone: every face of the node is matched
-        else:
-            if not free:
-                critical.add(face)
-                continue
-            top = free.bit_length() - 1
-            stack.append((face, free ^ 1 << top))
-            stack.append((face | 1 << top, free & adj[top]))
-    if len({m.bit_count() for m in critical}) > 1:
-        return set(masks)
-    return critical
+    return set(critical)
 
 
 class BoundaryMatrix:
@@ -287,8 +236,8 @@ def betti_numbers(
         n_k = len(by_dim.get(k, []))
         values.append(n_k - ranks.get(k, 0) - ranks.get(k + 1, 0))
     vec = BettiVector(field, dim, tuple(values))
-    euler_faces = sum((-1) ** k * f[k + 1] for k in range(-1, dim + 1))
-    euler_betti = sum((-1) ** k * vec.tilde(k) for k in range(-1, dim + 1))
+    euler_faces = sum((-1) ** (k % 2) * f[k + 1] for k in range(-1, dim + 1))
+    euler_betti = sum((-1) ** (k % 2) * vec.tilde(k) for k in range(-1, dim + 1))
     if euler_faces != euler_betti:
         raise InvariantViolationError(
             f"Euler check failed: faces give {euler_faces}, Betti give {euler_betti}"
@@ -311,15 +260,19 @@ class WedgeReport:
     notes: tuple[str, ...]
 
 
-def check_wedge(a: int, b: int, *, ass: SimplicialComplex | None = None) -> WedgeReport:
-    """Verify the lattice-path model has the homology of a wedge of
-    C(b, a)/b spheres of dimension a-2, over both fields."""
-    check_slope_pair(a, b)
-    if ass is None:
-        ass = build_ass(a, b)
+def _sphere_count(a: int, b: int) -> int:
+    """C(b, a)/b, the number of spheres in the wedge."""
     expected, rem = divmod(comb(b, a), b)
     if rem:
         raise NonIntegralError(f"C({b},{a}) is not divisible by {b}")
+    return expected
+
+
+def check_wedge(a: int, b: int, *, ass: SimplicialComplex) -> WedgeReport:
+    """Verify the lattice-path model ``ass`` of (a, b) has the homology of a
+    wedge of C(b, a)/b spheres of dimension a-2, over both fields."""
+    check_slope_pair(a, b)
+    expected = _sphere_count(a, b)
     bg = betti_numbers(ass, "gf2")
     bq = betti_numbers(ass, "q")
     ok = True
@@ -385,8 +338,8 @@ def alexander_duality_check(
     a: int,
     b: int,
     *,
-    ass_left: SimplicialComplex | None = None,
-    ass_right: SimplicialComplex | None = None,
+    ass_left: SimplicialComplex,
+    ass_right: SimplicialComplex,
 ) -> DualityReport:
     """Rank-level shadow of Alexander duality between (a, b) and (b-a, b).
 
@@ -395,16 +348,11 @@ def alexander_duality_check(
     dimensions a-2 and b-a-2 are complementary.  These are homology-rank
     surrogates for the topological duality statement, which is not
     mechanized here; the vertex-partition half lives in
-    :func:`alexander_partition_check`.
+    :func:`alexander_partition_check`.  ``ass_left`` and ``ass_right`` are
+    the lattice-path models of the two pairs.
     """
     check_slope_pair(a, b)
-    expected, rem = divmod(comb(b, a), b)
-    if rem:
-        raise NonIntegralError(f"C({b},{a}) is not divisible by {b}")
-    if ass_left is None:
-        ass_left = build_ass(a, b)
-    if ass_right is None:
-        ass_right = build_ass(b - a, b)
+    expected = _sphere_count(a, b)
     left = betti_numbers(ass_left, "gf2").tilde(a - 2)
     right = betti_numbers(ass_right, "gf2").tilde(b - a - 2)
     sphere_dim = b - 3

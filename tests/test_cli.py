@@ -1,10 +1,12 @@
 """``cli.main(argv)`` contract: certificate round trips, tampered and
-malformed certificates, homology and duality against the closed forms,
-caps and byte-stable output."""
+malformed certificates, homology, duality, f-vectors and built models
+against the closed forms, the obstruction graph in every format, caps and
+byte-stable output."""
 
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from math import comb, gcd
 from pathlib import Path
@@ -186,6 +188,8 @@ def test_collapse_and_duality_honour_caps(capsys, monkeypatch, argv, env):
         # the lattice-path model's Kirkman face count bounds the noncrossing model's
         (["build", "--model", "hat", "--a", "5", "--b", "8"], {"RATASSOC_FACE_CAP": "100"},
          complexes, "clique_complex"),
+        # the obstruction graph builds no model, so the size guard alone bounds it
+        (["obstruction", "--a", "20", "--b", "41"], {}, cli, "build_obstruction_graph"),
     ],
 )
 def test_caps_refuse_before_the_work(capsys, monkeypatch, argv, env, module, name):
@@ -245,6 +249,52 @@ def test_duality_matches_closed_forms(capsys, b):
         rank = comb(b, row["a"]) // b
         assert row == {"a": row["a"], "dual_a": b - row["a"], "expected_rank": rank,
                        "rank_left": rank, "rank_right": rank, "ok": True}
+
+
+def kirkman(a: int, b: int, i: int) -> int:
+    return comb(a, i) * comb(b + i - 1, i - 1) // a
+
+
+def narayana(a: int, b: int, i: int) -> int:
+    return comb(a, i) * comb(b - 1, i - 1) // a
+
+
+@pytest.mark.parametrize("a,b", coprime_pairs(max_b=9))
+def test_fvector_matches_kirkman_and_narayana(capsys, a, b):
+    f = [kirkman(a, b, i) for i in range(1, a + 1)]
+    h = [narayana(a, b, i) for i in range(1, a + 1)]
+    code, out, err = run(capsys, "fvector", "--a", str(a), "--b", str(b))
+    assert code == cli.EXIT_OK and err == ""
+    assert json.loads(out) == {"schema": 1, "a": a, "b": b, "f": f, "h": h,
+                               "kirkman": f, "narayana": h}
+    code, out, err = run(capsys, "fvector", "--a", str(a), "--b", str(b), "--format", "text")
+    assert code == cli.EXIT_OK and err == ""
+    assert out == f"f = {tuple(f)}\nh = {tuple(h)}\n"
+
+
+@pytest.mark.parametrize("a,b", coprime_pairs(max_b=9))
+def test_build_lists_the_dyck_facets_and_every_face(capsys, a, b):
+    code, out, err = run(capsys, "build", "--model", "ass", "--a", str(a), "--b", str(b),
+                         "--full-faces")
+    assert code == cli.EXIT_OK and err == ""
+    doc = json.loads(out)
+    assert len(doc["facets"]) == comb(a + b, a) // (a + b)
+    assert all(len(facet) == a - 1 for facet in doc["facets"])
+    assert len(doc["faces"]) == sum(kirkman(a, b, i) for i in range(1, a + 1))
+
+
+def test_obstruction_formats_carry_the_golden_edges(capsys):
+    pair = ["--a", "5", "--b", "8"]
+    golden = (GOLDEN / "og_5_8.txt").read_text(encoding="utf-8")
+    code, out, err = run(capsys, "obstruction", *pair, "--format", "text")
+    assert code == cli.EXIT_OK and err == "" and out == golden
+    edges = [tuple(line.split()) for line in golden.splitlines()]
+    code, out, _ = run(capsys, "obstruction", *pair, "--format", "json")
+    assert code == cli.EXIT_OK
+    assert [tuple(f"{i}-{j}" for i, j in e) for e in json.loads(out)["edges"]] == edges
+    code, out, _ = run(capsys, "obstruction", *pair, "--format", "dot")
+    assert code == cli.EXIT_OK
+    assert sorted(re.findall(r'"(\d+-\d+)" -- "(\d+-\d+)"', out)) == sorted(edges)
 
 
 @pytest.mark.parametrize(

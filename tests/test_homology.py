@@ -9,14 +9,18 @@ from hypothesis import strategies as st
 
 from ratassoc import (
     Diagonal,
+    InvariantViolationError,
     SimplicialComplex,
     alexander_duality_check,
     alexander_partition_check,
     betti_numbers,
+    build_ass,
     check_wedge,
+    homology,
+    is_flag,
 )
-from ratassoc.complexes import skeleton_adjacency
-from ratassoc.homology import _build_matrices, _check_dd_zero, _clique_count, _reduce_cells
+from ratassoc.complexes import clique_tree, skeleton_adjacency
+from ratassoc.homology import _build_matrices, _check_dd_zero, _reduce_cells
 
 from helpers import all_facets, ass, coprime_pairs, hat
 
@@ -97,6 +101,31 @@ def test_reduction_agrees_with_direct_on_random_families(facets):
             )
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sets(st.sampled_from(VERTICES), max_size=5), max_size=8))
+def test_is_flag_agrees_with_brute_force_on_random_families(facets):
+    """The verdict is whether every clique of the 1-skeleton is a face; a
+    witness is a missing clique all of whose facets are faces."""
+    cpx = SimplicialComplex(VERTICES, facets)
+    masks = cpx.mask_set
+    present = [1 << p for p in range(len(VERTICES)) if 1 << p in masks]
+
+    def is_clique(m):
+        return all(m & u == 0 or m & v == 0 or u | v in masks
+                   for u in present for v in present if u < v)
+
+    subsets = [sum(bit for i, bit in enumerate(present) if chosen >> i & 1)
+               for chosen in range(1 << len(present))]
+    report = is_flag(cpx)
+    assert report.is_flag == all(m in masks for m in subsets if is_clique(m))
+    if report.is_flag:
+        assert report.witness is None
+    else:
+        w = cpx._mask_of(report.witness)
+        assert is_clique(w) and w not in masks
+        assert all(w ^ bit in masks for bit in present if w & bit)
+
+
 def _skeleton(cpx):
     n = len(cpx.ground)
     vertices = sum(1 << p for p in range(n) if 1 << p in cpx.mask_set)
@@ -122,7 +151,7 @@ def test_reduction_leaves_one_cell_per_sphere(a, b, model):
 def test_clique_count_is_the_face_count_of_both_models(a, b):
     for cpx in (ass(a, b), hat(a, b)):
         adj, vertices = _skeleton(cpx)
-        assert _clique_count(adj, vertices, cpx.n_faces) == cpx.n_faces
+        assert clique_tree(adj, vertices, cpx.n_faces)[0] == cpx.n_faces
 
 
 HOLLOW_TRIANGLE = [[VERTICES[0], VERTICES[1]], [VERTICES[1], VERTICES[2]], [VERTICES[0], VERTICES[2]]]
@@ -150,8 +179,22 @@ def test_clique_count_passes_the_face_count_of_a_hollow_triangle():
     cpx = SimplicialComplex(VERTICES, HOLLOW_TRIANGLE)
     adj, vertices = _skeleton(cpx)
     assert cpx.n_faces == 7
-    assert _clique_count(adj, vertices, 10**9) == 8
-    assert _clique_count(adj, vertices, cpx.n_faces) > cpx.n_faces
+    assert clique_tree(adj, vertices, 10**9)[0] == 8
+    assert clique_tree(adj, vertices, cpx.n_faces)[0] > cpx.n_faces
+
+
+def test_euler_check_reports_integers(monkeypatch):
+    """A reduction that loses a cell fails the Euler check, whose message
+    gives both characteristics as integers."""
+    reduce_cells = homology._reduce_cells
+
+    def lossy(masks, adj, n_ground):
+        cells = reduce_cells(masks, adj, n_ground)
+        return cells - {min(cells)}
+
+    monkeypatch.setattr(homology, "_reduce_cells", lossy)
+    with pytest.raises(InvariantViolationError, match=r"faces give -?\d+, Betti give -?\d+$"):
+        betti_numbers(build_ass(5, 8), "gf2")
 
 
 @pytest.mark.parametrize("a,b", [(2, 3), (3, 5), (2, 5), (4, 7), (5, 8)])
