@@ -25,11 +25,12 @@ from .complexes import (
     FHVector,
     build_ass,
     build_hat_ass,
+    guard_b,
     parse_face,
     rational_kirkman,
     rational_narayana,
 )
-from .errors import CapExceededError, RatAssocError
+from .errors import CapExceededError, MalformedCertificateError, RatAssocError
 from .homology import alexander_duality_check, alexander_partition_check, betti_numbers
 from .membership import valley_path
 from .obstruction import build_obstruction_graph
@@ -52,11 +53,6 @@ def _face_cap() -> int:
 
 def _max_b() -> int:
     return int(os.environ.get("RATASSOC_MAX_B", DEFAULT_MAX_B))
-
-
-def _guard_b(b: int) -> None:
-    if b > _max_b():
-        raise CapExceededError(f"b = {b} exceeds the size guard {_max_b()}")
 
 
 def _build(model: str, a: int, b: int):
@@ -108,7 +104,7 @@ def cmd_membership(args) -> int:
 
 
 def cmd_obstruction(args) -> int:
-    _guard_b(args.b)
+    guard_b(args.b, _max_b())
     graph = build_obstruction_graph(args.a, args.b)
     if args.format == "dot":
         sys.stdout.write(graph.to_dot())
@@ -148,7 +144,11 @@ def cmd_collapse(args) -> int:
 
 def cmd_verify(args) -> int:
     with open(args.cert, "r", encoding="utf-8") as fh:
-        cert = CollapseCertificate.from_json(json.load(fh), max_b=_max_b())
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise MalformedCertificateError("certificate nests too deeply to read") from None
+    cert = CollapseCertificate.from_json(doc, max_b=_max_b())
     hat = _build("hat", cert.a, cert.b)
     ass = _build("ass", cert.a, cert.b)
     report = verify_certificate(hat, ass, cert)
@@ -188,7 +188,7 @@ def cmd_homology(args) -> int:
 
 def cmd_duality(args) -> int:
     b = args.b
-    _guard_b(b)  # before the partition check, which is O(b^3)
+    guard_b(b, _max_b())  # before the partition check, which is O(b^3)
     partition = alexander_partition_check(b)
     rows: dict[int, dict] = {}
     for a, _, _ in partition.pairs:
@@ -308,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     except RatAssocError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

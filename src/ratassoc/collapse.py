@@ -12,11 +12,14 @@ structural results that imply it.
 Batches come from cone vertices.  When c extends every face containing F
 to another face, the faces containing F pair up as (F', F' + {c}); taking
 pairs largest first, each pair is free at its turn, and the batch realizes
-the deletion of F.  The full schedule walks the obstruction-graph edges in
-descending order; for the edge {i-k, j-k} it first clears the crossing
+the deletion of F.  The generator and the verifier each run a batch as one
+checked pass: a walk up from F keeps, for each face of its star, the
+vertices adjacent to all of that face; then, largest F' first, F' + c must
+be present and no other F' + x, x among those vertices, may be; no face of
+the star may be left.  The full schedule walks the obstruction-graph edges
+in descending order; for the edge {i-k, j-k} it first clears the crossing
 triples {i-k, s-k, j-k} (cone vertex i-s) and then the edge itself (cone
-vertex i-j).  The terminal complex must equal the lattice-path model
-exactly, face set for face set.
+vertex i-j).  The terminal complex must equal the lattice-path model.
 
 A certificate (schema 2) stores what fixes each batch, not the pairs it
 removes::
@@ -25,16 +28,13 @@ removes::
     stage = {"r": r, "q": q, "cone": [i, j], "target": [[i, j], ...], "pairs": n}
 
 with one stage per batch in schedule order: ``r`` and ``q`` locate it (see
-:class:`StageRecord`), ``cone`` is the cone diagonal c, ``target`` the face
-T whose containing faces it removes and ``pairs`` the number of pairs.  A
-stage expands against the current face set into the pairs (F', F' + c),
-one for every face F' containing T and avoiding c, largest F' first.
-:func:`verify_certificate` does that expansion with its own code and
-checks, stage by stage, that T is present and avoids c, that the
-expansion has exactly ``pairs`` pairs, that each F' + c is present (it is
-one bigger than F' by construction) and each pair is free at its turn,
-and that no face containing T is left; then the terminal face set must
-equal the lattice-path model.
+:class:`StageRecord`; the verifier does not check them), ``cone`` is the
+cone diagonal c, ``target`` the face T whose containing faces it removes
+and ``pairs`` the number of pairs.  :func:`verify_certificate` expands a
+stage with its own code into the pairs (F', F' + c), one for every current
+face F' containing T and avoiding c: T must be present and avoid c, there
+must be exactly ``pairs`` pairs and they must pass the checked pass; then
+the terminal face set must equal the lattice-path model.
 """
 
 from __future__ import annotations
@@ -51,10 +51,10 @@ from .complexes import (
     compatibility_masks,
     face_text,
     face_to_lists,
+    guard_b,
     skeleton_adjacency,
 )
 from .errors import (
-    CapExceededError,
     InvariantViolationError,
     MalformedCertificateError,
     NotAFaceError,
@@ -95,7 +95,7 @@ class StageRecord:
     r = N down to 1); ``q`` counts the crossing-face batches 1..p, with
     q = p+1 the closing batch for the edge itself; ``target`` is the face
     whose containing faces the batch removes, and ``n_steps`` the number
-    of pairs it removes.
+    of pairs it removes.  The verifier does not check ``r`` and ``q``.
     """
 
     r: int
@@ -165,8 +165,7 @@ class CollapseCertificate:
         a, b, steps = doc["a"], doc["b"], doc["steps"]
         _require(type(a) is int and type(b) is int, "a and b must be integers")
         check_slope_pair(a, b)
-        if b > max_b:
-            raise CapExceededError(f"b = {b} exceeds the size guard {max_b}")
+        guard_b(b, max_b)
         ground = all_admissible_diagonals(a, b)
         by_ends = {(d.i, d.j): d for d in ground}
         _require(isinstance(steps, list), '"steps" must be a list of stages')
@@ -210,11 +209,11 @@ def _cone_batch(masks: set[int], face_mask: int, cone_bit: int, compat: list[int
     """Collapse away every face containing ``face_mask`` via the cone bit.
 
     ``compat[p]`` must cover every vertex that shares a face with vertex
-    ``p``.  The faces containing ``face_mask`` are found by a search upward
-    from it through ``compat``, complete because ``masks`` is downward
-    closed.  The cone condition is verified up front; each pair is verified
-    free at its turn through the cofacet test.  Returns the smaller face of
-    each removed pair, in removal order.
+    ``p``.  The star (every face containing ``face_mask``, complete because
+    ``masks`` is downward closed) is walked once, keeping each face's common
+    neighbours; one checked pass then removes its pairs, largest first (see
+    the module docstring).  Returns the smaller face of each removed pair,
+    in removal order; on error ``masks`` is left partly collapsed.
     """
     if face_mask not in masks:
         raise NotAFaceError("the target face is not in the complex", witness=face_mask)
@@ -223,37 +222,31 @@ def _cone_batch(masks: set[int], face_mask: int, cone_bit: int, compat: list[int
     common = (1 << len(compat)) - 1
     for pos in bit_positions(face_mask):
         common &= compat[pos]
-    delta = [face_mask]
+    star = {face_mask: common}
     stack = [(face_mask, common & ~face_mask)]
     while stack:
         face, cand = stack.pop()
         for bit in bits_of(cand):
             cand ^= bit  # faces above face | bit add only higher vertices
             if face | bit in masks:
-                delta.append(face | bit)
-                stack.append((face | bit, cand & compat[bit.bit_length() - 1]))
-    for m in delta:
-        if not m & cone_bit and (m | cone_bit) not in masks:
-            raise NotConeVertexError(
-                "cone condition fails: a face has no extension", witness=m
-            )
-    smaller = [m for m in delta if not m & cone_bit]
-    if 2 * len(smaller) != len(delta):
-        raise InvariantViolationError("cone pairing does not partition the star")
-    smaller.sort(key=int.bit_count, reverse=True)
+                row = compat[bit.bit_length() - 1]
+                star[face | bit] = star[face] & row
+                stack.append((face | bit, cand & row))
+    smaller = sorted((m for m in star if not m & cone_bit), key=int.bit_count, reverse=True)
     for m in smaller:
         facet = m | cone_bit
-        cand = common
-        for pos in bit_positions(m & ~face_mask):
-            cand &= compat[pos]
-        for bit in bits_of(cand & ~m):
-            other = m | bit
-            if other != facet and other in masks:
+        if facet not in masks:
+            raise NotConeVertexError("cone condition fails: a face has no extension", witness=m)
+        for bit in bits_of(star[m] & ~facet):
+            if m | bit in masks:
                 raise InvariantViolationError(
                     "a pair is not free: its smaller face has a second cofacet", witness=m
                 )
         masks.remove(facet)
         masks.remove(m)
+    # each removed pair lies in the star, so the star is gone iff they cover it
+    if 2 * len(smaller) != len(star):
+        raise InvariantViolationError("cone pairing does not partition the star")
     return smaller
 
 
@@ -271,8 +264,6 @@ def cone_vertex_collapse(
         cone_bit = cpx._bit[cone]
     except KeyError as exc:
         raise NotAFaceError(f"unknown diagonal: {exc}") from exc
-    if face_mask not in cpx.mask_set:
-        raise NotAFaceError(f"{sorted(d.text() for d in face)} is not a face")
     masks = cpx.copy_mask_set()
     everything = [(1 << len(cpx.ground)) - 1] * len(cpx.ground)
     smaller = _cone_batch(masks, face_mask, cone_bit, everything)
@@ -355,14 +346,15 @@ class VerificationReport:
 class StageReplay:
     """Expands certificate stages into free pairs on a private face set.
 
-    Shares no code with the schedule generator.  By default the faces
-    containing a stage target are found by a search upward from the target
-    through the 1-skeleton of the start complex, and the cofacet test draws
-    its candidates from the same 1-skeleton; both are complete because the
-    start complex is downward closed and removing free pairs keeps it so.
-    With ``exhaustive`` neither relies on that: the star is a scan of every
-    remaining face, and so is each freeness test.  ``pairs`` collects the
-    removed (facet, subface) masks in expansion order.
+    Shares no code with the schedule generator.  By default the star of a
+    stage target is walked upward through the 1-skeleton of the start
+    complex, keeping for each face the vertices adjacent to all of it, and
+    one checked pass draws each cofacet test's candidates from what the
+    walk kept; both are complete because the start complex is downward
+    closed and removing free pairs keeps it so.  With ``exhaustive``
+    neither relies on that: the star is a scan of every remaining face, and
+    so is each freeness test.  ``pairs`` collects the removed (facet,
+    subface) masks in expansion order.
     """
 
     def __init__(
@@ -381,20 +373,24 @@ class StageReplay:
         adj = skeleton_adjacency(self.masks, len(start.ground))
         self._adj = {1 << p: row for p, row in enumerate(adj)}
 
-    def _star(self, target: int, common: int) -> list[int]:
-        """The faces containing ``target``; ``common`` holds the vertices
-        adjacent to all of it."""
+    def _star(self, target: int) -> dict[int, int]:
+        """The faces containing ``target``, each mapped to the vertices
+        outside it adjacent to all of it; in exhaustive mode a scan whose
+        values are unused."""
         masks, adj = self.masks, self._adj
         if self.exhaustive:
-            return [m for m in masks if m & target == target]
-        star = [target]
+            return dict.fromkeys(m for m in masks if m & target == target)
+        common = ~target
+        for x in bits_of(target):
+            common &= adj[x]
+        star = {target: common}
         stack = [(target, common)]
         while stack:
             face, cand = stack.pop()
             for x in bits_of(cand):
                 cand ^= x  # children of face | x draw only on higher vertices
                 if face | x in masks:
-                    star.append(face | x)
+                    star[face | x] = star[face] & adj[x]
                     stack.append((face | x, cand & adj[x]))
         return star
 
@@ -404,7 +400,7 @@ class StageReplay:
         Returns None, or the fixed reason of the first check that fails;
         the pairs removed before it stay removed.
         """
-        masks, adj, pairs = self.masks, self._adj, self.pairs
+        masks, pairs = self.masks, self.pairs
         target = 0
         for d in stage.target:
             target |= self._bit[d]
@@ -413,11 +409,7 @@ class StageReplay:
             return "stage target missing from current complex"
         if target & cone:
             return "stage target contains its cone"
-        common = -1
-        for x in bits_of(target):
-            common &= adj[x]
-        common &= ~target
-        star = self._star(target, common)
+        star = self._star(target)
         lower = sorted(m for m in star if not m & cone)
         lower.sort(key=int.bit_count, reverse=True)  # largest first, ties by mask
         if len(lower) != stage.n_steps:
@@ -431,11 +423,8 @@ class StageReplay:
                     return "subface has another proper superface"
             else:
                 # every cofacet of sub contains the target, so it extends
-                # sub by a vertex of ``common`` adjacent to all of sub
-                cand = common & ~cone
-                for x in bits_of(sub & ~target):
-                    cand &= adj[x]
-                for x in bits_of(cand & ~sub):
+                # sub by a vertex the star walk kept as adjacent to all of sub
+                for x in bits_of(star[sub] & ~cone):
                     if sub | x in masks:
                         return "subface has another cofacet"
             masks.remove(facet)

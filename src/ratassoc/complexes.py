@@ -35,6 +35,20 @@ DEFAULT_MAX_B = 14
 Face = frozenset  # faces travel as frozensets of Diagonal
 
 
+def guard_b(b: int, max_b: int) -> None:
+    """Refuse a width b over the size guard ``max_b``."""
+    if b > max_b:
+        raise CapExceededError(f"b = {b} exceeds the size guard {max_b}")
+
+
+def _guarded_ground(a: int, b: int, max_b: int) -> tuple[tuple[Diagonal, ...], int]:
+    """Check the slope pair and the size guard; returns the ground set and
+    the lattice-path model's face count by the Kirkman numbers."""
+    check_slope_pair(a, b)
+    guard_b(b, max_b)
+    return all_admissible_diagonals(a, b), sum(rational_kirkman(a, b, i) for i in range(1, a + 1))
+
+
 def face_key(face: Iterable[Diagonal]) -> tuple[tuple[int, int], ...]:
     """Canonical encoding of a face: its diagonals' (j, i) keys, sorted."""
     return tuple(sorted(d.key() for d in face))
@@ -366,14 +380,11 @@ def build_hat_ass(
     max_b: int = DEFAULT_MAX_B,
 ) -> SimplicialComplex:
     """The noncrossing model: the clique complex of the compatibility graph."""
-    check_slope_pair(a, b)
-    if b > max_b:
-        raise CapExceededError(f"b = {b} exceeds the size guard {max_b}")
+    ground, predicted = _guarded_ground(a, b, max_b)
     what = f"noncrossing family of ({a},{b})"
     # the lattice-path model is a subcomplex: its face count is a lower bound
-    if sum(rational_kirkman(a, b, i) for i in range(1, a + 1)) > max_faces:
+    if predicted > max_faces:
         raise CapExceededError(f"{what} exceeds the face cap {max_faces}")
-    ground = all_admissible_diagonals(a, b)
     masks, maximal = clique_complex(compatibility_masks(ground), (1 << len(ground)) - 1,
                                     max_faces, what)
     bit = {d: 1 << i for i, d in enumerate(ground)}
@@ -392,13 +403,9 @@ def build_ass(
     """The lattice-path model: the clique complex of the Dyck-facet skeleton,
     checked.  Its maximal cliques must be the Dyck facets: each face is then
     a clique and each clique lies in a facet, so the model is flag."""
-    check_slope_pair(a, b)
-    if b > max_b:
-        raise CapExceededError(f"b = {b} exceeds the size guard {max_b}")
-    predicted = sum(rational_kirkman(a, b, i) for i in range(1, a + 1))
+    ground, predicted = _guarded_ground(a, b, max_b)
     if predicted > max_faces:
         raise CapExceededError(f"({a},{b}) has {predicted} faces, over the cap {max_faces}")
-    ground = all_admissible_diagonals(a, b)
     bit = {d: 1 << i for i, d in enumerate(ground)}
     facet_masks = set()
     for path in enumerate_dyck_paths(a, b):  # Cat(a,b) <= predicted bounds this

@@ -147,6 +147,14 @@ def test_invalid_json_exits_2(tmp_path, capsys):
     assert code == cli.EXIT_USAGE and err.startswith("error: ")
 
 
+def test_deeply_nested_certificate_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--cert", str(path))
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_well_formed_3_5_document_verifies(tmp_path, capsys):
     doc = {**GOOD_3_5, "steps": [_stage(), _stage(r=1, cone=[0, 2], target=[[0, 4], [2, 4]])]}
     code, out, _ = run(capsys, "verify", "--cert", str(write(tmp_path, doc)))

@@ -334,3 +334,45 @@ def test_stage_rejection_reasons(target, cone, pairs, reason):
         report = verify_certificate(hat(3, 5), ass(3, 5), cert, exhaustive=exhaustive)
         assert (report.ok, report.failure_index, report.steps_applied) == (False, 0, 0)
         assert report.reason == reason
+
+
+# nine vertices, some of which may lie in no face at all
+VERTICES = [Diagonal(0, k, 12) for k in range(2, 11)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sets(st.sampled_from(VERTICES), min_size=1, max_size=5),
+                min_size=1, max_size=8),
+       st.data())
+def test_cone_lemma_on_both_sides(facets, data):
+    """On any downward-closed family, a cone batch for target T and vertex
+    c goes through exactly when every face containing T and avoiding c
+    extends by c; then it realizes the deletion of T, and the replay of the
+    same stage agrees in both modes."""
+    cpx = SimplicialComplex(VERTICES, facets)
+    faces = sorted((f for f in cpx.faces() if f), key=lambda f: sorted(d.key() for d in f))
+    target = data.draw(st.sampled_from(faces), label="target")
+    cone = data.draw(st.sampled_from([v for v in VERTICES if v not in target]), label="cone")
+    lower = [f for f in cpx.faces() if target <= f and cone not in f]
+    is_cone = all(cpx.has_face(f | {cone}) for f in lower)
+    if is_cone:
+        pairs, result = cone_vertex_collapse(cpx, target, cone)
+        assert result == cpx.deletion([target])
+        assert sorted(map(len, (p.subface for p in pairs)), reverse=True) == [
+            len(p.subface) for p in pairs
+        ]
+        assert {p.subface for p in pairs} == set(lower)
+        assert all(p.facet == p.subface | {cone} for p in pairs)
+    else:
+        with pytest.raises(NotConeVertexError):
+            cone_vertex_collapse(cpx, target, cone)
+    stage = StageRecord(1, 1, cone, target, len(lower))
+    cert = CollapseCertificate(None, 12, cpx.ground, (stage,))
+    replays = [StageReplay(cpx, cert, exhaustive=exhaustive) for exhaustive in (False, True)]
+    reasons = [replay.expand(stage) for replay in replays]
+    assert reasons[0] == reasons[1]
+    assert replays[0].masks == replays[1].masks
+    if is_cone:
+        assert reasons[0] is None and replays[0].masks == result.mask_set
+    else:
+        assert reasons[0] == "cone extension missing from current complex"
