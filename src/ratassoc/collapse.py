@@ -405,6 +405,8 @@ class StageReplay:
         for d in stage.target:
             target |= self._bit[d]
         cone = self._bit[stage.cone]
+        if not target:  # every face contains it, and a star walk from ~0 = -1 never ends
+            return "stage target is empty"
         if target not in masks:
             return "stage target missing from current complex"
         if target & cone:
@@ -454,11 +456,11 @@ def verify_certificate(
     """Replay a certificate against fresh face sets.
 
     Every stage is expanded by :class:`StageReplay`: its target must be
-    present and avoid the cone, its expansion must have the recorded pair
-    count, and each pair (F', F' + c) must be present with F' + c the only
-    face properly containing F' at its turn; no face containing the target
-    may be left after the stage.  The terminal face set must equal
-    ``target``.  Stops at the first rejected stage.
+    non-empty, present and avoid the cone, its expansion must have the
+    recorded pair count, and each pair (F', F' + c) must be present with
+    F' + c the only face properly containing F' at its turn; no face
+    containing the target may be left after the stage.  The terminal face
+    set must equal ``target``.  Stops at the first rejected stage.
     """
     replay = StageReplay(start, cert, exhaustive=exhaustive)
     failure = replay.run(cert.stages)

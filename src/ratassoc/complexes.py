@@ -26,7 +26,7 @@ from .polygon import (
     Diagonal,
     all_admissible_diagonals,
     check_slope_pair,
-    crosses,
+    compatibility_masks,
 )
 
 DEFAULT_FACE_CAP = 10**7
@@ -296,18 +296,6 @@ def deletion(cpx: SimplicialComplex, avoid: Iterable[Iterable[Diagonal]]) -> Sim
 # -- builders -------------------------------------------------------------
 
 
-def compatibility_masks(ground: tuple[Diagonal, ...]) -> list[int]:
-    """For each ground index, the bitmask of noncrossing partners."""
-    n = len(ground)
-    compat = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if not crosses(ground[u], ground[v]):
-                compat[u] |= 1 << v
-                compat[v] |= 1 << u
-    return compat
-
-
 def clique_complex(adj: list[int], vertices: int, max_faces: int, what: str):
     """The cliques of the graph ``adj`` on ``vertices`` (a mask set) and the
     maximal ones (a list); rows of ``adj`` exclude their own bit.  A clique's
@@ -382,11 +370,14 @@ def build_hat_ass(
     """The noncrossing model: the clique complex of the compatibility graph."""
     ground, predicted = _guarded_ground(a, b, max_b)
     what = f"noncrossing family of ({a},{b})"
-    # the lattice-path model is a subcomplex: its face count is a lower bound
-    if predicted > max_faces:
+    compat, vertices = compatibility_masks(ground), (1 << len(ground)) - 1
+    # the lattice-path model is a subcomplex: its face count is a lower bound;
+    # the noncrossing sets of all diagonals contain the model: an upper one
+    if predicted > max_faces or (
+        polygon_dissections(b) > max_faces and clique_tree(compat, vertices, max_faces)[0] > max_faces
+    ):
         raise CapExceededError(f"{what} exceeds the face cap {max_faces}")
-    masks, maximal = clique_complex(compatibility_masks(ground), (1 << len(ground)) - 1,
-                                    max_faces, what)
+    masks, maximal = clique_complex(compat, vertices, max_faces, what)
     bit = {d: 1 << i for i, d in enumerate(ground)}
     cpx = SimplicialComplex._trusted(ground, bit, masks, a, b)
     cpx._facet_masks = sorted(maximal, key=lambda m: (m.bit_count(), m))
@@ -444,6 +435,13 @@ def rational_catalan(a: int, b: int) -> int:
     """C(a+b, a) / (a+b), the facet count of the lattice-path model."""
     check_slope_pair(a, b)
     return _exact_div(comb(a + b, a), a + b, f"catalan({a},{b})")
+
+
+def polygon_dissections(b: int) -> int:
+    """Sum over k of C(b-2, k) C(b+k, k) / (k+1), the number of sets of
+    pairwise noncrossing diagonals of the (b+1)-gon (Kirkman-Cayley)."""
+    return sum(_exact_div(comb(b - 2, k) * comb(b + k, k), k + 1, f"dissections({b})")
+               for k in range(b - 1))
 
 
 def rational_kirkman(a: int, b: int, i: int) -> int:

@@ -134,6 +134,18 @@ def crosses(d: Diagonal, e: Diagonal) -> bool:
     return (d.i < e.i < d.j < e.j) or (e.i < d.i < e.j < d.j)
 
 
+def compatibility_masks(ground: tuple[Diagonal, ...]) -> list[int]:
+    """For each ground index, the bitmask of noncrossing partners."""
+    n = len(ground)
+    compat = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if not crosses(ground[u], ground[v]):
+                compat[u] |= 1 << v
+                compat[v] |= 1 << u
+    return compat
+
+
 def check_hat_face(face: frozenset[Diagonal], a: int, b: int) -> None:
     """Raise NotAFaceOfHatError unless ``face`` is a noncrossing set of
     (a, b)-admissible diagonals, a face of the noncrossing model."""

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import signal
 from dataclasses import replace
 
 import pytest
@@ -334,6 +335,32 @@ def test_stage_rejection_reasons(target, cone, pairs, reason):
         report = verify_certificate(hat(3, 5), ass(3, 5), cert, exhaustive=exhaustive)
         assert (report.ok, report.failure_index, report.steps_applied) == (False, 0, 0)
         assert report.reason == reason
+
+
+def test_empty_stage_target_is_rejected_not_walked():
+    """The star of the empty face is the whole complex; the replay refuses
+    it by name instead of walking from common neighbours ~0 = -1."""
+    start = hat(3, 5)
+    stage = StageRecord(1, 1, start.ground[0], frozenset(), 1)
+    cert = CollapseCertificate(3, 5, start.ground, (stage,))
+
+    def hung(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        for exhaustive in (False, True):
+            try:
+                report = verify_certificate(start, ass(3, 5), cert, exhaustive=exhaustive)
+            except TimeoutError:
+                # the interrupted frame's traceback cannot be rendered
+                pytest.fail(f"exhaustive={exhaustive}: the replay ran past 5 s", pytrace=False)
+            assert (report.ok, report.failure_index, report.steps_applied) == (False, 0, 0)
+            assert report.reason == "stage target is empty"
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # nine vertices, some of which may lie in no face at all

@@ -23,7 +23,7 @@ from ratassoc import (
     rational_kirkman,
     rational_narayana,
 )
-from ratassoc.complexes import compatibility_masks, skeleton_adjacency
+from ratassoc.complexes import compatibility_masks, polygon_dissections, skeleton_adjacency
 
 from helpers import ass, coprime_pairs, hat, is_fuss, obstruction_graph
 
@@ -211,6 +211,32 @@ def test_build_caps():
         build_hat_ass(5, 8, max_faces=100)
     with pytest.raises(CapExceededError):
         build_ass(5, 8, max_faces=100)
+
+
+def test_hat_cap_refuses_before_the_clique_walk(monkeypatch):
+    # (8,13): the Kirkman sum is under the cap, the noncrossing model is not
+    assert sum(rational_kirkman(8, 13, i) for i in range(1, 9)) == 89_155 < 100_000
+    assert polygon_dissections(13) > 100_000
+
+    def walked(*args):
+        raise AssertionError("clique_complex ran on a model over the cap")
+
+    monkeypatch.setattr(complexes, "clique_complex", walked)
+    with pytest.raises(CapExceededError, match="exceeds the face cap 100000"):
+        build_hat_ass(8, 13, max_faces=100_000)
+
+
+def test_hat_cap_count_is_exact_at_the_boundary():
+    n = hat(5, 8).n_faces
+    assert n < polygon_dissections(8)  # so the clique count decides
+    assert build_hat_ass(5, 8, max_faces=n) == hat(5, 8)
+    with pytest.raises(CapExceededError):
+        build_hat_ass(5, 8, max_faces=n - 1)
+
+
+@pytest.mark.parametrize("b", range(2, 10))
+def test_polygon_dissections_count_the_full_noncrossing_model(b):
+    assert polygon_dissections(b) == build_hat_ass(b - 1, b).n_faces
 
 
 def test_json_round_trip():

@@ -11,6 +11,7 @@ from ratassoc import (
     Diagonal,
     DyckPath,
     InvalidSourceError,
+    InvariantViolationError,
     LatticePoint,
     enumerate_dyck_paths,
     facet_of,
@@ -20,6 +21,7 @@ from ratassoc import (
     rational_catalan,
     valleys,
 )
+from ratassoc import lattice
 from ratassoc.lattice import young_contains
 from ratassoc.polygon import is_admissible
 
@@ -173,3 +175,33 @@ def test_fire_laser_matches_rational_oracle(pair, seed):
         if src == (0, 0):
             continue
         assert fire_laser(path, src).hit_step_right_x == laser_hit_oracle(path, src)
+
+
+def _misfire(monkeypatch, row: int, hit: int) -> None:
+    """Make the laser from row ``row`` of every path end at x = ``hit``."""
+    fire = lattice._laser_hit
+    monkeypatch.setattr(
+        lattice, "_laser_hit", lambda xs, a, b, y0: hit if y0 == row else fire(xs, a, b, y0)
+    )
+
+
+@pytest.mark.parametrize(
+    "row, hit, message",
+    [
+        # D58 fires 0-7, 1-6, 1-3 and 4-6 from rows 1..4; S(5,8) = {1, 3, 4, 6}
+        (4, 7, "laser diagonal 4-7 of NNENNEEENEEEE is not admissible"),
+        (3, 6, "facet of NNENNEEENEEEE has 3 diagonals, not a-1"),
+        (4, 8, "facet of NNENNEEENEEEE contains crossing diagonals 0-7, 4-8"),
+    ],
+)
+def test_facet_of_names_the_failed_check(monkeypatch, row, hit, message):
+    _misfire(monkeypatch, row, hit)
+    with pytest.raises(InvariantViolationError) as err:
+        facet_of(D58)
+    assert str(err.value) == message
+
+
+def test_facet_of_laser_on_a_side_is_not_a_diagonal(monkeypatch):
+    _misfire(monkeypatch, 3, 2)  # 1-2 is a side of the 9-gon
+    with pytest.raises(ValueError, match=r"\(1, 2\) is a side"):
+        facet_of(D58)
