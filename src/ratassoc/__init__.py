@@ -13,13 +13,10 @@ by exact integer computation.
 
 from .collapse import (
     CollapseCertificate,
-    FreePair,
     StageRecord,
     StageReplay,
     VerificationReport,
     collapse_schedule,
-    cone_vertex_collapse,
-    extract_morse_matching,
     verify_certificate,
 )
 from .complexes import (
@@ -50,7 +47,6 @@ from .errors import (
     NotAFaceOfHatError,
     NotConeVertexError,
     NotCoprimeError,
-    NotPerfectMatchingError,
     RatAssocError,
     ScheduleFailedError,
 )

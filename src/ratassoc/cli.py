@@ -92,6 +92,7 @@ def cmd_fvector(args) -> int:
 
 
 def cmd_membership(args) -> int:
+    guard_b(args.b, _max_b())  # the laser table grows as b^2
     face = parse_face(args.face, args.b)
     result = valley_path(face, args.a, args.b)
     doc: dict = {"schema": 1, "a": args.a, "b": args.b, "member": result.is_member}

@@ -35,6 +35,12 @@ stage with its own code into the pairs (F', F' + c), one for every current
 face F' containing T and avoiding c: T must be present and avoid c, there
 must be exactly ``pairs`` pairs and they must pass the checked pass; then
 the terminal face set must equal the lattice-path model.
+
+:func:`collapse_schedule` and :func:`verify_certificate` collapse the start
+complex's face set in place; a caller that still needs it passes a copy.
+The replay only counts the pairs it removes: it removes only present faces
+and its terminal set must equal the lattice-path model, so the removed
+faces are exactly the difference of the two models, matched in pairs.
 """
 
 from __future__ import annotations
@@ -59,7 +65,6 @@ from .errors import (
     MalformedCertificateError,
     NotAFaceError,
     NotConeVertexError,
-    NotPerfectMatchingError,
     ScheduleFailedError,
 )
 from .obstruction import (
@@ -77,14 +82,6 @@ _STAGE_KEYS = frozenset(("r", "q", "cone", "target", "pairs"))
 def _require(ok: bool, message: str) -> None:
     if not ok:
         raise MalformedCertificateError(message)
-
-
-@dataclass(frozen=True)
-class FreePair:
-    """One elementary collapse: the facet and its free codimension-1 face."""
-
-    facet: frozenset[Diagonal]
-    subface: frozenset[Diagonal]
 
 
 @dataclass(frozen=True)
@@ -111,10 +108,11 @@ class CollapseCertificate:
     ``stages`` lists the cone-vertex batches in schedule order, each fixed
     by its target face T, cone diagonal c and pair count; the JSON form
     (schema 2, see the module docstring) stores one ``{"r", "q", "cone",
-    "target", "pairs"}`` object per stage under ``"steps"``.  The pairs are
-    not kept: :class:`StageReplay` re-derives them as (F', F' + c) for
-    every current face F' containing T and avoiding c, largest F' first,
-    and checks the target, the count and each pair's freeness at its turn.
+    "target", "pairs"}`` object per stage under ``"steps"``.  No pair is
+    stored: :class:`StageReplay` re-derives them as (F', F' + c) for every
+    current face F' containing T and avoiding c, largest F' first, checks
+    the target, the count and each pair's freeness at its turn, and counts
+    the pairs it removes.
     """
 
     __slots__ = ("a", "b", "ground", "stages")
@@ -250,28 +248,6 @@ def _cone_batch(masks: set[int], face_mask: int, cone_bit: int, compat: list[int
     return smaller
 
 
-def cone_vertex_collapse(
-    cpx: SimplicialComplex, face: Iterable[Diagonal], cone: Diagonal
-) -> tuple[list[FreePair], SimplicialComplex]:
-    """Collapse ``cpx`` onto the deletion of ``face`` using ``cone``.
-
-    The cone condition (every face containing ``face`` extends by ``cone``
-    inside the complex) is verified, not assumed.  Returns the emitted free
-    pairs, largest faces first, and the resulting complex.
-    """
-    try:
-        face_mask = cpx._mask_of(face)
-        cone_bit = cpx._bit[cone]
-    except KeyError as exc:
-        raise NotAFaceError(f"unknown diagonal: {exc}") from exc
-    masks = cpx.copy_mask_set()
-    everything = [(1 << len(cpx.ground)) - 1] * len(cpx.ground)
-    smaller = _cone_batch(masks, face_mask, cone_bit, everything)
-    result = SimplicialComplex._trusted(cpx.ground, cpx._bit, masks, cpx.a, cpx.b)
-    pairs = [FreePair(cpx._face_of(m | cone_bit), cpx._face_of(m)) for m in smaller]
-    return pairs, result
-
-
 def collapse_schedule(
     a: int,
     b: int,
@@ -281,18 +257,22 @@ def collapse_schedule(
     graph: ObstructionGraph,
 ) -> CollapseCertificate:
     """Generate the full collapse certificate for the pair (a, b) from its
-    two models and its obstruction graph.
+    two models and its obstruction graph, consuming ``hat``.
 
     Obstruction edges are processed strictly in descending edge order; for
     each edge, crossing triples are cleared first (in increasing index
     order), then the edge itself.  The terminal face set must equal the
     lattice-path model exactly or ScheduleFailedError is raised, carrying
     the stage coordinates and, when there is one, the failing face.
+
+    ``hat`` is collapsed in place: on return it holds the terminal faces,
+    after a failure a partial collapse.
     """
     check_slope_pair(a, b)
     ground = hat.ground
     bit = hat._bit
-    current = hat.copy_mask_set()
+    current = hat.mask_set
+    hat._facet_masks = hat._reduced = None  # both go stale as current shrinks
     stages: list[StageRecord] = []
 
     compat = compatibility_masks(ground)
@@ -344,7 +324,8 @@ class VerificationReport:
 
 
 class StageReplay:
-    """Expands certificate stages into free pairs on a private face set.
+    """Expands certificate stages into free pairs on the face set of the
+    start complex, in place, counting them in ``steps_applied``.
 
     Shares no code with the schedule generator.  By default the star of a
     stage target is walked upward through the 1-skeleton of the start
@@ -353,8 +334,7 @@ class StageReplay:
     walk kept; both are complete because the start complex is downward
     closed and removing free pairs keeps it so.  With ``exhaustive``
     neither relies on that: the star is a scan of every remaining face, and
-    so is each freeness test.  ``pairs`` collects the removed (facet,
-    subface) masks in expansion order.
+    so is each freeness test.
     """
 
     def __init__(
@@ -366,8 +346,9 @@ class StageReplay:
     ):
         if start.ground != cert.ground:
             raise ValueError("certificate ground set does not match the start complex")
-        self.masks = start.copy_mask_set()
-        self.pairs: list[tuple[int, int]] = []
+        self.masks = start.mask_set
+        start._facet_masks = start._reduced = None  # both go stale as masks shrink
+        self.steps_applied = 0
         self.exhaustive = exhaustive
         self._bit = {d: 1 << i for i, d in enumerate(start.ground)}
         adj = skeleton_adjacency(self.masks, len(start.ground))
@@ -400,7 +381,7 @@ class StageReplay:
         Returns None, or the fixed reason of the first check that fails;
         the pairs removed before it stay removed.
         """
-        masks, pairs = self.masks, self.pairs
+        masks = self.masks
         target = 0
         for d in stage.target:
             target |= self._bit[d]
@@ -431,7 +412,7 @@ class StageReplay:
                         return "subface has another cofacet"
             masks.remove(facet)
             masks.remove(sub)
-            pairs.append((facet, sub))
+            self.steps_applied += 1
         if any(m in masks for m in star):
             return "faces containing the stage target remain"
         return None
@@ -453,15 +434,18 @@ def verify_certificate(
     *,
     exhaustive: bool = False,
 ) -> VerificationReport:
-    """Replay a certificate against fresh face sets.
+    """Replay a certificate on the face set of ``start``, consuming it.
 
     Every stage is expanded by :class:`StageReplay`: its target must be
     non-empty, present and avoid the cone, its expansion must have the
     recorded pair count, and each pair (F', F' + c) must be present with
     F' + c the only face properly containing F' at its turn; no face
     containing the target may be left after the stage.  The terminal face
-    set must equal ``target``.  Stops at the first rejected stage.
+    set must equal ``target``.  Stops at the first rejected stage, leaving
+    ``start`` partly collapsed; on success it holds the terminal faces.
     """
+    if start.mask_set is target.mask_set:
+        raise ValueError("start and target share one face set, which the replay consumes")
     replay = StageReplay(start, cert, exhaustive=exhaustive)
     failure = replay.run(cert.stages)
     matched = replay.masks == target.mask_set
@@ -469,32 +453,6 @@ def verify_certificate(
         failure = (len(cert.stages), "terminal face set differs from target")
     index, reason = failure or (None, None)
     return VerificationReport(
-        failure is None, len(replay.pairs), index, reason, len(replay.masks), matched
+        failure is None, replay.steps_applied, index, reason, len(replay.masks), matched
     )
 
-
-def extract_morse_matching(
-    cert: CollapseCertificate,
-    hat: SimplicialComplex,
-    ass: SimplicialComplex,
-) -> list[tuple[frozenset[Diagonal], frozenset[Diagonal]]]:
-    """The (subface, facet) pairs of the certificate as a perfect matching
-    on the faces removed by the collapse.
-
-    The pairs come from the verifier's expansion of the stages, so each is
-    free at its turn and its faces differ by the cone diagonal; the
-    matching must cover the difference between the two models exactly.
-    """
-    diff = hat.mask_set - ass.mask_set
-    if len(diff) % 2:
-        raise NotPerfectMatchingError(f"difference has odd size {len(diff)}")
-    replay = StageReplay(hat, cert)
-    failure = replay.run(cert.stages)
-    if failure is not None:
-        raise NotPerfectMatchingError("stage %d does not expand: %s" % failure)
-    removed = {m for pair in replay.pairs for m in pair}
-    for stray, message in ((removed - diff, "certificate removes a face outside the difference"),
-                           (diff - removed, "difference face left unmatched")):
-        if stray:
-            raise NotPerfectMatchingError(message, witness=hat._face_of(min(stray)))
-    return [(hat._face_of(s), hat._face_of(f)) for f, s in replay.pairs]

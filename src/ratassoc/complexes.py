@@ -76,8 +76,9 @@ class SimplicialComplex:
     """Explicit face family over an ordered ground set of diagonals.
 
     The ground set is canonically sorted at construction; every face is a
-    bitmask over that order.  Instances behave as immutable values; the
-    collapse machinery works on private copies of the mask set.
+    bitmask over that order.  Instances behave as immutable values, except
+    that ``collapse_schedule`` and ``verify_certificate`` collapse the face
+    set of the start complex they are given in place.
     """
 
     __slots__ = ("ground", "a", "b", "_bit", "_masks", "_facet_masks", "_reduced")
@@ -158,11 +159,8 @@ class SimplicialComplex:
 
     @property
     def mask_set(self) -> set[int]:
-        """The internal mask set.  Callers must not mutate it."""
+        """The internal mask set.  Only the collapse and the replay mutate it."""
         return self._masks
-
-    def copy_mask_set(self) -> set[int]:
-        return set(self._masks)
 
     def _compute_facet_masks(self) -> list[int]:
         if self._facet_masks is None:

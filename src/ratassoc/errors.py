@@ -75,9 +75,5 @@ class NonIntegralError(RatAssocError):
     """A closed-form count failed its exact divisibility requirement."""
 
 
-class NotPerfectMatchingError(RatAssocError):
-    """Extracted face pairing is not a perfect matching on the difference."""
-
-
 class InvariantViolationError(RatAssocError):
     """A runtime-checked structural invariant failed (internal error)."""

@@ -9,6 +9,7 @@ from math import gcd
 
 from ratassoc import (
     DyckPath,
+    SimplicialComplex,
     build_ass,
     build_hat_ass,
     build_obstruction_graph,
@@ -51,9 +52,17 @@ def obstruction_graph(a: int, b: int):
     return build_obstruction_graph(a, b)
 
 
+def copy_of(cpx: SimplicialComplex) -> SimplicialComplex:
+    """A complex with its own face set, for the collapse and the replay,
+    which consume the start complex they are given."""
+    return SimplicialComplex._trusted(cpx.ground, cpx._bit, set(cpx.mask_set), cpx.a, cpx.b)
+
+
 @lru_cache(maxsize=None)
 def schedule(a: int, b: int):
-    return collapse_schedule(a, b, hat=hat(a, b), ass=ass(a, b), graph=obstruction_graph(a, b))
+    return collapse_schedule(
+        a, b, hat=copy_of(hat(a, b)), ass=ass(a, b), graph=obstruction_graph(a, b)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -38,6 +38,7 @@ CAP_ERRORS = [
     (["build", "--model", "hat", "--a", "5", "--b", "8"], {"RATASSOC_FACE_CAP": "100"}),
     (["duality", "--b", "400"], {}),
     (["obstruction", "--a", "20", "--b", "41"], {}),
+    (["membership", "--a", "299", "--b", "300", "--face", ""], {}),
 ]
 
 

@@ -198,6 +198,8 @@ def test_collapse_and_duality_honour_caps(capsys, monkeypatch, argv, env):
          complexes, "clique_complex"),
         # the obstruction graph builds no model, so the size guard alone bounds it
         (["obstruction", "--a", "20", "--b", "41"], {}, cli, "build_obstruction_graph"),
+        # membership builds no model either; its laser table grows as b^2
+        (["membership", "--a", "299", "--b", "300", "--face", ""], {}, cli, "parse_face"),
     ],
 )
 def test_caps_refuse_before_the_work(capsys, monkeypatch, argv, env, module, name):

@@ -13,20 +13,17 @@ from ratassoc import (
     InvariantViolationError,
     NotAFaceError,
     NotConeVertexError,
-    NotPerfectMatchingError,
     ScheduleFailedError,
     SimplicialComplex,
     StageRecord,
     StageReplay,
     collapse_schedule,
-    cone_vertex_collapse,
-    extract_morse_matching,
     face_text,
     verify_certificate,
 )
 from ratassoc.collapse import _cone_batch
 
-from helpers import ass, coprime_pairs, hat, is_fuss, obstruction_graph, schedule
+from helpers import ass, copy_of, coprime_pairs, hat, is_fuss, obstruction_graph, schedule
 
 
 def d(i, j, b):
@@ -37,38 +34,47 @@ def face(b, *pairs):
     return frozenset(d(i, j, b) for i, j in pairs)
 
 
-def test_cone_vertex_collapse_on_small_model():
+def cone_batch(cpx, target, cone):
+    """``_cone_batch`` on a copy of the faces of ``cpx``, with every vertex
+    adjacent to every other: the removed (facet, subface) pairs in removal
+    order, and the faces left."""
+    masks = set(cpx.mask_set)
+    everything = [(1 << len(cpx.ground)) - 1] * len(cpx.ground)
+    cone_bit = cpx._bit[cone]
+    smaller = _cone_batch(masks, cpx._mask_of(target), cone_bit, everything)
+    return [(cpx._face_of(m | cone_bit), cpx._face_of(m)) for m in smaller], masks
+
+
+def test_cone_batch_on_small_model():
     cpx = hat(3, 5)
-    pairs, result = cone_vertex_collapse(cpx, face(5, (0, 4), (2, 4)), d(0, 2, 5))
-    assert len(pairs) == 1
-    assert pairs[0].facet == face(5, (0, 2), (0, 4), (2, 4))
-    assert pairs[0].subface == face(5, (0, 4), (2, 4))
-    assert result == cpx.deletion([face(5, (0, 4), (2, 4))])
+    pairs, masks = cone_batch(cpx, face(5, (0, 4), (2, 4)), d(0, 2, 5))
+    assert pairs == [(face(5, (0, 2), (0, 4), (2, 4)), face(5, (0, 4), (2, 4)))]
+    assert masks == cpx.deletion([face(5, (0, 4), (2, 4))]).mask_set
 
 
-def test_cone_vertex_collapse_on_full_simplex():
+def test_cone_batch_on_full_simplex():
     verts = [d(0, 2, 5), d(0, 3, 5), d(0, 4, 5)]
     x, y, z = verts
     simplex = SimplicialComplex(verts, [verts])
-    pairs, result = cone_vertex_collapse(simplex, [x], y)
-    assert [(p.facet, p.subface) for p in pairs] == [
+    pairs, masks = cone_batch(simplex, [x], y)
+    assert pairs == [
         (frozenset({x, y, z}), frozenset({x, z})),
         (frozenset({x, y}), frozenset({x})),
     ]
-    assert result == simplex.deletion([[x]])
+    assert masks == simplex.deletion([[x]]).mask_set
 
 
 def test_cone_vertex_rejections():
     cpx = hat(3, 5)
     # 0-2 crosses 1-5, so it cannot cone the faces containing {1-5, 3-5}
     with pytest.raises(NotConeVertexError) as info:
-        cone_vertex_collapse(cpx, face(5, (1, 5), (3, 5)), d(0, 2, 5))
+        cone_batch(cpx, face(5, (1, 5), (3, 5)), d(0, 2, 5))
     assert info.value.witness is not None
     # a facet has no extension at all, so nothing can cone it
     with pytest.raises(NotConeVertexError):
-        cone_vertex_collapse(cpx, face(5, (0, 2), (0, 4), (2, 4)), d(1, 3, 5))
+        cone_batch(cpx, face(5, (0, 2), (0, 4), (2, 4)), d(1, 3, 5))
     with pytest.raises(NotAFaceError):
-        cone_vertex_collapse(cpx, face(5, (0, 4), (1, 5)), d(0, 2, 5))
+        cone_batch(cpx, face(5, (0, 4), (1, 5)), d(0, 2, 5))
 
 
 def test_cone_batch_errors_carry_the_face_not_hex():
@@ -100,15 +106,11 @@ def test_schedule_3_5_shape():
         (2, 1, "1-3", "1-5,3-5", 1),
         (1, 1, "0-2", "0-4,2-4", 1),
     ]
-    # the pairs are re-derived by the verifier's expansion of the stages
-    texts = [
-        (tuple(sorted(x.text() for x in fac)), tuple(sorted(x.text() for x in sub)))
-        for sub, fac in extract_morse_matching(cert, hat(3, 5), ass(3, 5))
-    ]
-    assert texts == [
-        (("1-3", "1-5", "3-5"), ("1-5", "3-5")),
-        (("0-2", "0-4", "2-4"), ("0-4", "2-4")),
-    ]
+    # the verifier's expansion of the stages removes exactly these two pairs
+    start = copy_of(hat(3, 5))
+    assert verify_certificate(start, ass(3, 5), cert).steps_applied == 2
+    removed = {face_text(f) for f in hat(3, 5).faces() if f not in start}
+    assert removed == {"1-3,1-5,3-5", "1-5,3-5", "0-2,0-4,2-4", "0-4,2-4"}
 
 
 def test_schedule_5_8_stage_structure():
@@ -125,24 +127,51 @@ def test_schedule_5_8_stage_structure():
 @pytest.mark.parametrize("a,b", [p for p in coprime_pairs(max_b=9)] + [(5, 8)])
 def test_schedule_and_verification(a, b):
     cert = schedule(a, b)
-    report = verify_certificate(hat(a, b), ass(a, b), cert)
+    report = verify_certificate(copy_of(hat(a, b)), ass(a, b), cert)
     assert report.ok, report
     assert report.terminal_face_count == ass(a, b).n_faces
+    # the pairs removed are exactly the faces of hat outside ass, matched up
+    assert 2 * report.steps_applied == hat(a, b).n_faces - ass(a, b).n_faces
     if is_fuss(a, b):
         assert cert.n_steps == 0
+
+
+@pytest.mark.parametrize("a,b", [(3, 5), (4, 7), (5, 8)])
+def test_start_complex_is_collapsed_in_place(a, b):
+    """The generator and the replay both take over the start face set; on
+    success it holds the terminal faces, and the start complex's cached
+    facets are recomputed from them."""
+    start = copy_of(hat(a, b))
+    assert start.facets() == hat(a, b).facets()
+    assert verify_certificate(start, ass(a, b), schedule(a, b)).ok
+    assert start.mask_set == ass(a, b).mask_set
+    assert start.facets() == ass(a, b).facets()
+    start = copy_of(hat(a, b))
+    start.facets()  # fills the facet cache the collapse must drop
+    collapse_schedule(a, b, hat=start, ass=ass(a, b), graph=obstruction_graph(a, b))
+    assert start.mask_set == ass(a, b).mask_set
+    assert start.facets() == ass(a, b).facets()
+
+
+def test_replay_refuses_a_target_that_shares_the_start_face_set():
+    start = copy_of(hat(3, 5))
+    with pytest.raises(ValueError, match="share one face set"):
+        verify_certificate(start, start, schedule(3, 5))
+    assert start.mask_set == hat(3, 5).mask_set
 
 
 @pytest.mark.parametrize("a,b", [(3, 5), (5, 8), (4, 7)])
 def test_exhaustive_verification_agrees(a, b):
     cert = schedule(a, b)
-    assert verify_certificate(hat(a, b), ass(a, b), cert, exhaustive=True).ok
+    assert verify_certificate(copy_of(hat(a, b)), ass(a, b), cert, exhaustive=True).ok
 
 
 def test_reversed_certificate_fails_immediately():
     cert = schedule(5, 8)
     reversed_cert = CollapseCertificate(cert.a, cert.b, cert.ground, cert.stages[::-1])
     for exhaustive in (False, True):
-        report = verify_certificate(hat(5, 8), ass(5, 8), reversed_cert, exhaustive=exhaustive)
+        start = copy_of(hat(5, 8))
+        report = verify_certificate(start, ass(5, 8), reversed_cert, exhaustive=exhaustive)
         assert not report.ok
         assert report.failure_index == 0
         assert report.steps_applied == 0
@@ -150,9 +179,34 @@ def test_reversed_certificate_fails_immediately():
         assert report.terminal_face_count == hat(5, 8).n_faces
 
 
+@pytest.mark.parametrize(
+    "corrupt,index,steps,reason",
+    [
+        ("truncate", 1, 1, "terminal face set differs from target"),
+        ("recount", 0, 0, "expanded pair count differs from the certificate"),
+    ],
+    ids=["truncate", "recount"],
+)
+def test_rejected_certificate_leaves_a_partial_collapse(corrupt, index, steps, reason):
+    """A rejected replay keeps the pairs it removed before the failing
+    check: the start complex holds exactly the collapse the report counts."""
+    cert = schedule(3, 5)
+    first = cert.stages[0]
+    if corrupt == "truncate":
+        stages = (first,)
+    else:
+        stages = (replace(first, n_steps=2),) + cert.stages[1:]
+    start = copy_of(hat(3, 5))
+    report = verify_certificate(start, ass(3, 5), CollapseCertificate(3, 5, cert.ground, stages))
+    assert (report.ok, report.failure_index, report.steps_applied) == (False, index, steps)
+    assert report.reason == reason
+    assert start == hat(3, 5).deletion([first.target] if steps else [])
+    assert report.terminal_face_count == start.n_faces == hat(3, 5).n_faces - 2 * steps
+
+
 def test_wrong_target_detected():
     cert = schedule(3, 5)
-    report = verify_certificate(hat(3, 5), hat(3, 5), cert)
+    report = verify_certificate(copy_of(hat(3, 5)), hat(3, 5), cert)
     assert not report.ok
     assert report.reason == "terminal face set differs from target"
 
@@ -165,14 +219,14 @@ def test_stage_boundary_invariant(a, b):
     graph = obstruction_graph(a, b)
     bit = {diag: 1 << i for i, diag in enumerate(cert.ground)}
     edge_masks = [bit[e.lesser] | bit[e.greater] for e in graph.edges]
-    replay = StageReplay(hat(a, b), cert)
+    replay = StageReplay(copy_of(hat(a, b)), cert)
     closing = {}
     for stage in cert.stages:
         closing[stage.r] = max(closing.get(stage.r, 0), stage.q)
     for stage in cert.stages:
-        before = len(replay.pairs)
+        before = replay.steps_applied
         replay.expand(stage)
-        assert len(replay.pairs) - before == stage.n_steps
+        assert replay.steps_applied - before == stage.n_steps
         if stage.q == closing[stage.r]:
             expect = {
                 m
@@ -181,42 +235,7 @@ def test_stage_boundary_invariant(a, b):
             }
             assert replay.masks == expect
     assert sorted(closing) == list(range(1, len(graph.edges) + 1))
-    assert len(replay.pairs) == cert.n_steps
-
-
-def test_morse_matching_on_small_pairs():
-    pairs = extract_morse_matching(schedule(3, 5), hat(3, 5), ass(3, 5))
-    assert len(pairs) == 2
-    diff = hat(3, 5).mask_set - ass(3, 5).mask_set
-    assert len(diff) == 4
-    for sub, fac in pairs:
-        assert len(fac) == len(sub) + 1 and sub < fac
-
-
-@pytest.mark.parametrize("a,b", [(2, 3), (3, 7), (4, 9)])
-def test_morse_matching_empty_at_fuss_level(a, b):
-    assert extract_morse_matching(schedule(a, b), hat(a, b), ass(a, b)) == []
-
-
-def test_morse_matching_5_8_counts():
-    h, s = hat(5, 8), ass(5, 8)
-    diff = h.mask_set - s.mask_set
-    assert len(diff) % 2 == 0
-    pairs = extract_morse_matching(schedule(5, 8), h, s)
-    assert len(pairs) == len(diff) // 2
-
-
-def test_morse_matching_rejects_corrupted_certificate():
-    cert = schedule(3, 5)
-    truncated = CollapseCertificate(cert.a, cert.b, cert.ground, cert.stages[:1])
-    with pytest.raises(NotPerfectMatchingError, match="left unmatched"):
-        extract_morse_matching(truncated, hat(3, 5), ass(3, 5))
-    stage = cert.stages[0]
-    recounted = CollapseCertificate(
-        cert.a, cert.b, cert.ground, (replace(stage, n_steps=2),) + cert.stages[1:]
-    )
-    with pytest.raises(NotPerfectMatchingError, match="does not expand"):
-        extract_morse_matching(recounted, hat(3, 5), ass(3, 5))
+    assert replay.steps_applied == cert.n_steps
 
 
 @pytest.mark.parametrize("a,b", [(3, 5), (5, 8)])
@@ -229,27 +248,20 @@ def test_certificate_json_round_trip(a, b):
     assert back.stages == cert.stages
     assert back.n_steps == cert.n_steps
     assert back.dumps() == cert.dumps()
-    report = verify_certificate(hat(a, b), ass(a, b), back)
+    report = verify_certificate(copy_of(hat(a, b)), ass(a, b), back)
     assert report.ok and report.steps_applied == cert.n_steps
 
 
-def test_difference_is_even_for_all_small_pairs():
-    for a, b in coprime_pairs(max_b=9):
-        assert len(hat(a, b).mask_set - ass(a, b).mask_set) % 2 == 0
-
-
-def test_stage_expansion_matches_cone_vertex_collapse():
-    """The verifier's expansion of the first (5,8) stage removes the same
-    pairs, in the same sizes order, as the generator's cone batch."""
+def test_stage_expansion_matches_cone_batch():
+    """The verifier's expansion of the first (5,8) stage removes as many
+    pairs, and leaves the same faces, as the generator's cone batch."""
     cert = schedule(5, 8)
     stage = cert.stages[0]
-    pairs, result = cone_vertex_collapse(hat(5, 8), stage.target, stage.cone)
-    replay = StageReplay(hat(5, 8), cert)
-    replay.expand(stage)
-    expanded = [(hat(5, 8)._face_of(f), hat(5, 8)._face_of(s)) for f, s in replay.pairs]
-    assert sorted(expanded, key=str) == sorted(((p.facet, p.subface) for p in pairs), key=str)
-    assert [len(s) for _, s in expanded] == [len(p.subface) for p in pairs]
-    assert replay.masks == result.mask_set
+    pairs, masks = cone_batch(hat(5, 8), stage.target, stage.cone)
+    replay = StageReplay(copy_of(hat(5, 8)), cert)
+    assert replay.expand(stage) is None
+    assert replay.steps_applied == len(pairs) == stage.n_steps
+    assert replay.masks == masks
 
 
 def test_schedule_failure_carries_stage_and_face():
@@ -274,10 +286,10 @@ def test_exhaustive_freeness_check_fires():
     ground = (x, c, y)
     cpx = SimplicialComplex(ground, [[x, c]])
     bit = cpx._bit
-    masks = cpx.copy_mask_set() | {bit[x] | bit[c] | bit[y]}
+    masks = set(cpx.mask_set) | {bit[x] | bit[c] | bit[y]}
     family = SimplicialComplex._trusted(cpx.ground, bit, masks, None, 5)
     cert = CollapseCertificate(3, 5, cpx.ground, (StageRecord(1, 1, c, frozenset([x]), 1),))
-    report = verify_certificate(family, family, cert, exhaustive=True)
+    report = verify_certificate(copy_of(family), family, cert, exhaustive=True)
     assert not report.ok
     assert (report.failure_index, report.steps_applied) == (0, 0)
     assert report.reason == "subface has another proper superface"
@@ -290,7 +302,8 @@ def test_valid_swap_is_accepted_by_both_replays():
     stages[8], stages[9] = stages[9], stages[8]
     swapped = CollapseCertificate(5, 8, cert.ground, tuple(stages))
     for exhaustive in (False, True):
-        assert verify_certificate(hat(5, 8), ass(5, 8), swapped, exhaustive=exhaustive).ok
+        start = copy_of(hat(5, 8))
+        assert verify_certificate(start, ass(5, 8), swapped, exhaustive=exhaustive).ok
 
 
 MUTATION_PAIRS = [(3, 5), (3, 8), (4, 7), (5, 7), (5, 8)]
@@ -312,8 +325,8 @@ def test_dropped_or_swapped_stages(data):
         j = data.draw(st.integers(0, len(stages) - 1).filter(lambda j: j != i), label="j")
         stages[i], stages[j] = stages[j], stages[i]
     mutated = CollapseCertificate(a, b, cert.ground, tuple(stages))
-    report = verify_certificate(hat(a, b), ass(a, b), mutated)
-    assert report == verify_certificate(hat(a, b), ass(a, b), mutated, exhaustive=True)
+    report = verify_certificate(copy_of(hat(a, b)), ass(a, b), mutated)
+    assert report == verify_certificate(copy_of(hat(a, b)), ass(a, b), mutated, exhaustive=True)
     if drop:
         assert not report.ok
 
@@ -332,7 +345,8 @@ def test_stage_rejection_reasons(target, cone, pairs, reason):
     stage = StageRecord(2, 1, d(*cone, 5), face(5, *target), pairs)
     cert = CollapseCertificate(3, 5, hat(3, 5).ground, (stage,))
     for exhaustive in (False, True):
-        report = verify_certificate(hat(3, 5), ass(3, 5), cert, exhaustive=exhaustive)
+        start = copy_of(hat(3, 5))
+        report = verify_certificate(start, ass(3, 5), cert, exhaustive=exhaustive)
         assert (report.ok, report.failure_index, report.steps_applied) == (False, 0, 0)
         assert report.reason == reason
 
@@ -352,7 +366,7 @@ def test_empty_stage_target_is_rejected_not_walked():
     try:
         for exhaustive in (False, True):
             try:
-                report = verify_certificate(start, ass(3, 5), cert, exhaustive=exhaustive)
+                report = verify_certificate(copy_of(start), ass(3, 5), cert, exhaustive=exhaustive)
             except TimeoutError:
                 # the interrupted frame's traceback cannot be rendered
                 pytest.fail(f"exhaustive={exhaustive}: the replay ran past 5 s", pytrace=False)
@@ -383,23 +397,24 @@ def test_cone_lemma_on_both_sides(facets, data):
     lower = [f for f in cpx.faces() if target <= f and cone not in f]
     is_cone = all(cpx.has_face(f | {cone}) for f in lower)
     if is_cone:
-        pairs, result = cone_vertex_collapse(cpx, target, cone)
-        assert result == cpx.deletion([target])
-        assert sorted(map(len, (p.subface for p in pairs)), reverse=True) == [
-            len(p.subface) for p in pairs
-        ]
-        assert {p.subface for p in pairs} == set(lower)
-        assert all(p.facet == p.subface | {cone} for p in pairs)
+        pairs, masks = cone_batch(cpx, target, cone)
+        assert masks == cpx.deletion([target]).mask_set
+        sizes = [len(sub) for _, sub in pairs]
+        assert sorted(sizes, reverse=True) == sizes
+        assert {sub for _, sub in pairs} == set(lower)
+        assert all(facet == sub | {cone} for facet, sub in pairs)
     else:
         with pytest.raises(NotConeVertexError):
-            cone_vertex_collapse(cpx, target, cone)
+            cone_batch(cpx, target, cone)
     stage = StageRecord(1, 1, cone, target, len(lower))
     cert = CollapseCertificate(None, 12, cpx.ground, (stage,))
-    replays = [StageReplay(cpx, cert, exhaustive=exhaustive) for exhaustive in (False, True)]
+    replays = [StageReplay(copy_of(cpx), cert, exhaustive=exhaustive) for exhaustive in (False, True)]
     reasons = [replay.expand(stage) for replay in replays]
     assert reasons[0] == reasons[1]
     assert replays[0].masks == replays[1].masks
+    assert replays[0].steps_applied == replays[1].steps_applied
     if is_cone:
-        assert reasons[0] is None and replays[0].masks == result.mask_set
+        assert reasons[0] is None and replays[0].masks == masks
+        assert replays[0].steps_applied == len(pairs)
     else:
         assert reasons[0] == "cone extension missing from current complex"
