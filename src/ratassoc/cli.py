@@ -6,8 +6,13 @@ and fixed indentation so identical invocations are byte-identical.
 
 Caps can be overridden with the two environment variables RATASSOC_FACE_CAP
 and RATASSOC_MAX_B; every command that builds a model builds it under them,
-and ``obstruction`` and ``duality``, whose first work grows with b alone,
-refuse a b over RATASSOC_MAX_B before doing any.
+and ``obstruction``, ``duality``, ``membership`` and ``render``, whose first
+work grows with b alone, refuse a b over RATASSOC_MAX_B before doing any.
+
+The argument parser is built once per process, on the first ``main`` call,
+and reused by every later call.  Each subcommand's handler looks up its
+collaborators as module globals when it runs, so a rebinding of one of them
+takes effect on the cached parser too.
 """
 
 from __future__ import annotations
@@ -229,6 +234,7 @@ def cmd_duality(args) -> int:
 
 
 def cmd_render(args) -> int:
+    guard_b(args.b, _max_b())  # the drawing grows with b
     face = parse_face(args.face, args.b)
     check_slope_pair(args.a, args.b)
     check_hat_face(face, args.a, args.b)
@@ -298,9 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first main call
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except CapExceededError as exc:

@@ -272,7 +272,7 @@ def collapse_schedule(
     ground = hat.ground
     bit = hat._bit
     current = hat.mask_set
-    hat._facet_masks = hat._reduced = None  # both go stale as current shrinks
+    hat._facet_masks = hat._f_counts = hat._reduced = None  # all go stale as current shrinks
     stages: list[StageRecord] = []
 
     compat = compatibility_masks(ground)
@@ -347,7 +347,7 @@ class StageReplay:
         if start.ground != cert.ground:
             raise ValueError("certificate ground set does not match the start complex")
         self.masks = start.mask_set
-        start._facet_masks = start._reduced = None  # both go stale as masks shrink
+        start._facet_masks = start._f_counts = start._reduced = None  # all go stale as masks shrink
         self.steps_applied = 0
         self.exhaustive = exhaustive
         self._bit = {d: 1 << i for i, d in enumerate(start.ground)}

@@ -81,7 +81,7 @@ class SimplicialComplex:
     set of the start complex they are given in place.
     """
 
-    __slots__ = ("ground", "a", "b", "_bit", "_masks", "_facet_masks", "_reduced")
+    __slots__ = ("ground", "a", "b", "_bit", "_masks", "_facet_masks", "_f_counts", "_reduced")
 
     def __init__(
         self,
@@ -100,6 +100,7 @@ class SimplicialComplex:
             masks.add(self._mask_of(face))
         self._masks = _downward_closure(masks)
         self._facet_masks: list[int] | None = None
+        self._f_counts: tuple[int, ...] | None = None  # filled by f_vector_counts
         self._reduced: set[int] | None = None  # filled by homology.betti_numbers
 
     @classmethod
@@ -119,6 +120,7 @@ class SimplicialComplex:
         self._bit = bit
         self._masks = masks
         self._facet_masks = None
+        self._f_counts = None
         self._reduced = None
         return self
 
@@ -186,9 +188,12 @@ class SimplicialComplex:
         return [self._face_of(m) for m in self._compute_facet_masks()]
 
     def f_vector_counts(self) -> tuple[int, ...]:
-        """(f_-1, f_0, ..., f_dim) by direct counting, in one pass."""
-        sizes = Counter(map(int.bit_count, self._masks))
-        return tuple(sizes[k] for k in range(max(sizes, default=-1) + 1))
+        """(f_-1, f_0, ..., f_dim) by direct counting, in one pass, once per
+        face set."""
+        if self._f_counts is None:
+            sizes = Counter(map(int.bit_count, self._masks))
+            self._f_counts = tuple(sizes[k] for k in range(max(sizes, default=-1) + 1))
+        return self._f_counts
 
     def is_pure(self) -> bool:
         sizes = {m.bit_count() for m in self._compute_facet_masks()}

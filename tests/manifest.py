@@ -2,7 +2,8 @@
 
 Runs ``cli.main`` in process over a fixed set of invocations and records a
 digest of (exit code, stdout, stderr) for each: every command for every
-coprime pair with b <= 8, ``duality`` for b = 2..9 and the cap errors.
+coprime pair with b <= 8, ``duality`` for b = 2..9, the cap errors and
+argparse's own exits.
 ``tests/test_manifest.py`` regenerates the digests and names every
 invocation whose output changed.
 
@@ -39,6 +40,17 @@ CAP_ERRORS = [
     (["duality", "--b", "400"], {}),
     (["obstruction", "--a", "20", "--b", "41"], {}),
     (["membership", "--a", "299", "--b", "300", "--face", ""], {}),
+    (["render", "--a", "2", "--b", "100001", "--face", ""], {}),
+]
+
+# argparse exits before any command runs; COLUMNS fixes the usage wrapping
+PARSER_EXITS = [
+    ["--version"],
+    [],
+    ["frobnicate"],
+    ["homology", "--a", "3"],
+    ["build", "--model", "foo", "--a", "3", "--b", "5"],
+    ["fvector", "--a", "x", "--b", "5"],
 ]
 
 
@@ -48,7 +60,10 @@ def _digest(argv: list[str], env: dict[str, str]) -> str:
     out, err = io.StringIO(), io.StringIO()
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main(argv)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code if isinstance(exc.code, int) else 2
     finally:
         for key, value in saved.items():
             if value is None:
@@ -82,6 +97,8 @@ def digests() -> dict[str, str]:
                 call("duality", "--b", str(b))
             for argv, env in CAP_ERRORS:
                 call(*argv, env=env)
+            for argv in PARSER_EXITS:
+                call(*argv, env={"COLUMNS": "80"})
             call("verify", "--cert", "cert-5-8.json", env={"RATASSOC_MAX_B": "7"})
         finally:
             os.chdir(here)

@@ -1,7 +1,7 @@
 """``cli.main(argv)`` contract: certificate round trips, tampered and
 malformed certificates, homology, duality, f-vectors and built models
-against the closed forms, the obstruction graph in every format, caps and
-byte-stable output."""
+against the closed forms, the obstruction graph in every format, caps,
+byte-stable output and one argument parser for every call."""
 
 from __future__ import annotations
 
@@ -21,7 +21,11 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
-    code = cli.main(list(argv))
+    """``cli.main(argv)`` and what it printed; an argparse exit gives its code."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -200,6 +204,8 @@ def test_collapse_and_duality_honour_caps(capsys, monkeypatch, argv, env):
         (["obstruction", "--a", "20", "--b", "41"], {}, cli, "build_obstruction_graph"),
         # membership builds no model either; its laser table grows as b^2
         (["membership", "--a", "299", "--b", "300", "--face", ""], {}, cli, "parse_face"),
+        # the drawing grows with b
+        (["render", "--a", "2", "--b", "100001", "--face", ""], {}, cli, "parse_face"),
     ],
 )
 def test_caps_refuse_before_the_work(capsys, monkeypatch, argv, env, module, name):
@@ -342,3 +348,38 @@ def test_each_model_is_built_and_reduced_once(capsys, monkeypatch):
     argv = ["homology", "--a", "5", "--b", "8", "--model", "hat", "--field", "both"]
     assert run(capsys, *argv)[0] == cli.EXIT_OK
     assert len(reduced) == 1
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    """The first call builds the parser and later calls reuse it: a usage
+    error, ``--version`` and a command print what a freshly built parser
+    prints, and a handler's collaborator rebound after the first call still
+    takes effect."""
+    calls = [["homology", "--a", "3"], ["--version"], ["homology", "--a", "3", "--b", "5"]]
+    monkeypatch.setenv("COLUMNS", "80")
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(run(capsys, *argv))
+    assert [code for code, _, _ in fresh] == [cli.EXIT_USAGE, cli.EXIT_OK, cli.EXIT_OK]
+
+    built, build_parser = [], cli.build_parser
+
+    def counting_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_parser)
+    monkeypatch.setattr(cli, "_parser", None)
+    assert [run(capsys, *argv) for argv in calls] == fresh
+    assert len(built) == 1
+
+    models, build_ass = [], cli.build_ass
+
+    def counting_build(a, b, **kwargs):
+        models.append((a, b))
+        return build_ass(a, b, **kwargs)
+
+    monkeypatch.setattr(cli, "build_ass", counting_build)
+    assert run(capsys, *calls[-1]) == fresh[-1]
+    assert models == [(3, 5)] and len(built) == 1

@@ -140,17 +140,21 @@ def test_schedule_and_verification(a, b):
 def test_start_complex_is_collapsed_in_place(a, b):
     """The generator and the replay both take over the start face set; on
     success it holds the terminal faces, and the start complex's cached
-    facets are recomputed from them."""
+    facets and face counts are recomputed from them."""
     start = copy_of(hat(a, b))
     assert start.facets() == hat(a, b).facets()
+    assert start.f_vector_counts() == hat(a, b).f_vector_counts()
     assert verify_certificate(start, ass(a, b), schedule(a, b)).ok
     assert start.mask_set == ass(a, b).mask_set
     assert start.facets() == ass(a, b).facets()
+    assert start.f_vector_counts() == ass(a, b).f_vector_counts()
     start = copy_of(hat(a, b))
-    start.facets()  # fills the facet cache the collapse must drop
+    start.facets()  # fills the caches the collapse must drop
+    start.f_vector_counts()
     collapse_schedule(a, b, hat=start, ass=ass(a, b), graph=obstruction_graph(a, b))
     assert start.mask_set == ass(a, b).mask_set
     assert start.facets() == ass(a, b).facets()
+    assert start.f_vector_counts() == ass(a, b).f_vector_counts()
 
 
 def test_replay_refuses_a_target_that_shares_the_start_face_set():

@@ -86,10 +86,12 @@ def test_reduction_agrees_with_direct_on_random_families(facets):
     cpx = SimplicialComplex(VERTICES, facets)
     direct = {f: betti_numbers(cpx, f, method="direct").values for f in ("gf2", "q")}
     assert betti_numbers(cpx, "gf2").values == direct["gf2"]
-    reduced = cpx._reduced
-    # the second field reuses the reduction; a fresh object gives the same
+    reduced, counts = cpx._reduced, cpx._f_counts
+    # the second field reuses the reduction and the face counts; a fresh
+    # object gives the same
     assert betti_numbers(cpx, "q").values == direct["q"]
-    assert cpx._reduced is reduced
+    assert counts is not None
+    assert cpx._reduced is reduced and cpx._f_counts is counts
     assert betti_numbers(SimplicialComplex(VERTICES, facets), "q").values == direct["q"]
     if facets and facets[0]:
         smaller = cpx.deletion([sorted(facets[0], key=Diagonal.key)[:1]])
