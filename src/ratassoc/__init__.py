@@ -25,10 +25,8 @@ from .complexes import (
     SimplicialComplex,
     build_ass,
     build_hat_ass,
-    deletion,
     f_vector,
     face_text,
-    h_vector,
     is_flag,
     parse_face,
     rational_catalan,
@@ -76,7 +74,6 @@ from .obstruction import (
     ObstructionEdge,
     ObstructionGraph,
     build_obstruction_graph,
-    component,
     crossing_indices,
     edge_order,
     half_wedge_completion,
@@ -84,7 +81,6 @@ from .obstruction import (
 )
 from .polygon import (
     Diagonal,
-    RemainderSet,
     all_admissible_diagonals,
     crosses,
     is_admissible,

@@ -28,13 +28,14 @@ removes::
     stage = {"r": r, "q": q, "cone": [i, j], "target": [[i, j], ...], "pairs": n}
 
 with one stage per batch in schedule order: ``r`` and ``q`` locate it (see
-:class:`StageRecord`; the verifier does not check them), ``cone`` is the
-cone diagonal c, ``target`` the face T whose containing faces it removes
-and ``pairs`` the number of pairs.  :func:`verify_certificate` expands a
-stage with its own code into the pairs (F', F' + c), one for every current
-face F' containing T and avoiding c: T must be present and avoid c, there
-must be exactly ``pairs`` pairs and they must pass the checked pass; then
-the terminal face set must equal the lattice-path model.
+:class:`StageRecord`), ``cone`` is the cone diagonal c, ``target`` the
+face T whose containing faces it removes and ``pairs`` the number of
+pairs.  :func:`verify_certificate` expands a stage with its own code into
+the pairs (F', F' + c), one for every current face F' containing T and
+avoiding c: T must be present and avoid c, there must be exactly ``pairs``
+pairs and they must pass the checked pass; then the terminal face set must
+equal the lattice-path model, and the labels must fit the obstruction
+edges, read off the two models' 1-skeletons (:meth:`StageReplay.check_labels`).
 
 :func:`collapse_schedule` and :func:`verify_certificate` collapse the start
 complex's face set in place; a caller that still needs it passes a copy.
@@ -46,8 +47,9 @@ faces are exactly the difference of the two models, matched in pairs.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .complexes import (
     DEFAULT_MAX_B,
@@ -73,7 +75,7 @@ from .obstruction import (
     half_wedge_completion,
     wedge_completion,
 )
-from .polygon import Diagonal, all_admissible_diagonals, check_slope_pair
+from .polygon import Diagonal, admissible_by_ends, all_admissible_diagonals, check_slope_pair
 
 SCHEMA = 2
 _STAGE_KEYS = frozenset(("r", "q", "cone", "target", "pairs"))
@@ -92,7 +94,8 @@ class StageRecord:
     r = N down to 1); ``q`` counts the crossing-face batches 1..p, with
     q = p+1 the closing batch for the edge itself; ``target`` is the face
     whose containing faces the batch removes, and ``n_steps`` the number
-    of pairs it removes.  The verifier does not check ``r`` and ``q``.
+    of pairs it removes.  The verifier checks ``r`` and ``q`` against the
+    obstruction edges it derives itself (:meth:`StageReplay.check_labels`).
     """
 
     r: int
@@ -164,8 +167,7 @@ class CollapseCertificate:
         _require(type(a) is int and type(b) is int, "a and b must be integers")
         check_slope_pair(a, b)
         guard_b(b, max_b)
-        ground = all_admissible_diagonals(a, b)
-        by_ends = {(d.i, d.j): d for d in ground}
+        by_ends = admissible_by_ends(a, b)
         _require(isinstance(steps, list), '"steps" must be a list of stages')
 
         def diagonal(value, where: str) -> Diagonal:
@@ -190,7 +192,7 @@ class CollapseCertificate:
             face = frozenset(diagonal(v, where) for v in target)
             _require(len(face) == len(target), f"{where}: target repeats a diagonal")
             stages.append(StageRecord(r, q, diagonal(st["cone"], where), face, n))
-        return cls(a, b, ground, tuple(stages))
+        return cls(a, b, all_admissible_diagonals(a, b), tuple(stages))
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
@@ -271,8 +273,7 @@ def collapse_schedule(
     check_slope_pair(a, b)
     ground = hat.ground
     bit = hat._bit
-    current = hat.mask_set
-    hat._facet_masks = hat._f_counts = hat._reduced = None  # all go stale as current shrinks
+    current = hat.shrinking_mask_set()
     stages: list[StageRecord] = []
 
     compat = compatibility_masks(ground)
@@ -346,8 +347,7 @@ class StageReplay:
     ):
         if start.ground != cert.ground:
             raise ValueError("certificate ground set does not match the start complex")
-        self.masks = start.mask_set
-        start._facet_masks = start._f_counts = start._reduced = None  # all go stale as masks shrink
+        self.masks = start.shrinking_mask_set()
         self.steps_applied = 0
         self.exhaustive = exhaustive
         self._bit = {d: 1 << i for i, d in enumerate(start.ground)}
@@ -426,6 +426,38 @@ class StageReplay:
                 return k, reason
         return None
 
+    def check_labels(self, stages: Sequence[StageRecord]) -> tuple[int, str] | None:
+        """Check each stage's (r, q), once the replay has ended on the target,
+        against the obstruction edges: the start complex's 1-skeleton edges
+        missing now, in ascending (lesser, greater) ground order.  Edge r must
+        lie in the stage target, the batches of each r must be q = 1..m, and
+        exactly batch m must target the edge itself.  Returns the first
+        failing stage's index and reason, whatever the stage order, or None.
+
+        Every edge then has a closing batch: the replay removed it, so some
+        stage target lies in it, and holds its own edge r, so is that edge.
+        """
+        end = skeleton_adjacency(self.masks, len(self._adj))
+        edges = [
+            low | high
+            for p, low in enumerate(self._adj)
+            for high in bits_of(self._adj[low] & ~end[p] & -(low << 1))
+        ]
+        batches = Counter(stage.r for stage in stages)
+        labels = Counter((stage.r, stage.q) for stage in stages)
+        for k, stage in enumerate(stages):
+            r, q, m = stage.r, stage.q, batches[stage.r]
+            if not 1 <= r <= len(edges):
+                return k, "stage r is not an obstruction edge index"
+            edge, target = edges[r - 1], sum(self._bit[d] for d in stage.target)
+            if target & edge != edge:
+                return k, "stage target lacks its obstruction edge"
+            if not 1 <= q <= m or labels[r, q] > 1:
+                return k, "stage q labels of an edge are not 1..m"
+            if (q == m) != (target == edge):
+                return k, "exactly the last batch of an edge targets the edge itself"
+        return None
+
 
 def verify_certificate(
     start: SimplicialComplex,
@@ -443,6 +475,8 @@ def verify_certificate(
     containing the target may be left after the stage.  The terminal face
     set must equal ``target``.  Stops at the first rejected stage, leaving
     ``start`` partly collapsed; on success it holds the terminal faces.
+    Then each stage's (r, q) must fit the obstruction edges, the 1-skeleton
+    edges of ``start`` missing from ``target`` (:meth:`StageReplay.check_labels`).
     """
     if start.mask_set is target.mask_set:
         raise ValueError("start and target share one face set, which the replay consumes")
@@ -451,6 +485,8 @@ def verify_certificate(
     matched = replay.masks == target.mask_set
     if failure is None and not matched:
         failure = (len(cert.stages), "terminal face set differs from target")
+    if failure is None:
+        failure = replay.check_labels(cert.stages)
     index, reason = failure or (None, None)
     return VerificationReport(
         failure is None, replay.steps_applied, index, reason, len(replay.masks), matched

@@ -32,8 +32,6 @@ from .polygon import (
 DEFAULT_FACE_CAP = 10**7
 DEFAULT_MAX_B = 14
 
-Face = frozenset  # faces travel as frozensets of Diagonal
-
 
 def guard_b(b: int, max_b: int) -> None:
     """Refuse a width b over the size guard ``max_b``."""
@@ -78,7 +76,8 @@ class SimplicialComplex:
     The ground set is canonically sorted at construction; every face is a
     bitmask over that order.  Instances behave as immutable values, except
     that ``collapse_schedule`` and ``verify_certificate`` collapse the face
-    set of the start complex they are given in place.
+    set of the start complex they are given in place, through
+    :meth:`shrinking_mask_set`.
     """
 
     __slots__ = ("ground", "a", "b", "_bit", "_masks", "_facet_masks", "_f_counts", "_reduced")
@@ -91,38 +90,32 @@ class SimplicialComplex:
         b: int | None = None,
     ):
         ground_sorted = tuple(sorted(set(ground), key=lambda d: d.key()))
-        self.ground = ground_sorted
-        self.a = a
-        self.b = b if b is not None else (ground_sorted[0].b if ground_sorted else None)
-        self._bit = {d: 1 << i for i, d in enumerate(ground_sorted)}
-        masks = set()
-        for face in faces:
-            masks.add(self._mask_of(face))
-        self._masks = _downward_closure(masks)
-        self._facet_masks: list[int] | None = None
-        self._f_counts: tuple[int, ...] | None = None  # filled by f_vector_counts
-        self._reduced: set[int] | None = None  # filled by homology.betti_numbers
+        b = b if b is not None else (ground_sorted[0].b if ground_sorted else None)
+        self._adopt(ground_sorted, set(), a, b)
+        self._masks = _downward_closure({self._mask_of(face) for face in faces})
 
     @classmethod
     def _trusted(
         cls,
         ground: tuple[Diagonal, ...],
-        bit: dict[Diagonal, int],
         masks: set[int],
         a: int | None,
         b: int | None,
+        maximal: Iterable[int] | None = None,
     ) -> "SimplicialComplex":
-        """Internal constructor for mask sets already closed downward."""
+        """Internal constructor for mask sets already closed downward, over a
+        canonically sorted ground set; ``maximal``, when the caller already
+        has them, are the maximal masks."""
         self = object.__new__(cls)
-        self.ground = ground
-        self.a = a
-        self.b = b
-        self._bit = bit
-        self._masks = masks
-        self._facet_masks = None
-        self._f_counts = None
-        self._reduced = None
+        self._adopt(ground, masks, a, b)
+        if maximal is not None:
+            self._facet_masks = sorted(maximal, key=lambda m: (m.bit_count(), m))
         return self
+
+    def _adopt(self, ground: tuple[Diagonal, ...], masks: set[int], a: int | None, b: int | None):
+        self.ground, self.a, self.b, self._masks = ground, a, b, masks
+        self._bit = {d: 1 << i for i, d in enumerate(ground)}
+        self.shrinking_mask_set()
 
     def _mask_of(self, face: Iterable[Diagonal]) -> int:
         m = 0
@@ -161,7 +154,15 @@ class SimplicialComplex:
 
     @property
     def mask_set(self) -> set[int]:
-        """The internal mask set.  Only the collapse and the replay mutate it."""
+        """The internal mask set, not to be mutated: see :meth:`shrinking_mask_set`."""
+        return self._masks
+
+    def shrinking_mask_set(self) -> set[int]:
+        """The internal mask set, handed out for the collapse and the replay
+        to remove faces from in place.  Drops everything derived from it,
+        which would go stale: the facets, the f-vector and the cells that
+        ``homology.betti_numbers`` keeps."""
+        self._facet_masks = self._f_counts = self._reduced = None
         return self._masks
 
     def _compute_facet_masks(self) -> list[int]:
@@ -207,7 +208,7 @@ class SimplicialComplex:
         kept = {
             m for m in self._masks if not any(m & am == am for am in avoid_masks)
         }
-        return SimplicialComplex._trusted(self.ground, self._bit, kept, self.a, self.b)
+        return SimplicialComplex._trusted(self.ground, kept, self.a, self.b)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
@@ -289,11 +290,6 @@ def _downward_closure(masks: set[int]) -> set[int]:
                 stack.append(sub)
     closed.add(0)
     return closed
-
-
-def deletion(cpx: SimplicialComplex, avoid: Iterable[Iterable[Diagonal]]) -> SimplicialComplex:
-    """Module-level alias for :meth:`SimplicialComplex.deletion`."""
-    return cpx.deletion(avoid)
 
 
 # -- builders -------------------------------------------------------------
@@ -381,10 +377,7 @@ def build_hat_ass(
     ):
         raise CapExceededError(f"{what} exceeds the face cap {max_faces}")
     masks, maximal = clique_complex(compat, vertices, max_faces, what)
-    bit = {d: 1 << i for i, d in enumerate(ground)}
-    cpx = SimplicialComplex._trusted(ground, bit, masks, a, b)
-    cpx._facet_masks = sorted(maximal, key=lambda m: (m.bit_count(), m))
-    return cpx
+    return SimplicialComplex._trusted(ground, masks, a, b, maximal)
 
 
 def build_ass(
@@ -419,9 +412,7 @@ def build_ass(
     masks, maximal = clique_complex(adj, vertices, max_faces, f"lattice-path model of ({a},{b})")
     if set(maximal) != facet_masks:
         raise InvariantViolationError(f"({a},{b}): skeleton cliques are not the Dyck facets")
-    cpx = SimplicialComplex._trusted(ground, bit, masks, a, b)
-    cpx._facet_masks = sorted(maximal, key=lambda m: (m.bit_count(), m))  # ints shared with masks
-    return cpx
+    return SimplicialComplex._trusted(ground, masks, a, b, maximal)  # ints shared with masks
 
 
 # -- counting -------------------------------------------------------------
@@ -494,11 +485,6 @@ class FHVector:
 
 def f_vector(cpx: SimplicialComplex) -> FHVector:
     """Face counts by dimension (with the h part alongside)."""
-    return FHVector.of(cpx)
-
-
-def h_vector(cpx: SimplicialComplex) -> FHVector:
-    """Alias of :func:`f_vector`; both parts live on the same object."""
     return FHVector.of(cpx)
 
 

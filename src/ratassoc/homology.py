@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, gcd
 
-from .complexes import SimplicialComplex, bits_of, clique_tree, skeleton_adjacency
-from .errors import InvariantViolationError, NonIntegralError
+from .complexes import SimplicialComplex, _exact_div, bits_of, clique_tree, skeleton_adjacency
+from .errors import InvariantViolationError
 from .polygon import all_admissible_diagonals, all_diagonals, check_slope_pair
 
 FIELDS = ("gf2", "q")
@@ -138,9 +138,7 @@ class BoundaryMatrix:
                 lead = min(col)
                 piv = pivots.get(lead)
                 if piv is None:
-                    g = 0
-                    for c in col.values():
-                        g = gcd(g, c)
+                    g = gcd(*col.values())
                     pivots[lead] = {r: c // g for r, c in col.items()}
                     rank += 1
                     break
@@ -154,9 +152,7 @@ class BoundaryMatrix:
                     merged[r] = merged.get(r, 0) - c * t
                 col = {r: c for r, c in merged.items() if c}
                 if col:
-                    g = 0
-                    for c in col.values():
-                        g = gcd(g, c)
+                    g = gcd(*col.values())
                     if g > 1:
                         col = {r: c // g for r, c in col.items()}
         return rank
@@ -189,7 +185,6 @@ def _check_dd_zero(by_dim: dict[int, list[int]], mats: dict[int, BoundaryMatrix]
         lower = mats.get(k - 1)
         if lower is None or not mat.columns:
             continue
-        rows_lower = by_dim.get(k - 1, [])
         for col in mat.columns:
             acc: dict[int, int] = {}
             for r, c in col:
@@ -262,10 +257,7 @@ class WedgeReport:
 
 def _sphere_count(a: int, b: int) -> int:
     """C(b, a)/b, the number of spheres in the wedge."""
-    expected, rem = divmod(comb(b, a), b)
-    if rem:
-        raise NonIntegralError(f"C({b},{a}) is not divisible by {b}")
-    return expected
+    return _exact_div(comb(b, a), b, f"C({b},{a})/{b}")
 
 
 def check_wedge(a: int, b: int, *, ass: SimplicialComplex) -> WedgeReport:

@@ -14,10 +14,10 @@ an east step.  If the source has x-coordinate i and the east step's right
 endpoint has x-coordinate k, the laser contributes the diagonal i-k of the
 polygon with points 0..b.
 
-``facet_of`` reads each laser's diagonal from a table built once per pair,
-which maps (i, k) to the ground diagonal i-k, and checks the facet with
-two masks of polygon points (see there); only a failed check builds the
-diagonals afresh, to name the witness.
+``facet_of`` reads each laser's diagonal i-k from the pair's table of
+admissible diagonals by their ends, ``polygon.admissible_by_ends``, and
+checks the facet with two masks of polygon points (see there); only a
+failed check builds the diagonals afresh, to name the witness.
 
 Every slope comparison is done by integer cross multiplication.  No
 floating point enters any predicate in this module.
@@ -26,11 +26,10 @@ floating point enters any predicate in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple, NoReturn, Sequence
 
 from .errors import InvalidSourceError, InvariantViolationError
-from .polygon import Diagonal, all_admissible_diagonals, check_slope_pair, crosses, is_admissible
+from .polygon import Diagonal, admissible_by_ends, check_slope_pair, crosses, is_admissible
 
 
 class LatticePoint(NamedTuple):
@@ -199,12 +198,6 @@ def laser_diagonal(path: DyckPath, source: LatticePoint) -> Diagonal:
     return d
 
 
-@lru_cache(maxsize=None)
-def _laser_table(a: int, b: int) -> dict[tuple[int, int], Diagonal]:
-    """Each admissible diagonal i-k of the pair, keyed by (i, k)."""
-    return {(d.i, d.j): d for d in all_admissible_diagonals(a, b)}
-
-
 def facet_of(path: DyckPath) -> frozenset[Diagonal]:
     """Laser diagonals from every non-origin north-step bottom of the path.
 
@@ -212,14 +205,14 @@ def facet_of(path: DyckPath) -> frozenset[Diagonal]:
     the ground objects of ``all_admissible_diagonals``.  Lasers fire from
     rows 1..a-1 in turn, so their start columns never decrease, and two
     diagonals from one column never cross.  Each laser i-k is therefore
-    checked against two masks of polygon points: a miss in the laser table
-    is a laser off the admissible set, k among the ends already fired from
-    column i is a repeat, and an end of a diagonal from a column left of i
-    strictly between i and k is a crossing.  Only a failure builds the
-    diagonals anew, to name the witness.
+    checked against two masks of polygon points: a miss in the table of
+    admissible diagonals is a laser off the admissible set, k among the
+    ends already fired from column i is a repeat, and an end of a diagonal
+    from a column left of i strictly between i and k is a crossing.  Only
+    a failure builds the diagonals anew, to name the witness.
     """
     a, b, xs = path.a, path.b, path.xs
-    table = _laser_table(a, b)
+    table = admissible_by_ends(a, b)
     face, column, left_ends, ends = [], 0, 0, 0
     for y in range(1, a):
         i = xs[y]

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .complexes import face_text
 from .errors import InvariantViolationError
 from .lattice import DyckPath, _laser_hit, facet_of, laser_diagonal, valleys
 from .polygon import Diagonal, check_hat_face, check_slope_pair
@@ -82,13 +83,9 @@ def valley_path(face: Iterable[Diagonal], a: int, b: int) -> MembershipResult:
     for p in valleys(path):
         if laser_diagonal(path, p) not in face:
             raise InvariantViolationError(
-                f"valley {p} of {path.word} fires a laser outside {face_text_or_empty(face)}"
+                f"valley {p} of {path.word} fires a laser outside {{{face_text(face)}}}"
             )
     return MembershipResult(path, None)
-
-
-def face_text_or_empty(face: frozenset[Diagonal]) -> str:
-    return "{" + ", ".join(sorted(d.text() for d in face)) + "}"
 
 
 def is_face_of_ass(face: Iterable[Diagonal], a: int, b: int) -> bool:

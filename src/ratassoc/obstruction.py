@@ -20,10 +20,10 @@ from .errors import AdmissibilityViolatedError, InvariantViolationError
 from .membership import is_face_of_ass
 from .polygon import (
     Diagonal,
+    admissible_by_ends,
     all_admissible_diagonals,
     check_slope_pair,
     crosses,
-    is_admissible,
 )
 
 
@@ -150,11 +150,6 @@ def build_obstruction_graph(a: int, b: int) -> ObstructionGraph:
     return ObstructionGraph(a, b, vertices, tuple(edges))
 
 
-def component(graph: ObstructionGraph, m: int) -> ObstructionGraph:
-    """Module-level alias for :meth:`ObstructionGraph.component`."""
-    return graph.component(m)
-
-
 def wedge_completion(edge: ObstructionEdge) -> Diagonal:
     """For an obstructing wedge {i-k, j-k}, the closing chord i-j.
 
@@ -162,14 +157,11 @@ def wedge_completion(edge: ObstructionEdge) -> Diagonal:
     here means the caller handed in a non-edge or hit an internal bug.
     """
     i, j = edge.lesser.i, edge.greater.i
-    try:
-        d = Diagonal(i, j, edge.b)
-    except ValueError as exc:
+    d = admissible_by_ends(edge.a, edge.b).get((i, j))
+    if d is None:
         raise AdmissibilityViolatedError(
-            f"completion {i}-{j} of {edge} is not a diagonal"
-        ) from exc
-    if not is_admissible(d, edge.a, edge.b):
-        raise AdmissibilityViolatedError(f"completion {d} of {edge} is not admissible")
+            f"completion {i}-{j} of {edge} is not an admissible diagonal"
+        )
     return d
 
 
@@ -177,18 +169,11 @@ def crossing_indices(edge: ObstructionEdge, graph: ObstructionGraph) -> list[int
     """Indices s strictly between the lesser endpoints such that s-k is
     admissible and {s-k, j-k} is not an edge of the graph; increasing."""
     i, j, k = edge.lesser.i, edge.greater.i, edge.apex
-    out = []
-    for s in range(i + 1, j):
-        try:
-            sk = Diagonal(s, k, edge.b)
-        except ValueError:
-            continue
-        if not is_admissible(sk, edge.a, edge.b):
-            continue
-        if graph.has_edge(sk, edge.greater):
-            continue
-        out.append(s)
-    return out
+    by_ends = admissible_by_ends(edge.a, edge.b)
+    return [
+        s for s in range(i + 1, j)
+        if (s, k) in by_ends and not graph.has_edge(by_ends[s, k], edge.greater)
+    ]
 
 
 def half_wedge_completion(edge: ObstructionEdge, s: int, graph: ObstructionGraph) -> Diagonal:
@@ -196,17 +181,15 @@ def half_wedge_completion(edge: ObstructionEdge, s: int, graph: ObstructionGraph
     i-s, asserted admissible; also asserts that {i-k, s-k} is itself an
     obstructing edge, which the narrower-wedge result guarantees."""
     i, k = edge.lesser.i, edge.apex
-    try:
-        d = Diagonal(i, s, edge.b)
-    except ValueError as exc:
+    by_ends = admissible_by_ends(edge.a, edge.b)
+    d = by_ends.get((i, s))
+    if d is None:
         raise AdmissibilityViolatedError(
-            f"half completion {i}-{s} of {edge} is not a diagonal"
-        ) from exc
-    if not is_admissible(d, edge.a, edge.b):
-        raise AdmissibilityViolatedError(f"half completion {d} of {edge} is not admissible")
-    sk = Diagonal(s, k, edge.b)
-    if not graph.has_edge(edge.lesser, sk):
+            f"half completion {i}-{s} of {edge} is not an admissible diagonal"
+        )
+    sk = by_ends.get((s, k))
+    if sk is None or not graph.has_edge(edge.lesser, sk):
         raise AdmissibilityViolatedError(
-            f"expected {{{edge.lesser.text()}, {sk.text()}}} to be an obstructing edge"
+            f"expected {{{edge.lesser.text()}, {s}-{k}}} to be an obstructing edge"
         )
     return d

@@ -6,6 +6,10 @@ and (0, b) are sides, not diagonals.  For a coprime pair a < b, a diagonal
 is admissible when the two boundary arcs it separates both have point
 counts in the remainder set S(a, b) = {floor(i*b/a) : 1 <= i <= a-1}.
 
+``admissible_by_ends`` is the one lookup of an admissible diagonal by its
+ends, built once per pair: the laser facets, the obstruction-graph
+completions and the certificate reader all go through it.
+
 All predicates here are exact integer computations.
 """
 
@@ -63,21 +67,9 @@ class Diagonal:
         return cls(int(left), int(right), b)
 
 
-@dataclass(frozen=True)
-class RemainderSet:
-    """The admissible arc sizes S(a, b) for a coprime pair a < b."""
-
-    a: int
-    b: int
-    members: frozenset[int]
-
-    def __contains__(self, n: int) -> bool:
-        return n in self.members
-
-
 @lru_cache(maxsize=None)
-def remainder_set(a: int, b: int) -> RemainderSet:
-    """Return S(a, b) = {floor(i*b/a) : i = 1..a-1}.
+def remainder_set(a: int, b: int) -> frozenset[int]:
+    """Return S(a, b) = {floor(i*b/a) : i = 1..a-1}, the admissible arc sizes.
 
     Coprimality makes the a-1 floor values pairwise distinct.
     """
@@ -85,32 +77,17 @@ def remainder_set(a: int, b: int) -> RemainderSet:
     members = frozenset(i * b // a for i in range(1, a))
     if len(members) != a - 1:
         raise NotCoprimeError(f"S({a},{b}) collapsed; pair cannot be coprime")
-    return RemainderSet(a, b, members)
+    return members
 
 
 def is_admissible(d: Diagonal, a: int, b: int) -> bool:
     """True when both boundary arcs cut off by ``d`` have sizes in S(a, b)."""
     if d.b != b:
         raise ValueError(f"diagonal {d} lives on b={d.b}, not b={b}")
-    s = remainder_set(a, b).members
+    s = remainder_set(a, b)
     inner = d.j - d.i - 1
     outer = b - 1 - inner
     return inner in s and outer in s
-
-
-@lru_cache(maxsize=None)
-def all_admissible_diagonals(a: int, b: int) -> tuple[Diagonal, ...]:
-    """Every admissible diagonal exactly once, ordered by (j, i)."""
-    check_slope_pair(a, b)
-    out = []
-    for j in range(2, b + 1):
-        for i in range(0, j - 1):
-            if (i, j) == (0, b):
-                continue
-            d = Diagonal(i, j, b)
-            if is_admissible(d, a, b):
-                out.append(d)
-    return tuple(out)
 
 
 def all_diagonals(b: int) -> tuple[Diagonal, ...]:
@@ -121,6 +98,21 @@ def all_diagonals(b: int) -> tuple[Diagonal, ...]:
             if (i, j) != (0, b):
                 out.append(Diagonal(i, j, b))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def all_admissible_diagonals(a: int, b: int) -> tuple[Diagonal, ...]:
+    """Every admissible diagonal exactly once, ordered by (j, i)."""
+    check_slope_pair(a, b)
+    return tuple(d for d in all_diagonals(b) if is_admissible(d, a, b))
+
+
+@lru_cache(maxsize=None)
+def admissible_by_ends(a: int, b: int) -> dict[tuple[int, int], Diagonal]:
+    """Each admissible diagonal i-j, the object of ``all_admissible_diagonals``,
+    keyed by its ends (i, j); a pair of ends that is missing is no admissible
+    diagonal, or no diagonal at all."""
+    return {(d.i, d.j): d for d in all_admissible_diagonals(a, b)}
 
 
 def crosses(d: Diagonal, e: Diagonal) -> bool:

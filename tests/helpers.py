@@ -55,7 +55,7 @@ def obstruction_graph(a: int, b: int):
 def copy_of(cpx: SimplicialComplex) -> SimplicialComplex:
     """A complex with its own face set, for the collapse and the replay,
     which consume the start complex they are given."""
-    return SimplicialComplex._trusted(cpx.ground, cpx._bit, set(cpx.mask_set), cpx.a, cpx.b)
+    return SimplicialComplex._trusted(cpx.ground, set(cpx.mask_set), cpx.a, cpx.b)
 
 
 @lru_cache(maxsize=None)

@@ -2,8 +2,8 @@
 
 Runs ``cli.main`` in process over a fixed set of invocations and records a
 digest of (exit code, stdout, stderr) for each: every command for every
-coprime pair with b <= 8, ``duality`` for b = 2..9, the cap errors and
-argparse's own exits.
+coprime pair with b <= 8, ``duality`` for b = 2..9, the cap errors,
+argparse's own exits and a (5,8) certificate with a relabeled first stage.
 ``tests/test_manifest.py`` regenerates the digests and names every
 invocation whose output changed.
 
@@ -100,6 +100,10 @@ def digests() -> dict[str, str]:
             for argv in PARSER_EXITS:
                 call(*argv, env={"COLUMNS": "80"})
             call("verify", "--cert", "cert-5-8.json", env={"RATASSOC_MAX_B": "7"})
+            doc = json.loads(Path("cert-5-8.json").read_text(encoding="utf-8"))
+            doc["steps"][0].update(r=99, q=7)  # the collapse stays valid, the label does not
+            Path("relabeled-5-8.json").write_text(json.dumps(doc), encoding="utf-8")
+            call("verify", "--cert", "relabeled-5-8.json")
         finally:
             os.chdir(here)
     return result

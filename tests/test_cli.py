@@ -94,8 +94,13 @@ def _pairs_down(doc):
     doc["steps"][0]["pairs"] -= 1
 
 
+def _relabeled(doc):
+    # a valid collapse whose first stage claims an edge index out of range
+    doc["steps"][0].update(r=99, q=7)
+
+
 @pytest.mark.parametrize(
-    "tamper", [_drop_first, _wrong_cone, _wrong_target, _pairs_up, _pairs_down]
+    "tamper", [_drop_first, _wrong_cone, _wrong_target, _pairs_up, _pairs_down, _relabeled]
 )
 def test_tampered_certificate_exits_1(tmp_path, capsys, tamper):
     doc = json.loads(emit(tmp_path, capsys, 5, 8).read_text())

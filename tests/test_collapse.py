@@ -274,7 +274,7 @@ def test_schedule_failure_carries_stage_and_face():
     grown = h._mask_of(stage.target | {stage.cone})
     # drop one facet above the first stage's cone extension
     facet = next(m for m in h.mask_set if m & grown == grown and m in h._compute_facet_masks())
-    broken = SimplicialComplex._trusted(h.ground, h._bit, h.mask_set - {facet}, 5, 8)
+    broken = SimplicialComplex._trusted(h.ground, h.mask_set - {facet}, 5, 8)
     with pytest.raises(ScheduleFailedError) as info:
         collapse_schedule(5, 8, hat=broken, ass=ass(5, 8), graph=obstruction_graph(5, 8))
     err = info.value
@@ -291,7 +291,7 @@ def test_exhaustive_freeness_check_fires():
     cpx = SimplicialComplex(ground, [[x, c]])
     bit = cpx._bit
     masks = set(cpx.mask_set) | {bit[x] | bit[c] | bit[y]}
-    family = SimplicialComplex._trusted(cpx.ground, bit, masks, None, 5)
+    family = SimplicialComplex._trusted(cpx.ground, masks, None, 5)
     cert = CollapseCertificate(3, 5, cpx.ground, (StageRecord(1, 1, c, frozenset([x]), 1),))
     report = verify_certificate(copy_of(family), family, cert, exhaustive=True)
     assert not report.ok
@@ -308,6 +308,74 @@ def test_valid_swap_is_accepted_by_both_replays():
     for exhaustive in (False, True):
         start = copy_of(hat(5, 8))
         assert verify_certificate(start, ass(5, 8), swapped, exhaustive=exhaustive).ok
+
+
+def _relabel(stages, k, **changes):
+    stages[k] = replace(stages[k], **changes)
+
+
+def _shift_every_r(stages):
+    stages[:] = [replace(s, r=s.r + 1) for s in stages]
+
+
+def _swap_q_of_edge_8(stages):
+    # (5,8) edge 8 has two batches: the crossing triple (q=1), then the edge
+    assert [(s.r, s.q) for s in stages[1:3]] == [(8, 1), (8, 2)]
+    _relabel(stages, 1, q=2)
+    _relabel(stages, 2, q=1)
+
+
+def _swap_r_of_edges_3_and_2(stages):
+    assert [(s.r, s.q) for s in stages[8:10]] == [(3, 1), (2, 1)]
+    _relabel(stages, 8, r=2)
+    _relabel(stages, 9, r=3)
+
+
+@pytest.mark.parametrize(
+    "relabel,index,reason",
+    [
+        (lambda st: _relabel(st, 0, r=99, q=7), 0, "stage r is not an obstruction edge index"),
+        (lambda st: _relabel(st, 0, r=0), 0, "stage r is not an obstruction edge index"),
+        (_shift_every_r, 0, "stage r is not an obstruction edge index"),
+        (_swap_r_of_edges_3_and_2, 8, "stage target lacks its obstruction edge"),
+        (lambda st: _relabel(st, 2, q=3), 2, "stage q labels of an edge are not 1..m"),
+        (_swap_q_of_edge_8, 1, "exactly the last batch of an edge targets the edge itself"),
+    ],
+    ids=["r99", "r0", "shift-r", "swap-r", "q-gap", "swap-q"],
+)
+def test_stage_labels_must_fit_the_obstruction_edges(relabel, index, reason):
+    """Every stage still collapses as recorded, so the replay and the
+    terminal comparison pass; the (r, q) labels alone are wrong."""
+    cert = schedule(5, 8)
+    stages = list(cert.stages)
+    relabel(stages)
+    relabeled = CollapseCertificate(5, 8, cert.ground, tuple(stages))
+    for exhaustive in (False, True):
+        start = copy_of(hat(5, 8))
+        report = verify_certificate(start, ass(5, 8), relabeled, exhaustive=exhaustive)
+        assert (report.ok, report.failure_index, report.reason) == (False, index, reason)
+        assert report.target_matched and report.steps_applied == cert.n_steps
+
+
+def test_stage_labels_are_checked_against_the_replays_own_edges():
+    """The verifier's obstruction edges, read off the two skeletons, are the
+    obstruction graph's edges in order: a schedule's labels pass, and the
+    stage r = 0 built directly, which ``from_json`` would refuse, does not."""
+    for a, b in coprime_pairs(max_b=9):
+        cert = schedule(a, b)
+        replay = StageReplay(copy_of(hat(a, b)), cert)
+        assert replay.run(cert.stages) is None and replay.masks == ass(a, b).mask_set
+        assert replay.check_labels(cert.stages) is None
+        if cert.stages:
+            zero = (replace(cert.stages[0], r=0),) + cert.stages[1:]
+            assert replay.check_labels(zero) == (0, "stage r is not an obstruction edge index")
+
+
+def test_dropping_every_batch_of_an_edge_is_rejected():
+    cert = schedule(5, 8)
+    stages = tuple(s for s in cert.stages if s.r != 8)
+    dropped = CollapseCertificate(5, 8, cert.ground, stages)
+    assert not verify_certificate(copy_of(hat(5, 8)), ass(5, 8), dropped).ok
 
 
 MUTATION_PAIRS = [(3, 5), (3, 8), (4, 7), (5, 7), (5, 8)]

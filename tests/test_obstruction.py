@@ -12,6 +12,7 @@ from ratassoc import (
     crossing_indices,
     edge_order,
     half_wedge_completion,
+    is_admissible,
     translate,
     wedge_completion,
 )
@@ -85,8 +86,28 @@ def test_wedge_completion_examples():
 
 def test_wedge_completion_guards():
     # {0-5, 1-5} is not an obstructing edge; its completion is a side
-    with pytest.raises(AdmissibilityViolatedError):
+    with pytest.raises(AdmissibilityViolatedError, match="completion 0-1 .* not an admissible"):
         wedge_completion(edge(0, 5, 1, 5))
+    # {1-8, 6-8}'s half completion at s = 2 is the side 1-2
+    with pytest.raises(AdmissibilityViolatedError, match="half completion 1-2 .* not an admissible"):
+        half_wedge_completion(edge(1, 8, 6, 8), 2, obstruction_graph(5, 8))
+
+
+@pytest.mark.parametrize("a,b", coprime_pairs(max_b=10))
+def test_crossing_indices_match_a_brute_force_oracle(a, b):
+    """Each s between the lesser ends with s-k a diagonal, admissible, and
+    not joined to j-k by an edge, found by building the diagonal afresh."""
+    g = obstruction_graph(a, b)
+    for e in g.edges:
+        k, want = e.apex, []
+        for s in range(e.lesser.i + 1, e.greater.i):
+            try:
+                sk = Diagonal(s, k, b)
+            except ValueError:
+                continue
+            if is_admissible(sk, a, b) and not g.has_edge(sk, e.greater):
+                want.append(s)
+        assert crossing_indices(e, g) == want, e
 
 
 def test_crossing_indices_examples():

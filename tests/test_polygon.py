@@ -15,7 +15,7 @@ from ratassoc import (
     remainder_set,
     translate,
 )
-from ratassoc.polygon import all_diagonals
+from ratassoc.polygon import admissible_by_ends, all_diagonals
 
 from helpers import coprime_pairs
 
@@ -35,13 +35,13 @@ def test_diagonal_rejects_sides_and_bad_order():
 
 
 def test_remainder_set_examples():
-    assert remainder_set(3, 5).members == {1, 3}
-    assert remainder_set(5, 8).members == {1, 3, 4, 6}
+    assert remainder_set(3, 5) == {1, 3}
+    assert remainder_set(5, 8) == {1, 3, 4, 6}
 
 
 @pytest.mark.parametrize("a,k", [(2, 1), (3, 2), (4, 3), (5, 1)])
 def test_remainder_set_fuss_pattern(a, k):
-    assert remainder_set(a, k * a + 1).members == {k * i for i in range(1, a)}
+    assert remainder_set(a, k * a + 1) == {k * i for i in range(1, a)}
 
 
 def test_remainder_set_validation():
@@ -115,3 +115,11 @@ def test_admissible_sets_partition_all_diagonals(b):
         dual = set(all_admissible_diagonals(b - a, b))
         assert not mine & dual
         assert mine | dual == everything
+
+
+@pytest.mark.parametrize("a,b", coprime_pairs(max_b=12))
+def test_admissible_by_ends_is_the_admissible_filter_of_all_diagonals(a, b):
+    by_ends = admissible_by_ends(a, b)
+    assert list(by_ends) == [(x.i, x.j) for x in all_diagonals(b) if is_admissible(x, a, b)]
+    assert all(x is y for x, y in zip(by_ends.values(), all_admissible_diagonals(a, b)))
+    assert len(by_ends) == len(all_admissible_diagonals(a, b))
