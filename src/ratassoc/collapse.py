@@ -167,17 +167,17 @@ class CollapseCertificate:
         _require(type(a) is int and type(b) is int, "a and b must be integers")
         check_slope_pair(a, b)
         guard_b(b, max_b)
-        by_ends = admissible_by_ends(a, b)
+        ground, by_ends = all_admissible_diagonals(a, b), admissible_by_ends(a, b)
         _require(isinstance(steps, list), '"steps" must be a list of stages')
 
         def diagonal(value, where: str) -> Diagonal:
             _require(isinstance(value, list) and len(value) == 2
                      and all(type(v) is int for v in value),
                      f"{where}: a diagonal must be a pair [i, j] of integers")
-            d = by_ends.get(tuple(value))
-            _require(d is not None,
+            p = by_ends.get(tuple(value))
+            _require(p is not None,
                      f"{where}: {value[0]}-{value[1]} is not an admissible diagonal of ({a},{b})")
-            return d
+            return ground[p]
 
         stages = []
         for k, st in enumerate(steps):
@@ -192,7 +192,7 @@ class CollapseCertificate:
             face = frozenset(diagonal(v, where) for v in target)
             _require(len(face) == len(target), f"{where}: target repeats a diagonal")
             stages.append(StageRecord(r, q, diagonal(st["cone"], where), face, n))
-        return cls(a, b, all_admissible_diagonals(a, b), tuple(stages))
+        return cls(a, b, ground, tuple(stages))
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"

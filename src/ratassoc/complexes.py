@@ -9,8 +9,9 @@ One kernel, ``clique_complex``, builds both flag models.  ``build_hat_ass``
 gives the noncrossing model, the clique complex of the noncrossing pairs
 of admissible diagonals.  ``build_ass`` gives the lattice-path model, whose
 facets are the laser sets of Dyck paths, as the clique complex of the
-Dyck-facet skeleton, checked.  The second is a subcomplex of the first, pure
-of dimension a-2, with Kirkman/Narayana face counts; the first need not be.
+Dyck-facet skeleton, checked; each facet is a ground mask from
+``lattice.facet_mask``.  The second is a subcomplex of the first, pure of
+dimension a-2, with Kirkman/Narayana face counts; the first need not be.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CapExceededError, InvariantViolationError, NonIntegralError
-from .lattice import enumerate_dyck_paths, facet_of
+from .lattice import enumerate_dyck_paths, facet_mask
 from .polygon import (
     Diagonal,
     all_admissible_diagonals,
@@ -388,18 +389,13 @@ def build_ass(
     max_b: int = DEFAULT_MAX_B,
 ) -> SimplicialComplex:
     """The lattice-path model: the clique complex of the Dyck-facet skeleton,
-    checked.  Its maximal cliques must be the Dyck facets: each face is then
+    checked.  The facets, ground masks from ``facet_mask``, must biject with
+    the Dyck paths and be the skeleton's maximal cliques: each face is then
     a clique and each clique lies in a facet, so the model is flag."""
     ground, predicted = _guarded_ground(a, b, max_b)
     if predicted > max_faces:
         raise CapExceededError(f"({a},{b}) has {predicted} faces, over the cap {max_faces}")
-    bit = {d: 1 << i for i, d in enumerate(ground)}
-    facet_masks = set()
-    for path in enumerate_dyck_paths(a, b):  # Cat(a,b) <= predicted bounds this
-        m = 0
-        for d in facet_of(path):
-            m |= bit[d]
-        facet_masks.add(m)
+    facet_masks = {facet_mask(p) for p in enumerate_dyck_paths(a, b)}  # Cat(a,b) <= predicted
     if len(facet_masks) != rational_catalan(a, b):
         raise InvariantViolationError(
             f"({a},{b}) facets do not biject with Dyck paths: {len(facet_masks)}"
@@ -407,8 +403,11 @@ def build_ass(
     adj, vertices = [0] * len(ground), 0
     for m in facet_masks:
         vertices |= m
-        for p in bit_positions(m):
-            adj[p] |= m ^ (1 << p)
+        rest = m
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            adj[bit.bit_length() - 1] |= m ^ bit
     masks, maximal = clique_complex(adj, vertices, max_faces, f"lattice-path model of ({a},{b})")
     if set(maximal) != facet_masks:
         raise InvariantViolationError(f"({a},{b}): skeleton cliques are not the Dyck facets")

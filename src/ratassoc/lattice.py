@@ -14,10 +14,12 @@ an east step.  If the source has x-coordinate i and the east step's right
 endpoint has x-coordinate k, the laser contributes the diagonal i-k of the
 polygon with points 0..b.
 
-``facet_of`` reads each laser's diagonal i-k from the pair's table of
-admissible diagonals by their ends, ``polygon.admissible_by_ends``, and
-checks the facet with two masks of polygon points (see there); only a
-failed check builds the diagonals afresh, to name the witness.
+One laser loop, ``facet_mask``, reads each laser's diagonal i-k as a
+ground index from the pair's table of admissible diagonals by their ends,
+``polygon.admissible_by_ends``, checks the facet with two masks of polygon
+points (see there) and ORs the index's bit into the facet's mask;
+``facet_of`` decodes that mask.  Only a failed check builds the diagonals
+afresh, to name the witness.
 
 Every slope comparison is done by integer cross multiplication.  No
 floating point enters any predicate in this module.
@@ -29,7 +31,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, NoReturn, Sequence
 
 from .errors import InvalidSourceError, InvariantViolationError
-from .polygon import Diagonal, admissible_by_ends, check_slope_pair, crosses, is_admissible
+from .polygon import Diagonal, admissible_by_ends, all_admissible_diagonals, check_slope_pair
+from .polygon import crosses, is_admissible
 
 
 class LatticePoint(NamedTuple):
@@ -72,6 +75,13 @@ class DyckPath:
                 raise ValueError(f"bad step {step!r} in {w!r}")
         xs.append(east)
         object.__setattr__(self, "xs", tuple(xs))
+
+    @classmethod
+    def _trusted(cls, a: int, b: int, word: str, xs: tuple[int, ...]) -> "DyckPath":
+        """Internal constructor for a word known to be a Dyck path, and its ``xs``."""
+        self = object.__new__(cls)
+        vars(self).update(a=a, b=b, word=word, xs=xs)
+        return self
 
     def __str__(self) -> str:
         return self.word
@@ -117,19 +127,21 @@ def enumerate_dyck_paths(a: int, b: int) -> list[DyckPath]:
     check_slope_pair(a, b)
     # an explicit stack, not a recursive closure: a closure that calls
     # itself is a reference cycle, which would keep every path alive
-    # until the cyclic garbage collector runs
+    # until the cyclic garbage collector runs; each prefix carries its xs,
+    # which gives its north count and then the path's xs unparsed
     out: list[DyckPath] = []
-    stack = [("", 0, 0)]
+    stack = [("", (), 0)]
     while stack:
-        word, north, east = stack.pop()
+        word, xs, east = stack.pop()
+        north = len(xs)
         if north == a and east == b:
-            out.append(DyckPath(a, b, word))
+            out.append(DyckPath._trusted(a, b, word, xs + (b,)))
             continue
         # E is pushed first so that the N branch comes out first
         if east < b and north * b >= (east + 1) * a:
-            stack.append((word + "E", north, east + 1))
+            stack.append((word + "E", xs, east + 1))
         if north < a:
-            stack.append((word + "N", north + 1, east))
+            stack.append((word + "N", xs + (east,), east))
     return out
 
 
@@ -192,43 +204,50 @@ def fire_laser(path: DyckPath, source: LatticePoint) -> LaserHit:
 def laser_diagonal(path: DyckPath, source: LatticePoint) -> Diagonal:
     """The admissible diagonal i-k carved out by the laser from ``source``."""
     hit = fire_laser(path, source)
-    d = Diagonal(hit.source.x, hit.hit_step_right_x, path.b)
-    if not is_admissible(d, path.a, path.b):
+    p = admissible_by_ends(path.a, path.b).get((hit.source.x, hit.hit_step_right_x))
+    if p is None:  # a side of the polygon raises ValueError here
+        d = Diagonal(hit.source.x, hit.hit_step_right_x, path.b)
         raise InvariantViolationError(f"laser diagonal {d} of {path.word} is not admissible")
-    return d
+    return all_admissible_diagonals(path.a, path.b)[p]
 
 
-def facet_of(path: DyckPath) -> frozenset[Diagonal]:
-    """Laser diagonals from every non-origin north-step bottom of the path.
+def facet_mask(path: DyckPath) -> int:
+    """Laser diagonals from every non-origin north-step bottom of the path,
+    as a mask over ``all_admissible_diagonals``.
 
-    The result has exactly a-1 pairwise noncrossing admissible diagonals,
-    the ground objects of ``all_admissible_diagonals``.  Lasers fire from
-    rows 1..a-1 in turn, so their start columns never decrease, and two
-    diagonals from one column never cross.  Each laser i-k is therefore
-    checked against two masks of polygon points: a miss in the table of
-    admissible diagonals is a laser off the admissible set, k among the
-    ends already fired from column i is a repeat, and an end of a diagonal
-    from a column left of i strictly between i and k is a crossing.  Only
-    a failure builds the diagonals anew, to name the witness.
+    The facet has exactly a-1 pairwise noncrossing admissible diagonals.
+    Lasers fire from rows 1..a-1 in turn, so their start columns never
+    decrease, and two diagonals from one column never cross.  Each laser i-k
+    is therefore checked against two masks of polygon points: a miss in the
+    table of admissible diagonals is a laser off the admissible set, k among
+    the ends already fired from column i is a repeat, and an end of a
+    diagonal from a column left of i strictly between i and k is a crossing.
+    Only a failure builds the diagonals anew, to name the witness.
     """
     a, b, xs = path.a, path.b, path.xs
     table = admissible_by_ends(a, b)
-    face, column, left_ends, ends = [], 0, 0, 0
+    mask, column, left_ends, ends = 0, 0, 0, 0
     for y in range(1, a):
         i = xs[y]
         k = _laser_hit(xs, a, b, y)
         if i != column:
             column, left_ends, ends = i, left_ends | ends, 0
-        d = table.get((i, k))
-        if d is None or ends >> k & 1 or left_ends & (1 << k) - (2 << i):
+        p = table.get((i, k))
+        if p is None or ends >> k & 1 or left_ends & (1 << k) - (2 << i):
             _raise_facet_failure(path)
         ends |= 1 << k
-        face.append(d)
-    return frozenset(face)
+        mask |= 1 << p
+    return mask
+
+
+def facet_of(path: DyckPath) -> frozenset[Diagonal]:
+    """The facet of the path as a set of diagonals: ``facet_mask``, decoded."""
+    mask, ground = facet_mask(path), all_admissible_diagonals(path.a, path.b)
+    return frozenset(d for p, d in enumerate(ground) if mask >> p & 1)
 
 
 def _raise_facet_failure(path: DyckPath) -> NoReturn:
-    """Raise the first failed check of ``facet_of`` on fresh diagonals."""
+    """Raise the first failed check of ``facet_mask`` on fresh diagonals."""
     a, b, xs = path.a, path.b, path.xs
     diag = [Diagonal(xs[y], _laser_hit(xs, a, b, y), b) for y in range(1, a)]
     face = frozenset(diag)

@@ -157,22 +157,22 @@ def wedge_completion(edge: ObstructionEdge) -> Diagonal:
     here means the caller handed in a non-edge or hit an internal bug.
     """
     i, j = edge.lesser.i, edge.greater.i
-    d = admissible_by_ends(edge.a, edge.b).get((i, j))
-    if d is None:
+    p = admissible_by_ends(edge.a, edge.b).get((i, j))
+    if p is None:
         raise AdmissibilityViolatedError(
             f"completion {i}-{j} of {edge} is not an admissible diagonal"
         )
-    return d
+    return all_admissible_diagonals(edge.a, edge.b)[p]
 
 
 def crossing_indices(edge: ObstructionEdge, graph: ObstructionGraph) -> list[int]:
     """Indices s strictly between the lesser endpoints such that s-k is
     admissible and {s-k, j-k} is not an edge of the graph; increasing."""
     i, j, k = edge.lesser.i, edge.greater.i, edge.apex
-    by_ends = admissible_by_ends(edge.a, edge.b)
+    ground, by_ends = all_admissible_diagonals(edge.a, edge.b), admissible_by_ends(edge.a, edge.b)
     return [
         s for s in range(i + 1, j)
-        if (s, k) in by_ends and not graph.has_edge(by_ends[s, k], edge.greater)
+        if (s, k) in by_ends and not graph.has_edge(ground[by_ends[s, k]], edge.greater)
     ]
 
 
@@ -181,15 +181,15 @@ def half_wedge_completion(edge: ObstructionEdge, s: int, graph: ObstructionGraph
     i-s, asserted admissible; also asserts that {i-k, s-k} is itself an
     obstructing edge, which the narrower-wedge result guarantees."""
     i, k = edge.lesser.i, edge.apex
-    by_ends = admissible_by_ends(edge.a, edge.b)
-    d = by_ends.get((i, s))
-    if d is None:
+    ground, by_ends = all_admissible_diagonals(edge.a, edge.b), admissible_by_ends(edge.a, edge.b)
+    p = by_ends.get((i, s))
+    if p is None:
         raise AdmissibilityViolatedError(
             f"half completion {i}-{s} of {edge} is not an admissible diagonal"
         )
     sk = by_ends.get((s, k))
-    if sk is None or not graph.has_edge(edge.lesser, sk):
+    if sk is None or not graph.has_edge(edge.lesser, ground[sk]):
         raise AdmissibilityViolatedError(
             f"expected {{{edge.lesser.text()}, {s}-{k}}} to be an obstructing edge"
         )
-    return d
+    return ground[p]

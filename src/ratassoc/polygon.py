@@ -7,8 +7,9 @@ is admissible when the two boundary arcs it separates both have point
 counts in the remainder set S(a, b) = {floor(i*b/a) : 1 <= i <= a-1}.
 
 ``admissible_by_ends`` is the one lookup of an admissible diagonal by its
-ends, built once per pair: the laser facets, the obstruction-graph
-completions and the certificate reader all go through it.
+ends, built once per pair, giving its index in ``all_admissible_diagonals``:
+the laser facets, the obstruction-graph completions and the certificate
+reader all go through it.
 
 All predicates here are exact integer computations.
 """
@@ -108,11 +109,11 @@ def all_admissible_diagonals(a: int, b: int) -> tuple[Diagonal, ...]:
 
 
 @lru_cache(maxsize=None)
-def admissible_by_ends(a: int, b: int) -> dict[tuple[int, int], Diagonal]:
-    """Each admissible diagonal i-j, the object of ``all_admissible_diagonals``,
-    keyed by its ends (i, j); a pair of ends that is missing is no admissible
-    diagonal, or no diagonal at all."""
-    return {(d.i, d.j): d for d in all_admissible_diagonals(a, b)}
+def admissible_by_ends(a: int, b: int) -> dict[tuple[int, int], int]:
+    """The index in ``all_admissible_diagonals`` of each admissible diagonal
+    i-j, keyed by its ends (i, j); a pair of ends that is missing is no
+    admissible diagonal, or no diagonal at all."""
+    return {(d.i, d.j): p for p, d in enumerate(all_admissible_diagonals(a, b))}
 
 
 def crosses(d: Diagonal, e: Diagonal) -> bool:

@@ -159,9 +159,10 @@ def test_a_equal_one_is_the_empty_face(b):
 def test_build_ass_rejects_a_skeleton_with_other_maximal_cliques(monkeypatch):
     # three "facets" that are the edges of a triangle: Cat(2,5) = 3 of them,
     # but the triangle itself is a clique of their skeleton and no facet
-    v03, v14, v25 = d(0, 3), d(1, 4), d(2, 5)
-    edges = iter([{v03, v14}, {v14, v25}, {v03, v25}])
-    monkeypatch.setattr(complexes, "facet_of", lambda path: next(edges))
+    bit = {x: 1 << p for p, x in enumerate(all_admissible_diagonals(2, 5))}
+    v03, v14, v25 = bit[d(0, 3)], bit[d(1, 4)], bit[d(2, 5)]
+    edges = iter([v03 | v14, v14 | v25, v03 | v25])
+    monkeypatch.setattr(complexes, "facet_mask", lambda path: next(edges))
     with pytest.raises(InvariantViolationError, match="not the Dyck facets"):
         build_ass(2, 5)
 

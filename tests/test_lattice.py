@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from ratassoc import (
     Diagonal,
     DyckPath,
+    build_ass,
     InvalidSourceError,
     InvariantViolationError,
     LatticePoint,
     enumerate_dyck_paths,
+    facet_mask,
     facet_of,
     fire_laser,
     laser_diagonal,
@@ -23,7 +25,7 @@ from ratassoc import (
 )
 from ratassoc import lattice
 from ratassoc.lattice import young_contains
-from ratassoc.polygon import is_admissible
+from ratassoc.polygon import admissible_by_ends, is_admissible
 
 from helpers import coprime_pairs, laser_hit_oracle, random_dyck_path
 
@@ -48,6 +50,16 @@ def test_path_validation():
 def test_enumeration_smallest_cases():
     assert [p.word for p in enumerate_dyck_paths(1, 2)] == ["NEE"]
     assert [p.word for p in enumerate_dyck_paths(2, 3)] == ["NNEEE", "NENEE"]
+
+
+@pytest.mark.parametrize("a,b", coprime_pairs(max_b=10))
+def test_enumerated_paths_equal_checked_paths(a, b):
+    """Enumeration builds its paths unchecked; each one is the path the
+    checking constructor builds from the same word."""
+    for path in enumerate_dyck_paths(a, b):
+        checked = DyckPath(a, b, path.word)
+        assert path.word == checked.word and path.xs == checked.xs
+        assert path == checked and hash(path) == hash(checked)
 
 
 def test_enumeration_counts_and_order():
@@ -146,9 +158,11 @@ def test_facet_examples():
 
 
 def test_facets_biject_with_paths():
-    """Every facet is the set of oracle lasers of its path, and distinct
-    paths give distinct facets."""
+    """Every facet is the set of oracle lasers of its path, as diagonals and
+    as a ground mask, and distinct paths give distinct facets."""
     for a, b in coprime_pairs(max_sum=12):
+        by_ends = admissible_by_ends(a, b)
+        mask_of = lambda face: sum(1 << by_ends[x.i, x.j] for x in face)
         paths = enumerate_dyck_paths(a, b)
         facets = {facet_of(p) for p in paths}
         assert len(facets) == len(paths) == rational_catalan(a, b)
@@ -159,6 +173,7 @@ def test_facets_biject_with_paths():
             expect = {Diagonal(p.x, laser_hit_oracle(path, p), b) for p in sources}
             assert len(expect) == a - 1
             assert facet_of(path) == expect
+            assert facet_mask(path) == mask_of(facet_of(path)) == mask_of(expect)
 
 
 _PAIRS = [(3, 5), (5, 8), (4, 7), (7, 10), (5, 12), (7, 12)]
@@ -178,13 +193,24 @@ def test_fire_laser_matches_rational_oracle(pair, seed):
 
 
 def _misfire(monkeypatch, row: int, hit: int) -> None:
-    """Make the laser from row ``row`` of every path end at x = ``hit``."""
+    """Make the laser from row ``row`` of D58 end at x = ``hit``; every other
+    path, and every other row, fires as before."""
     fire = lattice._laser_hit
     monkeypatch.setattr(
-        lattice, "_laser_hit", lambda xs, a, b, y0: hit if y0 == row else fire(xs, a, b, y0)
+        lattice, "_laser_hit",
+        lambda xs, a, b, y0: hit if y0 == row and tuple(xs) == D58.xs else fire(xs, a, b, y0),
     )
 
 
+# every scan that turns D58 into a facet: the laser loop alone, its decoding,
+# and the model builder, which fires it on every (5,8)-path
+_SCANS = pytest.mark.parametrize(
+    "scan", [facet_of, facet_mask, lambda path: build_ass(5, 8)],
+    ids=["facet_of", "facet_mask", "build_ass"],
+)
+
+
+@_SCANS
 @pytest.mark.parametrize(
     "row, hit, message",
     [
@@ -194,14 +220,15 @@ def _misfire(monkeypatch, row: int, hit: int) -> None:
         (4, 8, "facet of NNENNEEENEEEE contains crossing diagonals 0-7, 4-8"),
     ],
 )
-def test_facet_of_names_the_failed_check(monkeypatch, row, hit, message):
+def test_facet_of_names_the_failed_check(monkeypatch, row, hit, message, scan):
     _misfire(monkeypatch, row, hit)
     with pytest.raises(InvariantViolationError) as err:
-        facet_of(D58)
+        scan(D58)
     assert str(err.value) == message
 
 
-def test_facet_of_laser_on_a_side_is_not_a_diagonal(monkeypatch):
+@_SCANS
+def test_facet_of_laser_on_a_side_is_not_a_diagonal(monkeypatch, scan):
     _misfire(monkeypatch, 3, 2)  # 1-2 is a side of the 9-gon
     with pytest.raises(ValueError, match=r"\(1, 2\) is a side"):
-        facet_of(D58)
+        scan(D58)
