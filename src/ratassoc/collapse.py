@@ -13,13 +13,21 @@ Batches come from cone vertices.  When c extends every face containing F
 to another face, the faces containing F pair up as (F', F' + {c}); taking
 pairs largest first, each pair is free at its turn, and the batch realizes
 the deletion of F.  The generator and the verifier each run a batch as one
-checked pass: a walk up from F keeps, for each face of its star, the
-vertices adjacent to all of that face; then, largest F' first, F' + c must
-be present and no other F' + x, x among those vertices, may be; no face of
-the star may be left.  The full schedule walks the obstruction-graph edges
-in descending order; for the edge {i-k, j-k} it first clears the crossing
-triples {i-k, s-k, j-k} (cone vertex i-s) and then the edge itself (cone
-vertex i-j).  The terminal complex must equal the lattice-path model.
+checked pass: a walk up from F carries, for each face of its star, the
+vertices adjacent to all of that face, and buckets the faces avoiding c by
+size; then, largest F' first, F' + c must be present and no other F' + x,
+x among those vertices, may be; no face of the star may be left.  Each
+check runs at its pair's turn, on the faces the earlier pairs left.  The
+two sides order faces of one size differently: the generator in walk
+order, the verifier by mask.  Both orders are fixed, so witnesses and
+failure indices are the same on every run.
+
+The full schedule walks the obstruction-graph edges in descending order;
+for the edge {i-k, j-k} it first clears the crossing triples
+{i-k, s-k, j-k} (cone vertex i-s) and then the edge itself (cone vertex
+i-j).  The terminal complex must equal the lattice-path model; when it
+does not, the failure counts the faces extra and missing and names the
+first differing face, fewest diagonals first.
 
 A certificate (schema 2) stores what fixes each batch, not the pairs it
 removes::
@@ -210,10 +218,13 @@ def _cone_batch(masks: set[int], face_mask: int, cone_bit: int, compat: list[int
 
     ``compat[p]`` must cover every vertex that shares a face with vertex
     ``p``.  The star (every face containing ``face_mask``, complete because
-    ``masks`` is downward closed) is walked once, keeping each face's common
-    neighbours; one checked pass then removes its pairs, largest first (see
-    the module docstring).  Returns the smaller face of each removed pair,
-    in removal order; on error ``masks`` is left partly collapsed.
+    ``masks`` is downward closed) is walked once, each face carrying its
+    common neighbours on the stack; the faces avoiding the cone bit are
+    bucketed by size as the walk finds them.  One checked pass then removes
+    the pairs largest first, ties in walk order, and checks each pair at
+    its turn (see the module docstring).  Returns the smaller face of each
+    removed pair, in removal order; on error ``masks`` is left partly
+    collapsed.
     """
     if face_mask not in masks:
         raise NotAFaceError("the target face is not in the complex", witness=face_mask)
@@ -222,30 +233,47 @@ def _cone_batch(masks: set[int], face_mask: int, cone_bit: int, compat: list[int
     common = (1 << len(compat)) - 1
     for pos in bit_positions(face_mask):
         common &= compat[pos]
-    star = {face_mask: common}
-    stack = [(face_mask, common & ~face_mask)]
+    # lower[k]: (face, common neighbours) of the faces k above the target
+    # that avoid the cone, in walk order
+    lower = [[(face_mask, common)]]
+    n_star = 1
+    stack = [(face_mask, common & ~face_mask, common, 0)]
     while stack:
-        face, cand = stack.pop()
-        for bit in bits_of(cand):
+        face, cand, common, depth = stack.pop()
+        depth += 1
+        if depth == len(lower):
+            lower.append([])
+        bucket = lower[depth]
+        while cand:
+            bit = cand & -cand
             cand ^= bit  # faces above face | bit add only higher vertices
-            if face | bit in masks:
+            child = face | bit
+            if child in masks:
                 row = compat[bit.bit_length() - 1]
-                star[face | bit] = star[face] & row
-                stack.append((face | bit, cand & row))
-    smaller = sorted((m for m in star if not m & cone_bit), key=int.bit_count, reverse=True)
-    for m in smaller:
-        facet = m | cone_bit
-        if facet not in masks:
-            raise NotConeVertexError("cone condition fails: a face has no extension", witness=m)
-        for bit in bits_of(star[m] & ~facet):
-            if m | bit in masks:
-                raise InvariantViolationError(
-                    "a pair is not free: its smaller face has a second cofacet", witness=m
-                )
-        masks.remove(facet)
-        masks.remove(m)
+                shared = common & row
+                n_star += 1
+                if not child & cone_bit:
+                    bucket.append((child, shared))
+                stack.append((child, cand & row, shared, depth))
+    smaller = []
+    for bucket in reversed(lower):
+        for m, common in bucket:
+            facet = m | cone_bit
+            if facet not in masks:
+                raise NotConeVertexError("cone condition fails: a face has no extension", witness=m)
+            rest = common & ~facet
+            while rest:
+                bit = rest & -rest
+                if m | bit in masks:
+                    raise InvariantViolationError(
+                        "a pair is not free: its smaller face has a second cofacet", witness=m
+                    )
+                rest ^= bit
+            masks.remove(facet)
+            masks.remove(m)
+            smaller.append(m)
     # each removed pair lies in the star, so the star is gone iff they cover it
-    if 2 * len(smaller) != len(star):
+    if 2 * len(smaller) != n_star:
         raise InvariantViolationError("cone pairing does not partition the star")
     return smaller
 
@@ -263,9 +291,12 @@ def collapse_schedule(
 
     Obstruction edges are processed strictly in descending edge order; for
     each edge, crossing triples are cleared first (in increasing index
-    order), then the edge itself.  The terminal face set must equal the
-    lattice-path model exactly or ScheduleFailedError is raised, carrying
-    the stage coordinates and, when there is one, the failing face.
+    order), then the edge itself.  A failing stage raises
+    ScheduleFailedError carrying its coordinates and, when there is one,
+    the failing face.  The terminal face set must equal the lattice-path
+    model exactly, or ScheduleFailedError counts the extra and missing
+    faces and carries the first differing face (fewest diagonals, then
+    lowest mask).
 
     ``hat`` is collapsed in place: on return it holds the terminal faces,
     after a failure a partial collapse.
@@ -297,8 +328,12 @@ def collapse_schedule(
             stages.append(StageRecord(r, q, cone, target, len(smaller)))
 
     if current != ass.mask_set:
+        extra, missing = current - ass.mask_set, ass.mask_set - current
+        first = face_text(hat._face_of(min(extra | missing, key=lambda m: (m.bit_count(), m))))
         raise ScheduleFailedError(
-            f"terminal complex has {len(current)} faces, expected {ass.n_faces}"
+            f"terminal complex has {len(current)} faces, expected {ass.n_faces}: "
+            f"{len(extra)} extra, {len(missing)} missing, first at face {first}",
+            face=first,
         )
     return CollapseCertificate(a, b, ground, tuple(stages))
 
@@ -330,12 +365,13 @@ class StageReplay:
 
     Shares no code with the schedule generator.  By default the star of a
     stage target is walked upward through the 1-skeleton of the start
-    complex, keeping for each face the vertices adjacent to all of it, and
-    one checked pass draws each cofacet test's candidates from what the
-    walk kept; both are complete because the start complex is downward
-    closed and removing free pairs keeps it so.  With ``exhaustive``
-    neither relies on that: the star is a scan of every remaining face, and
-    so is each freeness test.
+    complex, each face carrying the vertices adjacent to all of it, and one
+    checked pass draws each cofacet test's candidates from what the walk
+    kept; both are complete because the start complex is downward closed
+    and removing free pairs keeps it so.  With ``exhaustive`` neither
+    relies on that: the star is a scan of every remaining face, and so is
+    each freeness test.  Either way the pairs go largest first, ties by
+    mask, and each check runs at its pair's turn.
     """
 
     def __init__(
@@ -351,29 +387,46 @@ class StageReplay:
         self.steps_applied = 0
         self.exhaustive = exhaustive
         self._bit = {d: 1 << i for i, d in enumerate(start.ground)}
-        adj = skeleton_adjacency(self.masks, len(start.ground))
-        self._adj = {1 << p: row for p, row in enumerate(adj)}
+        # _adj[p]: the start skeleton's neighbours of ground position p
+        self._adj = skeleton_adjacency(self.masks, len(start.ground))
 
-    def _star(self, target: int) -> dict[int, int]:
-        """The faces containing ``target``, each mapped to the vertices
-        outside it adjacent to all of it; in exhaustive mode a scan whose
-        values are unused."""
-        masks, adj = self.masks, self._adj
+    def _star(self, target: int, cone: int) -> tuple[list[list[tuple]], list[int]]:
+        """The faces containing ``target``: those avoiding ``cone`` in
+        buckets by size above the target, each as (face, the vertices outside
+        it adjacent to all of it), and those containing ``cone``.  In
+        exhaustive mode a scan, with None for the unused neighbours."""
+        masks = self.masks
         if self.exhaustive:
-            return dict.fromkeys(m for m in masks if m & target == target)
+            star = [m for m in masks if m & target == target]
+            # one bucket per face, taken last to first: largest first, ties by mask
+            order = sorted((m for m in star if not m & cone), key=lambda m: (m.bit_count(), -m))
+            return [[(m, None)] for m in order], [m for m in star if m & cone]
+        lower, upper = [[]], []
+        adj = self._adj
         common = ~target
-        for x in bits_of(target):
-            common &= adj[x]
-        star = {target: common}
-        stack = [(target, common)]
+        for p in bit_positions(target):
+            common &= adj[p]
+        lower[0].append((target, common))
+        stack = [(target, common, common, 0)]
         while stack:
-            face, cand = stack.pop()
-            for x in bits_of(cand):
+            face, cand, common, depth = stack.pop()
+            depth += 1
+            if depth == len(lower):
+                lower.append([])
+            bucket = lower[depth]
+            while cand:
+                x = cand & -cand
                 cand ^= x  # children of face | x draw only on higher vertices
-                if face | x in masks:
-                    star[face | x] = star[face] & adj[x]
-                    stack.append((face | x, cand & adj[x]))
-        return star
+                child = face | x
+                if child in masks:
+                    row = adj[x.bit_length() - 1]
+                    shared = common & row
+                    if child & cone:
+                        upper.append(child)
+                    else:
+                        bucket.append((child, shared))
+                    stack.append((child, cand & row, shared, depth))
+        return lower, upper
 
     def expand(self, stage: StageRecord) -> str | None:
         """Remove the pairs of ``stage``, checking each at its turn.
@@ -392,28 +445,32 @@ class StageReplay:
             return "stage target missing from current complex"
         if target & cone:
             return "stage target contains its cone"
-        star = self._star(target)
-        lower = sorted(m for m in star if not m & cone)
-        lower.sort(key=int.bit_count, reverse=True)  # largest first, ties by mask
-        if len(lower) != stage.n_steps:
+        lower, upper = self._star(target, cone)
+        if sum(map(len, lower)) != stage.n_steps:
             return "expanded pair count differs from the certificate"
-        for sub in lower:
-            facet = sub | cone
-            if facet not in masks:
-                return "cone extension missing from current complex"
-            if self.exhaustive:
-                if any(m & sub == sub and m != sub and m != facet for m in masks):
-                    return "subface has another proper superface"
-            else:
-                # every cofacet of sub contains the target, so it extends
-                # sub by a vertex the star walk kept as adjacent to all of sub
-                for x in bits_of(star[sub] & ~cone):
-                    if sub | x in masks:
-                        return "subface has another cofacet"
-            masks.remove(facet)
-            masks.remove(sub)
-            self.steps_applied += 1
-        if any(m in masks for m in star):
+        for bucket in reversed(lower):
+            bucket.sort()  # ties by mask; the buckets run largest first
+            for sub, common in bucket:
+                facet = sub | cone
+                if facet not in masks:
+                    return "cone extension missing from current complex"
+                if self.exhaustive:
+                    if any(m & sub == sub and m != sub and m != facet for m in masks):
+                        return "subface has another proper superface"
+                else:
+                    # every cofacet of sub contains the target, so it extends
+                    # sub by a vertex the star walk kept as adjacent to all of sub
+                    rest = common & ~facet
+                    while rest:
+                        x = rest & -rest
+                        if sub | x in masks:
+                            return "subface has another cofacet"
+                        rest ^= x
+                masks.remove(facet)
+                masks.remove(sub)
+                self.steps_applied += 1
+        # every face of the star avoiding the cone was removed as a subface
+        if not masks.isdisjoint(upper):
             return "faces containing the stage target remain"
         return None
 
@@ -439,9 +496,9 @@ class StageReplay:
         """
         end = skeleton_adjacency(self.masks, len(self._adj))
         edges = [
-            low | high
-            for p, low in enumerate(self._adj)
-            for high in bits_of(self._adj[low] & ~end[p] & -(low << 1))
+            1 << p | high
+            for p, row in enumerate(self._adj)
+            for high in bits_of(row & ~end[p] & -(2 << p))
         ]
         batches = Counter(stage.r for stage in stages)
         labels = Counter((stage.r, stage.q) for stage in stages)

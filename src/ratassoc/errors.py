@@ -50,7 +50,9 @@ class NotConeVertexError(RatAssocError):
 class ScheduleFailedError(RatAssocError):
     """The collapse schedule diverged from its expected structure.
 
-    Carries the stage coordinates ``(r, q)`` and the violating face, if any.
+    Carries the stage coordinates ``(r, q)`` and the violating face, if any,
+    written as diagonals; a terminal mismatch has no stage and carries the
+    first face that differs.
     """
 
     def __init__(self, message: str, r=None, q=None, face=None):

@@ -22,6 +22,7 @@ from ratassoc import (
     verify_certificate,
 )
 from ratassoc.collapse import _cone_batch
+from ratassoc.polygon import compatibility_masks
 
 from helpers import ass, copy_of, coprime_pairs, hat, is_fuss, obstruction_graph, schedule
 
@@ -90,6 +91,19 @@ def test_cone_batch_errors_carry_the_face_not_hex():
         _cone_batch(set(masks), 0b0100, 0b0010, everything)
     assert info.value.witness == 0b0100
     assert "0x" not in str(info.value)
+
+
+def test_cone_batch_refuses_a_cone_in_the_target():
+    with pytest.raises(NotConeVertexError, match="cone vertex already belongs to the face"):
+        _cone_batch({0, 0b01, 0b11}, 0b11, 0b10, [0b11] * 2)
+
+
+def test_cone_batch_refuses_a_star_its_pairs_do_not_cover():
+    # 0b101 is missing, so the star face 0b111 is left with no pair
+    masks = {0, 0b001, 0b011, 0b111}
+    with pytest.raises(InvariantViolationError, match="cone pairing does not partition the star"):
+        _cone_batch(masks, 0b001, 0b010, [0b111] * 3)
+    assert masks == {0, 0b111}
 
 
 @pytest.mark.parametrize("a,b", [(2, 3), (3, 4), (3, 7), (4, 9), (2, 11)])
@@ -257,15 +271,22 @@ def test_certificate_json_round_trip(a, b):
 
 
 def test_stage_expansion_matches_cone_batch():
-    """The verifier's expansion of the first (5,8) stage removes as many
-    pairs, and leaves the same faces, as the generator's cone batch."""
-    cert = schedule(5, 8)
-    stage = cert.stages[0]
-    pairs, masks = cone_batch(hat(5, 8), stage.target, stage.cone)
-    replay = StageReplay(copy_of(hat(5, 8)), cert)
-    assert replay.expand(stage) is None
-    assert replay.steps_applied == len(pairs) == stage.n_steps
-    assert replay.masks == masks
+    """Stage by stage, for every coprime pair with b <= 8, the verifier's
+    expansion removes as many pairs, and leaves the same faces, as the
+    generator's cone batch."""
+    for a, b in coprime_pairs(max_b=8):
+        cert, start = schedule(a, b), hat(a, b)
+        masks = set(start.mask_set)
+        compat = compatibility_masks(start.ground)
+        replay = StageReplay(copy_of(start), cert)
+        for k, stage in enumerate(cert.stages):
+            target, cone = start._mask_of(stage.target), start._bit[stage.cone]
+            smaller = _cone_batch(masks, target, cone, compat)
+            before = replay.steps_applied
+            assert replay.expand(stage) is None, (a, b, k)
+            assert replay.steps_applied - before == len(smaller) == stage.n_steps, (a, b, k)
+            assert replay.masks == masks, (a, b, k)
+        assert masks == ass(a, b).mask_set, (a, b)
 
 
 def test_schedule_failure_carries_stage_and_face():
@@ -281,6 +302,25 @@ def test_schedule_failure_carries_stage_and_face():
     assert (err.r, err.q) == (stage.r, stage.q)
     assert err.face == face_text(h._face_of(facet & ~h._bit[stage.cone]))
     assert f"(r={stage.r}, q={stage.q}, cone {stage.cone.text()})" in str(err)
+
+
+def test_schedule_terminal_failure_names_extra_and_missing_faces():
+    """An expected complex of the right size but the wrong faces: the
+    failure counts both differences and names the smaller face."""
+    h, model = hat(5, 8), ass(5, 8)
+    gone = min(model._compute_facet_masks())
+    added = min(h.mask_set - model.mask_set, key=lambda m: (m.bit_count(), m))
+    swapped = SimplicialComplex._trusted(h.ground, model.mask_set - {gone} | {added}, 5, 8)
+    with pytest.raises(ScheduleFailedError) as info:
+        collapse_schedule(5, 8, hat=copy_of(h), ass=swapped, graph=obstruction_graph(5, 8))
+    err = info.value
+    first = min((gone, added), key=lambda m: (m.bit_count(), m))
+    assert err.face == face_text(h._face_of(first)) != ""
+    n = model.n_faces
+    assert str(err) == (
+        f"terminal complex has {n} faces, expected {n}: 1 extra, 1 missing, first at face {err.face}"
+    )
+    assert (err.r, err.q) == (None, None)
 
 
 def test_exhaustive_freeness_check_fires():
@@ -490,3 +530,30 @@ def test_cone_lemma_on_both_sides(facets, data):
         assert replays[0].steps_applied == len(pairs)
     else:
         assert reasons[0] == "cone extension missing from current complex"
+
+
+@pytest.mark.parametrize(
+    "facets,dropped,pairs,steps,reason",
+    [
+        # {0,2,3} is gone, so the walk misses {0,2,3,4}, a second cofacet
+        # of {0,2,4} that the freeness probe still finds
+        ([[0, 1, 3, 4], [0, 1, 2, 4], [0, 2, 3, 4]], [[0, 2, 3]], 6, 0,
+         "subface has another cofacet"),
+        # {0,2,3} is gone, so {0,1,2,3} pairs with nothing and is left
+        ([[0, 1, 2, 3]], [[0, 2, 3]], 3, 3, "faces containing the stage target remain"),
+    ],
+    ids=["another-cofacet", "star-remains"],
+)
+def test_default_replay_checks_fire_off_downward_closure(facets, dropped, pairs, steps, reason):
+    """The default replay trusts downward closure only to find faces; on
+    families without it, its own checks still refuse the stage.  A family
+    is the downward closure of ``facets`` less ``dropped``, vertices given
+    by index into VERTICES."""
+    cpx = SimplicialComplex(VERTICES, [[VERTICES[i] for i in f] for f in facets])
+    masks = cpx.mask_set - {sum(1 << i for i in f) for f in dropped}
+    family = SimplicialComplex._trusted(cpx.ground, masks, None, 12)
+    stage = StageRecord(1, 1, VERTICES[1], frozenset([VERTICES[0]]), pairs)
+    cert = CollapseCertificate(None, 12, family.ground, (stage,))
+    replay = StageReplay(family, cert)
+    assert replay.expand(stage) == reason
+    assert replay.steps_applied == steps
