@@ -63,7 +63,6 @@ from .lattice import (
     LaserHit,
     LatticePoint,
     enumerate_dyck_paths,
-    facet_mask,
     facet_of,
     fire_laser,
     laser_diagonal,

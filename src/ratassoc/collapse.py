@@ -64,7 +64,6 @@ from .complexes import (
     SimplicialComplex,
     bit_positions,
     bits_of,
-    compatibility_masks,
     face_text,
     face_to_lists,
     guard_b,
@@ -84,6 +83,7 @@ from .obstruction import (
     wedge_completion,
 )
 from .polygon import Diagonal, admissible_by_ends, all_admissible_diagonals, check_slope_pair
+from .polygon import compatibility_masks
 
 SCHEMA = 2
 _STAGE_KEYS = frozenset(("r", "q", "cone", "target", "pairs"))

@@ -7,10 +7,12 @@ are single integer operations.  The empty face (mask 0) is always present.
 
 One kernel, ``clique_complex``, builds both flag models.  ``build_hat_ass``
 gives the noncrossing model, the clique complex of the noncrossing pairs
-of admissible diagonals.  ``build_ass`` gives the lattice-path model, whose
+of admissible diagonals, whose rows ``polygon.admissible_compatibility``
+holds once per pair.  ``build_ass`` gives the lattice-path model, whose
 facets are the laser sets of Dyck paths, as the clique complex of the
-Dyck-facet skeleton, checked; each facet is a ground mask from
-``lattice.facet_mask``.  The second is a subcomplex of the first, pure of
+Dyck-facet skeleton, checked; each facet is the ground mask
+``DyckPath.facet`` that ``lattice.enumerate_dyck_paths`` fires along its
+walk.  The second is a subcomplex of the first, pure of
 dimension a-2, with Kirkman/Narayana face counts; the first need not be.
 """
 
@@ -22,13 +24,8 @@ from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CapExceededError, InvariantViolationError, NonIntegralError
-from .lattice import enumerate_dyck_paths, facet_mask
-from .polygon import (
-    Diagonal,
-    all_admissible_diagonals,
-    check_slope_pair,
-    compatibility_masks,
-)
+from .lattice import enumerate_dyck_paths
+from .polygon import Diagonal, admissible_compatibility, all_admissible_diagonals, check_slope_pair
 
 DEFAULT_FACE_CAP = 10**7
 DEFAULT_MAX_B = 14
@@ -370,7 +367,7 @@ def build_hat_ass(
     """The noncrossing model: the clique complex of the compatibility graph."""
     ground, predicted = _guarded_ground(a, b, max_b)
     what = f"noncrossing family of ({a},{b})"
-    compat, vertices = compatibility_masks(ground), (1 << len(ground)) - 1
+    compat, vertices = admissible_compatibility(a, b), (1 << len(ground)) - 1
     # the lattice-path model is a subcomplex: its face count is a lower bound;
     # the noncrossing sets of all diagonals contain the model: an upper one
     if predicted > max_faces or (
@@ -389,13 +386,14 @@ def build_ass(
     max_b: int = DEFAULT_MAX_B,
 ) -> SimplicialComplex:
     """The lattice-path model: the clique complex of the Dyck-facet skeleton,
-    checked.  The facets, ground masks from ``facet_mask``, must biject with
-    the Dyck paths and be the skeleton's maximal cliques: each face is then
-    a clique and each clique lies in a facet, so the model is flag."""
+    checked.  The facets, the ground masks ``DyckPath.facet`` of the paths
+    ``enumerate_dyck_paths`` lists, must biject with the Dyck paths and be
+    the skeleton's maximal cliques: each face is then a clique and each
+    clique lies in a facet, so the model is flag."""
     ground, predicted = _guarded_ground(a, b, max_b)
     if predicted > max_faces:
         raise CapExceededError(f"({a},{b}) has {predicted} faces, over the cap {max_faces}")
-    facet_masks = {facet_mask(p) for p in enumerate_dyck_paths(a, b)}  # Cat(a,b) <= predicted
+    facet_masks = {p.facet for p in enumerate_dyck_paths(a, b)}  # Cat(a,b) <= predicted
     if len(facet_masks) != rational_catalan(a, b):
         raise InvariantViolationError(
             f"({a},{b}) facets do not biject with Dyck paths: {len(facet_masks)}"
@@ -461,7 +459,8 @@ class FHVector:
     related by h_k = sum_i (-1)^{k-i} C(d+1-i, k-i) f_{i-1}.  Equivalently
     sum_k h_k t^{D-k} = sum_i f_{i-1} (t-1)^{D-i} with D = d+1, which pins
     the top entry: sum(h) = f_d.  Only ``f`` is passed in; ``h`` is
-    computed from it, so a mismatched pair cannot be constructed.
+    computed from it, so a mismatched pair cannot be constructed.  The void
+    complex, with no face at all (dim -2), has f = h = ().
     """
 
     f: tuple[int, ...]
@@ -473,7 +472,7 @@ class FHVector:
             sum((-1) ** (k - i) * comb(cap - i, k - i) * self.f[i] for i in range(k + 1))
             for k in range(cap + 1)
         )
-        if sum(h) != self.f[-1]:
+        if self.f and sum(h) != self.f[-1]:
             raise InvariantViolationError("h-vector top-term consistency failed")
         object.__setattr__(self, "h", h)
 

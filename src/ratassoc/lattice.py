@@ -14,12 +14,22 @@ an east step.  If the source has x-coordinate i and the east step's right
 endpoint has x-coordinate k, the laser contributes the diagonal i-k of the
 polygon with points 0..b.
 
-One laser loop, ``facet_mask``, reads each laser's diagonal i-k as a
-ground index from the pair's table of admissible diagonals by their ends,
-``polygon.admissible_by_ends``, checks the facet with two masks of polygon
-points (see there) and ORs the index's bit into the facet's mask;
-``facet_of`` decodes that mask.  Only a failed check builds the diagonals
-afresh, to name the witness.
+Give row y the key a xs[y] - b y.  The laser from row y0 is caught by the
+first row y above it with a larger key, and it then ends at
+k = xs[y0] + (y - y0) b // a + 1.  That one inequality is read in two
+orders.  ``_row_step`` reads it bottom-up, for paths grown from the
+origin: each placed row catches the pending sources below it with smaller
+keys.  ``enumerate_dyck_paths`` takes that step once per prefix of its
+lex-order walk, and ``DyckPath`` once per row of a path built from a word.
+``_laser_hit`` reads it top-down, for paths grown from (b, a), whose top
+rows are known first: membership's valley-path search, and
+``laser_diagonal``.
+
+Each fired laser i-k is read as a ground index from the pair's table of
+admissible diagonals by their ends, ``polygon.admissible_by_ends``, and
+checked against the facet's mask so far with the pair's compatibility
+rows, ``polygon.admissible_compatibility``; ``facet_of`` decodes the mask.
+Only a failed check builds the diagonals afresh, to name the witness.
 
 Every slope comparison is done by integer cross multiplication.  No
 floating point enters any predicate in this module.
@@ -31,8 +41,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, NoReturn, Sequence
 
 from .errors import InvalidSourceError, InvariantViolationError
-from .polygon import Diagonal, admissible_by_ends, all_admissible_diagonals, check_slope_pair
-from .polygon import crosses, is_admissible
+from .polygon import Diagonal, admissible_by_ends, admissible_compatibility, all_admissible_diagonals
+from .polygon import check_slope_pair, crosses, is_admissible
 
 
 class LatticePoint(NamedTuple):
@@ -49,19 +59,26 @@ class LaserHit(NamedTuple):
 
 @dataclass(frozen=True)
 class DyckPath:
-    """An (a, b)-Dyck path stored as a step word over {N, E}, with its
-    north-step sequence ``xs`` derived from the word."""
+    """An (a, b)-Dyck path stored as a step word over {N, E}, with two fields
+    derived from the word: its north-step sequence ``xs`` and its facet, the
+    ground mask of its laser diagonals over ``all_admissible_diagonals``.
+
+    The constructor checks the word and fires the lasers row by row, with
+    every facet check; ``enumerate_dyck_paths`` hands each path the facet
+    its walk fired along the shared prefixes.
+    """
 
     a: int
     b: int
     word: str
     xs: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    facet: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_slope_pair(self.a, self.b)
-        w = self.word
-        if len(w) != self.a + self.b or w.count("N") != self.a or w.count("E") != self.b:
-            raise ValueError(f"word {w!r} is not an (N^{self.a}, E^{self.b}) shuffle")
+        a, b, w = self.a, self.b, self.word
+        check_slope_pair(a, b)
+        if len(w) != a + b or w.count("N") != a or w.count("E") != b:
+            raise ValueError(f"word {w!r} is not an (N^{a}, E^{b}) shuffle")
         xs = []
         east = 0
         for step in w:
@@ -69,79 +86,69 @@ class DyckPath:
                 xs.append(east)
             elif step == "E":
                 east += 1
-                if len(xs) * self.b < east * self.a:
-                    raise ValueError(f"word {w!r} dips below the line y = {self.a}/{self.b} x")
+                if len(xs) * b < east * a:
+                    raise ValueError(f"word {w!r} dips below the line y = {a}/{b} x")
             else:
                 raise ValueError(f"bad step {step!r} in {w!r}")
         xs.append(east)
-        object.__setattr__(self, "xs", tuple(xs))
+        xs = tuple(xs)
+        table, compat = admissible_by_ends(a, b), admissible_compatibility(a, b)
+        pending, mask = (), 0
+        for y in range(1, a + 1):
+            pending, fired = _row_step(xs, y, pending, a, b)
+            mask = _fire(mask, fired, table, compat)
+        if mask < 0 or pending:
+            _raise_facet_failure(a, b, w, xs)
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "facet", mask)
 
     @classmethod
-    def _trusted(cls, a: int, b: int, word: str, xs: tuple[int, ...]) -> "DyckPath":
-        """Internal constructor for a word known to be a Dyck path, and its ``xs``."""
+    def _trusted(cls, a: int, b: int, word: str, xs: tuple[int, ...], facet: int) -> "DyckPath":
+        """Internal constructor for a word known to be a Dyck path, its ``xs``
+        and its checked facet mask."""
         self = object.__new__(cls)
-        vars(self).update(a=a, b=b, word=word, xs=xs)
+        vars(self).update(a=a, b=b, word=word, xs=xs, facet=facet)
         return self
 
     def __str__(self) -> str:
         return self.word
 
-    @classmethod
-    def from_runs(cls, a: int, b: int, runs: Sequence[Sequence]) -> "DyckPath":
-        """Build from run-length form [["N", 2], ["E", 1], ...]."""
-        return cls(a, b, "".join(step * int(n) for step, n in runs))
-
-    def runs(self) -> list[tuple[str, int]]:
-        """Run-length encoding of the step word."""
-        out: list[tuple[str, int]] = []
-        for step in self.word:
-            if out and out[-1][0] == step:
-                out[-1] = (step, out[-1][1] + 1)
-            else:
-                out.append((step, 1))
-        return out
-
-    def points(self) -> list[LatticePoint]:
-        """All a+b+1 lattice points of the path in order."""
-        pts = [LatticePoint(0, 0)]
-        x = y = 0
-        for step in self.word:
-            if step == "N":
-                y += 1
-            else:
-                x += 1
-            pts.append(LatticePoint(x, y))
-        return pts
-
-    def north_step_bottoms(self) -> list[LatticePoint]:
-        """Bottom points of all north steps, in path order (origin included)."""
-        return [LatticePoint(x, y) for y, x in enumerate(self.xs[:-1])]
-
-    def vertical_run_xs(self) -> list[int]:
-        """x-coordinates holding a vertical run, in increasing order."""
-        return sorted(set(self.xs[:-1]))
-
 
 def enumerate_dyck_paths(a: int, b: int) -> list[DyckPath]:
-    """All (a, b)-Dyck paths in lexicographic word order with N < E."""
+    """All (a, b)-Dyck paths in lexicographic word order with N < E, each
+    with its facet.
+
+    A depth-first walk places rows 0..a in turn, row y at each column from
+    the previous row's up to the line, lowest first, which is the lex order.
+    Each prefix applies its last row's step once, so a laser is fired once
+    for all the paths that share the prefix where it is caught.  A failed
+    check marks the prefix's mask, and the first path that completes it,
+    the first failing path in lex order, raises the check's error.
+    """
     check_slope_pair(a, b)
+    table, compat = admissible_by_ends(a, b), admissible_compatibility(a, b)
     # an explicit stack, not a recursive closure: a closure that calls
     # itself is a reference cycle, which would keep every path alive
-    # until the cyclic garbage collector runs; each prefix carries its xs,
-    # which gives its north count and then the path's xs unparsed
+    # until the cyclic garbage collector runs; a node is a prefix through
+    # row len(xs) - 1, whose step is taken when the node is popped
     out: list[DyckPath] = []
-    stack = [("", (), 0)]
+    stack = [("N", (0,), (), 0)]
     while stack:
-        word, xs, east = stack.pop()
-        north = len(xs)
-        if north == a and east == b:
-            out.append(DyckPath._trusted(a, b, word, xs + (b,)))
-            continue
-        # E is pushed first so that the N branch comes out first
-        if east < b and north * b >= (east + 1) * a:
-            stack.append((word + "E", xs, east + 1))
-        if north < a:
-            stack.append((word + "N", xs + (east,), east))
+        word, xs, pending, mask = stack.pop()
+        y = len(xs) - 1
+        pending, fired = _row_step(xs, y, pending, a, b)
+        if fired:
+            mask = _fire(mask, fired, table, compat)
+        if y == a:
+            if mask < 0 or pending:
+                _raise_facet_failure(a, b, word, xs)
+            out.append(DyckPath._trusted(a, b, word, xs, mask))
+        elif y == a - 1:
+            stack.append((word + "E" * (b - xs[y]), xs + (b,), pending, mask))
+        else:
+            # pushed highest first, so that the lowest column comes out first
+            for x in range((y + 1) * b // a, xs[y] - 1, -1):
+                stack.append((word + "E" * (x - xs[y]) + "N", xs + (x,), pending, mask))
     return out
 
 
@@ -211,55 +218,72 @@ def laser_diagonal(path: DyckPath, source: LatticePoint) -> Diagonal:
     return all_admissible_diagonals(path.a, path.b)[p]
 
 
-def facet_mask(path: DyckPath) -> int:
-    """Laser diagonals from every non-origin north-step bottom of the path,
-    as a mask over ``all_admissible_diagonals``.
+def _row_step(xs: Sequence[int], y: int, pending: tuple, a: int, b: int) -> tuple[tuple, list]:
+    """Place row y at x = xs[y]: the rows pending below it that it catches
+    fire, and row y itself becomes pending when it is a source (0 < y < a).
 
-    The facet has exactly a-1 pairwise noncrossing admissible diagonals.
-    Lasers fire from rows 1..a-1 in turn, so their start columns never
-    decrease, and two diagonals from one column never cross.  Each laser i-k
-    is therefore checked against two masks of polygon points: a miss in the
-    table of admissible diagonals is a laser off the admissible set, k among
-    the ends already fired from column i is a repeat, and an end of a
-    diagonal from a column left of i strictly between i and k is a crossing.
-    Only a failure builds the diagonals anew, to name the witness.
+    Row y's key is a x - b y.  The pending sources are held as (key, x0, y0),
+    keys falling toward the top, so the ones caught are those on top with a
+    smaller key than row y's.  A caught source fires the diagonal x0-k with
+    k = x0 + (y - y0) b // a + 1: the inequality of ``_laser_hit``, read
+    from the hitting row down instead of from the source up.  Returns the
+    new pending tuple and the fired lasers as (x0, y0, k).
     """
-    a, b, xs = path.a, path.b, path.xs
-    table = admissible_by_ends(a, b)
-    mask, column, left_ends, ends = 0, 0, 0, 0
-    for y in range(1, a):
-        i = xs[y]
-        k = _laser_hit(xs, a, b, y)
-        if i != column:
-            column, left_ends, ends = i, left_ends | ends, 0
-        p = table.get((i, k))
-        if p is None or ends >> k & 1 or left_ends & (1 << k) - (2 << i):
-            _raise_facet_failure(path)
-        ends |= 1 << k
+    x = xs[y]
+    key = a * x - b * y
+    n, fired = len(pending), []
+    while n and pending[n - 1][0] < key:
+        n -= 1
+        _, x0, y0 = pending[n]
+        fired.append((x0, y0, x0 + (y - y0) * b // a + 1))
+    if fired:
+        pending = pending[:n]
+    if 0 < y < a:
+        pending += ((key, x, y),)
+    return pending, fired
+
+
+def _fire(mask: int, fired: list, table: dict, compat: Sequence[int]) -> int:
+    """OR the ground bits of the fired lasers into the facet mask ``mask``,
+    checking each: a laser missing from ``table`` (``admissible_by_ends``)
+    is off the admissible set, a bit already set is a repeat, and a set bit
+    outside the laser's compatibility row is a crossing.  A failed check
+    returns -1, which every later call returns unchanged."""
+    for x0, _, k in fired:
+        p = table.get((x0, k))
+        if p is None or mask >> p & 1 or mask & ~compat[p]:
+            return -1
         mask |= 1 << p
     return mask
 
 
 def facet_of(path: DyckPath) -> frozenset[Diagonal]:
-    """The facet of the path as a set of diagonals: ``facet_mask``, decoded."""
-    mask, ground = facet_mask(path), all_admissible_diagonals(path.a, path.b)
+    """The facet of the path as a set of diagonals: ``path.facet``, decoded."""
+    mask, ground = path.facet, all_admissible_diagonals(path.a, path.b)
     return frozenset(d for p, d in enumerate(ground) if mask >> p & 1)
 
 
-def _raise_facet_failure(path: DyckPath) -> NoReturn:
-    """Raise the first failed check of ``facet_mask`` on fresh diagonals."""
-    a, b, xs = path.a, path.b, path.xs
-    diag = [Diagonal(xs[y], _laser_hit(xs, a, b, y), b) for y in range(1, a)]
+def _raise_facet_failure(a: int, b: int, word: str, xs: tuple[int, ...]) -> NoReturn:
+    """Raise the first failed facet check of the path on fresh diagonals,
+    fired row by row by ``_row_step`` and listed by source row."""
+    pending, fired = (), []
+    for y in range(1, a + 1):
+        pending, caught = _row_step(xs, y, pending, a, b)
+        fired += caught
+    if pending:
+        _, x0, y0 = pending[0]
+        raise InvariantViolationError(f"laser from ({x0},{y0}) escaped the path")
+    diag = [Diagonal(x0, k, b) for x0, _, k in sorted(fired, key=lambda f: f[1])]
     face = frozenset(diag)
     if len(face) != a - 1:
-        raise InvariantViolationError(f"facet of {path.word} has {len(face)} diagonals, not a-1")
+        raise InvariantViolationError(f"facet of {word} has {len(face)} diagonals, not a-1")
     for d in diag:
         if not is_admissible(d, a, b):
-            raise InvariantViolationError(f"laser diagonal {d} of {path.word} is not admissible")
+            raise InvariantViolationError(f"laser diagonal {d} of {word} is not admissible")
     for m in range(len(diag)):
         for n in range(m + 1, len(diag)):
             if crosses(diag[m], diag[n]):
                 raise InvariantViolationError(
-                    f"facet of {path.word} contains crossing diagonals {diag[m]}, {diag[n]}"
+                    f"facet of {word} contains crossing diagonals {diag[m]}, {diag[n]}"
                 )
-    raise InvariantViolationError(f"facet of {path.word} fails a mask check its diagonals pass")
+    raise InvariantViolationError(f"facet of {word} fails a mask check its diagonals pass")

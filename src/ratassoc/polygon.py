@@ -116,6 +116,14 @@ def admissible_by_ends(a: int, b: int) -> dict[tuple[int, int], int]:
     return {(d.i, d.j): p for p, d in enumerate(all_admissible_diagonals(a, b))}
 
 
+@lru_cache(maxsize=None)
+def admissible_compatibility(a: int, b: int) -> tuple[int, ...]:
+    """``compatibility_masks`` of ``all_admissible_diagonals``, built once per
+    pair: the laser facets' crossing check and the noncrossing model both
+    read it."""
+    return tuple(compatibility_masks(all_admissible_diagonals(a, b)))
+
+
 def crosses(d: Diagonal, e: Diagonal) -> bool:
     """True when the two diagonals cross in the open interior.
 

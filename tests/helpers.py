@@ -9,6 +9,7 @@ from math import gcd
 
 from ratassoc import (
     DyckPath,
+    LatticePoint,
     SimplicialComplex,
     build_ass,
     build_hat_ass,
@@ -70,6 +71,48 @@ def all_facets(a: int, b: int) -> tuple[frozenset, ...]:
     return tuple(facet_of(D) for D in enumerate_dyck_paths(a, b))
 
 
+def reference_dyck_words(a: int, b: int) -> list[str]:
+    """Every (a, b)-Dyck word in lexicographic order with N < E, by the
+    naive recursion on words: append N, then E, while the prefix stays
+    weakly above the line y = (a/b) x."""
+    out: list[str] = []
+
+    def grow(word: str, north: int, east: int) -> None:
+        if north == a and east == b:
+            out.append(word)
+            return
+        if north < a:
+            grow(word + "N", north + 1, east)
+        if east < b and north * b >= (east + 1) * a:
+            grow(word + "E", north, east + 1)
+
+    grow("", 0, 0)
+    return out
+
+
+def path_points(path: DyckPath) -> list[LatticePoint]:
+    """All a+b+1 lattice points of the path in order, read off its word."""
+    pts = [LatticePoint(0, 0)]
+    x = y = 0
+    for step in path.word:
+        if step == "N":
+            y += 1
+        else:
+            x += 1
+        pts.append(LatticePoint(x, y))
+    return pts
+
+
+def north_step_bottoms(path: DyckPath) -> list[LatticePoint]:
+    """Bottom points of all north steps, in path order (origin included)."""
+    return [LatticePoint(x, y) for y, x in enumerate(path.xs[:-1])]
+
+
+def vertical_run_xs(path: DyckPath) -> list[int]:
+    """x-coordinates holding a vertical run, in increasing order."""
+    return sorted(set(path.xs[:-1]))
+
+
 def oracle_in_ass(face, a: int, b: int) -> bool:
     """Exhaustive membership oracle: some Dyck path facet contains the face."""
     face = frozenset(face)
@@ -90,7 +133,7 @@ def laser_hit_oracle(path: DyckPath, source) -> int:
     best_x = None
     best_kind = None
     best_payload = None
-    pts = path.points()
+    pts = path_points(path)
     for p, q in zip(pts, pts[1:]):
         if p.x == q.x:  # north step at x = p.x
             x = p.x

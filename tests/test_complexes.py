@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from ratassoc import (
@@ -21,7 +23,8 @@ from ratassoc import (
     rational_kirkman,
     rational_narayana,
 )
-from ratassoc.complexes import compatibility_masks, polygon_dissections, skeleton_adjacency
+from ratassoc.complexes import polygon_dissections, skeleton_adjacency
+from ratassoc.polygon import compatibility_masks
 
 from helpers import ass, coprime_pairs, hat, is_fuss, obstruction_graph
 
@@ -109,6 +112,14 @@ def test_fh_vector_derives_h_from_f():
         FHVector(fh.f, (1, 4, 3))
 
 
+def test_fh_vector_of_the_void_complex_is_empty():
+    assert FHVector(()).f == FHVector(()).h == ()
+    void = SimplicialComplex._trusted(all_admissible_diagonals(3, 5), set(), 3, 5)
+    assert void.dim == -2
+    assert FHVector.of(void) == FHVector(())
+    assert f_vector(void).h == ()
+
+
 def test_formula_examples():
     assert rational_catalan(3, 5) == 7
     assert rational_kirkman(3, 5, 2) == 6
@@ -161,8 +172,8 @@ def test_build_ass_rejects_a_skeleton_with_other_maximal_cliques(monkeypatch):
     # but the triangle itself is a clique of their skeleton and no facet
     bit = {x: 1 << p for p, x in enumerate(all_admissible_diagonals(2, 5))}
     v03, v14, v25 = bit[d(0, 3)], bit[d(1, 4)], bit[d(2, 5)]
-    edges = iter([v03 | v14, v14 | v25, v03 | v25])
-    monkeypatch.setattr(complexes, "facet_mask", lambda path: next(edges))
+    fakes = [SimpleNamespace(facet=m) for m in (v03 | v14, v14 | v25, v03 | v25)]
+    monkeypatch.setattr(complexes, "enumerate_dyck_paths", lambda a, b: fakes)
     with pytest.raises(InvariantViolationError, match="not the Dyck facets"):
         build_ass(2, 5)
 

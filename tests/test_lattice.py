@@ -15,7 +15,6 @@ from ratassoc import (
     InvariantViolationError,
     LatticePoint,
     enumerate_dyck_paths,
-    facet_mask,
     facet_of,
     fire_laser,
     laser_diagonal,
@@ -27,7 +26,14 @@ from ratassoc import lattice
 from ratassoc.lattice import young_contains
 from ratassoc.polygon import admissible_by_ends, is_admissible
 
-from helpers import coprime_pairs, laser_hit_oracle, random_dyck_path
+from helpers import (
+    coprime_pairs,
+    laser_hit_oracle,
+    north_step_bottoms,
+    path_points,
+    random_dyck_path,
+    reference_dyck_words,
+)
 
 D58 = DyckPath(5, 8, "NNENNEEENEEEE")
 
@@ -43,8 +49,6 @@ def test_path_validation():
         DyckPath(2, 3, "NNEE")  # wrong length
     with pytest.raises(ValueError):
         DyckPath(2, 3, "NXNEE")
-    assert DyckPath.from_runs(5, 8, [["N", 2], ["E", 1], ["N", 2], ["E", 3], ["N", 1], ["E", 4]]) == D58
-    assert D58.runs() == [("N", 2), ("E", 1), ("N", 2), ("E", 3), ("N", 1), ("E", 4)]
 
 
 def test_enumeration_smallest_cases():
@@ -139,7 +143,7 @@ def test_laser_diagonal_examples():
 def test_laser_diagonals_admissible_and_distinct():
     for a, b in coprime_pairs(max_sum=11):
         for path in enumerate_dyck_paths(a, b):
-            sources = [p for p in path.north_step_bottoms() if p != (0, 0)]
+            sources = [p for p in north_step_bottoms(path) if p != (0, 0)]
             diags = [laser_diagonal(path, p) for p in sources]
             assert len(set(diags)) == len(diags)
             assert all(is_admissible(d, a, b) for d in diags)
@@ -158,8 +162,8 @@ def test_facet_examples():
 
 
 def test_facets_biject_with_paths():
-    """Every facet is the set of oracle lasers of its path, as diagonals and
-    as a ground mask, and distinct paths give distinct facets."""
+    """Every facet is the set of exact-Fraction oracle lasers of its path, as
+    diagonals and as a ground mask, and distinct paths give distinct facets."""
     for a, b in coprime_pairs(max_sum=12):
         by_ends = admissible_by_ends(a, b)
         mask_of = lambda face: sum(1 << by_ends[x.i, x.j] for x in face)
@@ -168,12 +172,12 @@ def test_facets_biject_with_paths():
         assert len(facets) == len(paths) == rational_catalan(a, b)
         for path in paths:
             # north-step bottoms read off the step word, not the path's xs
-            pts = path.points()
+            pts = path_points(path)
             sources = [pts[k] for k, step in enumerate(path.word) if step == "N" and k > 0]
             expect = {Diagonal(p.x, laser_hit_oracle(path, p), b) for p in sources}
             assert len(expect) == a - 1
             assert facet_of(path) == expect
-            assert facet_mask(path) == mask_of(facet_of(path)) == mask_of(expect)
+            assert path.facet == mask_of(facet_of(path)) == mask_of(expect)
 
 
 _PAIRS = [(3, 5), (5, 8), (4, 7), (7, 10), (5, 12), (7, 12)]
@@ -186,27 +190,33 @@ def test_fire_laser_matches_rational_oracle(pair, seed):
     full segment-intersection trace on random paths."""
     a, b = pair
     path = random_dyck_path(a, b, random.Random(seed))
-    for src in path.north_step_bottoms():
+    for src in north_step_bottoms(path):
         if src == (0, 0):
             continue
         assert fire_laser(path, src).hit_step_right_x == laser_hit_oracle(path, src)
 
 
 def _misfire(monkeypatch, row: int, hit: int) -> None:
-    """Make the laser from row ``row`` of D58 end at x = ``hit``; every other
-    path, and every other row, fires as before."""
-    fire = lattice._laser_hit
-    monkeypatch.setattr(
-        lattice, "_laser_hit",
-        lambda xs, a, b, y0: hit if y0 == row and tuple(xs) == D58.xs else fire(xs, a, b, y0),
-    )
+    """Make the laser from row ``row`` of D58 end at x = ``hit``, in the row
+    step of every prefix of D58; every other prefix, and every other row,
+    fires as before."""
+    step = lattice._row_step
+
+    def misfiring(xs, y, pending, a, b):
+        pending, fired = step(xs, y, pending, a, b)
+        if (a, b) == (D58.a, D58.b) and tuple(xs[: y + 1]) == D58.xs[: y + 1]:
+            fired = [(x0, y0, hit if y0 == row else k) for x0, y0, k in fired]
+        return pending, fired
+
+    monkeypatch.setattr(lattice, "_row_step", misfiring)
 
 
-# every scan that turns D58 into a facet: the laser loop alone, its decoding,
-# and the model builder, which fires it on every (5,8)-path
+# every route that fires D58's lasers, each run after the patch: the
+# constructor's single pass (decoded by facet_of), and the lex-order walk
+# inside the model builder, which fires along every (5,8)-prefix
 _SCANS = pytest.mark.parametrize(
-    "scan", [facet_of, facet_mask, lambda path: build_ass(5, 8)],
-    ids=["facet_of", "facet_mask", "build_ass"],
+    "scan", [lambda: facet_of(DyckPath(5, 8, D58.word)), lambda: build_ass(5, 8)],
+    ids=["facet_of", "build_ass"],
 )
 
 
@@ -223,7 +233,7 @@ _SCANS = pytest.mark.parametrize(
 def test_facet_of_names_the_failed_check(monkeypatch, row, hit, message, scan):
     _misfire(monkeypatch, row, hit)
     with pytest.raises(InvariantViolationError) as err:
-        scan(D58)
+        scan()
     assert str(err.value) == message
 
 
@@ -231,4 +241,35 @@ def test_facet_of_names_the_failed_check(monkeypatch, row, hit, message, scan):
 def test_facet_of_laser_on_a_side_is_not_a_diagonal(monkeypatch, scan):
     _misfire(monkeypatch, 3, 2)  # 1-2 is a side of the 9-gon
     with pytest.raises(ValueError, match=r"\(1, 2\) is a side"):
-        scan(D58)
+        scan()
+
+
+def test_a_source_left_pending_after_row_a_escapes(monkeypatch):
+    """A row step that catches nothing leaves every source pending after the
+    top row: the constructor and the walk both name the lowest one."""
+
+    def catch_nothing(xs, y, pending, a, b):
+        return (pending + ((a * xs[y] - b * y, xs[y], y),) if 0 < y < a else pending), []
+
+    monkeypatch.setattr(lattice, "_row_step", catch_nothing)
+    with pytest.raises(InvariantViolationError, match=r"laser from \(0,1\) escaped the path"):
+        DyckPath(5, 8, D58.word)
+    with pytest.raises(InvariantViolationError, match=r"laser from \(0,1\) escaped the path"):
+        build_ass(5, 8)
+
+
+@pytest.mark.parametrize("a,b", coprime_pairs(max_b=11))
+def test_walk_matches_the_reference_enumerator_and_both_laser_readings(a, b):
+    """The walk lists the naive enumerator's words in its lex order, Cat(a,b)
+    of them; each path's facet is the one its word's constructor fires, and
+    the one ``_laser_hit`` gives row by row, read top-down."""
+    paths = enumerate_dyck_paths(a, b)
+    assert [p.word for p in paths] == reference_dyck_words(a, b)
+    assert len(paths) == rational_catalan(a, b)
+    by_ends = admissible_by_ends(a, b)
+    for path in paths:
+        assert path.facet == DyckPath(a, b, path.word).facet
+        xs = path.xs
+        assert path.facet == sum(
+            1 << by_ends[xs[y], lattice._laser_hit(xs, a, b, y)] for y in range(1, a)
+        )

@@ -13,7 +13,7 @@ from ratassoc import (
 from ratassoc import parse_face
 from ratassoc.lattice import young_contains
 
-from helpers import all_facets, coprime_pairs, hat, oracle_in_ass
+from helpers import all_facets, coprime_pairs, hat, oracle_in_ass, vertical_run_xs
 
 
 def face(text, b):
@@ -80,7 +80,7 @@ def test_accepted_path_vertical_runs_sit_at_face_columns():
             result = valley_path(f, a, b)
             if not result.is_member or not f:
                 continue
-            runs = set(result.valley_path.vertical_run_xs())
+            runs = set(vertical_run_xs(result.valley_path))
             wanted = {d.i for d in f}
             assert wanted <= runs
             assert runs <= wanted | {0}
