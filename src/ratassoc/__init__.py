@@ -60,13 +60,10 @@ from .homology import (
 )
 from .lattice import (
     DyckPath,
-    LaserHit,
     LatticePoint,
     enumerate_dyck_paths,
     facet_of,
-    fire_laser,
     laser_diagonal,
-    partition_of,
     valleys,
 )
 from .membership import MembershipResult, is_face_of_ass, valley_path
@@ -75,7 +72,6 @@ from .obstruction import (
     ObstructionGraph,
     build_obstruction_graph,
     crossing_indices,
-    edge_order,
     half_wedge_completion,
     wedge_completion,
 )

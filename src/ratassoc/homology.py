@@ -10,16 +10,19 @@ elimination over GF(2), and division-free integer elimination with gcd
 normalization over the rationals.  Agreement of the two Betti vectors
 rules out 2-torsion at this scale.
 
-Large complexes are first shrunk (:func:`_reduce_cells`).  One walk over
-the 1-skeleton, :func:`ratassoc.complexes.clique_tree`, counts its cliques
-and is at once a matching tree.  The count equals the face count exactly
-when the complex is flag; the tree then pairs off all but a few critical
-cells, and when those all lie in one dimension, discrete Morse theory
-makes them the homology, over every field, and the rank step sees only
-them.  Any other complex keeps every cell and the exact ranks decide.  The
-cell set depends only on the complex, so it is computed once per complex
-and shared by both fields.  The direct no-preprocessing path is kept and
-cross-checked in the tests.
+Large complexes are first shrunk (:func:`_reduce_cells`) to the critical
+cells of a matching tree, :func:`ratassoc.complexes.clique_tree`, walked
+over the graph the complex is the clique complex of.  A built model holds
+that graph, so neither its cells nor its face counts, which the Euler
+check reads from :func:`ratassoc.complexes.clique_counts`, need its face
+set; any other complex has such a graph only when its clique count
+equals its face count, that is, when it is flag.  When the critical cells
+all lie in one dimension, discrete Morse theory makes them the homology,
+over every field, and the rank step sees only them.  Any other complex
+keeps every cell and the exact ranks decide.  The cell set depends only
+on the complex, so it is computed once per complex and shared by both
+fields.  The direct no-preprocessing path is kept and cross-checked in
+the tests.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, gcd
 
-from .complexes import SimplicialComplex, _exact_div, bits_of, clique_tree, skeleton_adjacency
+from .complexes import SimplicialComplex, _exact_div, bits_of, clique_tree
 from .errors import InvariantViolationError
 from .polygon import all_admissible_diagonals, all_diagonals, check_slope_pair
 
@@ -52,22 +55,21 @@ class BettiVector:
         return {k - 1: v for k, v in enumerate(self.values) if v}
 
 
-def _reduce_cells(masks: set[int], adj: list[int], n_ground: int) -> set[int]:
-    """A cell set with the same reduced homology as the downward-closed
-    ``masks``: its critical cells when they decide it, else all of it.
+def _reduce_cells(cpx: SimplicialComplex) -> set[int]:
+    """A cell set with the same reduced homology as ``cpx``: its critical
+    cells when they decide it, else all of its faces.
 
-    ``adj`` is the 1-skeleton adjacency of ``masks``.  Every face is a
-    clique of it, so the faces are all of its cliques, and the complex is
-    flag, exactly when the clique count of :func:`clique_tree` equals
-    ``len(masks)``.  A non-flag complex keeps every cell.
+    The critical cells are those of :func:`ratassoc.complexes.clique_tree`
+    on :meth:`SimplicialComplex.clique_graph`, so a built model is read
+    from its graph alone and builds no face set.  A complex with no such
+    graph, one that is not flag, keeps every cell.
 
-    On a flag complex the walk of :func:`clique_tree` is the matching tree
-    of Bousquet-Melou, Linusson and Nevo (J. Algebraic Combin. 27, 2008):
-    a node (A, free) holds the faces A + S for the cliques S of the graph
-    on ``free``; at a cone apex c toggling c matches all of them; otherwise
-    the node splits on the highest free vertex p into (A, free - p) and
-    (A + p, free & adj[p]).  The leaves reached through no cone are the
-    critical cells.
+    The tree is the matching tree of Bousquet-Melou, Linusson and Nevo
+    (J. Algebraic Combin. 27, 2008): a node (A, free) holds the faces A + S
+    for the cliques S of the graph on ``free``; at a cone apex c toggling c
+    matches all of them; otherwise the node splits on the highest free
+    vertex p into (A, free - p) and (A + p, free & adj[p]).  The leaves
+    reached through no cone are the critical cells.
 
     The faces containing p form an upper set, so each split is a poset map
     to {0 < 1}, and the patchwork theorem (Kozlov, Combinatorial Algebraic
@@ -81,10 +83,12 @@ def _reduce_cells(masks: set[int], adj: list[int], n_ground: int) -> set[int]:
     The result does not depend on the field, so :func:`betti_numbers`
     keeps it on the complex and each complex is reduced once.
     """
-    vertices = sum(1 << p for p in range(n_ground) if 1 << p in masks)
-    count, critical = clique_tree(adj, vertices, len(masks))
-    if count != len(masks) or len({m.bit_count() for m in critical}) > 1:
-        return set(masks)
+    graph = cpx.clique_graph()
+    if graph is None:
+        return set(cpx.mask_set)
+    critical = clique_tree(*graph)
+    if len({m.bit_count() for m in critical}) > 1:
+        return set(cpx.mask_set)
     return set(critical)
 
 
@@ -217,8 +221,7 @@ def betti_numbers(
         cells = set(cpx.mask_set)
     elif method == "auto":
         if cpx._reduced is None:
-            adj = skeleton_adjacency(cpx.mask_set, len(cpx.ground))
-            cpx._reduced = _reduce_cells(cpx.mask_set, adj, len(cpx.ground))
+            cpx._reduced = _reduce_cells(cpx)
         cells = cpx._reduced
     else:
         raise ValueError(f"unknown method {method!r}")

@@ -1,4 +1,4 @@
-"""Rational Dyck paths, partitions, valleys, and laser geometry.
+"""Rational Dyck paths, valleys, and laser geometry.
 
 An (a, b)-Dyck path runs from (0, 0) to (b, a) in north and east steps and
 stays weakly above the line y = (a/b) x.  Because gcd(a, b) = 1 the path
@@ -48,13 +48,6 @@ from .polygon import check_slope_pair, crosses, is_admissible
 class LatticePoint(NamedTuple):
     x: int
     y: int
-
-
-class LaserHit(NamedTuple):
-    """Laser outcome: the source point and the hit step's right endpoint x."""
-
-    source: LatticePoint
-    hit_step_right_x: int
 
 
 @dataclass(frozen=True)
@@ -152,23 +145,6 @@ def enumerate_dyck_paths(a: int, b: int) -> list[DyckPath]:
     return out
 
 
-def partition_of(path: DyckPath) -> tuple[int, ...]:
-    """Row lengths of the cells northwest of the path, top row first.
-
-    Row i of the result is the x-coordinate of the i-th north step counted
-    from the top, so the tuple is weakly decreasing and fits under the
-    staircase cut out by the line.
-    """
-    return tuple(reversed(path.xs[:-1]))
-
-
-def young_contains(inner: Sequence[int], outer: Sequence[int]) -> bool:
-    """Containment of partitions: inner[i] <= outer[i] for all rows."""
-    n = max(len(inner), len(outer))
-    get = lambda p, i: p[i] if i < len(p) else 0
-    return all(get(inner, i) <= get(outer, i) for i in range(n))
-
-
 def valleys(path: DyckPath) -> list[LatticePoint]:
     """EN corners of the path, west to east."""
     xs = path.xs
@@ -194,26 +170,21 @@ def _laser_hit(xs: Sequence[int], a: int, b: int, y0: int) -> int:
     raise InvariantViolationError(f"laser from ({x0},{y0}) escaped the path")
 
 
-def fire_laser(path: DyckPath, source: LatticePoint) -> LaserHit:
-    """Fire the slope-a/b laser from a north-step bottom of the path.
-
-    The source must be the bottom of a north step and not the origin.
-    Exact integer arithmetic throughout.
-    """
-    source = LatticePoint(*source)
-    if source == (0, 0):
-        raise InvalidSourceError("lasers cannot be fired from the origin")
-    if not (0 <= source.y < path.a and path.xs[source.y] == source.x):
-        raise InvalidSourceError(f"{source} is not the bottom of a north step of {path.word}")
-    return LaserHit(source, _laser_hit(path.xs, path.a, path.b, source.y))
-
-
 def laser_diagonal(path: DyckPath, source: LatticePoint) -> Diagonal:
-    """The admissible diagonal i-k carved out by the laser from ``source``."""
-    hit = fire_laser(path, source)
-    p = admissible_by_ends(path.a, path.b).get((hit.source.x, hit.hit_step_right_x))
+    """The admissible diagonal i-k carved out by the laser from ``source``,
+    which must be the bottom of a north step of the path and not the
+    origin.  Exact integer arithmetic throughout."""
+    x, y = source
+    if (x, y) == (0, 0):
+        raise InvalidSourceError("lasers cannot be fired from the origin")
+    if not (0 <= y < path.a and path.xs[y] == x):
+        raise InvalidSourceError(
+            f"{LatticePoint(x, y)} is not the bottom of a north step of {path.word}"
+        )
+    k = _laser_hit(path.xs, path.a, path.b, y)
+    p = admissible_by_ends(path.a, path.b).get((x, k))
     if p is None:  # a side of the polygon raises ValueError here
-        d = Diagonal(hit.source.x, hit.hit_step_right_x, path.b)
+        d = Diagonal(x, k, path.b)
         raise InvariantViolationError(f"laser diagonal {d} of {path.word} is not admissible")
     return all_admissible_diagonals(path.a, path.b)[p]
 

@@ -67,12 +67,6 @@ class ObstructionEdge:
         return "{%s, %s}" % (self.lesser.text(), self.greater.text())
 
 
-def edge_order(e1: ObstructionEdge, e2: ObstructionEdge) -> int:
-    """Three-way comparison in the total edge order (-1, 0, or 1)."""
-    k1, k2 = e1.sort_key(), e2.sort_key()
-    return (k1 > k2) - (k1 < k2)
-
-
 @dataclass(frozen=True)
 class ObstructionGraph:
     """Obstruction graph (or one of its apex components)."""

@@ -156,6 +156,70 @@ def laser_hit_oracle(path: DyckPath, source) -> int:
     return best_payload
 
 
+def partition_of(path: DyckPath) -> tuple[int, ...]:
+    """Row lengths of the cells northwest of the path, top row first: row i
+    is the x-coordinate of the i-th north step counted from the top, so the
+    tuple is weakly decreasing and fits under the staircase cut out by the
+    line."""
+    return tuple(reversed(path.xs[:-1]))
+
+
+def young_contains(inner, outer) -> bool:
+    """Containment of partitions: inner[i] <= outer[i] for all rows."""
+    n = max(len(inner), len(outer))
+    get = lambda p, i: p[i] if i < len(p) else 0
+    return all(get(inner, i) <= get(outer, i) for i in range(n))
+
+
+def weighted_clique_tree(adj, vertices: int, limit: int) -> tuple[int, list[int]]:
+    """The number of cliques of the graph ``adj`` on ``vertices``, the empty
+    clique included, and the cliques its matching tree leaves unmatched; the
+    count is some number above ``limit`` once it passes it, and the list is
+    then partial.
+
+    A node (A, free, w) stands for w * (cliques of the graph on ``free``)
+    cliques A + S.  A free vertex adjacent to all the other free ones is a
+    cone apex: it doubles the count of the rest, so it leaves ``free`` and
+    doubles w.  With no free vertex left the node adds w to the count, and
+    A is a leaf reached through no cone when w is 1.  Otherwise the node
+    splits on the highest free vertex p into (A, free - p, w) and
+    (A + p, free & adj[p], w).
+    """
+    count, unmatched = 0, []
+    stack = [(0, vertices, 1)]
+    while stack and count <= limit:
+        face, free, weight = stack.pop()
+        rest = free
+        while rest:  # a vertex adjacent to all the others stays so without them
+            bit = rest & -rest
+            rest ^= bit
+            if free & ~adj[bit.bit_length() - 1] == bit:
+                free ^= bit
+                weight *= 2
+        if not free:
+            count += weight
+            if weight == 1:
+                unmatched.append(face)
+            continue
+        top = free.bit_length() - 1
+        stack.append((face, free ^ 1 << top, weight))
+        stack.append((face | 1 << top, free & adj[top], weight))
+    return count, unmatched
+
+
+def maximal_masks(masks: set[int]) -> set[int]:
+    """The faces of a downward-closed mask set that lie in no larger face:
+    those that are not another face less one vertex."""
+    covered = set()
+    for m in masks:
+        rest = m
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            covered.add(m ^ bit)
+    return masks - covered
+
+
 def random_dyck_path(a: int, b: int, rng: random.Random) -> DyckPath:
     """A uniform-ish random (a, b)-Dyck path by feasible-step sampling."""
     word = []

@@ -202,15 +202,20 @@ def test_collapse_and_duality_honour_caps(capsys, monkeypatch, argv, env):
          complexes, "enumerate_dyck_paths"),
         # the size guard comes before the partition check, which is O(b^3)
         (["duality", "--b", "400"], {}, cli, "alexander_partition_check"),
-        # the lattice-path model's Kirkman face count bounds the noncrossing model's
-        (["build", "--model", "hat", "--a", "5", "--b", "8"], {"RATASSOC_FACE_CAP": "100"},
-         complexes, "clique_complex"),
+        # the noncrossing model's exact clique count refuses it before any
+        # face is built, though --full-faces would build them all
+        (["build", "--model", "hat", "--a", "5", "--b", "8", "--full-faces"],
+         {"RATASSOC_FACE_CAP": "100"}, complexes, "clique_complex"),
         # the obstruction graph builds no model, so the size guard alone bounds it
         (["obstruction", "--a", "20", "--b", "41"], {}, cli, "build_obstruction_graph"),
         # membership builds no model either; its laser table grows as b^2
         (["membership", "--a", "299", "--b", "300", "--face", ""], {}, cli, "parse_face"),
         # the drawing grows with b
         (["render", "--a", "2", "--b", "100001", "--face", ""], {}, cli, "parse_face"),
+        # Delta_13 = ass(12,13) has 13,648,869 faces, over the default cap
+        (["homology", "--a", "12", "--b", "13"], {}, complexes, "enumerate_dyck_paths"),
+        # duality refuses at its first pair, (1,13) against (12,13)
+        (["duality", "--b", "13"], {}, cli, "alexander_duality_check"),
     ],
 )
 def test_caps_refuse_before_the_work(capsys, monkeypatch, argv, env, module, name):
@@ -340,9 +345,9 @@ def test_each_model_is_built_and_reduced_once(capsys, monkeypatch):
         built[a, b] += 1
         return build_ass(a, b, **kwargs)
 
-    def counting_reduce(masks, adj, n_ground):
-        reduced.append(n_ground)
-        return reduce_cells(masks, adj, n_ground)
+    def counting_reduce(cpx):
+        reduced.append(len(cpx.ground))
+        return reduce_cells(cpx)
 
     monkeypatch.setattr(cli, "build_ass", counting_build)
     monkeypatch.setattr(homology, "_reduce_cells", counting_reduce)

@@ -17,6 +17,8 @@ from ratassoc import (
     SimplicialComplex,
     StageRecord,
     StageReplay,
+    betti_numbers,
+    build_hat_ass,
     collapse_schedule,
     face_text,
     verify_certificate,
@@ -169,6 +171,33 @@ def test_start_complex_is_collapsed_in_place(a, b):
     assert start.mask_set == ass(a, b).mask_set
     assert start.facets() == ass(a, b).facets()
     assert start.f_vector_counts() == ass(a, b).f_vector_counts()
+
+
+@pytest.mark.parametrize("a,b", [(3, 5), (4, 7), (5, 8), (5, 9)])
+@pytest.mark.parametrize("consumer", ["collapse_schedule", "verify_certificate"])
+def test_a_collapsed_model_forgets_its_graph(a, b, consumer):
+    """A freshly built noncrossing model reads its invariants from its graph;
+    once the collapse or the replay has taken over its face set, every one
+    of them is read from the faces left, which are the lattice-path
+    model's, and not from the graph of the faces it started with."""
+    start = build_hat_ass(a, b)
+    for field in ("gf2", "q"):
+        betti_numbers(start, field)  # fills the cells and counts to be dropped
+    start.facets()
+    assert start.clique_graph() is not None
+    if consumer == "collapse_schedule":
+        cert = collapse_schedule(a, b, hat=start, ass=ass(a, b), graph=obstruction_graph(a, b))
+        assert cert.n_steps
+    else:
+        assert verify_certificate(start, ass(a, b), schedule(a, b)).steps_applied
+    model = ass(a, b)
+    assert start.mask_set == model.mask_set
+    assert start.n_faces == model.n_faces < hat(a, b).n_faces
+    assert start.dim == model.dim
+    assert start.f_vector_counts() == model.f_vector_counts()
+    assert start.facets() == model.facets()
+    for field in ("gf2", "q"):
+        assert betti_numbers(start, field) == betti_numbers(model, field)
 
 
 def test_replay_refuses_a_target_that_shares_the_start_face_set():

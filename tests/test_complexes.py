@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -23,10 +24,25 @@ from ratassoc import (
     rational_kirkman,
     rational_narayana,
 )
-from ratassoc.complexes import polygon_dissections, skeleton_adjacency
-from ratassoc.polygon import compatibility_masks
+from ratassoc.complexes import (
+    clique_complex,
+    clique_counts,
+    clique_tree,
+    maximal_cliques,
+    polygon_dissections,
+    skeleton_adjacency,
+)
+from ratassoc.polygon import admissible_compatibility, compatibility_masks
 
-from helpers import ass, coprime_pairs, hat, is_fuss, obstruction_graph
+from helpers import (
+    ass,
+    coprime_pairs,
+    hat,
+    is_fuss,
+    maximal_masks,
+    obstruction_graph,
+    weighted_clique_tree,
+)
 
 
 def d(i, j, b=5):
@@ -43,7 +59,7 @@ def test_hat_3_5_structure():
         frozenset({d(1, 3), d(1, 5), d(3, 5)}),
     }
     assert cpx.n_faces == 18
-    assert not cpx.is_pure()
+    assert len({len(f) for f in facets}) > 1  # not pure
 
 
 def test_hat_2_3_is_two_points():
@@ -224,9 +240,11 @@ def test_build_caps():
 
 
 def test_hat_cap_refuses_before_the_clique_walk(monkeypatch):
-    # (8,13): the Kirkman sum is under the cap, the noncrossing model is not
+    # (8,13): the Kirkman sum is under the cap, the noncrossing model is not;
+    # its exact clique count refuses it, and no face is built on the way
     assert sum(rational_kirkman(8, 13, i) for i in range(1, 9)) == 89_155 < 100_000
-    assert polygon_dissections(13) > 100_000
+    compat = admissible_compatibility(8, 13)
+    assert sum(clique_counts(compat, (1 << len(compat)) - 1)) == 354_875
 
     def walked(*args):
         raise AssertionError("clique_complex ran on a model over the cap")
@@ -234,6 +252,11 @@ def test_hat_cap_refuses_before_the_clique_walk(monkeypatch):
     monkeypatch.setattr(complexes, "clique_complex", walked)
     with pytest.raises(CapExceededError, match="exceeds the face cap 100000"):
         build_hat_ass(8, 13, max_faces=100_000)
+    # under the cap the build holds the graph alone: faces wait for a reader
+    cpx = build_hat_ass(8, 13, max_faces=354_875)
+    assert cpx.n_faces == 354_875 and cpx.dim == 10
+    with pytest.raises(AssertionError, match="clique_complex ran"):
+        cpx.mask_set
 
 
 def test_hat_cap_count_is_exact_at_the_boundary():
@@ -247,6 +270,42 @@ def test_hat_cap_count_is_exact_at_the_boundary():
 @pytest.mark.parametrize("b", range(2, 10))
 def test_polygon_dissections_count_the_full_noncrossing_model(b):
     assert polygon_dissections(b) == build_hat_ass(b - 1, b).n_faces
+
+
+@pytest.mark.parametrize("b", range(3, 15))
+def test_counting_walk_gives_the_dissections_of_delta_b(b):
+    """Delta_b = hat(b-1, b), every noncrossing set of diagonals of the
+    (b+1)-gon: no face set is built, so b = 13 and 14 are in reach though
+    their models are over the face cap."""
+    compat = admissible_compatibility(b - 1, b)
+    assert sum(clique_counts(compat, (1 << len(compat)) - 1)) == polygon_dissections(b)
+
+
+@pytest.mark.parametrize("a,b", coprime_pairs(max_b=11))
+def test_graph_walks_agree_with_the_face_set(a, b):
+    """On each model's graph, the counting walk gives the sizes of the faces
+    the face walk lists, the maximal cliques are the maximal faces, and the
+    tree that stops at a cone apex leaves the cells the weighted matching
+    tree leaves unmatched, in the same order.  Where the two models
+    coincide, so do their graphs, checked once."""
+    graphs = {(tuple(adj), vertices) for adj, vertices in
+              (build_hat_ass(a, b).clique_graph(), build_ass(a, b).clique_graph())}
+    for adj, vertices in graphs:
+        faces = clique_complex(adj, vertices)
+        sizes = Counter(map(int.bit_count, faces))
+        assert clique_counts(adj, vertices) == tuple(sizes[k] for k in range(len(sizes)))
+        assert set(maximal_cliques(adj, vertices)) == maximal_masks(faces)
+        count, unmatched = weighted_clique_tree(adj, vertices, len(faces))
+        assert count == len(faces)
+        assert clique_tree(adj, vertices) == unmatched
+
+
+def test_a_deletion_reads_its_own_faces():
+    cpx = build_hat_ass(5, 8)
+    kept = cpx.deletion([list(e.pair()) for e in obstruction_graph(5, 8).edges])
+    assert cpx.clique_graph() is not None and kept._graph is None
+    assert kept.f_vector_counts() == ass(5, 8).f_vector_counts()
+    assert kept.facets() == ass(5, 8).facets()
 
 
 def test_json_round_trip():

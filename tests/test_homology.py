@@ -19,10 +19,10 @@ from ratassoc import (
     homology,
     is_flag,
 )
-from ratassoc.complexes import clique_tree, skeleton_adjacency
+from ratassoc.complexes import clique_counts, skeleton_adjacency
 from ratassoc.homology import _build_matrices, _check_dd_zero, _reduce_cells
 
-from helpers import all_facets, ass, coprime_pairs, hat
+from helpers import all_facets, ass, coprime_pairs, copy_of, hat
 
 
 def test_betti_examples():
@@ -129,13 +129,10 @@ def test_is_flag_agrees_with_brute_force_on_random_families(facets):
 
 
 def _skeleton(cpx):
+    """The 1-skeleton read from the face set, not from a built model's graph."""
     n = len(cpx.ground)
     vertices = sum(1 << p for p in range(n) if 1 << p in cpx.mask_set)
     return skeleton_adjacency(cpx.mask_set, n), vertices
-
-
-def _reduce(cpx):
-    return _reduce_cells(cpx.mask_set, _skeleton(cpx)[0], len(cpx.ground))
 
 
 @pytest.mark.parametrize("model", [ass, hat], ids=["ass", "hat"])
@@ -143,17 +140,19 @@ def _reduce(cpx):
 def test_reduction_leaves_one_cell_per_sphere(a, b, model):
     """Both models are flag and their matching trees are perfect: the cells
     left are C(b,a)/b critical cells with a-1 diagonals each.  Falling back
-    to direct ranks would leave every face."""
-    cells = _reduce(model(a, b))
+    to direct ranks would leave every face.  The model's graph and the
+    skeleton read from its face set leave the same cells."""
+    cells = _reduce_cells(model(a, b))
     assert len(cells) == comb(b, a) // b
     assert {m.bit_count() for m in cells} == {a - 1}
+    assert _reduce_cells(copy_of(model(a, b))) == cells
 
 
 @pytest.mark.parametrize("a,b", coprime_pairs(max_b=10))
 def test_clique_count_is_the_face_count_of_both_models(a, b):
     for cpx in (ass(a, b), hat(a, b)):
         adj, vertices = _skeleton(cpx)
-        assert clique_tree(adj, vertices, cpx.n_faces)[0] == cpx.n_faces
+        assert sum(clique_counts(adj, vertices)) == len(cpx.mask_set)
 
 
 HOLLOW_TRIANGLE = [[VERTICES[0], VERTICES[1]], [VERTICES[1], VERTICES[2]], [VERTICES[0], VERTICES[2]]]
@@ -170,7 +169,7 @@ def test_reduction_keeps_every_cell_when_the_tree_cannot_decide(facets, betti):
     dimensions (a point beside a square), so the tree cannot be perfect:
     every cell goes to the exact ranks."""
     cpx = SimplicialComplex(VERTICES, facets)
-    assert _reduce(cpx) == cpx.mask_set
+    assert _reduce_cells(cpx) == cpx.mask_set
     for field in ("gf2", "q"):
         vec = betti_numbers(cpx, field)
         assert vec.values == betti_numbers(cpx, field, method="direct").values
@@ -181,8 +180,8 @@ def test_clique_count_passes_the_face_count_of_a_hollow_triangle():
     cpx = SimplicialComplex(VERTICES, HOLLOW_TRIANGLE)
     adj, vertices = _skeleton(cpx)
     assert cpx.n_faces == 7
-    assert clique_tree(adj, vertices, 10**9)[0] == 8
-    assert clique_tree(adj, vertices, cpx.n_faces)[0] > cpx.n_faces
+    assert clique_counts(adj, vertices) == (1, 3, 3, 1)
+    assert cpx.clique_graph() is None
 
 
 def test_euler_check_reports_integers(monkeypatch):
@@ -190,8 +189,8 @@ def test_euler_check_reports_integers(monkeypatch):
     gives both characteristics as integers."""
     reduce_cells = homology._reduce_cells
 
-    def lossy(masks, adj, n_ground):
-        cells = reduce_cells(masks, adj, n_ground)
+    def lossy(cpx):
+        cells = reduce_cells(cpx)
         return cells - {min(cells)}
 
     monkeypatch.setattr(homology, "_reduce_cells", lossy)

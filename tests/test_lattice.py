@@ -16,23 +16,22 @@ from ratassoc import (
     LatticePoint,
     enumerate_dyck_paths,
     facet_of,
-    fire_laser,
     laser_diagonal,
-    partition_of,
     rational_catalan,
     valleys,
 )
 from ratassoc import lattice
-from ratassoc.lattice import young_contains
 from ratassoc.polygon import admissible_by_ends, is_admissible
 
 from helpers import (
     coprime_pairs,
     laser_hit_oracle,
     north_step_bottoms,
+    partition_of,
     path_points,
     random_dyck_path,
     reference_dyck_words,
+    young_contains,
 )
 
 D58 = DyckPath(5, 8, "NNENNEEENEEEE")
@@ -113,26 +112,26 @@ def test_valleys_examples():
 
 
 def test_fire_laser_examples():
-    assert fire_laser(D58, LatticePoint(1, 3)).hit_step_right_x == 3
-    assert fire_laser(D58, LatticePoint(4, 4)).hit_step_right_x == 6
+    assert laser_diagonal(D58, LatticePoint(1, 3)).j == 3
+    assert laser_diagonal(D58, LatticePoint(4, 4)).j == 6
 
 
 @pytest.mark.parametrize("a,b", [(3, 5), (5, 8), (4, 7), (3, 10)])
 def test_fire_laser_staircase_formula(a, b):
     path = staircase(a, b)
     for k in range(1, a):
-        got = fire_laser(path, LatticePoint(0, k)).hit_step_right_x
+        got = laser_diagonal(path, LatticePoint(0, k)).j
         assert got == ceil((a - k) * b / a)
         assert got == laser_hit_oracle(path, (0, k))
 
 
 def test_fire_laser_rejects_bad_sources():
     with pytest.raises(InvalidSourceError):
-        fire_laser(D58, LatticePoint(0, 0))
+        laser_diagonal(D58, LatticePoint(0, 0))
     with pytest.raises(InvalidSourceError):
-        fire_laser(D58, LatticePoint(2, 4))  # interior of an east run
+        laser_diagonal(D58, LatticePoint(2, 4))  # interior of an east run
     with pytest.raises(InvalidSourceError):
-        fire_laser(D58, LatticePoint(1, 4))  # top of a north run, not a bottom
+        laser_diagonal(D58, LatticePoint(1, 4))  # top of a north run, not a bottom
 
 
 def test_laser_diagonal_examples():
@@ -193,7 +192,7 @@ def test_fire_laser_matches_rational_oracle(pair, seed):
     for src in north_step_bottoms(path):
         if src == (0, 0):
             continue
-        assert fire_laser(path, src).hit_step_right_x == laser_hit_oracle(path, src)
+        assert laser_diagonal(path, src).j == laser_hit_oracle(path, src)
 
 
 def _misfire(monkeypatch, row: int, hit: int) -> None:

@@ -7,13 +7,19 @@ from ratassoc import (
     NotAFaceOfHatError,
     all_admissible_diagonals,
     is_face_of_ass,
-    partition_of,
     valley_path,
 )
 from ratassoc import parse_face
-from ratassoc.lattice import young_contains
 
-from helpers import all_facets, coprime_pairs, hat, oracle_in_ass, vertical_run_xs
+from helpers import (
+    all_facets,
+    coprime_pairs,
+    hat,
+    oracle_in_ass,
+    partition_of,
+    vertical_run_xs,
+    young_contains,
+)
 
 
 def face(text, b):

@@ -10,7 +10,6 @@ from ratassoc import (
     ObstructionEdge,
     all_admissible_diagonals,
     crossing_indices,
-    edge_order,
     half_wedge_completion,
     is_admissible,
     translate,
@@ -72,9 +71,10 @@ def test_edge_order_examples():
     g = obstruction_graph(5, 8)
     e1, e2 = g.edges[0], g.edges[1]
     assert (e1.text(), e2.text()) == ("0-4 2-4", "1-5 3-5")
-    assert edge_order(e1, e2) == -1
-    assert edge_order(e2, e1) == 1
-    assert edge_order(e1, e1) == 0
+    # the edge order is the order of sort keys, in which the graph lists them
+    assert e1.sort_key() < e2.sort_key()
+    keys = [e.sort_key() for e in g.edges]
+    assert keys == sorted(set(keys))
 
 
 def test_wedge_completion_examples():
