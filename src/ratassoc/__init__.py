@@ -25,7 +25,6 @@ from .complexes import (
     SimplicialComplex,
     build_ass,
     build_hat_ass,
-    f_vector,
     face_text,
     is_flag,
     parse_face,

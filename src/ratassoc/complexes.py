@@ -16,11 +16,11 @@ walk), as the clique complex of the Dyck-facet skeleton, checked.  The
 second is a subcomplex of the first, pure of dimension a-2, with
 Kirkman/Narayana face counts; the first need not be.
 
-Four walks over a graph, one job each, answer what is asked of a model:
-``clique_counts``, the f-vector; ``maximal_cliques``, the facets and the
-lattice-path model's flag proof; ``clique_tree``, the critical cells of
-a matching tree, for homology; and ``clique_complex``, the face set,
-built only when something reads it (see :class:`SimplicialComplex`).
+Three walks over a graph answer what is asked of a model:
+``clique_walk``, the f-vector and the critical cells of a matching tree,
+for homology; ``maximal_cliques``, the facets and the lattice-path
+model's flag proof; and ``clique_complex``, the face set, built only
+when something reads it (see :class:`SimplicialComplex`).
 """
 
 from __future__ import annotations
@@ -80,8 +80,9 @@ class SimplicialComplex:
     The ground set is canonically sorted at construction; every face is a
     bitmask over that order.  A complex holds its faces in one of two ways.
     A built model holds its graph, ``(adj, vertices)``, and is the clique
-    complex of it: its f-vector, facets, dimension and homology cells come
-    from walks over the graph, and its face set is filled, by
+    complex of it: its f-vector, dimension and homology cells come from one
+    :func:`clique_walk`, kept in one slot, its facets from
+    :func:`maximal_cliques`, and its face set is filled, by
     :func:`clique_complex`, only when something reads it: ``mask_set``,
     ``shrinking_mask_set``, ``faces``, ``has_face``, ``==``, ``deletion``
     and ``to_json(include_faces=True)``.  Any other complex (from
@@ -95,7 +96,7 @@ class SimplicialComplex:
     """
 
     __slots__ = (
-        "ground", "a", "b", "_bit", "_graph", "_masks", "_facet_masks", "_f_counts", "_reduced"
+        "ground", "a", "b", "_bit", "_graph", "_masks", "_facet_masks", "_walk"
     )
 
     def __init__(
@@ -130,25 +131,22 @@ class SimplicialComplex:
         a: int,
         b: int,
         *,
-        f_counts: tuple[int, ...] | None = None,
-        maximal: Iterable[int] | None = None,
+        walk: CliqueWalk | None = None,
+        maximal: list[int] | None = None,
     ) -> "SimplicialComplex":
         """Internal constructor for the clique complex of the graph ``adj``
-        on ``vertices``, over a canonically sorted ground set; ``f_counts``
-        and ``maximal``, when the builder already has them, are its
-        :func:`clique_counts` and :func:`maximal_cliques`."""
+        on ``vertices``, over a canonically sorted ground set; ``walk`` and
+        ``maximal``, when the builder already has them, are its
+        :func:`clique_walk` and :func:`maximal_cliques`, in any order."""
         self = object.__new__(cls)
         self._adopt(ground, a, b)
-        self._graph = (adj, vertices)
-        self._f_counts = f_counts
-        if maximal is not None:
-            self._facet_masks = sorted(maximal, key=lambda m: (m.bit_count(), m))
+        self._graph, self._walk, self._facet_masks = (adj, vertices), walk, maximal
         return self
 
     def _adopt(self, ground: tuple[Diagonal, ...], a: int | None, b: int | None):
         self.ground, self.a, self.b = ground, a, b
         self._bit = {d: 1 << i for i, d in enumerate(ground)}
-        self._graph = self._masks = self._facet_masks = self._f_counts = self._reduced = None
+        self._graph = self._masks = self._facet_masks = self._walk = None
 
     def _mask_of(self, face: Iterable[Diagonal]) -> int:
         m = 0
@@ -197,14 +195,18 @@ class SimplicialComplex:
     def shrinking_mask_set(self) -> set[int]:
         """The internal mask set, handed out for the collapse and the replay
         to remove faces from in place.  Drops everything that would go
-        stale: the graph, the facets, the f-vector and the cells that
-        ``homology.betti_numbers`` keeps."""
+        stale: the graph, the facets and the clique walk."""
         masks = self.mask_set
-        self._graph = self._facet_masks = self._f_counts = self._reduced = None
+        self._graph = self._facet_masks = self._walk = None
         return masks
 
-    def _compute_facet_masks(self) -> list[int]:
-        if self._facet_masks is None:
+    def _compute_facet_masks(self) -> tuple[int, ...]:
+        """The facets in (size, mask) order.  Until the first read,
+        ``_facet_masks`` is None or a list of them in any order."""
+        facets = self._facet_masks
+        if type(facets) is tuple:
+            return facets
+        if facets is None:
             if self._graph is not None:
                 facets = maximal_cliques(*self._graph)
             else:
@@ -221,36 +223,33 @@ class SimplicialComplex:
                             break
                     if maximal:
                         facets.append(m)
-            facets.sort(key=lambda m: (m.bit_count(), m))
-            self._facet_masks = facets
-        return self._facet_masks
+        facets.sort()
+        facets.sort(key=int.bit_count)
+        self._facet_masks = facets = tuple(facets)
+        return facets
 
     def facets(self) -> list[frozenset[Diagonal]]:
         """Inclusion-maximal faces, smallest dimension first."""
         return [self._face_of(m) for m in self._compute_facet_masks()]
 
     def f_vector_counts(self) -> tuple[int, ...]:
-        """(f_-1, f_0, ..., f_dim), once per complex: by :func:`clique_counts`
-        over the graph, or by counting the face set in one pass."""
-        if self._f_counts is None:
-            if self._graph is not None:
-                self._f_counts = clique_counts(*self._graph)
-            else:
-                sizes = Counter(map(int.bit_count, self._masks))
-                self._f_counts = tuple(sizes[k] for k in range(max(sizes, default=-1) + 1))
-        return self._f_counts
-
-    def clique_graph(self) -> tuple[Sequence[int], int] | None:
-        """The graph whose clique complex this is, as (adjacency rows, vertex
-        mask): a built model's own graph, else the 1-skeleton of the face
-        set when its clique count by :func:`clique_counts` equals the face
-        count, which makes every clique a face; else None."""
+        """(f_-1, f_0, ..., f_dim): a built model's :meth:`clique_walk`
+        counts, or the face set counted in one pass."""
         if self._graph is not None:
-            return self._graph
-        masks, n = self._masks, len(self.ground)
-        adj = skeleton_adjacency(masks, n)
-        vertices = sum(1 << p for p in range(n) if 1 << p in masks)
-        return (adj, vertices) if sum(clique_counts(adj, vertices)) == len(masks) else None
+            return self.clique_walk().counts
+        sizes = Counter(map(int.bit_count, self._masks))
+        return tuple(sizes[k] for k in range(max(sizes, default=-1) + 1))
+
+    def clique_walk(self) -> CliqueWalk | None:
+        """The :func:`clique_walk` of the graph whose clique complex this is:
+        a built model's own graph, walked once and kept; else the
+        1-skeleton of the face set when its clique count equals the face
+        count, which makes every clique a face; else None."""
+        if self._graph is None:
+            return _skeleton_walk(self._masks, len(self.ground))[2]
+        if self._walk is None:
+            self._walk = clique_walk(*self._graph)
+        return self._walk
 
     # -- constructions ---------------------------------------------------
 
@@ -325,6 +324,16 @@ def skeleton_adjacency(masks: set[int], n_ground: int) -> list[int]:
     return adj
 
 
+def _skeleton_walk(masks: set[int], n_ground: int) -> tuple[list[int], int, CliqueWalk | None]:
+    """The 1-skeleton of a face set, as adjacency rows and vertex mask, and
+    its :func:`clique_walk` when the clique count equals the face count;
+    else None for the walk."""
+    adj = skeleton_adjacency(masks, n_ground)
+    vertices = sum(1 << p for p in range(n_ground) if 1 << p in masks)
+    walk = clique_walk(adj, vertices)
+    return adj, vertices, walk if sum(walk.counts) == len(masks) else None
+
+
 def _downward_closure(masks: set[int]) -> set[int]:
     closed: set[int] = set()
     stack = list(masks)
@@ -350,43 +359,61 @@ def _downward_closure(masks: set[int]) -> set[int]:
 # included, are the faces of its clique complex.
 
 
-def clique_counts(adj: Sequence[int], vertices: int) -> tuple[int, ...]:
-    """The number of cliques of each size 0, 1, 2, ..., the f-vector of the
-    clique complex, without listing a clique.
+class CliqueWalk(NamedTuple):
+    counts: tuple[int, ...]  # cliques of each size 0, 1, 2, ...: the f-vector
+    cells: tuple[int, ...]  # the matching tree's critical cells, in walk order
 
-    Read as a polynomial in t with one t per vertex, the cliques of the
-    graph on a free set S sum to P(S).  A cone apex c of S, a vertex
-    adjacent to all the others, gives P(S) = (1 + t) P(S - c).  Otherwise
-    the top vertex p of S splits it: P(S) = P(S - p) + t P(S & adj[p]).
-    The walk memoises P on the free set it is asked for.
+
+def clique_walk(adj: Sequence[int], vertices: int) -> CliqueWalk:
+    """The number of cliques of each size and the critical cells of the
+    matching tree of Bousquet-Melou, Linusson and Nevo (J. Algebraic
+    Combin. 27, 2008) on the clique complex, without listing a clique.
+
+    Over a free set S, read the cliques of the graph on S as a polynomial
+    P(S) in t, one t per vertex, and let C(S) be the cliques the tree
+    leaves unmatched.  A cone apex c of S, a vertex adjacent to all the
+    others, gives P(S) = (1 + t) P(S - c); toggling c matches every clique,
+    so C(S) is empty.  With no free vertex left, P = 1 and the empty
+    clique is critical.  Otherwise the top vertex p of S splits it:
+    P(S) = P(S - p) + t P(S & adj[p]), and C(S) is C(S & adj[p]) with p
+    added, then C(S - p).  The walk memoises both on the free set; a stack
+    entry scans its free set for apexes once and keeps the split for its
+    second visit, when both halves are known.
     """
-    return tuple(_clique_polynomial(adj, vertices, {}))
-
-
-def _clique_polynomial(adj: Sequence[int], free: int, memo: dict[int, list[int]]) -> list[int]:
-    known = memo.get(free)
-    if known is not None:
-        return known
-    asked, apexes, rest = free, 0, free
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        if free & ~adj[bit.bit_length() - 1] == bit:
-            free ^= bit
-            apexes += 1
-    if free:
-        top = free.bit_length() - 1
-        without = _clique_polynomial(adj, free ^ 1 << top, memo)
-        within = _clique_polynomial(adj, free & adj[top], memo)
-        poly = without + [0] * (len(within) + 1 - len(without))
-        for k, c in enumerate(within, 1):
+    memo: dict[int, tuple[list[int], tuple[int, ...]]] = {}
+    stack: list = [vertices]
+    while stack:
+        entry = stack.pop()
+        if type(entry) is int:
+            free = entry
+            if free in memo:
+                continue
+            apexes, core, rest = 0, free, free
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                if free & ~adj[bit.bit_length() - 1] == bit:
+                    core ^= bit
+                    apexes += 1
+            if not core:
+                memo[free] = ([comb(apexes, k) for k in range(apexes + 1)], () if apexes else (0,))
+                continue
+            top = core.bit_length() - 1
+            without, within = core ^ 1 << top, core & adj[top]
+            stack += ((free, apexes, top, without, within), without, within)
+            continue
+        free, apexes, top, without, within = entry
+        poly, low_cells = memo[without]
+        high, high_cells = memo[within]
+        poly = poly + [0] * (len(high) + 1 - len(poly))
+        for k, c in enumerate(high, 1):
             poly[k] += c
-    else:
-        poly = [1]
-    for _ in range(apexes):
-        poly = [x + y for x, y in zip(poly + [0], [0] + poly)]
-    memo[asked] = poly
-    return poly
+        for _ in range(apexes):
+            poly = [x + y for x, y in zip(poly + [0], [0] + poly)]
+        bit = 1 << top
+        memo[free] = (poly, () if apexes else tuple([c | bit for c in high_cells]) + low_cells)
+    poly, cells = memo[vertices]
+    return CliqueWalk(tuple(poly), cells)
 
 
 def maximal_cliques(adj: Sequence[int], vertices: int) -> list[int]:
@@ -424,38 +451,6 @@ def maximal_cliques(adj: Sequence[int], vertices: int) -> list[int]:
     return found
 
 
-def clique_tree(adj: Sequence[int], vertices: int) -> list[int]:
-    """The critical cells of the matching tree of Bousquet-Melou, Linusson
-    and Nevo (J. Algebraic Combin. 27, 2008) on the clique complex.
-
-    A node (A, free) stands for the faces A + S, S a clique of the graph
-    on ``free``.  A cone apex c of ``free`` matches each of them with its
-    toggle by c, so the node leaves no critical cell and the walk stops
-    there.  With no free vertex left, A is critical.  Otherwise the node
-    splits on the highest free vertex p into (A, free - p) and
-    (A + p, free & adj[p]).  On both models the cones come early: at
-    (13,14) the walk visits 157 nodes, against 71,039,373 faces.
-    """
-    critical = []
-    stack = [(0, vertices)]
-    while stack:
-        face, free = stack.pop()
-        rest = free
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            if free & ~adj[bit.bit_length() - 1] == bit:
-                break
-        else:
-            if not free:
-                critical.append(face)
-                continue
-            top = free.bit_length() - 1
-            stack.append((face, free ^ 1 << top))
-            stack.append((face | 1 << top, free & adj[top]))
-    return critical
-
-
 def clique_complex(adj: Sequence[int], vertices: int) -> set[int]:
     """Every clique, as a mask set.  A clique grows only by candidates below
     its lowest vertex and adjacent to all of it, so each is added once."""
@@ -485,18 +480,18 @@ def build_hat_ass(
     max_b: int = DEFAULT_MAX_B,
 ) -> SimplicialComplex:
     """The noncrossing model: the clique complex of the compatibility graph,
-    refused when its exact face count by :func:`clique_counts` passes
+    refused when its exact face count by :func:`clique_walk` passes
     ``max_faces``.  The noncrossing sets of all diagonals contain the model,
-    so the count is needed only when they do not fit under the cap."""
+    so the walk is needed only when they do not fit under the cap."""
     ground = _guarded_ground(a, b, max_b)
     compat, vertices = admissible_compatibility(a, b), (1 << len(ground)) - 1
-    counts = None
+    walk = None
     if polygon_dissections(b) > max_faces:
-        counts = clique_counts(compat, vertices)
-        if sum(counts) > max_faces:
+        walk = clique_walk(compat, vertices)
+        if sum(walk.counts) > max_faces:
             what = f"noncrossing family of ({a},{b})"
             raise CapExceededError(f"{what} exceeds the face cap {max_faces}")
-    return SimplicialComplex._of_graph(ground, compat, vertices, a, b, f_counts=counts)
+    return SimplicialComplex._of_graph(ground, compat, vertices, a, b, walk=walk)
 
 
 def build_ass(
@@ -605,11 +600,6 @@ class FHVector:
         return cls(cpx.f_vector_counts())
 
 
-def f_vector(cpx: SimplicialComplex) -> FHVector:
-    """Face counts by dimension (with the h part alongside)."""
-    return FHVector.of(cpx)
-
-
 # -- flagness --------------------------------------------------------------
 
 
@@ -621,18 +611,20 @@ class FlagReport(NamedTuple):
 def is_flag(cpx: SimplicialComplex) -> FlagReport:
     """Whether every clique of the 1-skeleton is a face.
 
-    A built model is, by construction; any other complex exactly when
-    :meth:`SimplicialComplex.clique_graph` finds it so.  Otherwise some
-    clique is missing, and adding its vertices one at a time to the empty
-    face leaves the faces at some face F and vertex v adjacent to all of F.
-    The first such F + v in (size, mask) order is the witness: a clique
-    that is not a face but all of whose facets are.
+    A built model is, by construction; any other complex exactly when its
+    skeleton's clique count equals its face count, as for
+    :meth:`SimplicialComplex.clique_walk`.  Otherwise some clique is
+    missing, and adding its vertices one at a time to the empty face leaves
+    the faces at some face F and vertex v adjacent to all of F.  The first
+    such F + v in (size, mask) order is the witness: a clique that is not a
+    face but all of whose facets are.
     """
-    if cpx.clique_graph() is not None:
+    if cpx._graph is not None:
         return FlagReport(True, None)
-    masks = cpx.mask_set
-    adj = skeleton_adjacency(masks, len(cpx.ground))
-    vertices = sum(1 << p for p in range(len(cpx.ground)) if 1 << p in masks)
+    masks = cpx._masks
+    adj, vertices, walk = _skeleton_walk(masks, len(cpx.ground))
+    if walk is not None:
+        return FlagReport(True, None)
     for face in sorted(masks, key=lambda m: (m.bit_count(), m)):
         common = vertices
         for p in bit_positions(face):

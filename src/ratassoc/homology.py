@@ -11,26 +11,25 @@ normalization over the rationals.  Agreement of the two Betti vectors
 rules out 2-torsion at this scale.
 
 Large complexes are first shrunk (:func:`_reduce_cells`) to the critical
-cells of a matching tree, :func:`ratassoc.complexes.clique_tree`, walked
-over the graph the complex is the clique complex of.  A built model holds
-that graph, so neither its cells nor its face counts, which the Euler
-check reads from :func:`ratassoc.complexes.clique_counts`, need its face
-set; any other complex has such a graph only when its clique count
-equals its face count, that is, when it is flag.  When the critical cells
-all lie in one dimension, discrete Morse theory makes them the homology,
-over every field, and the rank step sees only them.  Any other complex
-keeps every cell and the exact ranks decide.  The cell set depends only
-on the complex, so it is computed once per complex and shared by both
-fields.  The direct no-preprocessing path is kept and cross-checked in
-the tests.
+cells of a matching tree.  One walk over the graph the complex is the
+clique complex of, :meth:`SimplicialComplex.clique_walk`, gives both those
+cells and the face counts the Euler check reads.  A built model holds
+that graph and keeps the walk, so neither needs its face set, and both
+fields read the same walk; any other complex has such a graph only when
+its clique count equals its face count, that is, when it is flag.  When
+the critical cells all lie in one dimension, discrete Morse theory makes
+them the homology, over every field, and the rank step sees only them.
+Any other complex keeps every cell and the exact ranks decide.  The
+direct no-preprocessing path is kept and cross-checked in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, gcd
+from typing import Collection
 
-from .complexes import SimplicialComplex, _exact_div, bits_of, clique_tree
+from .complexes import SimplicialComplex, _exact_div, bits_of
 from .errors import InvariantViolationError
 from .polygon import all_admissible_diagonals, all_diagonals, check_slope_pair
 
@@ -55,14 +54,15 @@ class BettiVector:
         return {k - 1: v for k, v in enumerate(self.values) if v}
 
 
-def _reduce_cells(cpx: SimplicialComplex) -> set[int]:
+def _reduce_cells(cpx: SimplicialComplex) -> Collection[int]:
     """A cell set with the same reduced homology as ``cpx``: its critical
-    cells when they decide it, else all of its faces.
+    cells when they decide it, else all of its faces, ``cpx.mask_set``
+    itself, not to be mutated.
 
-    The critical cells are those of :func:`ratassoc.complexes.clique_tree`
-    on :meth:`SimplicialComplex.clique_graph`, so a built model is read
-    from its graph alone and builds no face set.  A complex with no such
-    graph, one that is not flag, keeps every cell.
+    The critical cells are read from :meth:`SimplicialComplex.clique_walk`,
+    which a built model walks once over its graph and keeps, so a built
+    model builds no face set.  A complex with no such graph, one that is not
+    flag, keeps every cell.
 
     The tree is the matching tree of Bousquet-Melou, Linusson and Nevo
     (J. Algebraic Combin. 27, 2008): a node (A, free) holds the faces A + S
@@ -79,17 +79,11 @@ def _reduce_cells(cpx: SimplicialComplex) -> set[int]:
     every field the reduced Betti number in dimension d is the number of
     critical cells and all others vanish, so the critical cells stand in for
     the complex.  Critical cells in two or more dimensions keep every cell.
-
-    The result does not depend on the field, so :func:`betti_numbers`
-    keeps it on the complex and each complex is reduced once.
     """
-    graph = cpx.clique_graph()
-    if graph is None:
-        return set(cpx.mask_set)
-    critical = clique_tree(*graph)
-    if len({m.bit_count() for m in critical}) > 1:
-        return set(cpx.mask_set)
-    return set(critical)
+    walk = cpx.clique_walk()
+    if walk is None or len({m.bit_count() for m in walk.cells}) > 1:
+        return cpx.mask_set
+    return walk.cells
 
 
 class BoundaryMatrix:
@@ -169,7 +163,9 @@ class BoundaryMatrix:
         raise ValueError(f"unknown field {field!r}; expected one of {FIELDS}")
 
 
-def _build_matrices(cells: set[int]) -> tuple[dict[int, list[int]], dict[int, BoundaryMatrix]]:
+def _build_matrices(
+    cells: Collection[int],
+) -> tuple[dict[int, list[int]], dict[int, BoundaryMatrix]]:
     by_dim: dict[int, list[int]] = {}
     for m in cells:
         by_dim.setdefault(m.bit_count() - 1, []).append(m)
@@ -205,24 +201,20 @@ def betti_numbers(
 
     ``method="direct"`` builds full boundary matrices (and asserts that the
     boundary composes to zero).  ``"auto"`` ranks the cells
-    :func:`_reduce_cells` leaves, once per complex: the critical cells of
-    the matching tree when the complex is flag and they lie in one
-    dimension, where the ranks are zero and the Betti numbers are their
-    counts, and every cell otherwise.  The cell set depends only on the
-    complex, so it is kept on it and reused for every field.  An
-    Euler-characteristic cross-check against the face counts is enforced
-    in both paths.
+    :func:`_reduce_cells` leaves: the critical cells of the matching tree
+    when the complex is flag and they lie in one dimension, where the ranks
+    are zero and the Betti numbers are their counts, and every cell
+    otherwise.  An Euler-characteristic cross-check against the face
+    counts is enforced in both paths.
     """
     if field not in FIELDS:
         raise ValueError(f"unknown field {field!r}; expected one of {FIELDS}")
     f = cpx.f_vector_counts()
     dim = len(f) - 2
     if method == "direct":
-        cells = set(cpx.mask_set)
+        cells = cpx.mask_set
     elif method == "auto":
-        if cpx._reduced is None:
-            cpx._reduced = _reduce_cells(cpx)
-        cells = cpx._reduced
+        cells = _reduce_cells(cpx)
     else:
         raise ValueError(f"unknown method {method!r}")
     by_dim, mats = _build_matrices(cells)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from ratassoc import cli, complexes, homology
+from ratassoc import cli, complexes
 
 from helpers import coprime_pairs
 
@@ -338,26 +338,28 @@ def test_homology_and_duality_golden_output(capsys, argv, golden):
 
 
 def test_each_model_is_built_and_reduced_once(capsys, monkeypatch):
-    built, reduced = Counter(), []
-    build_ass, reduce_cells = cli.build_ass, homology._reduce_cells
+    """One build per model, and one clique walk, which gives its face counts
+    and its critical cells to every field."""
+    built, walked = Counter(), []
+    build_ass, clique_walk = cli.build_ass, complexes.clique_walk
 
     def counting_build(a, b, **kwargs):
         built[a, b] += 1
         return build_ass(a, b, **kwargs)
 
-    def counting_reduce(cpx):
-        reduced.append(len(cpx.ground))
-        return reduce_cells(cpx)
+    def counting_walk(adj, vertices):
+        walked.append(vertices)
+        return clique_walk(adj, vertices)
 
     monkeypatch.setattr(cli, "build_ass", counting_build)
-    monkeypatch.setattr(homology, "_reduce_cells", counting_reduce)
+    monkeypatch.setattr(complexes, "clique_walk", counting_walk)
     assert run(capsys, "duality", "--b", "9")[0] == cli.EXIT_OK
     assert built == {(a, 9): 1 for a in (1, 2, 4, 5, 7, 8)}
-    assert len(reduced) == 6
-    reduced.clear()
+    assert len(walked) == 6
+    walked.clear()
     argv = ["homology", "--a", "5", "--b", "8", "--model", "hat", "--field", "both"]
     assert run(capsys, *argv)[0] == cli.EXIT_OK
-    assert len(reduced) == 1
+    assert len(walked) == 1
 
 
 def test_one_parser_serves_every_call(capsys, monkeypatch):

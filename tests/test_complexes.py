@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from types import SimpleNamespace
 
@@ -17,7 +18,6 @@ from ratassoc import (
     build_hat_ass,
     complexes,
     enumerate_dyck_paths,
-    f_vector,
     facet_of,
     is_flag,
     rational_catalan,
@@ -26,8 +26,7 @@ from ratassoc import (
 )
 from ratassoc.complexes import (
     clique_complex,
-    clique_counts,
-    clique_tree,
+    clique_walk,
     maximal_cliques,
     polygon_dissections,
     skeleton_adjacency,
@@ -99,20 +98,20 @@ def test_ass_is_pure_with_catalan_facets(a, b):
 
 
 def test_f_vector_examples():
-    assert f_vector(ass(3, 5)).f == (1, 6, 7)
+    assert FHVector.of(ass(3, 5)).f == (1, 6, 7)
     point = SimplicialComplex([d(0, 2)], [[d(0, 2)]])
-    assert f_vector(point).f == (1, 1)
-    fh58 = f_vector(ass(5, 8))
+    assert FHVector.of(point).f == (1, 1)
+    fh58 = FHVector.of(ass(5, 8))
     assert fh58.f == tuple(rational_kirkman(5, 8, i) for i in range(1, 6))
 
 
 def test_h_vector_examples():
-    assert f_vector(ass(3, 5)).h == (1, 4, 2)
+    assert FHVector.of(ass(3, 5)).h == (1, 4, 2)
     simplex = SimplicialComplex(
         [d(0, 2), d(0, 3), d(0, 4)], [[d(0, 2), d(0, 3), d(0, 4)]]
     )
-    assert f_vector(simplex).h == (1, 0, 0, 0)
-    assert f_vector(ass(5, 8)).h == tuple(rational_narayana(5, 8, i) for i in range(1, 6))
+    assert FHVector.of(simplex).h == (1, 0, 0, 0)
+    assert FHVector.of(ass(5, 8)).h == tuple(rational_narayana(5, 8, i) for i in range(1, 6))
 
 
 def test_fh_top_term_consistency():
@@ -133,7 +132,7 @@ def test_fh_vector_of_the_void_complex_is_empty():
     void = SimplicialComplex._trusted(all_admissible_diagonals(3, 5), set(), 3, 5)
     assert void.dim == -2
     assert FHVector.of(void) == FHVector(())
-    assert f_vector(void).h == ()
+    assert FHVector.of(void).h == ()
 
 
 def test_formula_examples():
@@ -244,7 +243,7 @@ def test_hat_cap_refuses_before_the_clique_walk(monkeypatch):
     # its exact clique count refuses it, and no face is built on the way
     assert sum(rational_kirkman(8, 13, i) for i in range(1, 9)) == 89_155 < 100_000
     compat = admissible_compatibility(8, 13)
-    assert sum(clique_counts(compat, (1 << len(compat)) - 1)) == 354_875
+    assert sum(clique_walk(compat, (1 << len(compat)) - 1).counts) == 354_875
 
     def walked(*args):
         raise AssertionError("clique_complex ran on a model over the cap")
@@ -252,8 +251,10 @@ def test_hat_cap_refuses_before_the_clique_walk(monkeypatch):
     monkeypatch.setattr(complexes, "clique_complex", walked)
     with pytest.raises(CapExceededError, match="exceeds the face cap 100000"):
         build_hat_ass(8, 13, max_faces=100_000)
-    # under the cap the build holds the graph alone: faces wait for a reader
+    # under the cap the build holds the graph and the walk that counted it
+    # alone: faces wait for a reader
     cpx = build_hat_ass(8, 13, max_faces=354_875)
+    assert cpx._walk is not None
     assert cpx.n_faces == 354_875 and cpx.dim == 10
     with pytest.raises(AssertionError, match="clique_complex ran"):
         cpx.mask_set
@@ -276,34 +277,48 @@ def test_polygon_dissections_count_the_full_noncrossing_model(b):
 def test_counting_walk_gives_the_dissections_of_delta_b(b):
     """Delta_b = hat(b-1, b), every noncrossing set of diagonals of the
     (b+1)-gon: no face set is built, so b = 13 and 14 are in reach though
-    their models are over the face cap."""
+    their models are over the face cap.  It is a (b-3)-sphere, and its
+    matching tree leaves one critical cell, of b-2 diagonals."""
     compat = admissible_compatibility(b - 1, b)
-    assert sum(clique_counts(compat, (1 << len(compat)) - 1)) == polygon_dissections(b)
+    walk = clique_walk(compat, (1 << len(compat)) - 1)
+    assert sum(walk.counts) == polygon_dissections(b)
+    assert [m.bit_count() for m in walk.cells] == [b - 2]
+
+
+def test_clique_walk_needs_no_recursion():
+    """An edgeless graph on more vertices than the recursion limit: one
+    split per vertex, n points, and n-1 critical vertices for the n-1
+    components beyond the first."""
+    n = sys.getrecursionlimit() + 200
+    walk = clique_walk([0] * n, (1 << n) - 1)
+    assert walk.counts == (1, n)
+    assert len(walk.cells) == n - 1 and all(m.bit_count() == 1 for m in walk.cells)
 
 
 @pytest.mark.parametrize("a,b", coprime_pairs(max_b=11))
 def test_graph_walks_agree_with_the_face_set(a, b):
-    """On each model's graph, the counting walk gives the sizes of the faces
-    the face walk lists, the maximal cliques are the maximal faces, and the
-    tree that stops at a cone apex leaves the cells the weighted matching
-    tree leaves unmatched, in the same order.  Where the two models
-    coincide, so do their graphs, checked once."""
+    """On each model's graph, the clique walk counts the sizes of the faces
+    the face walk lists and leaves the cells the weighted matching tree
+    leaves unmatched, in the same order, and the maximal cliques are the
+    maximal faces.  Where the two models coincide, so do their graphs,
+    checked once."""
     graphs = {(tuple(adj), vertices) for adj, vertices in
-              (build_hat_ass(a, b).clique_graph(), build_ass(a, b).clique_graph())}
+              (build_hat_ass(a, b)._graph, build_ass(a, b)._graph)}
     for adj, vertices in graphs:
         faces = clique_complex(adj, vertices)
         sizes = Counter(map(int.bit_count, faces))
-        assert clique_counts(adj, vertices) == tuple(sizes[k] for k in range(len(sizes)))
+        walk = clique_walk(adj, vertices)
+        assert walk.counts == tuple(sizes[k] for k in range(len(sizes)))
         assert set(maximal_cliques(adj, vertices)) == maximal_masks(faces)
         count, unmatched = weighted_clique_tree(adj, vertices, len(faces))
         assert count == len(faces)
-        assert clique_tree(adj, vertices) == unmatched
+        assert list(walk.cells) == unmatched
 
 
 def test_a_deletion_reads_its_own_faces():
     cpx = build_hat_ass(5, 8)
     kept = cpx.deletion([list(e.pair()) for e in obstruction_graph(5, 8).edges])
-    assert cpx.clique_graph() is not None and kept._graph is None
+    assert cpx.clique_walk() is not None and kept._graph is None
     assert kept.f_vector_counts() == ass(5, 8).f_vector_counts()
     assert kept.facets() == ass(5, 8).facets()
 

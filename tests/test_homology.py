@@ -19,7 +19,7 @@ from ratassoc import (
     homology,
     is_flag,
 )
-from ratassoc.complexes import clique_counts, skeleton_adjacency
+from ratassoc.complexes import clique_walk, skeleton_adjacency
 from ratassoc.homology import _build_matrices, _check_dd_zero, _reduce_cells
 
 from helpers import all_facets, ass, coprime_pairs, copy_of, hat
@@ -86,16 +86,18 @@ def test_reduction_agrees_with_direct_on_random_families(facets):
     cpx = SimplicialComplex(VERTICES, facets)
     direct = {f: betti_numbers(cpx, f, method="direct").values for f in ("gf2", "q")}
     assert betti_numbers(cpx, "gf2").values == direct["gf2"]
-    reduced, counts = cpx._reduced, cpx._f_counts
-    # the second field reuses the reduction and the face counts; a fresh
-    # object gives the same
+    reduced, counts = _reduce_cells(cpx), cpx.f_vector_counts()
+    # the second field reads the same reduction and face counts, and keeps
+    # nothing on a complex that holds its faces; a fresh object gives the same
     assert betti_numbers(cpx, "q").values == direct["q"]
-    assert counts is not None
-    assert cpx._reduced is reduced and cpx._f_counts is counts
+    sizes = [m.bit_count() for m in cpx.mask_set]
+    assert counts == tuple(sizes.count(k) for k in range(len(counts)))
+    assert _reduce_cells(cpx) == reduced and cpx.f_vector_counts() == counts
+    assert cpx._walk is None
     assert betti_numbers(SimplicialComplex(VERTICES, facets), "q").values == direct["q"]
     if facets and facets[0]:
         smaller = cpx.deletion([sorted(facets[0], key=Diagonal.key)[:1]])
-        assert smaller._reduced is None
+        assert smaller._walk is None
         for f in ("gf2", "q"):
             assert (
                 betti_numbers(smaller, f).values
@@ -152,7 +154,7 @@ def test_reduction_leaves_one_cell_per_sphere(a, b, model):
 def test_clique_count_is_the_face_count_of_both_models(a, b):
     for cpx in (ass(a, b), hat(a, b)):
         adj, vertices = _skeleton(cpx)
-        assert sum(clique_counts(adj, vertices)) == len(cpx.mask_set)
+        assert sum(clique_walk(adj, vertices).counts) == len(cpx.mask_set)
 
 
 HOLLOW_TRIANGLE = [[VERTICES[0], VERTICES[1]], [VERTICES[1], VERTICES[2]], [VERTICES[0], VERTICES[2]]]
@@ -180,8 +182,8 @@ def test_clique_count_passes_the_face_count_of_a_hollow_triangle():
     cpx = SimplicialComplex(VERTICES, HOLLOW_TRIANGLE)
     adj, vertices = _skeleton(cpx)
     assert cpx.n_faces == 7
-    assert clique_counts(adj, vertices) == (1, 3, 3, 1)
-    assert cpx.clique_graph() is None
+    assert clique_walk(adj, vertices).counts == (1, 3, 3, 1)
+    assert cpx.clique_walk() is None
 
 
 def test_euler_check_reports_integers(monkeypatch):
@@ -191,7 +193,7 @@ def test_euler_check_reports_integers(monkeypatch):
 
     def lossy(cpx):
         cells = reduce_cells(cpx)
-        return cells - {min(cells)}
+        return sorted(cells)[1:]
 
     monkeypatch.setattr(homology, "_reduce_cells", lossy)
     with pytest.raises(InvariantViolationError, match=r"faces give -?\d+, Betti give -?\d+$"):
