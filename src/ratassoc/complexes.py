@@ -10,9 +10,9 @@ its 1-skeleton and its vertex mask.  ``build_hat_ass`` gives the
 noncrossing model, the clique complex of the noncrossing pairs of
 admissible diagonals, whose rows ``polygon.admissible_compatibility``
 holds once per pair.  ``build_ass`` gives the lattice-path model, whose
-facets are the laser sets of Dyck paths (the ground masks
-``DyckPath.facet`` that ``lattice.enumerate_dyck_paths`` fires along its
-walk), as the clique complex of the Dyck-facet skeleton, checked.  The
+facets are the laser sets of Dyck paths, as the clique complex of the
+Dyck-facet skeleton, checked; ``lattice.enumerate_dyck_paths`` gives both
+the facet masks and the skeleton from one walk, with no path object.  The
 second is a subcomplex of the first, pure of dimension a-2, with
 Kirkman/Narayana face counts; the first need not be.
 
@@ -502,29 +502,23 @@ def build_ass(
     max_b: int = DEFAULT_MAX_B,
 ) -> SimplicialComplex:
     """The lattice-path model: the clique complex of the Dyck-facet skeleton,
-    checked.  The facets, the ground masks ``DyckPath.facet`` of the paths
-    ``enumerate_dyck_paths`` lists, must biject with the Dyck paths and be
-    the skeleton's maximal cliques (:func:`maximal_cliques`): each face is
-    then a clique and each clique lies in a facet, so the model is flag.
+    checked.  The facet masks ``enumerate_dyck_paths`` lists, with their
+    skeleton, must biject with the Dyck paths and be the skeleton's maximal
+    cliques (:func:`maximal_cliques`): each face is then a clique and each
+    clique lies in a facet, so the model is flag.
     Refused before any path is listed when its Kirkman face count passes
     ``max_faces``."""
     ground = _guarded_ground(a, b, max_b)
     predicted = sum(rational_kirkman(a, b, i) for i in range(1, a + 1))
     if predicted > max_faces:
         raise CapExceededError(f"({a},{b}) has {predicted} faces, over the cap {max_faces}")
-    facet_masks = {p.facet for p in enumerate_dyck_paths(a, b)}  # Cat(a,b) <= predicted
+    facets = enumerate_dyck_paths(a, b)  # Cat(a,b) <= predicted
+    facet_masks = set(facets)
     if len(facet_masks) != rational_catalan(a, b):
         raise InvariantViolationError(
             f"({a},{b}) facets do not biject with Dyck paths: {len(facet_masks)}"
         )
-    adj, vertices = [0] * len(ground), 0
-    for m in facet_masks:
-        vertices |= m
-        rest = m
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            adj[bit.bit_length() - 1] |= m ^ bit
+    adj, vertices = facets.adj, facets.vertices
     maximal = maximal_cliques(adj, vertices)
     if set(maximal) != facet_masks:
         raise InvariantViolationError(f"({a},{b}): skeleton cliques are not the Dyck facets")

@@ -19,10 +19,13 @@ first row y above it with a larger key, and it then ends at
 k = xs[y0] + (y - y0) b // a + 1.  That one inequality is read in two
 orders.  ``_row_step`` reads it bottom-up, for paths grown from the
 origin: each placed row catches the pending sources below it with smaller
-keys.  ``enumerate_dyck_paths`` takes that step once per prefix of its
-lex-order walk, and ``DyckPath`` once per row of a path built from a word.
-``_laser_hit`` reads it top-down, for paths grown from (b, a), whose top
-rows are known first: membership's valley-path search, and
+keys.  What a row catches depends only on its row and column and on the
+sources pending below it, so ``enumerate_dyck_paths`` takes that step once
+per move of a walk memoised on that row state, and lists facet masks and
+their skeleton, not paths; ``DyckPath`` takes it once per row of a path
+built from a word.  ``_laser_hit`` reads it top-down, for paths grown from
+(b, a), whose top rows are known first: membership's valley-path search,
+which hands the ends it fired to ``_path_with_lasers``, and
 ``laser_diagonal``.
 
 Each fired laser i-k is read as a ground index from the pair's table of
@@ -38,7 +41,7 @@ floating point enters any predicate in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, NoReturn, Sequence
+from typing import Iterable, NamedTuple, NoReturn, Sequence
 
 from .errors import InvalidSourceError, InvariantViolationError
 from .polygon import Diagonal, admissible_by_ends, admissible_compatibility, all_admissible_diagonals
@@ -57,8 +60,8 @@ class DyckPath:
     ground mask of its laser diagonals over ``all_admissible_diagonals``.
 
     The constructor checks the word and fires the lasers row by row, with
-    every facet check; ``enumerate_dyck_paths`` hands each path the facet
-    its walk fired along the shared prefixes.
+    every facet check; membership's valley paths get the facet their search
+    fired, through ``_path_with_lasers``.
     """
 
     a: int
@@ -88,7 +91,7 @@ class DyckPath:
         table, compat = admissible_by_ends(a, b), admissible_compatibility(a, b)
         pending, mask = (), 0
         for y in range(1, a + 1):
-            pending, fired = _row_step(xs, y, pending, a, b)
+            pending, fired = _row_step(xs[y], y, pending, a, b)
             mask = _fire(mask, fired, table, compat)
         if mask < 0 or pending:
             _raise_facet_failure(a, b, w, xs)
@@ -107,42 +110,136 @@ class DyckPath:
         return self.word
 
 
-def enumerate_dyck_paths(a: int, b: int) -> list[DyckPath]:
-    """All (a, b)-Dyck paths in lexicographic word order with N < E, each
-    with its facet.
+class DyckFacets(list):
+    """The facet masks of the (a, b)-Dyck paths, one per path in lex word
+    order, with the 1-skeleton they span: ``adj[p]`` is the mask of the
+    ground diagonals that share a facet with diagonal p, and ``vertices``
+    is the union of the facets."""
 
-    A depth-first walk places rows 0..a in turn, row y at each column from
-    the previous row's up to the line, lowest first, which is the lex order.
-    Each prefix applies its last row's step once, so a laser is fired once
-    for all the paths that share the prefix where it is caught.  A failed
-    check marks the prefix's mask, and the first path that completes it,
-    the first failing path in lex order, raises the check's error.
+    __slots__ = ("adj", "vertices")
+
+    def __init__(self, masks: Iterable[int], adj: list[int], vertices: int):
+        super().__init__(masks)
+        self.adj, self.vertices = adj, vertices
+
+
+def enumerate_dyck_paths(a: int, b: int) -> DyckFacets:
+    """The facet masks of all (a, b)-Dyck paths in lexicographic word order
+    with N < E, and their skeleton.
+
+    The lasers fired above row y depend only on the row state (y, xs[y],
+    the sources pending after row y), so one walk memoises each state's
+    suffixes: the masks of the lasers fired in rows y+1..a along each way
+    on to (b, a), in lex order, and their union.  A state moves to row y+1
+    at each column from xs[y] up to the line, lowest first (``_moves``);
+    the suffixes through a move that fires the lasers m are m | s for the
+    suffixes s of the state it reaches, and the skeleton row of each laser
+    p in m gains the rest of m and that state's union, once per move.
+    Every check of the row step is made once per move: a table miss, a
+    repeat or a crossing among the lasers of m (``_fire``), and a laser of
+    m that one of the suffixes repeats or crosses, read off their union.
+    A source still pending after row a escapes.  A failed check marks the
+    suffixes it spoils with -1, and the first marked path in lex order
+    raises the check's error.
     """
     check_slope_pair(a, b)
     table, compat = admissible_by_ends(a, b), admissible_compatibility(a, b)
-    # an explicit stack, not a recursive closure: a closure that calls
-    # itself is a reference cycle, which would keep every path alive
-    # until the cyclic garbage collector runs; a node is a prefix through
-    # row len(xs) - 1, whose step is taken when the node is popped
-    out: list[DyckPath] = []
-    stack = [("N", (0,), (), 0)]
+    adj = [0] * len(compat)
+    # state -> (its suffixes, their union); -1 marks a failed suffix, and a
+    # union with one is -1 too
+    memo: dict[tuple, tuple[list[int], int]] = {}
+    root = (0, 0, ())
+    # an explicit stack, not a recursive closure, which would be a
+    # reference cycle; a state is entered with its moves unknown, then
+    # revisited with them once every state they reach is memoised
+    stack: list = [(root, None)]
     while stack:
-        word, xs, pending, mask = stack.pop()
-        y = len(xs) - 1
-        pending, fired = _row_step(xs, y, pending, a, b)
-        if fired:
-            mask = _fire(mask, fired, table, compat)
-        if y == a:
-            if mask < 0 or pending:
-                _raise_facet_failure(a, b, word, xs)
-            out.append(DyckPath._trusted(a, b, word, xs, mask))
-        elif y == a - 1:
-            stack.append((word + "E" * (b - xs[y]), xs + (b,), pending, mask))
-        else:
-            # pushed highest first, so that the lowest column comes out first
-            for x in range((y + 1) * b // a, xs[y] - 1, -1):
-                stack.append((word + "E" * (x - xs[y]) + "N", xs + (x,), pending, mask))
-    return out
+        state, moves = stack.pop()
+        if moves is None:
+            if state in memo:
+                continue
+            if state[0] == a:
+                memo[state] = ([-1], -1) if state[2] else ([0], 0)
+                continue
+            moves = _moves(state, a, b, table, compat)
+            stack.append((state, moves))
+            stack += [(child, None) for _, _, child in moves if child not in memo]
+            continue
+        masks, union = [], 0
+        for _, m, child in moves:
+            below, reach = memo[child]
+            if not m:
+                masks += below
+                union |= reach
+                continue
+            # the skeleton rows are written before the check, and read only
+            # if no check fails
+            clash, rest = m, m
+            while rest > 0:
+                bit = rest & -rest
+                rest ^= bit
+                p = bit.bit_length() - 1
+                clash |= ~compat[p]
+                adj[p] |= reach | m ^ bit
+            if m > 0 and not reach & clash:
+                masks += [m | s for s in below]
+                union |= m | reach
+            else:  # a failed s = -1 meets the bits of m in clash; a failed m
+                # = -1 makes clash and every m | s -1
+                masks += [-1 if s & clash else m | s for s in below]
+                union = -1
+        memo[state] = (masks, union)
+    masks, union = memo[root]
+    if union < 0:
+        # descend to the first failed path, counting suffixes move by move
+        index, state, xs = masks.index(-1), root, [0]
+        while state[0] < a:
+            for x, _, child in _moves(state, a, b, table, compat):
+                if index < len(memo[child][0]):
+                    break
+                index -= len(memo[child][0])
+            state = child
+            xs.append(x)
+        _raise_facet_failure(a, b, _word_of(xs), tuple(xs))
+    for p, row in enumerate(adj):
+        bit = 1 << p
+        while row:
+            low = row & -row
+            row ^= low
+            adj[low.bit_length() - 1] |= bit
+    return DyckFacets(masks, adj, union)
+
+
+def _moves(state: tuple, a: int, b: int, table: dict, compat: Sequence[int]) -> list[tuple]:
+    """The moves of the row state (y, x, pending) to row y+1, lowest column
+    first: to every column from x up to the line, or to b for the top row.
+    Each is (column, mask of the lasers row y+1 catches or -1 when ``_fire``
+    fails them, the row state it reaches)."""
+    y, x, pending = state
+    y += 1
+    moves = []
+    for col in range(x, y * b // a + 1) if y < a else (b,):
+        left, fired = _row_step(col, y, pending, a, b)
+        moves.append((col, _fire(0, fired, table, compat) if fired else 0, (y, col, left)))
+    return moves
+
+
+def _path_with_lasers(a: int, b: int, xs: tuple[int, ...], ends: Sequence[int]) -> DyckPath:
+    """The path with north-step sequence ``xs``, given the end ``ends[y]`` of
+    the laser from each row 0 < y < a, as ``_laser_hit`` fires it: its facet
+    is built from those ends with every check of ``_fire``, and the first
+    failed check is raised as the row step's is."""
+    fired = [(xs[y], y, ends[y]) for y in range(1, a)]
+    mask = _fire(0, fired, admissible_by_ends(a, b), admissible_compatibility(a, b))
+    word = _word_of(xs)
+    if mask < 0:
+        _raise_facet_failure(a, b, word, xs)
+    return DyckPath._trusted(a, b, word, xs, mask)
+
+
+def _word_of(xs: Sequence[int]) -> str:
+    """The step word of the north-step sequence ``xs``."""
+    return "N".join("E" * (x1 - x0) for x0, x1 in zip([0, *xs], xs))
 
 
 def valleys(path: DyckPath) -> list[LatticePoint]:
@@ -189,8 +286,8 @@ def laser_diagonal(path: DyckPath, source: LatticePoint) -> Diagonal:
     return all_admissible_diagonals(path.a, path.b)[p]
 
 
-def _row_step(xs: Sequence[int], y: int, pending: tuple, a: int, b: int) -> tuple[tuple, list]:
-    """Place row y at x = xs[y]: the rows pending below it that it catches
+def _row_step(x: int, y: int, pending: tuple, a: int, b: int) -> tuple[tuple, list]:
+    """Place row y at column x: the rows pending below it that it catches
     fire, and row y itself becomes pending when it is a source (0 < y < a).
 
     Row y's key is a x - b y.  The pending sources are held as (key, x0, y0),
@@ -200,7 +297,6 @@ def _row_step(xs: Sequence[int], y: int, pending: tuple, a: int, b: int) -> tupl
     from the hitting row down instead of from the source up.  Returns the
     new pending tuple and the fired lasers as (x0, y0, k).
     """
-    x = xs[y]
     key = a * x - b * y
     n, fired = len(pending), []
     while n and pending[n - 1][0] < key:
@@ -239,7 +335,7 @@ def _raise_facet_failure(a: int, b: int, word: str, xs: tuple[int, ...]) -> NoRe
     fired row by row by ``_row_step`` and listed by source row."""
     pending, fired = (), []
     for y in range(1, a + 1):
-        pending, caught = _row_step(xs, y, pending, a, b)
+        pending, caught = _row_step(xs[y], y, pending, a, b)
         fired += caught
     if pending:
         _, x0, y0 = pending[0]

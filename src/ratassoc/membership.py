@@ -25,7 +25,7 @@ from typing import Iterable
 
 from .complexes import face_text
 from .errors import InvariantViolationError
-from .lattice import DyckPath, _laser_hit, facet_of, laser_diagonal, valleys
+from .lattice import DyckPath, _laser_hit, _path_with_lasers, facet_of, valleys
 from .polygon import Diagonal, check_hat_face, check_slope_pair
 
 
@@ -62,8 +62,9 @@ def valley_path(face: Iterable[Diagonal], a: int, b: int) -> MembershipResult:
     for d in face:
         wanted.setdefault(d.i, set()).add(d.j)
 
-    # the north-step sequence, filled from the top row down
-    xs = [0] * a + [b]
+    # the north-step sequence, filled from the top row down, and where each
+    # row's laser ends, fired once as its row is placed
+    xs, ends = [0] * a + [b], [0] * a
     cy = a
     for i in range(b, -1, -1):
         needed = set(wanted.get(i, ()))
@@ -74,14 +75,17 @@ def valley_path(face: Iterable[Diagonal], a: int, b: int) -> MembershipResult:
             if cy * b < a * i or (i, cy) == (0, 0):
                 return MembershipResult(None, i)
             xs[cy] = i
-            needed.discard(_laser_hit(xs, a, b, cy))
+            ends[cy] = _laser_hit(xs, a, b, cy)
+            needed.discard(ends[cy])
+    for y in range(1, cy):  # the rows left in column 0
+        ends[y] = _laser_hit(xs, a, b, y)
 
-    path = DyckPath(a, b, "N".join("E" * (x1 - x0) for x0, x1 in zip([0] + xs, xs)))
+    path = _path_with_lasers(a, b, tuple(xs), ends)
     got = facet_of(path)
     if not face <= got:
         raise InvariantViolationError(f"valley path {path.word} misses part of {face}")
     for p in valleys(path):
-        if laser_diagonal(path, p) not in face:
+        if Diagonal(p.x, ends[p.y], b) not in face:
             raise InvariantViolationError(
                 f"valley {p} of {path.word} fires a laser outside {{{face_text(face)}}}"
             )

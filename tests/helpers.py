@@ -15,9 +15,10 @@ from ratassoc import (
     build_hat_ass,
     build_obstruction_graph,
     collapse_schedule,
+    all_admissible_diagonals,
     enumerate_dyck_paths,
-    facet_of,
 )
+from ratassoc.complexes import bit_positions
 
 
 def coprime_pairs(max_sum: int | None = None, max_b: int | None = None) -> list[tuple[int, int]]:
@@ -68,7 +69,29 @@ def schedule(a: int, b: int):
 
 @lru_cache(maxsize=None)
 def all_facets(a: int, b: int) -> tuple[frozenset, ...]:
-    return tuple(facet_of(D) for D in enumerate_dyck_paths(a, b))
+    """The Dyck facets as diagonal sets, decoded from the walk's masks."""
+    ground = all_admissible_diagonals(a, b)
+    return tuple(frozenset(ground[p] for p in bit_positions(m)) for m in enumerate_dyck_paths(a, b))
+
+
+def dyck_paths(a: int, b: int) -> list[DyckPath]:
+    """Every (a, b)-Dyck path, built by the checking constructor from the
+    reference words, in their lex order."""
+    return [DyckPath(a, b, w) for w in reference_dyck_words(a, b)]
+
+
+def skeleton_of_facets(masks, n_ground: int) -> tuple[list[int], int]:
+    """The adjacency rows and the vertex mask of the 1-skeleton of the facet
+    masks, by the loop over every bit of every facet."""
+    adj, vertices = [0] * n_ground, 0
+    for m in masks:
+        vertices |= m
+        rest = m
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            adj[bit.bit_length() - 1] |= m ^ bit
+    return adj, vertices
 
 
 def reference_dyck_words(a: int, b: int) -> list[str]:

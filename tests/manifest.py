@@ -25,8 +25,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from math import gcd
 from pathlib import Path
 
-from ratassoc import cli, enumerate_dyck_paths, facet_of
-from ratassoc.complexes import face_text
+from ratassoc import all_admissible_diagonals, cli, enumerate_dyck_paths
+from ratassoc.complexes import bit_positions, face_text
 
 MANIFEST = Path(__file__).parent / "golden" / "manifest.json"
 
@@ -128,7 +128,9 @@ def _pair(call, a: str, b: str) -> None:
     doc["steps"] = doc["steps"][1:]
     Path(dropped).write_text(json.dumps(doc), encoding="utf-8")
     call("verify", "--cert", dropped)
-    face = face_text(facet_of(enumerate_dyck_paths(int(a), int(b))[-1]))
+    ground = all_admissible_diagonals(int(a), int(b))
+    last = enumerate_dyck_paths(int(a), int(b))[-1]  # the last Dyck facet in lex order
+    face = face_text(ground[p] for p in bit_positions(last))
     call("membership", *pair, "--face", face)
     call("render", *pair, "--face", face)
 

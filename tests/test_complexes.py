@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 
@@ -17,7 +16,6 @@ from ratassoc import (
     build_ass,
     build_hat_ass,
     complexes,
-    enumerate_dyck_paths,
     facet_of,
     is_flag,
     rational_catalan,
@@ -31,15 +29,18 @@ from ratassoc.complexes import (
     polygon_dissections,
     skeleton_adjacency,
 )
+from ratassoc.lattice import DyckFacets
 from ratassoc.polygon import admissible_compatibility, compatibility_masks
 
 from helpers import (
     ass,
     coprime_pairs,
+    dyck_paths,
     hat,
     is_fuss,
     maximal_masks,
     obstruction_graph,
+    skeleton_of_facets,
     weighted_clique_tree,
 )
 
@@ -163,7 +164,7 @@ def test_is_flag_on_models():
 
 @pytest.mark.parametrize("a,b", coprime_pairs(max_b=10))
 def test_path_model_is_the_closure_of_its_dyck_facets(a, b):
-    facets = [facet_of(p) for p in enumerate_dyck_paths(a, b)]
+    facets = [facet_of(p) for p in dyck_paths(a, b)]
     assert ass(a, b) == SimplicialComplex(all_admissible_diagonals(a, b), facets, a, b)
 
 
@@ -187,7 +188,8 @@ def test_build_ass_rejects_a_skeleton_with_other_maximal_cliques(monkeypatch):
     # but the triangle itself is a clique of their skeleton and no facet
     bit = {x: 1 << p for p, x in enumerate(all_admissible_diagonals(2, 5))}
     v03, v14, v25 = bit[d(0, 3)], bit[d(1, 4)], bit[d(2, 5)]
-    fakes = [SimpleNamespace(facet=m) for m in (v03 | v14, v14 | v25, v03 | v25)]
+    masks = [v03 | v14, v14 | v25, v03 | v25]
+    fakes = DyckFacets(masks, *skeleton_of_facets(masks, len(bit)))
     monkeypatch.setattr(complexes, "enumerate_dyck_paths", lambda a, b: fakes)
     with pytest.raises(InvariantViolationError, match="not the Dyck facets"):
         build_ass(2, 5)

@@ -18,19 +18,23 @@ from ratassoc import (
     facet_of,
     laser_diagonal,
     rational_catalan,
+    valley_path,
     valleys,
 )
 from ratassoc import lattice
-from ratassoc.polygon import admissible_by_ends, is_admissible
+from ratassoc.polygon import admissible_by_ends, all_admissible_diagonals, is_admissible
 
 from helpers import (
+    all_facets,
     coprime_pairs,
+    dyck_paths,
     laser_hit_oracle,
     north_step_bottoms,
     partition_of,
     path_points,
     random_dyck_path,
     reference_dyck_words,
+    skeleton_of_facets,
     young_contains,
 )
 
@@ -51,34 +55,41 @@ def test_path_validation():
 
 
 def test_enumeration_smallest_cases():
-    assert [p.word for p in enumerate_dyck_paths(1, 2)] == ["NEE"]
-    assert [p.word for p in enumerate_dyck_paths(2, 3)] == ["NNEEE", "NENEE"]
+    assert reference_dyck_words(1, 2) == ["NEE"]
+    assert reference_dyck_words(2, 3) == ["NNEEE", "NENEE"]
+    assert enumerate_dyck_paths(1, 2) == [0]
+    # NNEEE fires 0-2 from row 1, NENEE fires 1-3
+    by_ends = admissible_by_ends(2, 3)
+    assert enumerate_dyck_paths(2, 3) == [1 << by_ends[0, 2], 1 << by_ends[1, 3]]
 
 
 @pytest.mark.parametrize("a,b", coprime_pairs(max_b=10))
 def test_enumerated_paths_equal_checked_paths(a, b):
-    """Enumeration builds its paths unchecked; each one is the path the
-    checking constructor builds from the same word."""
-    for path in enumerate_dyck_paths(a, b):
-        checked = DyckPath(a, b, path.word)
+    """Membership builds its valley paths unchecked, from the lasers its
+    search fired; the valley path of each enumerated facet is the path the
+    checking constructor builds from the same word, with the same facet."""
+    masks = enumerate_dyck_paths(a, b)
+    for mask, facet, checked in zip(masks, all_facets(a, b), dyck_paths(a, b), strict=True):
+        path = valley_path(facet, a, b).valley_path
         assert path.word == checked.word and path.xs == checked.xs
         assert path == checked and hash(path) == hash(checked)
+        assert path.facet == checked.facet == mask
 
 
 def test_enumeration_counts_and_order():
     for a, b in coprime_pairs(max_sum=12):
-        paths = enumerate_dyck_paths(a, b)
-        assert len(paths) == rational_catalan(a, b)
-        assert len(set(p.word for p in paths)) == len(paths)
-        # lexicographic with N before E
+        masks, words = enumerate_dyck_paths(a, b), reference_dyck_words(a, b)
+        assert len(masks) == rational_catalan(a, b)
+        assert len(set(masks)) == len(masks)
+        # lexicographic with N before E: one mask per word, in the words' order
         rank = {"N": 0, "E": 1}
-        keys = [tuple(rank[c] for c in p.word) for p in paths]
+        keys = [tuple(rank[c] for c in w) for w in words]
         assert keys == sorted(keys)
+        assert masks == [DyckPath(a, b, w).facet for w in words]
 
 
 def test_enumeration_contains_example_path():
-    words = {p.word for p in enumerate_dyck_paths(5, 8)}
-    assert D58.word in words
+    assert D58.facet in enumerate_dyck_paths(5, 8)
 
 
 def test_partition_examples():
@@ -89,7 +100,7 @@ def test_partition_examples():
 
 def test_partition_fits_staircase():
     for a, b in coprime_pairs(max_sum=11):
-        for path in enumerate_dyck_paths(a, b):
+        for path in dyck_paths(a, b):
             parts = partition_of(path)
             assert all(x >= y for x, y in zip(parts, parts[1:]))
             # the north step bounding row i from the right sits weakly
@@ -141,7 +152,7 @@ def test_laser_diagonal_examples():
 
 def test_laser_diagonals_admissible_and_distinct():
     for a, b in coprime_pairs(max_sum=11):
-        for path in enumerate_dyck_paths(a, b):
+        for path in dyck_paths(a, b):
             sources = [p for p in north_step_bottoms(path) if p != (0, 0)]
             diags = [laser_diagonal(path, p) for p in sources]
             assert len(set(diags)) == len(diags)
@@ -166,7 +177,7 @@ def test_facets_biject_with_paths():
     for a, b in coprime_pairs(max_sum=12):
         by_ends = admissible_by_ends(a, b)
         mask_of = lambda face: sum(1 << by_ends[x.i, x.j] for x in face)
-        paths = enumerate_dyck_paths(a, b)
+        paths = dyck_paths(a, b)
         facets = {facet_of(p) for p in paths}
         assert len(facets) == len(paths) == rational_catalan(a, b)
         for path in paths:
@@ -195,31 +206,59 @@ def test_fire_laser_matches_rational_oracle(pair, seed):
         assert laser_diagonal(path, src).j == laser_hit_oracle(path, src)
 
 
-def _misfire(monkeypatch, row: int, hit: int) -> None:
-    """Make the laser from row ``row`` of D58 end at x = ``hit``, in the row
-    step of every prefix of D58; every other prefix, and every other row,
-    fires as before."""
-    step = lattice._row_step
+def _row_states(a: int, b: int, xs) -> list[tuple[tuple, list[int]]]:
+    """The row steps along the path ``xs``, each as its row state, the
+    arguments (x, y, pending) of ``lattice._row_step``, and the source rows
+    it fires, by the unpatched row step."""
+    out, pending = [], ()
+    for y in range(1, a + 1):
+        state = (xs[y], y, pending)
+        pending, fired = lattice._row_step(*state, a, b)
+        out.append((state, [y0 for _, y0, _ in fired]))
+    return out
 
-    def misfiring(xs, y, pending, a, b):
-        pending, fired = step(xs, y, pending, a, b)
-        if (a, b) == (D58.a, D58.b) and tuple(xs[: y + 1]) == D58.xs[: y + 1]:
+
+def _first_word_through(a: int, b: int, state: tuple) -> str:
+    """The lex-first reference word whose path takes the row step ``state``."""
+    return next(
+        w for w in reference_dyck_words(a, b)
+        if any(s == state for s, _ in _row_states(a, b, DyckPath(a, b, w).xs))
+    )
+
+
+def _misfire(monkeypatch, row: int, hit: int) -> str:
+    """Make the laser from row ``row`` of D58 end at x = ``hit``, in the row
+    step that fires it, keyed on that step's row state: every (5,8)-path
+    that takes the same step misfires with D58, and every other step fires
+    as before.  Returns the lex-first word through that state."""
+    step = lattice._row_step
+    faulty = next(state for state, rows in _row_states(5, 8, D58.xs) if row in rows)
+    first = _first_word_through(5, 8, faulty)
+
+    def misfiring(x, y, pending, a, b):
+        left, fired = step(x, y, pending, a, b)
+        if (a, b) == (5, 8) and (x, y, pending) == faulty:
             fired = [(x0, y0, hit if y0 == row else k) for x0, y0, k in fired]
-        return pending, fired
+        return left, fired
 
     monkeypatch.setattr(lattice, "_row_step", misfiring)
+    return first
 
 
 # every route that fires D58's lasers, each run after the patch: the
-# constructor's single pass (decoded by facet_of), and the lex-order walk
-# inside the model builder, which fires along every (5,8)-prefix
-_SCANS = pytest.mark.parametrize(
-    "scan", [lambda: facet_of(DyckPath(5, 8, D58.word)), lambda: build_ass(5, 8)],
-    ids=["facet_of", "build_ass"],
-)
+# constructor's single pass on D58 (decoded by facet_of), and the memoised
+# walk inside the model builder, which names the lex-first failing path
+_ROUTES = pytest.mark.parametrize("route", ["facet_of", "build_ass"])
 
 
-@_SCANS
+def _scan(route: str) -> None:
+    if route == "facet_of":
+        facet_of(DyckPath(5, 8, D58.word))
+    else:
+        build_ass(5, 8)
+
+
+@_ROUTES
 @pytest.mark.parametrize(
     "row, hit, message",
     [
@@ -229,46 +268,114 @@ _SCANS = pytest.mark.parametrize(
         (4, 8, "facet of NNENNEEENEEEE contains crossing diagonals 0-7, 4-8"),
     ],
 )
-def test_facet_of_names_the_failed_check(monkeypatch, row, hit, message, scan):
-    _misfire(monkeypatch, row, hit)
+def test_facet_of_names_the_failed_check(monkeypatch, row, hit, message, route):
+    first = _misfire(monkeypatch, row, hit)
     with pytest.raises(InvariantViolationError) as err:
-        scan()
-    assert str(err.value) == message
+        _scan(route)
+    word = D58.word if route == "facet_of" else first
+    assert str(err.value) == message.replace(D58.word, word)
 
 
-@_SCANS
-def test_facet_of_laser_on_a_side_is_not_a_diagonal(monkeypatch, scan):
+@_ROUTES
+def test_facet_of_laser_on_a_side_is_not_a_diagonal(monkeypatch, route):
     _misfire(monkeypatch, 3, 2)  # 1-2 is a side of the 9-gon
     with pytest.raises(ValueError, match=r"\(1, 2\) is a side"):
-        scan()
+        _scan(route)
 
 
 def test_a_source_left_pending_after_row_a_escapes(monkeypatch):
     """A row step that catches nothing leaves every source pending after the
-    top row: the constructor and the walk both name the lowest one."""
+    top row: the constructor names D58's lowest, and the walk the lowest of
+    the lex-first path, which is in column 0 too."""
+    first = DyckPath(5, 8, reference_dyck_words(5, 8)[0])
 
-    def catch_nothing(xs, y, pending, a, b):
-        return (pending + ((a * xs[y] - b * y, xs[y], y),) if 0 < y < a else pending), []
+    def catch_nothing(x, y, pending, a, b):
+        return (pending + ((a * x - b * y, x, y),) if 0 < y < a else pending), []
 
     monkeypatch.setattr(lattice, "_row_step", catch_nothing)
     with pytest.raises(InvariantViolationError, match=r"laser from \(0,1\) escaped the path"):
         DyckPath(5, 8, D58.word)
+    assert first.xs[1] == 0
     with pytest.raises(InvariantViolationError, match=r"laser from \(0,1\) escaped the path"):
         build_ass(5, 8)
 
 
+def _first_failure(a: int, b: int) -> Exception | None:
+    """The error of the first reference word whose checked constructor
+    fails, or None when every path passes."""
+    for w in reference_dyck_words(a, b):
+        try:
+            DyckPath(a, b, w)
+        except (ValueError, InvariantViolationError) as err:
+            return err
+    return None
+
+
+# row steps of (5,8) that fire a laser, each with a wrong end for its first
+# laser: states shared by several paths, whose suffixes a misfire spoils in
+# part or in full
+_STEPS = sorted({
+    (state, rows[0]) for w in reference_dyck_words(5, 8)
+    for state, rows in _row_states(5, 8, DyckPath(5, 8, w).xs) if rows
+})
+
+
+@pytest.mark.parametrize("state, row", _STEPS[::3])
+@pytest.mark.parametrize("shift", [-1, 1, 2])
+def test_the_walk_raises_the_error_of_the_lex_first_failing_path(monkeypatch, state, row, shift):
+    """A laser misfired in one row state spoils the paths through it whose
+    facet check it breaks, which need not be all of them; the walk raises
+    exactly what the checked constructor raises on the first of them."""
+    step = lattice._row_step
+
+    def misfiring(x, y, pending, a, b):
+        left, fired = step(x, y, pending, a, b)
+        if (a, b) == (5, 8) and (x, y, pending) == state:
+            fired = [(x0, y0, k + shift if y0 == row else k) for x0, y0, k in fired]
+        return left, fired
+
+    monkeypatch.setattr(lattice, "_row_step", misfiring)
+    expected = _first_failure(5, 8)
+    if expected is None:
+        lattice.enumerate_dyck_paths(5, 8)
+        return
+    with pytest.raises(type(expected)) as err:
+        lattice.enumerate_dyck_paths(5, 8)
+    assert str(err.value) == str(expected)
+
+
 @pytest.mark.parametrize("a,b", coprime_pairs(max_b=11))
 def test_walk_matches_the_reference_enumerator_and_both_laser_readings(a, b):
-    """The walk lists the naive enumerator's words in its lex order, Cat(a,b)
-    of them; each path's facet is the one its word's constructor fires, and
-    the one ``_laser_hit`` gives row by row, read top-down."""
-    paths = enumerate_dyck_paths(a, b)
-    assert [p.word for p in paths] == reference_dyck_words(a, b)
-    assert len(paths) == rational_catalan(a, b)
+    """The walk lists one facet mask per word of the naive enumerator, in its
+    lex order, Cat(a,b) of them; each is the facet its word's constructor
+    fires, and the one ``_laser_hit`` gives row by row, read top-down."""
+    masks, words = enumerate_dyck_paths(a, b), reference_dyck_words(a, b)
+    assert len(masks) == len(words) == rational_catalan(a, b)
     by_ends = admissible_by_ends(a, b)
-    for path in paths:
-        assert path.facet == DyckPath(a, b, path.word).facet
+    for mask, word in zip(masks, words):
+        path = DyckPath(a, b, word)
+        assert mask == path.facet
         xs = path.xs
-        assert path.facet == sum(
+        assert mask == sum(
             1 << by_ends[xs[y], lattice._laser_hit(xs, a, b, y)] for y in range(1, a)
         )
+
+
+@pytest.mark.parametrize("a,b", coprime_pairs(max_b=11))
+def test_walk_skeleton_is_the_skeleton_of_its_facets(a, b):
+    """The skeleton the walk builds once per move is the one the loop over
+    every bit of every facet builds."""
+    facets = enumerate_dyck_paths(a, b)
+    adj, vertices = skeleton_of_facets(facets, len(all_admissible_diagonals(a, b)))
+    assert facets.adj == adj
+    assert facets.vertices == vertices
+
+
+def test_build_ass_builds_no_path_object(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a DyckPath was built")
+
+    monkeypatch.setattr(DyckPath, "__post_init__", forbidden)
+    monkeypatch.setattr(DyckPath, "_trusted", forbidden)
+    cpx = build_ass(8, 13)
+    assert len(cpx.facets()) == rational_catalan(8, 13)

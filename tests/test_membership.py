@@ -14,6 +14,7 @@ from ratassoc import parse_face
 from helpers import (
     all_facets,
     coprime_pairs,
+    dyck_paths,
     hat,
     oracle_in_ass,
     partition_of,
@@ -94,7 +95,7 @@ def test_accepted_path_vertical_runs_sit_at_face_columns():
 
 def test_valley_path_minimizes_partition_among_witnesses():
     # optional structural property, checked at small scale only
-    from ratassoc import enumerate_dyck_paths, facet_of
+    from ratassoc import facet_of
 
     for a, b in [(3, 5), (2, 5), (4, 7)]:
         for f in hat(a, b).faces():
@@ -102,7 +103,7 @@ def test_valley_path_minimizes_partition_among_witnesses():
             if not result.is_member:
                 continue
             mine = partition_of(result.valley_path)
-            for path in enumerate_dyck_paths(a, b):
+            for path in dyck_paths(a, b):
                 if f <= facet_of(path):
                     assert young_contains(mine, partition_of(path))
 
