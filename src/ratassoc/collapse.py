@@ -41,15 +41,26 @@ face T whose containing faces it removes and ``pairs`` the number of
 pairs.  :func:`verify_certificate` expands a stage with its own code into
 the pairs (F', F' + c), one for every current face F' containing T and
 avoiding c: T must be present and avoid c, there must be exactly ``pairs``
-pairs and they must pass the checked pass; then the terminal face set must
+pairs and they must pass the checked pass; then the terminal complex must
 equal the lattice-path model, and the labels must fit the obstruction
-edges, read off the two models' 1-skeletons (:meth:`StageReplay.check_labels`).
+edges, the start skeleton's edges the replay dropped
+(:meth:`StageReplay.check_labels`).
 
-:func:`collapse_schedule` and :func:`verify_certificate` collapse the start
-complex's face set in place; a caller that still needs it passes a copy.
-The replay only counts the pairs it removes: it removes only present faces
-and its terminal set must equal the lattice-path model, so the removed
-faces are exactly the difference of the two models, matched in pairs.
+Neither side builds or changes a face set: each treats the current
+complex as a predicate on the start complex's faces.  A stage that passes
+has removed exactly its target's star (no face containing the target is
+left, and the pairs cover the star), so the current complex is the faces
+of the start complex holding no processed target, less the pairs the
+running stage has removed, which go to a set the size of the star.  A
+processed edge leaves a private copy of the start's graph; the walk draws
+a face's children from its common neighbours there, so on a built model
+every face it reaches is a clique, hence a face.  When both models are
+built, the terminal complex is the clique complex of what is left of the
+graph, less the stars of the larger targets still live, and equals the
+flag lattice-path model exactly when the graphs are equal and no live
+target is a clique; face sets are built only to describe a difference.  The
+replay counts the pairs it removes, so the terminal complex has the start
+complex's faces less two per pair.
 """
 
 from __future__ import annotations
@@ -64,6 +75,7 @@ from .complexes import (
     SimplicialComplex,
     bit_positions,
     bits_of,
+    clique_complex,
     face_text,
     face_to_lists,
     guard_b,
@@ -213,31 +225,36 @@ class CollapseCertificate:
 # -- engine ----------------------------------------------------------------
 
 
-def _cone_batch(masks: set[int], face_mask: int, cone_bit: int, compat: list[int]) -> list[int]:
-    """Collapse away every face containing ``face_mask`` via the cone bit.
+def _cone_batch(
+    adj: list[int], faces: set[int] | None, free: int, face_mask: int, cone_bit: int
+) -> int:
+    """Check the batch that collapses away every current face containing
+    ``face_mask`` via the cone bit; returns its number of pairs.
 
-    ``compat[p]`` must cover every vertex that shares a face with vertex
-    ``p``.  The star (every face containing ``face_mask``, complete because
-    ``masks`` is downward closed) is walked once, each face carrying its
-    common neighbours on the stack; the faces avoiding the cone bit are
-    bucketed by size as the walk finds them.  One checked pass then removes
-    the pairs largest first, ties in walk order, and checks each pair at
-    its turn (see the module docstring).  Returns the smaller face of each
-    removed pair, in removal order; on error ``masks`` is left partly
-    collapsed.
+    A face is current when it is a clique of ``adj`` within ``free`` and,
+    unless ``faces`` is None, one of ``faces``; the batch's own pairs go to a
+    local set, since they leave it at their turn.  The star (complete
+    because the current complex is downward closed) is walked once, each
+    face carrying its common neighbours on the stack, and the faces
+    avoiding the cone bit are bucketed by size as the walk finds them.  One
+    checked pass then takes the pairs largest first, ties in walk order,
+    and checks each at its turn (see the module docstring).  Every face
+    reached is current, and so is F' + x exactly when x is a common
+    neighbour of F' and F' + x has not left.
     """
-    if face_mask not in masks:
+    within = free  # the vertices of free adjacent to every other vertex of the target
+    for pos in bit_positions(face_mask):
+        within &= adj[pos] | 1 << pos
+    if face_mask & ~within or (faces is not None and face_mask not in faces):
         raise NotAFaceError("the target face is not in the complex", witness=face_mask)
     if face_mask & cone_bit:
         raise NotConeVertexError("cone vertex already belongs to the face")
-    common = (1 << len(compat)) - 1
-    for pos in bit_positions(face_mask):
-        common &= compat[pos]
+    common = within & ~face_mask
     # lower[k]: (face, common neighbours) of the faces k above the target
     # that avoid the cone, in walk order
     lower = [[(face_mask, common)]]
     n_star = 1
-    stack = [(face_mask, common & ~face_mask, common, 0)]
+    stack = [(face_mask, common, common, 0)]
     while stack:
         face, cand, common, depth = stack.pop()
         depth += 1
@@ -248,34 +265,35 @@ def _cone_batch(masks: set[int], face_mask: int, cone_bit: int, compat: list[int
             bit = cand & -cand
             cand ^= bit  # faces above face | bit add only higher vertices
             child = face | bit
-            if child in masks:
-                row = compat[bit.bit_length() - 1]
+            if faces is None or child in faces:
+                row = adj[bit.bit_length() - 1]
                 shared = common & row
                 n_star += 1
                 if not child & cone_bit:
                     bucket.append((child, shared))
                 stack.append((child, cand & row, shared, depth))
-    smaller = []
+    gone: set[int] = set()
     for bucket in reversed(lower):
         for m, common in bucket:
+            # m | cone is in no earlier pair: those hold other subfaces and
+            # their own extensions
             facet = m | cone_bit
-            if facet not in masks:
+            if not common & cone_bit or (faces is not None and facet not in faces):
                 raise NotConeVertexError("cone condition fails: a face has no extension", witness=m)
-            rest = common & ~facet
+            rest = common ^ cone_bit
             while rest:
                 bit = rest & -rest
-                if m | bit in masks:
+                if m | bit not in gone and (faces is None or m | bit in faces):
                     raise InvariantViolationError(
                         "a pair is not free: its smaller face has a second cofacet", witness=m
                     )
                 rest ^= bit
-            masks.remove(facet)
-            masks.remove(m)
-            smaller.append(m)
+            gone.add(facet)
+            gone.add(m)
     # each removed pair lies in the star, so the star is gone iff they cover it
-    if 2 * len(smaller) != n_star:
+    if len(gone) != n_star:
         raise InvariantViolationError("cone pairing does not partition the star")
-    return smaller
+    return n_star // 2
 
 
 def collapse_schedule(
@@ -287,27 +305,38 @@ def collapse_schedule(
     graph: ObstructionGraph,
 ) -> CollapseCertificate:
     """Generate the full collapse certificate for the pair (a, b) from its
-    two models and its obstruction graph, consuming ``hat``.
+    two models and its obstruction graph; neither model is changed.
 
     Obstruction edges are processed strictly in descending edge order; for
     each edge, crossing triples are cleared first (in increasing index
     order), then the edge itself.  A failing stage raises
     ScheduleFailedError carrying its coordinates and, when there is one,
-    the failing face.  The terminal face set must equal the lattice-path
+    the failing face.  The terminal complex must equal the lattice-path
     model exactly, or ScheduleFailedError counts the extra and missing
     faces and carries the first differing face (fewest diagonals, then
     lowest mask).
 
-    ``hat`` is collapsed in place: on return it holds the terminal faces,
-    after a failure a partial collapse.
+    The current complex is a predicate on ``hat``'s faces: a face is
+    current when it holds no processed edge, and, while an edge's batches
+    run, no apex of its cleared crossing triples (every face a batch of the
+    edge reads holds the edge).  So the processed edges leave a private
+    copy of ``hat``'s graph, and the cleared apexes a mask; a ``hat`` that
+    holds a face set instead is read through it, on the noncrossing graph.
+    When both models are built ones, the terminal complex is the clique
+    complex of what is left of the graph, and equals the flag model ``ass``
+    exactly when their graphs do; face sets are built only to report a
+    difference.
     """
     check_slope_pair(a, b)
     ground = hat.ground
     bit = hat._bit
-    current = hat.shrinking_mask_set()
+    if hat._graph is None:
+        faces, rows, vertices = hat._masks, compatibility_masks(ground), (1 << len(ground)) - 1
+    else:
+        faces, (rows, vertices) = None, hat._graph
+    adj = list(rows)  # a built model's rows may be shared, so edges leave a copy
     stages: list[StageRecord] = []
 
-    compat = compatibility_masks(ground)
     for r in range(len(graph.edges), 0, -1):
         edge = graph.edges[r - 1]
         batches = [
@@ -315,9 +344,12 @@ def collapse_schedule(
             for s in crossing_indices(edge, graph)
         ]
         batches.append((wedge_completion(edge), edge.pair()))
+        lesser, greater = bit[edge.lesser], bit[edge.greater]
+        free = vertices
         for q, (cone, target) in enumerate(batches, start=1):
+            face_mask = hat._mask_of(target)
             try:
-                smaller = _cone_batch(current, hat._mask_of(target), bit[cone], compat)
+                n_pairs = _cone_batch(adj, faces, free, face_mask, bit[cone])
             except (NotConeVertexError, NotAFaceError, InvariantViolationError) as exc:
                 face = None if exc.witness is None else face_text(hat._face_of(exc.witness))
                 where = f"stage (r={r}, q={q}, cone {cone.text()}) failed"
@@ -325,8 +357,20 @@ def collapse_schedule(
                     f"{where}: {exc}" + (f" at face {face}" if face else ""),
                     r=r, q=q, face=face,
                 ) from exc
-            stages.append(StageRecord(r, q, cone, target, len(smaller)))
+            stages.append(StageRecord(r, q, cone, target, n_pairs))
+            free &= ~(face_mask ^ lesser ^ greater)  # a crossing triple's apex
+        adj[lesser.bit_length() - 1] &= ~greater
+        adj[greater.bit_length() - 1] &= ~lesser
 
+    if faces is None and ass._graph is not None:
+        ass_adj, ass_vertices = ass._graph
+        if vertices == ass_vertices and all(
+            adj[p] & vertices == ass_adj[p] & vertices for p in bit_positions(vertices)
+        ):
+            return CollapseCertificate(a, b, ground, tuple(stages))
+    dropped = [row & ~now for row, now in zip(rows, adj)]
+    start = clique_complex(rows, vertices) if faces is None else faces
+    current = {m for m in start if not any(m & dropped[p] for p in bit_positions(m))}
     if current != ass.mask_set:
         extra, missing = current - ass.mask_set, ass.mask_set - current
         first = face_text(hat._face_of(min(extra | missing, key=lambda m: (m.bit_count(), m))))
@@ -344,11 +388,12 @@ def collapse_schedule(
 @dataclass(frozen=True)
 class VerificationReport:
     """Replay outcome; ``ok`` requires every stage to expand into free
-    pairs and the terminal face set to equal the target.
+    pairs and the terminal complex to equal the target.
 
-    ``steps_applied`` counts the pairs removed; ``failure_index`` is the
-    index of the rejected stage, or the number of stages when only the
-    terminal comparison fails; ``reason`` is a fixed phrase.
+    ``steps_applied`` counts the pairs removed, and ``terminal_face_count``
+    the faces left, the start complex's less two per pair; ``failure_index``
+    is the index of the rejected stage, or the number of stages when only
+    the terminal comparison fails; ``reason`` is a fixed phrase.
     """
 
     ok: bool
@@ -360,50 +405,76 @@ class VerificationReport:
 
 
 class StageReplay:
-    """Expands certificate stages into free pairs on the face set of the
-    start complex, in place, counting them in ``steps_applied``.
+    """Expands certificate stages into free pairs on the start complex,
+    counting them in ``steps_applied``; the start complex is not changed.
 
-    Shares no code with the schedule generator.  By default the star of a
-    stage target is walked upward through the 1-skeleton of the start
-    complex, each face carrying the vertices adjacent to all of it, and one
+    Shares no code with the schedule generator.  The current complex is a
+    predicate: the faces of the start complex that hold no processed stage
+    target, less the pairs of the running stage, which go to a local set.
+    A processed target of one vertex drops that vertex, and one of two
+    drops that edge, from a private copy of the start's 1-skeleton; a
+    larger one stays live until a vertex or an edge inside it is dropped.
+    This is exact because a stage that passes has removed exactly its
+    target's star.  After a rejected stage the replay is over.
+
+    The star of a stage target is walked upward through the current
+    skeleton, each face carrying the vertices adjacent to all of it, and one
     checked pass draws each cofacet test's candidates from what the walk
     kept; both are complete because the start complex is downward closed
-    and removing free pairs keeps it so.  With ``exhaustive`` neither
-    relies on that: the star is a scan of every remaining face, and so is
-    each freeness test.  Either way the pairs go largest first, ties by
-    mask, and each check runs at its pair's turn.
+    and removing stars keeps it so.  A live target with one vertex outside
+    the stage target bars that vertex from the walk; one with more is
+    checked face by face.  On a built model every face the walk reaches is
+    a clique, hence a face; a start complex that holds a face set is read
+    through it, never changed.  The pairs go largest first, ties by mask,
+    and each check runs at its pair's turn.
     """
 
-    def __init__(
-        self,
-        start: SimplicialComplex,
-        cert: CollapseCertificate,
-        *,
-        exhaustive: bool = False,
-    ):
+    def __init__(self, start: SimplicialComplex, cert: CollapseCertificate):
         if start.ground != cert.ground:
             raise ValueError("certificate ground set does not match the start complex")
-        self.masks = start.shrinking_mask_set()
+        n = len(start.ground)
+        self._start = start
+        if start._graph is None:
+            self._faces = start._masks
+            self._start_adj = skeleton_adjacency(self._faces, n)
+            self._vertices = (1 << n) - 1
+        else:
+            self._faces = None
+            self._start_adj, self._vertices = start._graph
+        # _adj[p]: the current skeleton's neighbours of ground position p
+        self._adj = list(self._start_adj)
+        self._live: list[int] = []
+        self._gone: set[int] = set()
         self.steps_applied = 0
-        self.exhaustive = exhaustive
         self._bit = {d: 1 << i for i, d in enumerate(start.ground)}
-        # _adj[p]: the start skeleton's neighbours of ground position p
-        self._adj = skeleton_adjacency(self.masks, len(start.ground))
 
-    def _star(self, target: int, cone: int) -> tuple[list[list[tuple]], list[int]]:
-        """The faces containing ``target``: those avoiding ``cone`` in
-        buckets by size above the target, each as (face, the vertices outside
-        it adjacent to all of it), and those containing ``cone``.  In
-        exhaustive mode a scan, with None for the unused neighbours."""
-        masks = self.masks
-        if self.exhaustive:
-            star = [m for m in masks if m & target == target]
-            # one bucket per face, taken last to first: largest first, ties by mask
-            order = sorted((m for m in star if not m & cone), key=lambda m: (m.bit_count(), -m))
-            return [[(m, None)] for m in order], [m for m in star if m & cone]
+    @property
+    def n_faces(self) -> int:
+        """The number of current faces: every removal takes out a pair."""
+        return self._start.n_faces - 2 * self.steps_applied
+
+    def _spans(self, face: int) -> bool:
+        """Whether ``face`` is a face of the start complex holding no dropped
+        vertex or edge: a clique of the current skeleton, on a built model."""
+        if face & ~self._vertices:
+            return False
+        adj, start, faces = self._adj, self._start_adj, self._faces
+        for p in bit_positions(face):
+            row = adj[p] if faces is None else adj[p] | ~start[p]
+            if face & ~row & ~(1 << p):
+                return False
+        return faces is None or face in faces
+
+    def _star(self, target: int, cone: int, avoid: int, wide: list[int]):
+        """The faces containing ``target`` and no live target: those avoiding
+        ``cone`` in buckets by size above the target, each as (face, the
+        vertices outside it adjacent to all of it), and those containing
+        ``cone``.  No face holds a vertex of ``avoid``, or all of a target
+        in ``wide``."""
+        faces = self._faces
         lower, upper = [[]], []
         adj = self._adj
-        common = ~target
+        common = ~(target | avoid)
         for p in bit_positions(target):
             common &= adj[p]
         lower[0].append((target, common))
@@ -418,7 +489,9 @@ class StageReplay:
                 x = cand & -cand
                 cand ^= x  # children of face | x draw only on higher vertices
                 child = face | x
-                if child in masks:
+                if (faces is None or child in faces) and not (
+                    wide and any(child & w == w for w in wide)
+                ):
                     row = adj[x.bit_length() - 1]
                     shared = common & row
                     if child & cone:
@@ -434,45 +507,76 @@ class StageReplay:
         Returns None, or the fixed reason of the first check that fails;
         the pairs removed before it stay removed.
         """
-        masks = self.masks
         target = 0
         for d in stage.target:
             target |= self._bit[d]
         cone = self._bit[stage.cone]
         if not target:  # every face contains it, and a star walk from ~0 = -1 never ends
             return "stage target is empty"
-        if target not in masks:
+        if not self._spans(target) or any(target & live == live for live in self._live):
             return "stage target missing from current complex"
         if target & cone:
             return "stage target contains its cone"
-        lower, upper = self._star(target, cone)
+        avoid, wide = 0, []
+        for live in self._live:
+            out = live & ~target
+            if out & (out - 1):
+                wide.append(live)
+            else:
+                avoid |= out
+        lower, upper = self._star(target, cone, avoid, wide)
         if sum(map(len, lower)) != stage.n_steps:
             return "expanded pair count differs from the certificate"
+        faces, gone = self._faces, self._gone
         for bucket in reversed(lower):
             bucket.sort()  # ties by mask; the buckets run largest first
             for sub, common in bucket:
+                # sub | cone is in no earlier pair: those hold other subfaces
+                # and their own extensions
                 facet = sub | cone
-                if facet not in masks:
+                if not common & cone or (faces is not None and facet not in faces) or (
+                    wide and any(facet & w == w for w in wide)
+                ):
                     return "cone extension missing from current complex"
-                if self.exhaustive:
-                    if any(m & sub == sub and m != sub and m != facet for m in masks):
-                        return "subface has another proper superface"
-                else:
-                    # every cofacet of sub contains the target, so it extends
-                    # sub by a vertex the star walk kept as adjacent to all of sub
-                    rest = common & ~facet
-                    while rest:
-                        x = rest & -rest
-                        if sub | x in masks:
-                            return "subface has another cofacet"
-                        rest ^= x
-                masks.remove(facet)
-                masks.remove(sub)
+                # every cofacet of sub contains the target, so it extends
+                # sub by a vertex the star walk kept as adjacent to all of sub
+                rest = common ^ cone
+                while rest:
+                    x = rest & -rest
+                    up = sub | x
+                    if up not in gone and (faces is None or up in faces) and not (
+                        wide and any(up & w == w for w in wide)
+                    ):
+                        return "subface has another cofacet"
+                    rest ^= x
+                gone.add(facet)
+                gone.add(sub)
                 self.steps_applied += 1
         # every face of the star avoiding the cone was removed as a subface
-        if not masks.isdisjoint(upper):
+        if not gone.issuperset(upper):
             return "faces containing the stage target remain"
+        self._gone = set()
+        self._drop(target)
         return None
+
+    def _drop(self, target: int) -> None:
+        """Mark a target whose star is gone: drop it from the skeleton when
+        it is a vertex or an edge, with every live target it lies in."""
+        adj = self._adj
+        if target.bit_count() > 2:
+            self._live.append(target)
+            return
+        if target.bit_count() == 1:
+            p = target.bit_length() - 1
+            for q in bit_positions(adj[p]):
+                adj[q] &= ~target
+            adj[p] = 0
+            self._vertices &= ~target
+        else:
+            low = target & -target
+            adj[low.bit_length() - 1] &= ~(target ^ low)
+            adj[target.bit_length() - 1] &= ~low
+        self._live = [live for live in self._live if live & target != target]
 
     def run(self, stages: Iterable[StageRecord]) -> tuple[int, str] | None:
         """Expand ``stages`` in order, stopping at the first rejected one;
@@ -483,22 +587,48 @@ class StageReplay:
                 return k, reason
         return None
 
+    def current_faces(self) -> set[int]:
+        """The current complex as a face set, built on demand."""
+        if self._faces is None:
+            faces = clique_complex(self._adj, self._vertices)
+        else:
+            faces = {m for m in self._faces if self._spans(m)}
+        live = self._live
+        return {m for m in faces if not any(m & t == t for t in live)} - self._gone
+
+    def matches(self, target: SimplicialComplex) -> bool:
+        """Whether the current complex is ``target``.  When both are built
+        models and no stage is half done, the current complex is the clique
+        complex of the current skeleton with the live targets' stars taken
+        out, and the flag ``target`` is the clique complex of its own graph:
+        so the graphs must be equal and no live target a clique.  Otherwise
+        the face counts, then the face sets, are compared."""
+        if self._faces is None and target._graph is not None and not self._gone:
+            adj, vertices = target._graph
+            return (
+                vertices == self._vertices
+                and all(self._adj[p] & vertices == adj[p] & vertices
+                        for p in bit_positions(vertices))
+                and not any(self._spans(live) for live in self._live)
+            )
+        return self.n_faces == target.n_faces and self.current_faces() == target.mask_set
+
     def check_labels(self, stages: Sequence[StageRecord]) -> tuple[int, str] | None:
         """Check each stage's (r, q), once the replay has ended on the target,
         against the obstruction edges: the start complex's 1-skeleton edges
-        missing now, in ascending (lesser, greater) ground order.  Edge r must
-        lie in the stage target, the batches of each r must be q = 1..m, and
-        exactly batch m must target the edge itself.  Returns the first
-        failing stage's index and reason, whatever the stage order, or None.
+        the replay dropped, in ascending (lesser, greater) ground order.  Edge
+        r must lie in the stage target, the batches of each r must be
+        q = 1..m, and exactly batch m must target the edge itself.  Returns
+        the first failing stage's index and reason, whatever the stage order,
+        or None.
 
-        Every edge then has a closing batch: the replay removed it, so some
+        Every edge then has a closing batch: the replay dropped it, so some
         stage target lies in it, and holds its own edge r, so is that edge.
         """
-        end = skeleton_adjacency(self.masks, len(self._adj))
         edges = [
             1 << p | high
-            for p, row in enumerate(self._adj)
-            for high in bits_of(row & ~end[p] & -(2 << p))
+            for p, row in enumerate(self._start_adj)
+            for high in bits_of(row & ~self._adj[p] & -(2 << p))
         ]
         batches = Counter(stage.r for stage in stages)
         labels = Counter((stage.r, stage.q) for stage in stages)
@@ -520,32 +650,26 @@ def verify_certificate(
     start: SimplicialComplex,
     target: SimplicialComplex,
     cert: CollapseCertificate,
-    *,
-    exhaustive: bool = False,
 ) -> VerificationReport:
-    """Replay a certificate on the face set of ``start``, consuming it.
+    """Replay a certificate on ``start``, which is left unchanged.
 
     Every stage is expanded by :class:`StageReplay`: its target must be
     non-empty, present and avoid the cone, its expansion must have the
     recorded pair count, and each pair (F', F' + c) must be present with
     F' + c the only face properly containing F' at its turn; no face
-    containing the target may be left after the stage.  The terminal face
-    set must equal ``target``.  Stops at the first rejected stage, leaving
-    ``start`` partly collapsed; on success it holds the terminal faces.
+    containing the target may be left after the stage.  The terminal
+    complex must equal ``target``.  Stops at the first rejected stage.
     Then each stage's (r, q) must fit the obstruction edges, the 1-skeleton
-    edges of ``start`` missing from ``target`` (:meth:`StageReplay.check_labels`).
+    edges of ``start`` the replay dropped (:meth:`StageReplay.check_labels`).
     """
-    if start.mask_set is target.mask_set:
-        raise ValueError("start and target share one face set, which the replay consumes")
-    replay = StageReplay(start, cert, exhaustive=exhaustive)
+    replay = StageReplay(start, cert)
     failure = replay.run(cert.stages)
-    matched = replay.masks == target.mask_set
+    matched = replay.matches(target)
     if failure is None and not matched:
         failure = (len(cert.stages), "terminal face set differs from target")
     if failure is None:
         failure = replay.check_labels(cert.stages)
     index, reason = failure or (None, None)
     return VerificationReport(
-        failure is None, replay.steps_applied, index, reason, len(replay.masks), matched
+        failure is None, replay.steps_applied, index, reason, replay.n_faces, matched
     )
-

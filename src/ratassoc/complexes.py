@@ -84,15 +84,14 @@ class SimplicialComplex:
     :func:`clique_walk`, kept in one slot, its facets from
     :func:`maximal_cliques`, and its face set is filled, by
     :func:`clique_complex`, only when something reads it: ``mask_set``,
-    ``shrinking_mask_set``, ``faces``, ``has_face``, ``==``, ``deletion``
-    and ``to_json(include_faces=True)``.  Any other complex (from
+    ``faces``, ``has_face``, ``==``, ``deletion`` and
+    ``to_json(include_faces=True)``.  Any other complex (from
     ``SimplicialComplex(...)``, ``deletion`` or ``from_json``) holds its
     face set and no graph, and reads everything from the faces.
 
-    Instances behave as immutable values, except that ``collapse_schedule``
-    and ``verify_certificate`` collapse the face set of the start complex
-    they are given in place, through :meth:`shrinking_mask_set`, which
-    drops the graph with everything else derived before the collapse.
+    Instances behave as immutable values.  ``collapse_schedule`` and
+    ``verify_certificate`` read the start complex without changing it: the
+    complex they collapse is a predicate on its faces.
     """
 
     __slots__ = (
@@ -187,18 +186,10 @@ class SimplicialComplex:
     @property
     def mask_set(self) -> set[int]:
         """The internal mask set, built from the graph on first read; not to
-        be mutated: see :meth:`shrinking_mask_set`."""
+        be mutated."""
         if self._masks is None:
             self._masks = clique_complex(*self._graph)
         return self._masks
-
-    def shrinking_mask_set(self) -> set[int]:
-        """The internal mask set, handed out for the collapse and the replay
-        to remove faces from in place.  Drops everything that would go
-        stale: the graph, the facets and the clique walk."""
-        masks = self.mask_set
-        self._graph = self._facet_masks = self._walk = None
-        return masks
 
     def _compute_facet_masks(self) -> tuple[int, ...]:
         """The facets in (size, mask) order.  Until the first read,

@@ -3,22 +3,36 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
 from ratassoc import (
+    CollapseCertificate,
+    Diagonal,
     DyckPath,
+    InvariantViolationError,
     LatticePoint,
+    NotAFaceError,
+    NotConeVertexError,
+    ScheduleFailedError,
     SimplicialComplex,
+    StageRecord,
+    VerificationReport,
     build_ass,
     build_hat_ass,
     build_obstruction_graph,
     collapse_schedule,
     all_admissible_diagonals,
+    crossing_indices,
     enumerate_dyck_paths,
+    face_text,
+    half_wedge_completion,
+    wedge_completion,
 )
-from ratassoc.complexes import bit_positions
+from ratassoc.complexes import bit_positions, bits_of, skeleton_adjacency
+from ratassoc.polygon import compatibility_masks
 
 
 def coprime_pairs(max_sum: int | None = None, max_b: int | None = None) -> list[tuple[int, int]]:
@@ -55,16 +69,14 @@ def obstruction_graph(a: int, b: int):
 
 
 def copy_of(cpx: SimplicialComplex) -> SimplicialComplex:
-    """A complex with its own face set, for the collapse and the replay,
-    which consume the start complex they are given."""
+    """A complex that holds its own copy of the face set of ``cpx`` and no
+    graph, so that everything is read from the faces."""
     return SimplicialComplex._trusted(cpx.ground, set(cpx.mask_set), cpx.a, cpx.b)
 
 
 @lru_cache(maxsize=None)
 def schedule(a: int, b: int):
-    return collapse_schedule(
-        a, b, hat=copy_of(hat(a, b)), ass=ass(a, b), graph=obstruction_graph(a, b)
-    )
+    return collapse_schedule(a, b, hat=hat(a, b), ass=ass(a, b), graph=obstruction_graph(a, b))
 
 
 @lru_cache(maxsize=None)
@@ -260,3 +272,244 @@ def random_dyck_path(a: int, b: int, rng: random.Random) -> DyckPath:
         else:
             east += 1
     return DyckPath(a, b, "".join(word))
+
+
+# -- the explicit collapse engine: oracles for the predicate generator and replay
+
+
+def explicit_cone_batch(masks: set[int], face_mask: int, cone_bit: int, compat: list[int]) -> list[int]:
+    """Collapse away every face containing ``face_mask`` via the cone bit,
+    removing the pairs from the face set ``masks`` itself.
+
+    ``compat[p]`` must cover every vertex that shares a face with vertex
+    ``p``.  The star (every face containing ``face_mask``, complete because
+    ``masks`` is downward closed) is walked once, each face carrying its
+    common neighbours on the stack; the faces avoiding the cone bit are
+    bucketed by size as the walk finds them.  One checked pass then removes
+    the pairs largest first, ties in walk order, and checks each pair at
+    its turn.  Returns the smaller face of each removed pair, in removal
+    order; on error ``masks`` is left partly collapsed.
+    """
+    if face_mask not in masks:
+        raise NotAFaceError("the target face is not in the complex", witness=face_mask)
+    if face_mask & cone_bit:
+        raise NotConeVertexError("cone vertex already belongs to the face")
+    common = (1 << len(compat)) - 1
+    for pos in bit_positions(face_mask):
+        common &= compat[pos]
+    lower = [[(face_mask, common)]]
+    n_star = 1
+    stack = [(face_mask, common & ~face_mask, common, 0)]
+    while stack:
+        face, cand, common, depth = stack.pop()
+        depth += 1
+        if depth == len(lower):
+            lower.append([])
+        bucket = lower[depth]
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            child = face | bit
+            if child in masks:
+                row = compat[bit.bit_length() - 1]
+                shared = common & row
+                n_star += 1
+                if not child & cone_bit:
+                    bucket.append((child, shared))
+                stack.append((child, cand & row, shared, depth))
+    smaller = []
+    for bucket in reversed(lower):
+        for m, common in bucket:
+            facet = m | cone_bit
+            if facet not in masks:
+                raise NotConeVertexError("cone condition fails: a face has no extension", witness=m)
+            rest = common & ~facet
+            while rest:
+                bit = rest & -rest
+                if m | bit in masks:
+                    raise InvariantViolationError(
+                        "a pair is not free: its smaller face has a second cofacet", witness=m
+                    )
+                rest ^= bit
+            masks.remove(facet)
+            masks.remove(m)
+            smaller.append(m)
+    if 2 * len(smaller) != n_star:
+        raise InvariantViolationError("cone pairing does not partition the star")
+    return smaller
+
+
+def explicit_schedule(a: int, b: int, *, hat, ass, graph) -> CollapseCertificate:
+    """The schedule generator on an explicit copy of ``hat``'s face set:
+    each stage removes its pairs with :func:`explicit_cone_batch`, and the
+    faces left must equal ``ass``'s face set."""
+    ground, bit = hat.ground, hat._bit
+    current = set(hat.mask_set)
+    compat = compatibility_masks(ground)
+    stages = []
+    for r in range(len(graph.edges), 0, -1):
+        edge = graph.edges[r - 1]
+        batches = [
+            (half_wedge_completion(edge, s, graph), edge.pair() | {Diagonal(s, edge.apex, b)})
+            for s in crossing_indices(edge, graph)
+        ]
+        batches.append((wedge_completion(edge), edge.pair()))
+        for q, (cone, target) in enumerate(batches, start=1):
+            try:
+                smaller = explicit_cone_batch(current, hat._mask_of(target), bit[cone], compat)
+            except (NotConeVertexError, NotAFaceError, InvariantViolationError) as exc:
+                face = None if exc.witness is None else face_text(hat._face_of(exc.witness))
+                where = f"stage (r={r}, q={q}, cone {cone.text()}) failed"
+                raise ScheduleFailedError(
+                    f"{where}: {exc}" + (f" at face {face}" if face else ""), r=r, q=q, face=face,
+                ) from exc
+            stages.append(StageRecord(r, q, cone, target, len(smaller)))
+    if current != ass.mask_set:
+        extra, missing = current - ass.mask_set, ass.mask_set - current
+        first = face_text(hat._face_of(min(extra | missing, key=lambda m: (m.bit_count(), m))))
+        raise ScheduleFailedError(
+            f"terminal complex has {len(current)} faces, expected {ass.n_faces}: "
+            f"{len(extra)} extra, {len(missing)} missing, first at face {first}",
+            face=first,
+        )
+    return CollapseCertificate(a, b, ground, tuple(stages))
+
+
+class ExplicitReplay:
+    """The certificate replay on an explicit copy of the start complex's face
+    set, ``masks``, from which each stage removes its pairs.
+
+    By default the star of a stage target is walked upward through the
+    1-skeleton of the start complex, each face carrying the vertices
+    adjacent to all of it, and each cofacet test draws its candidates from
+    what the walk kept.  With ``exhaustive`` neither relies on downward
+    closure: the star is a scan of every remaining face, and so is each
+    freeness test.  Either way the pairs go largest first, ties by mask,
+    and each check runs at its pair's turn.
+    """
+
+    def __init__(self, start: SimplicialComplex, cert: CollapseCertificate, *, exhaustive=False):
+        if start.ground != cert.ground:
+            raise ValueError("certificate ground set does not match the start complex")
+        self.masks = set(start.mask_set)
+        self.steps_applied = 0
+        self.exhaustive = exhaustive
+        self._bit = {d: 1 << i for i, d in enumerate(start.ground)}
+        self._adj = skeleton_adjacency(self.masks, len(start.ground))
+
+    def _star(self, target: int, cone: int):
+        masks = self.masks
+        if self.exhaustive:
+            star = [m for m in masks if m & target == target]
+            order = sorted((m for m in star if not m & cone), key=lambda m: (m.bit_count(), -m))
+            return [[(m, None)] for m in order], [m for m in star if m & cone]
+        lower, upper = [[]], []
+        adj = self._adj
+        common = ~target
+        for p in bit_positions(target):
+            common &= adj[p]
+        lower[0].append((target, common))
+        stack = [(target, common, common, 0)]
+        while stack:
+            face, cand, common, depth = stack.pop()
+            depth += 1
+            if depth == len(lower):
+                lower.append([])
+            bucket = lower[depth]
+            while cand:
+                x = cand & -cand
+                cand ^= x
+                child = face | x
+                if child in masks:
+                    row = adj[x.bit_length() - 1]
+                    shared = common & row
+                    if child & cone:
+                        upper.append(child)
+                    else:
+                        bucket.append((child, shared))
+                    stack.append((child, cand & row, shared, depth))
+        return lower, upper
+
+    def expand(self, stage: StageRecord) -> str | None:
+        masks = self.masks
+        target = 0
+        for d in stage.target:
+            target |= self._bit[d]
+        cone = self._bit[stage.cone]
+        if not target:
+            return "stage target is empty"
+        if target not in masks:
+            return "stage target missing from current complex"
+        if target & cone:
+            return "stage target contains its cone"
+        lower, upper = self._star(target, cone)
+        if sum(map(len, lower)) != stage.n_steps:
+            return "expanded pair count differs from the certificate"
+        for bucket in reversed(lower):
+            bucket.sort()
+            for sub, common in bucket:
+                facet = sub | cone
+                if facet not in masks:
+                    return "cone extension missing from current complex"
+                if self.exhaustive:
+                    if any(m & sub == sub and m != sub and m != facet for m in masks):
+                        return "subface has another proper superface"
+                else:
+                    rest = common & ~facet
+                    while rest:
+                        x = rest & -rest
+                        if sub | x in masks:
+                            return "subface has another cofacet"
+                        rest ^= x
+                masks.remove(facet)
+                masks.remove(sub)
+                self.steps_applied += 1
+        if not masks.isdisjoint(upper):
+            return "faces containing the stage target remain"
+        return None
+
+    def run(self, stages):
+        for k, stage in enumerate(stages):
+            reason = self.expand(stage)
+            if reason is not None:
+                return k, reason
+        return None
+
+    def check_labels(self, stages):
+        end = skeleton_adjacency(self.masks, len(self._adj))
+        edges = [
+            1 << p | high
+            for p, row in enumerate(self._adj)
+            for high in bits_of(row & ~end[p] & -(2 << p))
+        ]
+        batches = Counter(stage.r for stage in stages)
+        labels = Counter((stage.r, stage.q) for stage in stages)
+        for k, stage in enumerate(stages):
+            r, q, m = stage.r, stage.q, batches[stage.r]
+            if not 1 <= r <= len(edges):
+                return k, "stage r is not an obstruction edge index"
+            edge, target = edges[r - 1], sum(self._bit[d] for d in stage.target)
+            if target & edge != edge:
+                return k, "stage target lacks its obstruction edge"
+            if not 1 <= q <= m or labels[r, q] > 1:
+                return k, "stage q labels of an edge are not 1..m"
+            if (q == m) != (target == edge):
+                return k, "exactly the last batch of an edge targets the edge itself"
+        return None
+
+
+def explicit_verify(start, target, cert, *, exhaustive=False) -> VerificationReport:
+    """The certificate check of :class:`ExplicitReplay`: every stage
+    expanded on the face set, then the terminal face set compared with
+    ``target``'s, then the (r, q) labels."""
+    replay = ExplicitReplay(start, cert, exhaustive=exhaustive)
+    failure = replay.run(cert.stages)
+    matched = replay.masks == target.mask_set
+    if failure is None and not matched:
+        failure = (len(cert.stages), "terminal face set differs from target")
+    if failure is None:
+        failure = replay.check_labels(cert.stages)
+    index, reason = failure or (None, None)
+    return VerificationReport(
+        failure is None, replay.steps_applied, index, reason, len(replay.masks), matched
+    )

@@ -18,15 +18,30 @@ from ratassoc import (
     StageRecord,
     StageReplay,
     betti_numbers,
+    build_ass,
     build_hat_ass,
     collapse_schedule,
     face_text,
     verify_certificate,
 )
+from ratassoc import collapse, complexes
 from ratassoc.collapse import _cone_batch
+from ratassoc.complexes import rational_kirkman
 from ratassoc.polygon import compatibility_masks
 
-from helpers import ass, copy_of, coprime_pairs, hat, is_fuss, obstruction_graph, schedule
+from helpers import (
+    ExplicitReplay,
+    ass,
+    copy_of,
+    coprime_pairs,
+    explicit_cone_batch,
+    explicit_schedule,
+    explicit_verify,
+    hat,
+    is_fuss,
+    obstruction_graph,
+    schedule,
+)
 
 
 def d(i, j, b):
@@ -38,14 +53,41 @@ def face(b, *pairs):
 
 
 def cone_batch(cpx, target, cone):
-    """``_cone_batch`` on a copy of the faces of ``cpx``, with every vertex
-    adjacent to every other: the removed (facet, subface) pairs in removal
-    order, and the faces left."""
+    """The explicit cone batch on a copy of the faces of ``cpx``, with every
+    vertex adjacent to every other: the removed (facet, subface) pairs in
+    removal order, and the faces left."""
     masks = set(cpx.mask_set)
     everything = [(1 << len(cpx.ground)) - 1] * len(cpx.ground)
     cone_bit = cpx._bit[cone]
-    smaller = _cone_batch(masks, cpx._mask_of(target), cone_bit, everything)
+    smaller = explicit_cone_batch(masks, cpx._mask_of(target), cone_bit, everything)
     return [(cpx._face_of(m | cone_bit), cpx._face_of(m)) for m in smaller], masks
+
+
+def exhaustive_verify(start, target, cert):
+    return explicit_verify(start, target, cert, exhaustive=True)
+
+
+def predicate_batch(masks, n: int, target: int, cone: int):
+    """The generator's batch on the face set ``masks`` over n vertices, every
+    vertex adjacent to every other: its pair count, or the exception it
+    raised; ``masks`` is only read."""
+    full = (1 << n) - 1
+    others = [full ^ 1 << p for p in range(n)]
+    frozen = frozenset(masks)
+    try:
+        result = _cone_batch(others, set(masks), full, target, cone)
+    except (NotAFaceError, NotConeVertexError, InvariantViolationError) as exc:
+        result = (type(exc), str(exc), exc.witness)
+    assert frozenset(masks) == frozen
+    return result
+
+
+def explicit_batch(masks, n: int, target: int, cone: int):
+    """:func:`predicate_batch`'s result, from the explicit batch on a copy."""
+    try:
+        return len(explicit_cone_batch(set(masks), target, cone, [(1 << n) - 1] * n))
+    except (NotAFaceError, NotConeVertexError, InvariantViolationError) as exc:
+        return (type(exc), str(exc), exc.witness)
 
 
 def test_cone_batch_on_small_model():
@@ -86,25 +128,30 @@ def test_cone_batch_errors_carry_the_face_not_hex():
     masks = {0b0001, 0b0011, 0b1001, 0b1011, 0b1101}
     everything = [0b1111] * 4
     with pytest.raises(InvariantViolationError) as info:
-        _cone_batch(set(masks), 0b0001, 0b0010, everything)
+        explicit_cone_batch(set(masks), 0b0001, 0b0010, everything)
     assert info.value.witness == 0b1001
     assert "not free" in str(info.value) and "0x" not in str(info.value)
     with pytest.raises(NotAFaceError) as info:
-        _cone_batch(set(masks), 0b0100, 0b0010, everything)
+        explicit_cone_batch(set(masks), 0b0100, 0b0010, everything)
     assert info.value.witness == 0b0100
     assert "0x" not in str(info.value)
+    for target in (0b0001, 0b0100):
+        assert predicate_batch(masks, 4, target, 0b0010) == explicit_batch(masks, 4, target, 0b0010)
 
 
 def test_cone_batch_refuses_a_cone_in_the_target():
     with pytest.raises(NotConeVertexError, match="cone vertex already belongs to the face"):
-        _cone_batch({0, 0b01, 0b11}, 0b11, 0b10, [0b11] * 2)
+        explicit_cone_batch({0, 0b01, 0b11}, 0b11, 0b10, [0b11] * 2)
+    err = predicate_batch({0, 0b01, 0b10, 0b11}, 2, 0b11, 0b10)
+    assert err == (NotConeVertexError, "cone vertex already belongs to the face", None)
 
 
 def test_cone_batch_refuses_a_star_its_pairs_do_not_cover():
     # 0b101 is missing, so the star face 0b111 is left with no pair
     masks = {0, 0b001, 0b011, 0b111}
+    assert predicate_batch(masks, 3, 0b001, 0b010) == explicit_batch(masks, 3, 0b001, 0b010)
     with pytest.raises(InvariantViolationError, match="cone pairing does not partition the star"):
-        _cone_batch(masks, 0b001, 0b010, [0b111] * 3)
+        explicit_cone_batch(masks, 0b001, 0b010, [0b111] * 3)
     assert masks == {0, 0b111}
 
 
@@ -123,9 +170,10 @@ def test_schedule_3_5_shape():
         (1, 1, "0-2", "0-4,2-4", 1),
     ]
     # the verifier's expansion of the stages removes exactly these two pairs
-    start = copy_of(hat(3, 5))
-    assert verify_certificate(start, ass(3, 5), cert).steps_applied == 2
-    removed = {face_text(f) for f in hat(3, 5).faces() if f not in start}
+    replay = StageReplay(hat(3, 5), cert)
+    assert replay.run(cert.stages) is None and replay.steps_applied == 2
+    left = replay.current_faces()
+    removed = {face_text(hat(3, 5)._face_of(m)) for m in hat(3, 5).mask_set - left}
     assert removed == {"1-3,1-5,3-5", "1-5,3-5", "0-2,0-4,2-4", "0-4,2-4"}
 
 
@@ -143,8 +191,11 @@ def test_schedule_5_8_stage_structure():
 @pytest.mark.parametrize("a,b", [p for p in coprime_pairs(max_b=9)] + [(5, 8)])
 def test_schedule_and_verification(a, b):
     cert = schedule(a, b)
-    report = verify_certificate(copy_of(hat(a, b)), ass(a, b), cert)
+    report = verify_certificate(hat(a, b), ass(a, b), cert)
     assert report.ok, report
+    # a complex that holds its face set is read through it, to the same end
+    assert verify_certificate(copy_of(hat(a, b)), copy_of(ass(a, b)), cert) == report
+    assert verify_certificate(hat(a, b), copy_of(ass(a, b)), cert) == report
     assert report.terminal_face_count == ass(a, b).n_faces
     # the pairs removed are exactly the faces of hat outside ass, matched up
     assert 2 * report.steps_applied == hat(a, b).n_faces - ass(a, b).n_faces
@@ -154,71 +205,76 @@ def test_schedule_and_verification(a, b):
 
 @pytest.mark.parametrize("a,b", [(3, 5), (4, 7), (5, 8)])
 def test_start_complex_is_collapsed_in_place(a, b):
-    """The generator and the replay both take over the start face set; on
-    success it holds the terminal faces, and the start complex's cached
-    facets and face counts are recomputed from them."""
-    start = copy_of(hat(a, b))
-    assert start.facets() == hat(a, b).facets()
-    assert start.f_vector_counts() == hat(a, b).f_vector_counts()
-    assert verify_certificate(start, ass(a, b), schedule(a, b)).ok
-    assert start.mask_set == ass(a, b).mask_set
-    assert start.facets() == ass(a, b).facets()
-    assert start.f_vector_counts() == ass(a, b).f_vector_counts()
-    start = copy_of(hat(a, b))
-    start.facets()  # fills the caches the collapse must drop
-    start.f_vector_counts()
-    collapse_schedule(a, b, hat=start, ass=ass(a, b), graph=obstruction_graph(a, b))
-    assert start.mask_set == ass(a, b).mask_set
-    assert start.facets() == ass(a, b).facets()
-    assert start.f_vector_counts() == ass(a, b).f_vector_counts()
+    """Neither the generator nor the replay changes the start complex, built
+    or holding its face set: its faces, facets and face counts stay the
+    noncrossing model's, and the replay counts the terminal faces as the
+    start's less two per pair."""
+    for start in (copy_of(hat(a, b)), build_hat_ass(a, b)):
+        facets, counts = start.facets(), start.f_vector_counts()
+        report = verify_certificate(start, ass(a, b), schedule(a, b))
+        assert report.ok
+        assert report.terminal_face_count == hat(a, b).n_faces - 2 * report.steps_applied
+        assert report.terminal_face_count == ass(a, b).n_faces
+        collapse_schedule(a, b, hat=start, ass=ass(a, b), graph=obstruction_graph(a, b))
+        assert start.mask_set == hat(a, b).mask_set
+        assert start.facets() == facets == hat(a, b).facets()
+        assert start.f_vector_counts() == counts == hat(a, b).f_vector_counts()
 
 
 @pytest.mark.parametrize("a,b", [(3, 5), (4, 7), (5, 8), (5, 9)])
 @pytest.mark.parametrize("consumer", ["collapse_schedule", "verify_certificate"])
 def test_a_collapsed_model_forgets_its_graph(a, b, consumer):
-    """A freshly built noncrossing model reads its invariants from its graph;
-    once the collapse or the replay has taken over its face set, every one
-    of them is read from the faces left, which are the lattice-path
-    model's, and not from the graph of the faces it started with."""
-    start = build_hat_ass(a, b)
-    for field in ("gf2", "q"):
-        betti_numbers(start, field)  # fills the cells and counts to be dropped
-    start.facets()
-    assert start.clique_walk() is not None
+    """A freshly built model keeps its graph through the collapse and the
+    replay, and neither builds its face set: the current complex is read
+    off the graph.  Its invariants stay the noncrossing model's."""
+    start, model = build_hat_ass(a, b), build_ass(a, b)
+    before = {field: betti_numbers(start, field) for field in ("gf2", "q")}
+    facets = start.facets()
+    graph = start._graph
     if consumer == "collapse_schedule":
-        cert = collapse_schedule(a, b, hat=start, ass=ass(a, b), graph=obstruction_graph(a, b))
+        cert = collapse_schedule(a, b, hat=start, ass=model, graph=obstruction_graph(a, b))
         assert cert.n_steps
     else:
-        assert verify_certificate(start, ass(a, b), schedule(a, b)).steps_applied
-    model = ass(a, b)
-    assert start.mask_set == model.mask_set
-    assert start.n_faces == model.n_faces < hat(a, b).n_faces
-    assert start.dim == model.dim
-    assert start.f_vector_counts() == model.f_vector_counts()
-    assert start.facets() == model.facets()
+        report = verify_certificate(start, model, schedule(a, b))
+        assert report.ok and report.steps_applied
+        assert report.terminal_face_count == start.n_faces - 2 * report.steps_applied
+    assert start._graph is graph and start._masks is None and model._masks is None
+    assert start.n_faces == hat(a, b).n_faces > model.n_faces
+    assert start.dim == hat(a, b).dim
+    assert start.f_vector_counts() == hat(a, b).f_vector_counts()
+    assert start.facets() == facets
     for field in ("gf2", "q"):
-        assert betti_numbers(start, field) == betti_numbers(model, field)
+        assert betti_numbers(start, field) == before[field]
 
 
 def test_replay_refuses_a_target_that_shares_the_start_face_set():
-    start = copy_of(hat(3, 5))
-    with pytest.raises(ValueError, match="share one face set"):
-        verify_certificate(start, start, schedule(3, 5))
-    assert start.mask_set == hat(3, 5).mask_set
+    """The replay leaves the start complex alone, so the start may be its own
+    target: the terminal comparison fails, and the start is unchanged."""
+    cert = schedule(3, 5)
+    for start in (copy_of(hat(3, 5)), build_hat_ass(3, 5)):
+        report = verify_certificate(start, start, cert)
+        assert (report.ok, report.failure_index) == (False, len(cert.stages))
+        assert report.reason == "terminal face set differs from target"
+        assert not report.target_matched
+        assert report.terminal_face_count == hat(3, 5).n_faces - 2 * report.steps_applied
+        assert report.steps_applied == cert.n_steps
+        assert start.mask_set == hat(3, 5).mask_set
 
 
 @pytest.mark.parametrize("a,b", [(3, 5), (5, 8), (4, 7)])
 def test_exhaustive_verification_agrees(a, b):
     cert = schedule(a, b)
-    assert verify_certificate(copy_of(hat(a, b)), ass(a, b), cert, exhaustive=True).ok
+    report = explicit_verify(hat(a, b), ass(a, b), cert, exhaustive=True)
+    assert report.ok
+    assert report == explicit_verify(hat(a, b), ass(a, b), cert)
+    assert report == verify_certificate(hat(a, b), ass(a, b), cert)
 
 
 def test_reversed_certificate_fails_immediately():
     cert = schedule(5, 8)
     reversed_cert = CollapseCertificate(cert.a, cert.b, cert.ground, cert.stages[::-1])
-    for exhaustive in (False, True):
-        start = copy_of(hat(5, 8))
-        report = verify_certificate(start, ass(5, 8), reversed_cert, exhaustive=exhaustive)
+    for verify in (verify_certificate, exhaustive_verify):
+        report = verify(hat(5, 8), ass(5, 8), reversed_cert)
         assert not report.ok
         assert report.failure_index == 0
         assert report.steps_applied == 0
@@ -236,19 +292,26 @@ def test_reversed_certificate_fails_immediately():
 )
 def test_rejected_certificate_leaves_a_partial_collapse(corrupt, index, steps, reason):
     """A rejected replay keeps the pairs it removed before the failing
-    check: the start complex holds exactly the collapse the report counts."""
+    check: its current complex is exactly the collapse the report counts,
+    and the start complex is unchanged."""
     cert = schedule(3, 5)
     first = cert.stages[0]
     if corrupt == "truncate":
         stages = (first,)
     else:
         stages = (replace(first, n_steps=2),) + cert.stages[1:]
-    start = copy_of(hat(3, 5))
-    report = verify_certificate(start, ass(3, 5), CollapseCertificate(3, 5, cert.ground, stages))
-    assert (report.ok, report.failure_index, report.steps_applied) == (False, index, steps)
-    assert report.reason == reason
-    assert start == hat(3, 5).deletion([first.target] if steps else [])
-    assert report.terminal_face_count == start.n_faces == hat(3, 5).n_faces - 2 * steps
+    rejected = CollapseCertificate(3, 5, cert.ground, stages)
+    for start in (copy_of(hat(3, 5)), build_hat_ass(3, 5)):
+        report = verify_certificate(start, ass(3, 5), rejected)
+        assert (report.ok, report.failure_index, report.steps_applied) == (False, index, steps)
+        assert report.reason == reason
+        assert report.terminal_face_count == hat(3, 5).n_faces - 2 * steps
+        assert start.mask_set == hat(3, 5).mask_set
+        replay = StageReplay(start, rejected)
+        assert replay.run(stages) == ((0, reason) if index == 0 else None)
+        partial = hat(3, 5).deletion([first.target] if steps else [])
+        assert replay.current_faces() == partial.mask_set
+        assert replay.n_faces == len(partial.mask_set) == report.terminal_face_count
 
 
 def test_wrong_target_detected():
@@ -266,7 +329,7 @@ def test_stage_boundary_invariant(a, b):
     graph = obstruction_graph(a, b)
     bit = {diag: 1 << i for i, diag in enumerate(cert.ground)}
     edge_masks = [bit[e.lesser] | bit[e.greater] for e in graph.edges]
-    replay = StageReplay(copy_of(hat(a, b)), cert)
+    replay = StageReplay(hat(a, b), cert)
     closing = {}
     for stage in cert.stages:
         closing[stage.r] = max(closing.get(stage.r, 0), stage.q)
@@ -280,7 +343,7 @@ def test_stage_boundary_invariant(a, b):
                 for m in hat(a, b).mask_set
                 if not any(m & em == em for em in edge_masks[stage.r - 1 :])
             }
-            assert replay.masks == expect
+            assert replay.current_faces() == expect
     assert sorted(closing) == list(range(1, len(graph.edges) + 1))
     assert replay.steps_applied == cert.n_steps
 
@@ -295,26 +358,26 @@ def test_certificate_json_round_trip(a, b):
     assert back.stages == cert.stages
     assert back.n_steps == cert.n_steps
     assert back.dumps() == cert.dumps()
-    report = verify_certificate(copy_of(hat(a, b)), ass(a, b), back)
+    report = verify_certificate(hat(a, b), ass(a, b), back)
     assert report.ok and report.steps_applied == cert.n_steps
 
 
 def test_stage_expansion_matches_cone_batch():
     """Stage by stage, for every coprime pair with b <= 8, the verifier's
     expansion removes as many pairs, and leaves the same faces, as the
-    generator's cone batch."""
+    explicit cone batch."""
     for a, b in coprime_pairs(max_b=8):
         cert, start = schedule(a, b), hat(a, b)
         masks = set(start.mask_set)
         compat = compatibility_masks(start.ground)
-        replay = StageReplay(copy_of(start), cert)
+        replay = StageReplay(start, cert)
         for k, stage in enumerate(cert.stages):
             target, cone = start._mask_of(stage.target), start._bit[stage.cone]
-            smaller = _cone_batch(masks, target, cone, compat)
+            smaller = explicit_cone_batch(masks, target, cone, compat)
             before = replay.steps_applied
             assert replay.expand(stage) is None, (a, b, k)
             assert replay.steps_applied - before == len(smaller) == stage.n_steps, (a, b, k)
-            assert replay.masks == masks, (a, b, k)
+            assert replay.current_faces() == masks, (a, b, k)
         assert masks == ass(a, b).mask_set, (a, b)
 
 
@@ -326,8 +389,12 @@ def test_schedule_failure_carries_stage_and_face():
     facet = next(m for m in h.mask_set if m & grown == grown and m in h._compute_facet_masks())
     broken = SimplicialComplex._trusted(h.ground, h.mask_set - {facet}, 5, 8)
     with pytest.raises(ScheduleFailedError) as info:
+        explicit_schedule(5, 8, hat=broken, ass=ass(5, 8), graph=obstruction_graph(5, 8))
+    oracle = info.value
+    with pytest.raises(ScheduleFailedError) as info:
         collapse_schedule(5, 8, hat=broken, ass=ass(5, 8), graph=obstruction_graph(5, 8))
     err = info.value
+    assert (str(err), err.r, err.q, err.face) == (str(oracle), oracle.r, oracle.q, oracle.face)
     assert (err.r, err.q) == (stage.r, stage.q)
     assert err.face == face_text(h._face_of(facet & ~h._bit[stage.cone]))
     assert f"(r={stage.r}, q={stage.q}, cone {stage.cone.text()})" in str(err)
@@ -340,8 +407,12 @@ def test_schedule_terminal_failure_names_extra_and_missing_faces():
     gone = min(model._compute_facet_masks())
     added = min(h.mask_set - model.mask_set, key=lambda m: (m.bit_count(), m))
     swapped = SimplicialComplex._trusted(h.ground, model.mask_set - {gone} | {added}, 5, 8)
-    with pytest.raises(ScheduleFailedError) as info:
-        collapse_schedule(5, 8, hat=copy_of(h), ass=swapped, graph=obstruction_graph(5, 8))
+    errors = []
+    for start in (copy_of(h), h):
+        with pytest.raises(ScheduleFailedError) as info:
+            collapse_schedule(5, 8, hat=start, ass=swapped, graph=obstruction_graph(5, 8))
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
     err = info.value
     first = min((gone, added), key=lambda m: (m.bit_count(), m))
     assert err.face == face_text(h._face_of(first)) != ""
@@ -362,7 +433,7 @@ def test_exhaustive_freeness_check_fires():
     masks = set(cpx.mask_set) | {bit[x] | bit[c] | bit[y]}
     family = SimplicialComplex._trusted(cpx.ground, masks, None, 5)
     cert = CollapseCertificate(3, 5, cpx.ground, (StageRecord(1, 1, c, frozenset([x]), 1),))
-    report = verify_certificate(copy_of(family), family, cert, exhaustive=True)
+    report = explicit_verify(family, family, cert, exhaustive=True)
     assert not report.ok
     assert (report.failure_index, report.steps_applied) == (0, 0)
     assert report.reason == "subface has another proper superface"
@@ -374,9 +445,8 @@ def test_valid_swap_is_accepted_by_both_replays():
     assert [(s.r, s.q) for s in stages[8:10]] == [(3, 1), (2, 1)]
     stages[8], stages[9] = stages[9], stages[8]
     swapped = CollapseCertificate(5, 8, cert.ground, tuple(stages))
-    for exhaustive in (False, True):
-        start = copy_of(hat(5, 8))
-        assert verify_certificate(start, ass(5, 8), swapped, exhaustive=exhaustive).ok
+    for verify in (verify_certificate, exhaustive_verify):
+        assert verify(hat(5, 8), ass(5, 8), swapped).ok
 
 
 def _relabel(stages, k, **changes):
@@ -419,9 +489,8 @@ def test_stage_labels_must_fit_the_obstruction_edges(relabel, index, reason):
     stages = list(cert.stages)
     relabel(stages)
     relabeled = CollapseCertificate(5, 8, cert.ground, tuple(stages))
-    for exhaustive in (False, True):
-        start = copy_of(hat(5, 8))
-        report = verify_certificate(start, ass(5, 8), relabeled, exhaustive=exhaustive)
+    for verify in (verify_certificate, exhaustive_verify):
+        report = verify(hat(5, 8), ass(5, 8), relabeled)
         assert (report.ok, report.failure_index, report.reason) == (False, index, reason)
         assert report.target_matched and report.steps_applied == cert.n_steps
 
@@ -432,8 +501,8 @@ def test_stage_labels_are_checked_against_the_replays_own_edges():
     stage r = 0 built directly, which ``from_json`` would refuse, does not."""
     for a, b in coprime_pairs(max_b=9):
         cert = schedule(a, b)
-        replay = StageReplay(copy_of(hat(a, b)), cert)
-        assert replay.run(cert.stages) is None and replay.masks == ass(a, b).mask_set
+        replay = StageReplay(hat(a, b), cert)
+        assert replay.run(cert.stages) is None and replay.matches(ass(a, b))
         assert replay.check_labels(cert.stages) is None
         if cert.stages:
             zero = (replace(cert.stages[0], r=0),) + cert.stages[1:]
@@ -444,7 +513,7 @@ def test_dropping_every_batch_of_an_edge_is_rejected():
     cert = schedule(5, 8)
     stages = tuple(s for s in cert.stages if s.r != 8)
     dropped = CollapseCertificate(5, 8, cert.ground, stages)
-    assert not verify_certificate(copy_of(hat(5, 8)), ass(5, 8), dropped).ok
+    assert not verify_certificate(hat(5, 8), ass(5, 8), dropped).ok
 
 
 MUTATION_PAIRS = [(3, 5), (3, 8), (4, 7), (5, 7), (5, 8)]
@@ -454,7 +523,7 @@ MUTATION_PAIRS = [(3, 5), (3, 8), (4, 7), (5, 7), (5, 8)]
 @given(st.data())
 def test_dropped_or_swapped_stages(data):
     """A mutated certificate is rejected, or accepted by the exhaustive
-    replay as well; the two replays agree on every report field."""
+    explicit replay as well; the replays agree on every report field."""
     a, b = data.draw(st.sampled_from(MUTATION_PAIRS), label="pair")
     cert = schedule(a, b)
     stages = list(cert.stages)
@@ -466,8 +535,8 @@ def test_dropped_or_swapped_stages(data):
         j = data.draw(st.integers(0, len(stages) - 1).filter(lambda j: j != i), label="j")
         stages[i], stages[j] = stages[j], stages[i]
     mutated = CollapseCertificate(a, b, cert.ground, tuple(stages))
-    report = verify_certificate(copy_of(hat(a, b)), ass(a, b), mutated)
-    assert report == verify_certificate(copy_of(hat(a, b)), ass(a, b), mutated, exhaustive=True)
+    report = verify_certificate(hat(a, b), ass(a, b), mutated)
+    assert report == exhaustive_verify(hat(a, b), ass(a, b), mutated)
     if drop:
         assert not report.ok
 
@@ -485,9 +554,8 @@ def test_dropped_or_swapped_stages(data):
 def test_stage_rejection_reasons(target, cone, pairs, reason):
     stage = StageRecord(2, 1, d(*cone, 5), face(5, *target), pairs)
     cert = CollapseCertificate(3, 5, hat(3, 5).ground, (stage,))
-    for exhaustive in (False, True):
-        start = copy_of(hat(3, 5))
-        report = verify_certificate(start, ass(3, 5), cert, exhaustive=exhaustive)
+    for verify in (verify_certificate, exhaustive_verify):
+        report = verify(hat(3, 5), ass(3, 5), cert)
         assert (report.ok, report.failure_index, report.steps_applied) == (False, 0, 0)
         assert report.reason == reason
 
@@ -505,12 +573,12 @@ def test_empty_stage_target_is_rejected_not_walked():
     previous = signal.signal(signal.SIGALRM, hung)
     signal.setitimer(signal.ITIMER_REAL, 5)
     try:
-        for exhaustive in (False, True):
+        for verify in (verify_certificate, exhaustive_verify):
             try:
-                report = verify_certificate(copy_of(start), ass(3, 5), cert, exhaustive=exhaustive)
+                report = verify(start, ass(3, 5), cert)
             except TimeoutError:
                 # the interrupted frame's traceback cannot be rendered
-                pytest.fail(f"exhaustive={exhaustive}: the replay ran past 5 s", pytrace=False)
+                pytest.fail(f"{verify.__name__}: the replay ran past 5 s", pytrace=False)
             assert (report.ok, report.failure_index, report.steps_applied) == (False, 0, 0)
             assert report.reason == "stage target is empty"
     finally:
@@ -529,14 +597,18 @@ VERTICES = [Diagonal(0, k, 12) for k in range(2, 11)]
 def test_cone_lemma_on_both_sides(facets, data):
     """On any downward-closed family, a cone batch for target T and vertex
     c goes through exactly when every face containing T and avoiding c
-    extends by c; then it realizes the deletion of T, and the replay of the
-    same stage agrees in both modes."""
+    extends by c; then it realizes the deletion of T, the generator's batch
+    counts its pairs, and the replay of the same stage agrees with both
+    explicit replays."""
     cpx = SimplicialComplex(VERTICES, facets)
     faces = sorted((f for f in cpx.faces() if f), key=lambda f: sorted(d.key() for d in f))
     target = data.draw(st.sampled_from(faces), label="target")
     cone = data.draw(st.sampled_from([v for v in VERTICES if v not in target]), label="cone")
     lower = [f for f in cpx.faces() if target <= f and cone not in f]
     is_cone = all(cpx.has_face(f | {cone}) for f in lower)
+    t, c = cpx._mask_of(target), cpx._bit[cone]
+    n = len(VERTICES)
+    assert predicate_batch(cpx.mask_set, n, t, c) == explicit_batch(cpx.mask_set, n, t, c)
     if is_cone:
         pairs, masks = cone_batch(cpx, target, cone)
         assert masks == cpx.deletion([target]).mask_set
@@ -549,13 +621,15 @@ def test_cone_lemma_on_both_sides(facets, data):
             cone_batch(cpx, target, cone)
     stage = StageRecord(1, 1, cone, target, len(lower))
     cert = CollapseCertificate(None, 12, cpx.ground, (stage,))
-    replays = [StageReplay(copy_of(cpx), cert, exhaustive=exhaustive) for exhaustive in (False, True)]
+    replays = [StageReplay(cpx, cert)] + [
+        ExplicitReplay(cpx, cert, exhaustive=exhaustive) for exhaustive in (False, True)
+    ]
     reasons = [replay.expand(stage) for replay in replays]
-    assert reasons[0] == reasons[1]
-    assert replays[0].masks == replays[1].masks
-    assert replays[0].steps_applied == replays[1].steps_applied
+    assert reasons[0] == reasons[1] == reasons[2]
+    assert replays[0].current_faces() == replays[1].masks == replays[2].masks
+    assert replays[0].steps_applied == replays[1].steps_applied == replays[2].steps_applied
     if is_cone:
-        assert reasons[0] is None and replays[0].masks == masks
+        assert reasons[0] is None and replays[0].current_faces() == masks
         assert replays[0].steps_applied == len(pairs)
     else:
         assert reasons[0] == "cone extension missing from current complex"
@@ -586,3 +660,124 @@ def test_default_replay_checks_fire_off_downward_closure(facets, dropped, pairs,
     replay = StageReplay(family, cert)
     assert replay.expand(stage) == reason
     assert replay.steps_applied == steps
+
+
+# -- the predicate engine against the explicit one ----------------------------
+
+
+@pytest.mark.parametrize("a,b", coprime_pairs(max_b=11))
+def test_schedule_equals_the_explicit_schedule(a, b):
+    """The generator's certificate is the explicit engine's, byte for byte."""
+    h, model, graph = hat(a, b), ass(a, b), obstruction_graph(a, b)
+    explicit = explicit_schedule(a, b, hat=h, ass=model, graph=graph)
+    assert schedule(a, b).dumps() == explicit.dumps()
+
+
+def _drop_first(stages):
+    del stages[0]
+
+
+def _swap_first_two(stages):
+    stages[0], stages[1] = stages[1], stages[0]
+
+
+def _miscount_first(stages):
+    stages[0] = replace(stages[0], n_steps=stages[0].n_steps + 1)
+
+
+def _relabel_first(stages):
+    stages[0] = replace(stages[0], r=stages[0].r - 1, q=stages[0].q + 1)
+
+
+@pytest.mark.parametrize(
+    "a,b", [(a, b) for a, b in coprime_pairs(max_b=9) if a > 1 and not is_fuss(a, b)]
+)
+def test_replay_reports_equal_the_explicit_replay(a, b):
+    """The replay's full report equals the explicit replay's on the genuine
+    certificate and four mutations of it, from a built start and from one
+    that holds its face set."""
+    cert = schedule(a, b)
+    assert cert.stages
+    mutations = [_drop_first, _miscount_first, _relabel_first]
+    if len(cert.stages) > 1:
+        mutations.append(_swap_first_two)
+    certs = [cert]
+    for mutate in mutations:
+        stages = list(cert.stages)
+        mutate(stages)
+        certs.append(CollapseCertificate(a, b, cert.ground, tuple(stages)))
+    reports = [explicit_verify(hat(a, b), ass(a, b), mutated) for mutated in certs]
+    for mutated, report in zip(certs, reports):
+        assert verify_certificate(hat(a, b), ass(a, b), mutated) == report, mutated.dumps()
+        assert verify_certificate(copy_of(hat(a, b)), ass(a, b), mutated) == report
+    # dropped, miscounted and relabelled stages are refused; a swap may be valid
+    assert [report.ok for report in reports[:4]] == [True, False, False, False]
+
+
+@pytest.mark.parametrize("a,b", coprime_pairs(max_b=12))
+def test_pairs_account_for_the_kirkman_faces(a, b):
+    """|hat| - 2 pairs = the Kirkman sum, with |hat| counted by the clique
+    walk: the certificate removes exactly the faces outside ass."""
+    model = hat(a, b)
+    n_faces = sum(complexes.clique_walk(*model._graph).counts)
+    kirkman = sum(rational_kirkman(a, b, i) for i in range(1, a + 1))
+    assert n_faces - 2 * schedule(a, b).n_steps == kirkman
+
+
+def test_collapse_and_replay_build_no_face_set(monkeypatch):
+    """On built models, neither side lists a face: the clique walk that
+    would build a face set is never called, on success."""
+    def forbidden(*args):
+        raise AssertionError("a face set was built")
+
+    monkeypatch.setattr(collapse, "clique_complex", forbidden)
+    monkeypatch.setattr(complexes, "clique_complex", forbidden)
+    a, b = 7, 10
+    start, model = build_hat_ass(a, b), build_ass(a, b)
+    cert = collapse_schedule(a, b, hat=start, ass=model, graph=obstruction_graph(a, b))
+    report = verify_certificate(start, model, cert)
+    assert report.ok and report.steps_applied == cert.n_steps
+    # a rejected stage, after some pairs went, still gets its count without faces
+    stages = (replace(cert.stages[1], n_steps=cert.stages[1].n_steps + 1),) + cert.stages[:1]
+    rejected = verify_certificate(start, model, CollapseCertificate(a, b, cert.ground, stages))
+    assert (rejected.ok, rejected.failure_index) == (False, 0)
+
+
+LIVE = [Diagonal(0, k, 12) for k in range(2, 8)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sets(st.sampled_from(LIVE), min_size=1, max_size=6), min_size=1, max_size=4),
+       st.data())
+def test_replay_predicate_follows_the_explicit_replay(facets, data):
+    """On any downward-closed family and any run of stages, targets of one,
+    two or more vertices included, the replay removes what the explicit
+    replay removes and refuses what it refuses, stage by stage.  Each
+    stage's pair count is the explicit replay's star count, so that most
+    stages pass and leave targets live for later ones."""
+    cpx = SimplicialComplex(LIVE, facets)
+    faces = sorted((f for f in cpx.faces() if 0 < len(f) <= 3), key=lambda f: sorted(d.key() for d in f))
+    cert = CollapseCertificate(None, 12, cpx.ground, ())
+    replay, oracle = StageReplay(cpx, cert), ExplicitReplay(cpx, cert)
+    for _ in range(data.draw(st.integers(1, 8), label="stages")):
+        target = data.draw(st.sampled_from(faces), label="target")
+        t = cpx._mask_of(target)
+        star = [m for m in oracle.masks if m & t == t]
+        cones = [v for v in LIVE if v not in target]
+        coning = [v for v in cones if all(m | cpx._bit[v] in oracle.masks for m in star)]
+        if coning and data.draw(st.booleans(), label="coning"):
+            cones = coning
+        cone = data.draw(st.sampled_from(cones), label="cone")
+        c = cpx._bit[cone]
+        pairs = sum(1 for m in star if not m & c)
+        stage = StageRecord(1, 1, cone, frozenset(target), pairs)
+        reason = oracle.expand(stage)
+        assert replay.expand(stage) == reason
+        assert replay.steps_applied == oracle.steps_applied
+        assert replay.current_faces() == oracle.masks
+        assert replay.n_faces == len(oracle.masks)
+        if reason is not None:
+            break
+    else:
+        assert replay.matches(cpx) == (oracle.masks == cpx.mask_set)
+        assert replay.check_labels(cert.stages) == oracle.check_labels(cert.stages)
