@@ -21,12 +21,10 @@ from .collapse import (
 )
 from .complexes import (
     FHVector,
-    FlagReport,
     SimplicialComplex,
     build_ass,
     build_hat_ass,
     face_text,
-    is_flag,
     parse_face,
     rational_catalan,
     rational_kirkman,

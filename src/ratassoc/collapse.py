@@ -47,20 +47,19 @@ edges, the start skeleton's edges the replay dropped
 (:meth:`StageReplay.check_labels`).
 
 Neither side builds or changes a face set: each treats the current
-complex as a predicate on the start complex's faces.  A stage that passes
+complex as a predicate on the start complex's graph.  A stage that passes
 has removed exactly its target's star (no face containing the target is
 left, and the pairs cover the star), so the current complex is the faces
 of the start complex holding no processed target, less the pairs the
 running stage has removed, which go to a set the size of the star.  A
 processed edge leaves a private copy of the start's graph; the walk draws
-a face's children from its common neighbours there, so on a built model
-every face it reaches is a clique, hence a face.  When both models are
-built, the terminal complex is the clique complex of what is left of the
-graph, less the stars of the larger targets still live, and equals the
-flag lattice-path model exactly when the graphs are equal and no live
-target is a clique; face sets are built only to describe a difference.  The
-replay counts the pairs it removes, so the terminal complex has the start
-complex's faces less two per pair.
+a face's children from its common neighbours there, so every face it
+reaches is a clique, hence a face.  The terminal complex is the clique
+complex of what is left of the graph, less the stars of the larger targets
+still live, and equals the flag lattice-path model exactly when the graphs
+are equal and no live target is a clique; face sets are built only to
+describe a difference.  The replay counts the pairs it removes, so the
+terminal complex has the start complex's faces less two per pair.
 """
 
 from __future__ import annotations
@@ -79,7 +78,6 @@ from .complexes import (
     face_text,
     face_to_lists,
     guard_b,
-    skeleton_adjacency,
 )
 from .errors import (
     InvariantViolationError,
@@ -95,7 +93,6 @@ from .obstruction import (
     wedge_completion,
 )
 from .polygon import Diagonal, admissible_by_ends, all_admissible_diagonals, check_slope_pair
-from .polygon import compatibility_masks
 
 SCHEMA = 2
 _STAGE_KEYS = frozenset(("r", "q", "cone", "target", "pairs"))
@@ -180,7 +177,8 @@ class CollapseCertificate:
         """
         _require(isinstance(doc, dict), "certificate must be a JSON object")
         schema = doc.get("schema")
-        _require(schema == SCHEMA, f"unsupported certificate schema {schema!r}, expected {SCHEMA}")
+        _require(type(schema) is int and schema == SCHEMA,
+                 f"unsupported certificate schema {schema!r}, expected {SCHEMA}")
         _require(set(doc) == {"schema", "a", "b", "steps"},
                  'certificate keys must be exactly "schema", "a", "b" and "steps"')
         a, b, steps = doc["a"], doc["b"], doc["steps"]
@@ -225,27 +223,24 @@ class CollapseCertificate:
 # -- engine ----------------------------------------------------------------
 
 
-def _cone_batch(
-    adj: list[int], faces: set[int] | None, free: int, face_mask: int, cone_bit: int
-) -> int:
+def _cone_batch(adj: list[int], free: int, face_mask: int, cone_bit: int) -> int:
     """Check the batch that collapses away every current face containing
     ``face_mask`` via the cone bit; returns its number of pairs.
 
-    A face is current when it is a clique of ``adj`` within ``free`` and,
-    unless ``faces`` is None, one of ``faces``; the batch's own pairs go to a
-    local set, since they leave it at their turn.  The star (complete
-    because the current complex is downward closed) is walked once, each
-    face carrying its common neighbours on the stack, and the faces
-    avoiding the cone bit are bucketed by size as the walk finds them.  One
-    checked pass then takes the pairs largest first, ties in walk order,
-    and checks each at its turn (see the module docstring).  Every face
-    reached is current, and so is F' + x exactly when x is a common
-    neighbour of F' and F' + x has not left.
+    A face is current when it is a clique of ``adj`` within ``free``; the
+    batch's own pairs go to a local set, since they leave it at their turn.
+    The star (complete because the current complex is downward closed) is
+    walked once, each face carrying its common neighbours on the stack, and
+    the faces avoiding the cone bit are bucketed by size as the walk finds
+    them.  One checked pass then takes the pairs largest first, ties in
+    walk order, and checks each at its turn (see the module docstring).
+    Every face reached is current, and so is F' + x exactly when x is a
+    common neighbour of F' and F' + x has not left.
     """
     within = free  # the vertices of free adjacent to every other vertex of the target
     for pos in bit_positions(face_mask):
         within &= adj[pos] | 1 << pos
-    if face_mask & ~within or (faces is not None and face_mask not in faces):
+    if face_mask & ~within:
         raise NotAFaceError("the target face is not in the complex", witness=face_mask)
     if face_mask & cone_bit:
         raise NotConeVertexError("cone vertex already belongs to the face")
@@ -265,25 +260,24 @@ def _cone_batch(
             bit = cand & -cand
             cand ^= bit  # faces above face | bit add only higher vertices
             child = face | bit
-            if faces is None or child in faces:
-                row = adj[bit.bit_length() - 1]
-                shared = common & row
-                n_star += 1
-                if not child & cone_bit:
-                    bucket.append((child, shared))
-                stack.append((child, cand & row, shared, depth))
+            row = adj[bit.bit_length() - 1]
+            shared = common & row
+            n_star += 1
+            if not child & cone_bit:
+                bucket.append((child, shared))
+            stack.append((child, cand & row, shared, depth))
     gone: set[int] = set()
     for bucket in reversed(lower):
         for m, common in bucket:
             # m | cone is in no earlier pair: those hold other subfaces and
             # their own extensions
             facet = m | cone_bit
-            if not common & cone_bit or (faces is not None and facet not in faces):
+            if not common & cone_bit:
                 raise NotConeVertexError("cone condition fails: a face has no extension", witness=m)
             rest = common ^ cone_bit
             while rest:
                 bit = rest & -rest
-                if m | bit not in gone and (faces is None or m | bit in faces):
+                if m | bit not in gone:
                     raise InvariantViolationError(
                         "a pair is not free: its smaller face has a second cofacet", witness=m
                     )
@@ -316,25 +310,20 @@ def collapse_schedule(
     faces and carries the first differing face (fewest diagonals, then
     lowest mask).
 
-    The current complex is a predicate on ``hat``'s faces: a face is
+    The current complex is a predicate on ``hat``'s graph: a clique is
     current when it holds no processed edge, and, while an edge's batches
     run, no apex of its cleared crossing triples (every face a batch of the
     edge reads holds the edge).  So the processed edges leave a private
-    copy of ``hat``'s graph, and the cleared apexes a mask; a ``hat`` that
-    holds a face set instead is read through it, on the noncrossing graph.
-    When both models are built ones, the terminal complex is the clique
-    complex of what is left of the graph, and equals the flag model ``ass``
-    exactly when their graphs do; face sets are built only to report a
-    difference.
+    copy of ``hat``'s graph, and the cleared apexes a mask.  The terminal
+    complex is the clique complex of what is left of the graph, and equals
+    ``ass``, the clique complex of its own graph, exactly when their graphs
+    do; face sets are built only to report a difference.
     """
     check_slope_pair(a, b)
     ground = hat.ground
     bit = hat._bit
-    if hat._graph is None:
-        faces, rows, vertices = hat._masks, compatibility_masks(ground), (1 << len(ground)) - 1
-    else:
-        faces, (rows, vertices) = None, hat._graph
-    adj = list(rows)  # a built model's rows may be shared, so edges leave a copy
+    rows, vertices = hat._graph
+    adj = list(rows)  # a model's rows may be shared, so edges leave a copy
     stages: list[StageRecord] = []
 
     for r in range(len(graph.edges), 0, -1):
@@ -349,7 +338,7 @@ def collapse_schedule(
         for q, (cone, target) in enumerate(batches, start=1):
             face_mask = hat._mask_of(target)
             try:
-                n_pairs = _cone_batch(adj, faces, free, face_mask, bit[cone])
+                n_pairs = _cone_batch(adj, free, face_mask, bit[cone])
             except (NotConeVertexError, NotAFaceError, InvariantViolationError) as exc:
                 face = None if exc.witness is None else face_text(hat._face_of(exc.witness))
                 where = f"stage (r={r}, q={q}, cone {cone.text()}) failed"
@@ -362,16 +351,11 @@ def collapse_schedule(
         adj[lesser.bit_length() - 1] &= ~greater
         adj[greater.bit_length() - 1] &= ~lesser
 
-    if faces is None and ass._graph is not None:
-        ass_adj, ass_vertices = ass._graph
-        if vertices == ass_vertices and all(
-            adj[p] & vertices == ass_adj[p] & vertices for p in bit_positions(vertices)
-        ):
-            return CollapseCertificate(a, b, ground, tuple(stages))
-    dropped = [row & ~now for row, now in zip(rows, adj)]
-    start = clique_complex(rows, vertices) if faces is None else faces
-    current = {m for m in start if not any(m & dropped[p] for p in bit_positions(m))}
-    if current != ass.mask_set:
+    ass_adj, ass_vertices = ass._graph
+    if vertices != ass_vertices or any(
+        adj[p] & vertices != ass_adj[p] & vertices for p in bit_positions(vertices)
+    ):
+        current = clique_complex(adj, vertices)
         extra, missing = current - ass.mask_set, ass.mask_set - current
         first = face_text(hat._face_of(min(extra | missing, key=lambda m: (m.bit_count(), m))))
         raise ScheduleFailedError(
@@ -423,24 +407,16 @@ class StageReplay:
     kept; both are complete because the start complex is downward closed
     and removing stars keeps it so.  A live target with one vertex outside
     the stage target bars that vertex from the walk; one with more is
-    checked face by face.  On a built model every face the walk reaches is
-    a clique, hence a face; a start complex that holds a face set is read
-    through it, never changed.  The pairs go largest first, ties by mask,
-    and each check runs at its pair's turn.
+    checked face by face.  Every face the walk reaches is a clique, hence a
+    face.  The pairs go largest first, ties by mask, and each check runs at
+    its pair's turn.
     """
 
     def __init__(self, start: SimplicialComplex, cert: CollapseCertificate):
         if start.ground != cert.ground:
             raise ValueError("certificate ground set does not match the start complex")
-        n = len(start.ground)
         self._start = start
-        if start._graph is None:
-            self._faces = start._masks
-            self._start_adj = skeleton_adjacency(self._faces, n)
-            self._vertices = (1 << n) - 1
-        else:
-            self._faces = None
-            self._start_adj, self._vertices = start._graph
+        self._start_adj, self._vertices = start._graph
         # _adj[p]: the current skeleton's neighbours of ground position p
         self._adj = list(self._start_adj)
         self._live: list[int] = []
@@ -455,15 +431,11 @@ class StageReplay:
 
     def _spans(self, face: int) -> bool:
         """Whether ``face`` is a face of the start complex holding no dropped
-        vertex or edge: a clique of the current skeleton, on a built model."""
+        vertex or edge: a clique of the current skeleton."""
         if face & ~self._vertices:
             return False
-        adj, start, faces = self._adj, self._start_adj, self._faces
-        for p in bit_positions(face):
-            row = adj[p] if faces is None else adj[p] | ~start[p]
-            if face & ~row & ~(1 << p):
-                return False
-        return faces is None or face in faces
+        adj = self._adj
+        return not any(face & ~adj[p] & ~(1 << p) for p in bit_positions(face))
 
     def _star(self, target: int, cone: int, avoid: int, wide: list[int]):
         """The faces containing ``target`` and no live target: those avoiding
@@ -471,7 +443,6 @@ class StageReplay:
         vertices outside it adjacent to all of it), and those containing
         ``cone``.  No face holds a vertex of ``avoid``, or all of a target
         in ``wide``."""
-        faces = self._faces
         lower, upper = [[]], []
         adj = self._adj
         common = ~(target | avoid)
@@ -489,9 +460,7 @@ class StageReplay:
                 x = cand & -cand
                 cand ^= x  # children of face | x draw only on higher vertices
                 child = face | x
-                if (faces is None or child in faces) and not (
-                    wide and any(child & w == w for w in wide)
-                ):
+                if not (wide and any(child & w == w for w in wide)):
                     row = adj[x.bit_length() - 1]
                     shared = common & row
                     if child & cone:
@@ -527,16 +496,14 @@ class StageReplay:
         lower, upper = self._star(target, cone, avoid, wide)
         if sum(map(len, lower)) != stage.n_steps:
             return "expanded pair count differs from the certificate"
-        faces, gone = self._faces, self._gone
+        gone = self._gone
         for bucket in reversed(lower):
             bucket.sort()  # ties by mask; the buckets run largest first
             for sub, common in bucket:
                 # sub | cone is in no earlier pair: those hold other subfaces
                 # and their own extensions
                 facet = sub | cone
-                if not common & cone or (faces is not None and facet not in faces) or (
-                    wide and any(facet & w == w for w in wide)
-                ):
+                if not common & cone or (wide and any(facet & w == w for w in wide)):
                     return "cone extension missing from current complex"
                 # every cofacet of sub contains the target, so it extends
                 # sub by a vertex the star walk kept as adjacent to all of sub
@@ -544,9 +511,7 @@ class StageReplay:
                 while rest:
                     x = rest & -rest
                     up = sub | x
-                    if up not in gone and (faces is None or up in faces) and not (
-                        wide and any(up & w == w for w in wide)
-                    ):
+                    if up not in gone and not (wide and any(up & w == w for w in wide)):
                         return "subface has another cofacet"
                     rest ^= x
                 gone.add(facet)
@@ -589,21 +554,18 @@ class StageReplay:
 
     def current_faces(self) -> set[int]:
         """The current complex as a face set, built on demand."""
-        if self._faces is None:
-            faces = clique_complex(self._adj, self._vertices)
-        else:
-            faces = {m for m in self._faces if self._spans(m)}
+        faces = clique_complex(self._adj, self._vertices)
         live = self._live
         return {m for m in faces if not any(m & t == t for t in live)} - self._gone
 
     def matches(self, target: SimplicialComplex) -> bool:
-        """Whether the current complex is ``target``.  When both are built
-        models and no stage is half done, the current complex is the clique
-        complex of the current skeleton with the live targets' stars taken
-        out, and the flag ``target`` is the clique complex of its own graph:
-        so the graphs must be equal and no live target a clique.  Otherwise
-        the face counts, then the face sets, are compared."""
-        if self._faces is None and target._graph is not None and not self._gone:
+        """Whether the current complex is ``target``.  When no stage is half
+        done, the current complex is the clique complex of the current
+        skeleton with the live targets' stars taken out, and ``target`` is
+        the clique complex of its own graph: so the graphs must be equal and
+        no live target a clique.  Otherwise the face counts, then the face
+        sets, are compared."""
+        if not self._gone:
             adj, vertices = target._graph
             return (
                 vertices == self._vertices

@@ -1,20 +1,18 @@
 """Simplicial complexes over diagonal ground sets, and the two rational
 associahedron models.
 
-Faces are stored as integer bitmasks over a canonically ordered ground set
-(diagonals sorted by (j, i)), so membership, subset tests, and deletions
-are single integer operations.  The empty face (mask 0) is always present.
-
-Both models are flag, so a built model is its graph: the adjacency rows of
-its 1-skeleton and its vertex mask.  ``build_hat_ass`` gives the
-noncrossing model, the clique complex of the noncrossing pairs of
-admissible diagonals, whose rows ``polygon.admissible_compatibility``
-holds once per pair.  ``build_ass`` gives the lattice-path model, whose
-facets are the laser sets of Dyck paths, as the clique complex of the
-Dyck-facet skeleton, checked; ``lattice.enumerate_dyck_paths`` gives both
-the facet masks and the skeleton from one walk, with no path object.  The
-second is a subcomplex of the first, pure of dimension a-2, with
-Kirkman/Narayana face counts; the first need not be.
+Both models are flag, so a complex is its graph: the adjacency rows of its
+1-skeleton and its vertex mask, over a canonically ordered ground set
+(diagonals sorted by (j, i)), and its faces are the graph's cliques, as
+integer bitmasks over that order.  ``build_hat_ass`` gives the noncrossing
+model, the clique complex of the noncrossing pairs of admissible
+diagonals, whose rows ``polygon.admissible_compatibility`` holds once per
+pair.  ``build_ass`` gives the lattice-path model, whose facets are the
+laser sets of Dyck paths, as the clique complex of the Dyck-facet
+skeleton, checked; ``lattice.enumerate_dyck_paths`` gives both the facet
+masks and the skeleton from one walk, with no path object.  The second is
+a subcomplex of the first, pure of dimension a-2, with Kirkman/Narayana
+face counts; the first need not be.
 
 Three walks over a graph answer what is asked of a model:
 ``clique_walk``, the f-vector and the critical cells of a matching tree,
@@ -25,7 +23,6 @@ when something reads it (see :class:`SimplicialComplex`).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -75,23 +72,22 @@ def face_to_lists(face: Iterable[Diagonal]) -> list[list[int]]:
 
 
 class SimplicialComplex:
-    """A face family over an ordered ground set of diagonals.
+    """The clique complex of a graph over an ordered ground set of diagonals.
 
-    The ground set is canonically sorted at construction; every face is a
-    bitmask over that order.  A complex holds its faces in one of two ways.
-    A built model holds its graph, ``(adj, vertices)``, and is the clique
-    complex of it: its f-vector, dimension and homology cells come from one
-    :func:`clique_walk`, kept in one slot, its facets from
-    :func:`maximal_cliques`, and its face set is filled, by
+    Both models are flag, so a complex is its graph: ``adj``, the adjacency
+    rows of its 1-skeleton, each without its own bit, and ``vertices``, its
+    vertex mask, over a canonically sorted ground set; a face is a clique,
+    as a bitmask over that order.  Its f-vector, dimension and homology
+    cells come from one :func:`clique_walk`, kept in one slot, its facets
+    from :func:`maximal_cliques`, and its face set is filled, by
     :func:`clique_complex`, only when something reads it: ``mask_set``,
-    ``faces``, ``has_face``, ``==``, ``deletion`` and
-    ``to_json(include_faces=True)``.  Any other complex (from
-    ``SimplicialComplex(...)``, ``deletion`` or ``from_json``) holds its
-    face set and no graph, and reads everything from the faces.
+    ``faces``, ``has_face``, ``==`` and ``to_json(include_faces=True)``.
+    ``walk`` and ``maximal``, when the builder already has them, are the
+    graph's :func:`clique_walk` and :func:`maximal_cliques`, in any order.
 
     Instances behave as immutable values.  ``collapse_schedule`` and
     ``verify_certificate`` read the start complex without changing it: the
-    complex they collapse is a predicate on its faces.
+    complex they collapse is a predicate on its graph.
     """
 
     __slots__ = (
@@ -100,52 +96,19 @@ class SimplicialComplex:
 
     def __init__(
         self,
-        ground: Iterable[Diagonal],
-        faces: Iterable[Iterable[Diagonal]],
-        a: int | None = None,
-        b: int | None = None,
-    ):
-        ground_sorted = tuple(sorted(set(ground), key=lambda d: d.key()))
-        b = b if b is not None else (ground_sorted[0].b if ground_sorted else None)
-        self._adopt(ground_sorted, a, b)
-        self._masks = _downward_closure({self._mask_of(face) for face in faces})
-
-    @classmethod
-    def _trusted(
-        cls, ground: tuple[Diagonal, ...], masks: set[int], a: int | None, b: int | None
-    ) -> "SimplicialComplex":
-        """Internal constructor for a mask set already closed downward, over
-        a canonically sorted ground set."""
-        self = object.__new__(cls)
-        self._adopt(ground, a, b)
-        self._masks = masks
-        return self
-
-    @classmethod
-    def _of_graph(
-        cls,
         ground: tuple[Diagonal, ...],
         adj: Sequence[int],
         vertices: int,
-        a: int,
-        b: int,
+        a: int | None,
+        b: int | None,
         *,
         walk: CliqueWalk | None = None,
         maximal: list[int] | None = None,
-    ) -> "SimplicialComplex":
-        """Internal constructor for the clique complex of the graph ``adj``
-        on ``vertices``, over a canonically sorted ground set; ``walk`` and
-        ``maximal``, when the builder already has them, are its
-        :func:`clique_walk` and :func:`maximal_cliques`, in any order."""
-        self = object.__new__(cls)
-        self._adopt(ground, a, b)
-        self._graph, self._walk, self._facet_masks = (adj, vertices), walk, maximal
-        return self
-
-    def _adopt(self, ground: tuple[Diagonal, ...], a: int | None, b: int | None):
+    ):
         self.ground, self.a, self.b = ground, a, b
         self._bit = {d: 1 << i for i, d in enumerate(ground)}
-        self._graph = self._masks = self._facet_masks = self._walk = None
+        self._graph, self._walk, self._facet_masks = (adj, vertices), walk, maximal
+        self._masks = None
 
     def _mask_of(self, face: Iterable[Diagonal]) -> int:
         m = 0
@@ -160,14 +123,11 @@ class SimplicialComplex:
 
     @property
     def n_faces(self) -> int:
-        if self._masks is None:
-            return sum(self.f_vector_counts())
-        return len(self._masks)
+        return sum(self.f_vector_counts())
 
     @property
     def dim(self) -> int:
-        """Max face dimension; -1 when only the empty face is present, -2
-        for the void complex, reachable only by collapsing everything."""
+        """Max face dimension; -1 when only the empty face is present."""
         return len(self.f_vector_counts()) - 2
 
     def has_face(self, face: Iterable[Diagonal]) -> bool:
@@ -195,28 +155,12 @@ class SimplicialComplex:
         """The facets in (size, mask) order.  Until the first read,
         ``_facet_masks`` is None or a list of them in any order."""
         facets = self._facet_masks
-        if type(facets) is tuple:
-            return facets
-        if facets is None:
-            if self._graph is not None:
+        if type(facets) is not tuple:
+            if facets is None:
                 facets = maximal_cliques(*self._graph)
-            else:
-                full = (1 << len(self.ground)) - 1
-                facets = []
-                for m in self._masks:
-                    rest = full & ~m
-                    maximal = True
-                    while rest:
-                        bit = rest & -rest
-                        rest ^= bit
-                        if (m | bit) in self._masks:
-                            maximal = False
-                            break
-                    if maximal:
-                        facets.append(m)
-        facets.sort()
-        facets.sort(key=int.bit_count)
-        self._facet_masks = facets = tuple(facets)
+            facets.sort()
+            facets.sort(key=int.bit_count)
+            self._facet_masks = facets = tuple(facets)
         return facets
 
     def facets(self) -> list[frozenset[Diagonal]]:
@@ -224,33 +168,15 @@ class SimplicialComplex:
         return [self._face_of(m) for m in self._compute_facet_masks()]
 
     def f_vector_counts(self) -> tuple[int, ...]:
-        """(f_-1, f_0, ..., f_dim): a built model's :meth:`clique_walk`
-        counts, or the face set counted in one pass."""
-        if self._graph is not None:
-            return self.clique_walk().counts
-        sizes = Counter(map(int.bit_count, self._masks))
-        return tuple(sizes[k] for k in range(max(sizes, default=-1) + 1))
+        """(f_-1, f_0, ..., f_dim): the :meth:`clique_walk` counts."""
+        return self.clique_walk().counts
 
-    def clique_walk(self) -> CliqueWalk | None:
-        """The :func:`clique_walk` of the graph whose clique complex this is:
-        a built model's own graph, walked once and kept; else the
-        1-skeleton of the face set when its clique count equals the face
-        count, which makes every clique a face; else None."""
-        if self._graph is None:
-            return _skeleton_walk(self._masks, len(self.ground))[2]
+    def clique_walk(self) -> CliqueWalk:
+        """The :func:`clique_walk` of the complex's graph, walked once and
+        kept."""
         if self._walk is None:
             self._walk = clique_walk(*self._graph)
         return self._walk
-
-    # -- constructions ---------------------------------------------------
-
-    def deletion(self, avoid: Iterable[Iterable[Diagonal]]) -> "SimplicialComplex":
-        """Faces containing no member of ``avoid`` (deletion of a face set)."""
-        avoid_masks = [self._mask_of(f) for f in avoid]
-        kept = {
-            m for m in self.mask_set if not any(m & am == am for am in avoid_masks)
-        }
-        return SimplicialComplex._trusted(self.ground, kept, self.a, self.b)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
@@ -277,14 +203,6 @@ class SimplicialComplex:
             doc["faces"] = [face_to_lists(f) for f in self.faces()]
         return doc
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "SimplicialComplex":
-        b = doc["b"]
-        ground = [Diagonal(i, j, b) for i, j in doc["ground"]]
-        source = doc.get("faces") or doc["facets"]
-        faces = [[Diagonal(i, j, b) for i, j in face] for face in source]
-        return cls(ground, faces, a=doc.get("a"), b=b)
-
 
 def bits_of(mask: int) -> Iterator[int]:
     """The set bits of ``mask`` as single-bit integers, lowest first."""
@@ -297,51 +215,6 @@ def bits_of(mask: int) -> Iterator[int]:
 def bit_positions(mask: int) -> tuple[int, ...]:
     """Ground indices of the set bits of ``mask``, lowest first."""
     return tuple(bit.bit_length() - 1 for bit in bits_of(mask))
-
-
-def skeleton_adjacency(masks: set[int], n_ground: int) -> list[int]:
-    """Adjacency bitmasks of the 1-skeleton, read by testing each vertex pair.
-
-    By downward closure, any coface of a face extends it by a vertex
-    adjacent to all of its members, so these masks bound coface searches
-    soundly for arbitrary downward-closed families.
-    """
-    adj = [0] * n_ground
-    for u in range(n_ground):
-        for v in range(u + 1, n_ground):
-            if 1 << u | 1 << v in masks:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-    return adj
-
-
-def _skeleton_walk(masks: set[int], n_ground: int) -> tuple[list[int], int, CliqueWalk | None]:
-    """The 1-skeleton of a face set, as adjacency rows and vertex mask, and
-    its :func:`clique_walk` when the clique count equals the face count;
-    else None for the walk."""
-    adj = skeleton_adjacency(masks, n_ground)
-    vertices = sum(1 << p for p in range(n_ground) if 1 << p in masks)
-    walk = clique_walk(adj, vertices)
-    return adj, vertices, walk if sum(walk.counts) == len(masks) else None
-
-
-def _downward_closure(masks: set[int]) -> set[int]:
-    closed: set[int] = set()
-    stack = list(masks)
-    while stack:
-        m = stack.pop()
-        if m in closed:
-            continue
-        closed.add(m)
-        mm = m
-        while mm:
-            bit = mm & -mm
-            mm ^= bit
-            sub = m ^ bit
-            if sub not in closed:
-                stack.append(sub)
-    closed.add(0)
-    return closed
 
 
 # -- walks over a graph ----------------------------------------------------
@@ -482,7 +355,7 @@ def build_hat_ass(
         if sum(walk.counts) > max_faces:
             what = f"noncrossing family of ({a},{b})"
             raise CapExceededError(f"{what} exceeds the face cap {max_faces}")
-    return SimplicialComplex._of_graph(ground, compat, vertices, a, b, walk=walk)
+    return SimplicialComplex(ground, compat, vertices, a, b, walk=walk)
 
 
 def build_ass(
@@ -513,7 +386,7 @@ def build_ass(
     maximal = maximal_cliques(adj, vertices)
     if set(maximal) != facet_masks:
         raise InvariantViolationError(f"({a},{b}): skeleton cliques are not the Dyck facets")
-    return SimplicialComplex._of_graph(ground, adj, vertices, a, b, maximal=maximal)
+    return SimplicialComplex(ground, adj, vertices, a, b, maximal=maximal)
 
 
 # -- counting -------------------------------------------------------------
@@ -583,38 +456,3 @@ class FHVector:
     @classmethod
     def of(cls, cpx: SimplicialComplex) -> "FHVector":
         return cls(cpx.f_vector_counts())
-
-
-# -- flagness --------------------------------------------------------------
-
-
-class FlagReport(NamedTuple):
-    is_flag: bool
-    witness: frozenset[Diagonal] | None
-
-
-def is_flag(cpx: SimplicialComplex) -> FlagReport:
-    """Whether every clique of the 1-skeleton is a face.
-
-    A built model is, by construction; any other complex exactly when its
-    skeleton's clique count equals its face count, as for
-    :meth:`SimplicialComplex.clique_walk`.  Otherwise some clique is
-    missing, and adding its vertices one at a time to the empty face leaves
-    the faces at some face F and vertex v adjacent to all of F.  The first
-    such F + v in (size, mask) order is the witness: a clique that is not a
-    face but all of whose facets are.
-    """
-    if cpx._graph is not None:
-        return FlagReport(True, None)
-    masks = cpx._masks
-    adj, vertices, walk = _skeleton_walk(masks, len(cpx.ground))
-    if walk is not None:
-        return FlagReport(True, None)
-    for face in sorted(masks, key=lambda m: (m.bit_count(), m)):
-        common = vertices
-        for p in bit_positions(face):
-            common &= adj[p]
-        for bit in bits_of(common):
-            if face | bit not in masks:
-                return FlagReport(False, cpx._face_of(face | bit))
-    return FlagReport(False, frozenset())  # the void complex lacks even the empty clique

@@ -13,13 +13,11 @@ rules out 2-torsion at this scale.
 Large complexes are first shrunk (:func:`_reduce_cells`) to the critical
 cells of a matching tree.  One walk over the graph the complex is the
 clique complex of, :meth:`SimplicialComplex.clique_walk`, gives both those
-cells and the face counts the Euler check reads.  A built model holds
-that graph and keeps the walk, so neither needs its face set, and both
-fields read the same walk; any other complex has such a graph only when
-its clique count equals its face count, that is, when it is flag.  When
-the critical cells all lie in one dimension, discrete Morse theory makes
-them the homology, over every field, and the rank step sees only them.
-Any other complex keeps every cell and the exact ranks decide.  The
+cells and the face counts the Euler check reads.  The complex keeps the
+walk, so neither needs its face set, and both fields read the same walk.
+When the critical cells all lie in one dimension, discrete Morse theory
+makes them the homology, over every field, and the rank step sees only
+them.  Otherwise every cell is kept and the exact ranks decide.  The
 direct no-preprocessing path is kept and cross-checked in the tests.
 """
 
@@ -60,9 +58,8 @@ def _reduce_cells(cpx: SimplicialComplex) -> Collection[int]:
     itself, not to be mutated.
 
     The critical cells are read from :meth:`SimplicialComplex.clique_walk`,
-    which a built model walks once over its graph and keeps, so a built
-    model builds no face set.  A complex with no such graph, one that is not
-    flag, keeps every cell.
+    which the complex walks once over its graph and keeps, so no face set
+    is built unless the cells lie in two or more dimensions.
 
     The tree is the matching tree of Bousquet-Melou, Linusson and Nevo
     (J. Algebraic Combin. 27, 2008): a node (A, free) holds the faces A + S
@@ -81,7 +78,7 @@ def _reduce_cells(cpx: SimplicialComplex) -> Collection[int]:
     the complex.  Critical cells in two or more dimensions keep every cell.
     """
     walk = cpx.clique_walk()
-    if walk is None or len({m.bit_count() for m in walk.cells}) > 1:
+    if len({m.bit_count() for m in walk.cells}) > 1:
         return cpx.mask_set
     return walk.cells
 
@@ -202,10 +199,10 @@ def betti_numbers(
     ``method="direct"`` builds full boundary matrices (and asserts that the
     boundary composes to zero).  ``"auto"`` ranks the cells
     :func:`_reduce_cells` leaves: the critical cells of the matching tree
-    when the complex is flag and they lie in one dimension, where the ranks
-    are zero and the Betti numbers are their counts, and every cell
-    otherwise.  An Euler-characteristic cross-check against the face
-    counts is enforced in both paths.
+    when they lie in one dimension, where the ranks are zero and the Betti
+    numbers are their counts, and every cell otherwise.  An
+    Euler-characteristic cross-check against the face counts is enforced
+    in both paths.
     """
     if field not in FIELDS:
         raise ValueError(f"unknown field {field!r}; expected one of {FIELDS}")

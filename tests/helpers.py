@@ -6,7 +6,10 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import gcd
+
+from hypothesis import strategies as st
 
 from ratassoc import (
     CollapseCertificate,
@@ -31,7 +34,7 @@ from ratassoc import (
     half_wedge_completion,
     wedge_completion,
 )
-from ratassoc.complexes import bit_positions, bits_of, skeleton_adjacency
+from ratassoc.complexes import bit_positions, bits_of
 from ratassoc.polygon import compatibility_masks
 
 
@@ -66,12 +69,6 @@ def ass(a: int, b: int):
 @lru_cache(maxsize=None)
 def obstruction_graph(a: int, b: int):
     return build_obstruction_graph(a, b)
-
-
-def copy_of(cpx: SimplicialComplex) -> SimplicialComplex:
-    """A complex that holds its own copy of the face set of ``cpx`` and no
-    graph, so that everything is read from the faces."""
-    return SimplicialComplex._trusted(cpx.ground, set(cpx.mask_set), cpx.a, cpx.b)
 
 
 @lru_cache(maxsize=None)
@@ -240,6 +237,91 @@ def weighted_clique_tree(adj, vertices: int, limit: int) -> tuple[int, list[int]
         stack.append((face, free ^ 1 << top, weight))
         stack.append((face | 1 << top, free & adj[top], weight))
     return count, unmatched
+
+
+def graph_complex(ground, vertices: int, edges, a=None, b=None) -> SimplicialComplex:
+    """The clique complex of the graph on the ground positions in the mask
+    ``vertices`` whose edges are the position pairs ``edges``."""
+    ground = tuple(ground)
+    assert list(ground) == sorted(ground, key=Diagonal.key), "ground must be canonically sorted"
+    adj = [0] * len(ground)
+    for u, v in edges:
+        assert u != v and vertices >> u & 1 and vertices >> v & 1, (u, v)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return SimplicialComplex(ground, adj, vertices, a, b)
+
+
+def graph_complexes(ground, min_vertices: int = 0):
+    """A hypothesis strategy for clique complexes of graphs on ``ground``:
+    an edge density is drawn, from none to every pair, then each vertex pair
+    is an edge or not, and the vertices are the edges' ends and any others
+    drawn, at least ``min_vertices`` of them."""
+    pairs = list(combinations(range(len(ground)), 2))
+
+    @st.composite
+    def draw(draw):
+        eighths = draw(st.integers(0, 8))
+        kept = draw(st.lists(st.integers(1, 8), min_size=len(pairs), max_size=len(pairs)))
+        edges = [e for e, k in zip(pairs, kept) if k <= eighths]
+        vertices = draw(st.integers(0, (1 << len(ground)) - 1))
+        for u, v in edges:
+            vertices |= 1 << u | 1 << v
+        if vertices.bit_count() < min_vertices:
+            vertices |= (1 << min_vertices) - 1
+        return graph_complex(ground, vertices, edges)
+
+    return draw()
+
+
+def closure(masks) -> set[int]:
+    """The downward closure of a family of masks, the empty face included."""
+    closed: set[int] = set()
+    stack = list(masks)
+    while stack:
+        m = stack.pop()
+        if m in closed:
+            continue
+        closed.add(m)
+        for bit in bits_of(m):
+            if m ^ bit not in closed:
+                stack.append(m ^ bit)
+    closed.add(0)
+    return closed
+
+
+def skeleton_adjacency(masks: set[int], n_ground: int) -> list[int]:
+    """Adjacency bitmasks of the 1-skeleton of a face set, read by testing
+    each vertex pair.
+
+    By downward closure, any coface of a face extends it by a vertex
+    adjacent to all of its members, so these masks bound coface searches
+    soundly for arbitrary downward-closed families.
+    """
+    adj = [0] * n_ground
+    for u in range(n_ground):
+        for v in range(u + 1, n_ground):
+            if 1 << u | 1 << v in masks:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return adj
+
+
+def flag_witness(masks: set[int]) -> int | None:
+    """None if the downward-closed mask set is flag, every minimal non-face
+    an edge; else a minimal non-face of three or more vertices.  Such a
+    non-face is a face of two or more vertices plus one vertex, so the scan
+    tries each face with each vertex it lacks."""
+    points = [m for m in masks if m.bit_count() == 1]
+    for face in masks:
+        if face.bit_count() < 2:
+            continue
+        for v in points:
+            grown = face | v
+            if grown != face and grown not in masks and all(
+                    grown ^ bit in masks for bit in bits_of(face)):
+                return grown
+    return None
 
 
 def maximal_masks(masks: set[int]) -> set[int]:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from ratassoc import cli, complexes
+from ratassoc import cli, collapse, complexes
 
 from helpers import coprime_pairs
 
@@ -126,6 +126,7 @@ MALFORMED = {
     "inadmissible-diagonal": {**GOOD_3_5, "steps": [_stage(target=[[0, 3], [3, 5]])]},
     "schema-99": {**GOOD_3_5, "schema": 99},
     "schema-1": {**GOOD_3_5, "schema": 1},
+    "float-schema": {**GOOD_3_5, "schema": 2.0},
     "non-integer-pairs": {**GOOD_3_5, "steps": [_stage(pairs="1")]},
     "float-pairs": {**GOOD_3_5, "steps": [_stage(pairs=1.0)]},
     "short-cone": {**GOOD_3_5, "steps": [_stage(cone=[1])]},
@@ -335,6 +336,26 @@ def test_homology_and_duality_golden_output(capsys, argv, golden):
     code, out, _ = run(capsys, *argv)
     assert code == cli.EXIT_OK
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_only_build_full_faces_lists_a_face_set(tmp_path, capsys, monkeypatch):
+    """Every other command reads the models' graphs: with the lister of a
+    graph's cliques patched to raise, homology of both models, fvector,
+    duality, build, collapse and verify all exit 0, and ``build
+    --full-faces`` is the one command that reaches it."""
+    def forbidden(*args):
+        raise AssertionError("a face set was built")
+
+    monkeypatch.setattr(complexes, "clique_complex", forbidden)
+    monkeypatch.setattr(collapse, "clique_complex", forbidden)
+    pair, cert = ["--a", "4", "--b", "7"], str(tmp_path / "cert.json")
+    for argv in (["homology", *pair, "--model", "ass"], ["homology", *pair, "--model", "hat"],
+                 ["fvector", *pair], ["duality", "--b", "7"], ["build", "--model", "hat", *pair],
+                 ["collapse", *pair, "--emit", cert], ["verify", "--cert", cert]):
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (cli.EXIT_OK, ""), argv
+    with pytest.raises(AssertionError, match="a face set was built"):
+        cli.main(["build", "--model", "ass", *pair, "--full-faces"])
 
 
 def test_each_model_is_built_and_reduced_once(capsys, monkeypatch):

@@ -17,7 +17,6 @@ from ratassoc import (
     build_hat_ass,
     complexes,
     facet_of,
-    is_flag,
     rational_catalan,
     rational_kirkman,
     rational_narayana,
@@ -27,19 +26,22 @@ from ratassoc.complexes import (
     clique_walk,
     maximal_cliques,
     polygon_dissections,
-    skeleton_adjacency,
 )
 from ratassoc.lattice import DyckFacets
 from ratassoc.polygon import admissible_compatibility, compatibility_masks
 
 from helpers import (
     ass,
+    closure,
     coprime_pairs,
     dyck_paths,
+    flag_witness,
+    graph_complex,
     hat,
     is_fuss,
     maximal_masks,
     obstruction_graph,
+    skeleton_adjacency,
     skeleton_of_facets,
     weighted_clique_tree,
 )
@@ -100,7 +102,7 @@ def test_ass_is_pure_with_catalan_facets(a, b):
 
 def test_f_vector_examples():
     assert FHVector.of(ass(3, 5)).f == (1, 6, 7)
-    point = SimplicialComplex([d(0, 2)], [[d(0, 2)]])
+    point = graph_complex([d(0, 2)], 0b1, [])
     assert FHVector.of(point).f == (1, 1)
     fh58 = FHVector.of(ass(5, 8))
     assert fh58.f == tuple(rational_kirkman(5, 8, i) for i in range(1, 6))
@@ -108,9 +110,7 @@ def test_f_vector_examples():
 
 def test_h_vector_examples():
     assert FHVector.of(ass(3, 5)).h == (1, 4, 2)
-    simplex = SimplicialComplex(
-        [d(0, 2), d(0, 3), d(0, 4)], [[d(0, 2), d(0, 3), d(0, 4)]]
-    )
+    simplex = graph_complex([d(0, 2), d(0, 3), d(0, 4)], 0b111, [(0, 1), (0, 2), (1, 2)])
     assert FHVector.of(simplex).h == (1, 0, 0, 0)
     assert FHVector.of(ass(5, 8)).h == tuple(rational_narayana(5, 8, i) for i in range(1, 6))
 
@@ -130,10 +130,6 @@ def test_fh_vector_derives_h_from_f():
 
 def test_fh_vector_of_the_void_complex_is_empty():
     assert FHVector(()).f == FHVector(()).h == ()
-    void = SimplicialComplex._trusted(all_admissible_diagonals(3, 5), set(), 3, 5)
-    assert void.dim == -2
-    assert FHVector.of(void) == FHVector(())
-    assert FHVector.of(void).h == ()
 
 
 def test_formula_examples():
@@ -157,23 +153,27 @@ def test_exact_division_guard():
 
 
 def test_is_flag_on_models():
+    """Every minimal non-face of either model's face set is an edge."""
     for a, b in coprime_pairs(max_b=9):
-        assert is_flag(ass(a, b)).is_flag
-        assert is_flag(hat(a, b)).is_flag
+        assert flag_witness(ass(a, b).mask_set) is None
+        assert flag_witness(hat(a, b).mask_set) is None
 
 
 @pytest.mark.parametrize("a,b", coprime_pairs(max_b=10))
 def test_path_model_is_the_closure_of_its_dyck_facets(a, b):
-    facets = [facet_of(p) for p in dyck_paths(a, b)]
-    assert ass(a, b) == SimplicialComplex(all_admissible_diagonals(a, b), facets, a, b)
+    cpx = ass(a, b)
+    facets = [cpx._mask_of(facet_of(p)) for p in dyck_paths(a, b)]
+    assert closure(facets) == cpx.mask_set
 
 
 @pytest.mark.parametrize("a,b", coprime_pairs(max_b=10))
 def test_hat_facets_are_the_scanned_maximal_faces(a, b):
+    """The facets read off the graph are the faces of the face set that lie
+    in no larger face."""
     cpx = hat(a, b)
-    copy = SimplicialComplex._trusted(cpx.ground, cpx.mask_set, a, b)
-    assert copy._compute_facet_masks() == cpx._compute_facet_masks()
-    assert copy.facets() == cpx.facets()
+    scanned = sorted(sorted(maximal_masks(cpx.mask_set)), key=int.bit_count)
+    assert cpx._compute_facet_masks() == tuple(scanned)
+    assert cpx.facets() == [cpx._face_of(m) for m in scanned]
 
 
 @pytest.mark.parametrize("b", [2, 3, 7])
@@ -198,27 +198,43 @@ def test_build_ass_rejects_a_skeleton_with_other_maximal_cliques(monkeypatch):
 def test_is_flag_witness_on_hollow_triangle():
     # three mutually noncrossing diagonals, all pairs present, no 2-face
     verts = [d(0, 2, 6), d(0, 4, 6), d(2, 4, 6)]
-    faces = [[verts[0], verts[1]], [verts[0], verts[2]], [verts[1], verts[2]]]
-    hollow = SimplicialComplex(verts, faces)
-    report = is_flag(hollow)
-    assert not report.is_flag
-    assert report.witness == frozenset(verts)
+    hollow = closure([0b011, 0b101, 0b110])
+    assert flag_witness(hollow) == 0b111
+    assert flag_witness(hollow | {0b111}) is None
+    filled = graph_complex(verts, 0b111, [(0, 1), (0, 2), (1, 2)])
+    assert filled.mask_set == hollow | {0b111}
+
+
+def without(cpx, drop_vertices=0, drop_edges=()) -> SimplicialComplex:
+    """The clique complex of the graph of ``cpx`` less the vertices in the
+    mask ``drop_vertices`` and the edges ``drop_edges``, each a pair of
+    ground positions."""
+    adj, vertices = cpx._graph
+    rows = [0 if drop_vertices >> u & 1 else row & ~drop_vertices for u, row in enumerate(adj)]
+    for u, v in drop_edges:
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
+    return SimplicialComplex(cpx.ground, rows, vertices & ~drop_vertices, cpx.a, cpx.b)
 
 
 def test_deletion_examples():
+    """Deleting a vertex from the graph deletes exactly the faces that hold
+    it; deleting nothing leaves the complex."""
     cpx = hat(3, 5)
     v = d(0, 2)
-    without = cpx.deletion([[v]])
-    assert all(v not in f for f in without.faces())
-    assert without.n_faces == sum(1 for f in cpx.faces() if v not in f)
-    assert cpx.deletion([]) == cpx
+    deleted = without(cpx, cpx._bit[v])
+    assert all(v not in f for f in deleted.faces())
+    assert deleted.n_faces == sum(1 for f in cpx.faces() if v not in f)
+    assert deleted.mask_set == {m for m in cpx.mask_set if not m & cpx._bit[v]}
+    assert without(cpx) == cpx
 
 
 @pytest.mark.parametrize("a,b", coprime_pairs(max_b=10))
 def test_deleting_obstruction_edges_yields_path_model(a, b):
     graph = obstruction_graph(a, b)
-    edges = [list(e.pair()) for e in graph.edges]
-    assert hat(a, b).deletion(edges) == ass(a, b)
+    edges = [hat(a, b)._mask_of(e.pair()) for e in graph.edges]
+    kept = {m for m in hat(a, b).mask_set if not any(m & e == e for e in edges)}
+    assert kept == ass(a, b).mask_set
     # the edges are exactly the noncrossing pairs the path model's skeleton lacks
     ground = ass(a, b).ground
     index = {v: i for i, v in enumerate(ground)}
@@ -318,19 +334,30 @@ def test_graph_walks_agree_with_the_face_set(a, b):
 
 
 def test_a_deletion_reads_its_own_faces():
+    """The noncrossing model's graph less the obstruction edges is a complex
+    of its own: it walks its own graph, builds no face set, and has the
+    path model's face counts and facets."""
     cpx = build_hat_ass(5, 8)
-    kept = cpx.deletion([list(e.pair()) for e in obstruction_graph(5, 8).edges])
-    assert cpx.clique_walk() is not None and kept._graph is None
+    edges = [tuple(cpx.ground.index(x) for x in e.pair()) for e in obstruction_graph(5, 8).edges]
+    kept = without(cpx, drop_edges=edges)
     assert kept.f_vector_counts() == ass(5, 8).f_vector_counts()
     assert kept.facets() == ass(5, 8).facets()
+    assert kept._masks is None and cpx._masks is None
+    assert kept == ass(5, 8)
 
 
 def test_json_round_trip():
+    """The closure of the facets ``to_json`` lists is the face set, and
+    ``include_faces`` lists that face set."""
     cpx = ass(3, 5)
     doc = cpx.to_json(include_faces=True)
     assert doc["schema"] == 1
-    back = SimplicialComplex.from_json(doc)
-    assert back == cpx
-    # facets alone regenerate the complex by closure
-    slim = SimplicialComplex.from_json(cpx.to_json())
-    assert slim == cpx
+    ground = [Diagonal(i, j, doc["b"]) for i, j in doc["ground"]]
+    assert tuple(ground) == cpx.ground
+
+    def masks(faces):
+        return [sum(1 << ground.index(Diagonal(i, j, 5)) for i, j in face) for face in faces]
+
+    assert closure(masks(doc["facets"])) == cpx.mask_set
+    assert sorted(masks(doc["faces"])) == sorted(cpx.mask_set)
+    assert cpx.to_json() == {k: v for k, v in doc.items() if k != "faces"}

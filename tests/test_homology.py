@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -17,12 +18,20 @@ from ratassoc import (
     build_ass,
     check_wedge,
     homology,
-    is_flag,
 )
-from ratassoc.complexes import clique_walk, skeleton_adjacency
+from ratassoc.complexes import bit_positions, clique_walk
 from ratassoc.homology import _build_matrices, _check_dd_zero, _reduce_cells
 
-from helpers import all_facets, ass, coprime_pairs, copy_of, hat
+from helpers import (
+    ass,
+    closure,
+    coprime_pairs,
+    flag_witness,
+    graph_complex,
+    graph_complexes,
+    hat,
+    skeleton_adjacency,
+)
 
 
 def test_betti_examples():
@@ -33,7 +42,7 @@ def test_betti_examples():
 
 def test_full_simplex_is_acyclic():
     verts = [Diagonal(0, k, 9) for k in range(2, 7)]
-    simplex = SimplicialComplex(verts, [verts])
+    simplex = graph_complex(verts, 0b11111, combinations(range(5), 2))
     for field in ("gf2", "q"):
         assert betti_numbers(simplex, field).nonzero() == {}
 
@@ -61,12 +70,17 @@ def test_reduction_agrees_with_direct_ranks(a, b):
 
 
 def test_reduction_agrees_on_random_subcomplexes():
+    """Clique complexes of random subgraphs of the path model's skeleton:
+    some vertices and about half of the edges among them."""
     rng = random.Random(20130815)
     for a, b in [(4, 7), (5, 8), (5, 7)]:
-        facets = list(all_facets(a, b))
+        model = ass(a, b)
+        adj, vertices = model._graph
         for _ in range(4):
-            chosen = rng.sample(facets, k=rng.randint(1, len(facets) // 2))
-            cpx = SimplicialComplex(hat(a, b).ground, chosen, a=a, b=b)
+            kept = sum(1 << p for p in bit_positions(vertices) if rng.random() < 0.8)
+            edges = [(u, v) for u in bit_positions(kept) for v in bit_positions(adj[u] & kept)
+                     if u < v and rng.random() < 0.5]
+            cpx = graph_complex(model.ground, kept, edges, a, b)
             for field in ("gf2", "q"):
                 assert (
                     betti_numbers(cpx, field).values
@@ -79,39 +93,32 @@ VERTICES = [Diagonal(0, k, 12) for k in range(2, 11)]
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.sets(st.sampled_from(VERTICES), max_size=5), max_size=8))
-def test_reduction_agrees_with_direct_on_random_families(facets):
-    """Any downward-closed family: isolated vertices, several components and
-    the lone empty face (no facets) included."""
-    cpx = SimplicialComplex(VERTICES, facets)
+@given(graph_complexes(VERTICES))
+def test_reduction_agrees_with_direct_on_random_families(cpx):
+    """Clique complexes of random graphs: isolated vertices, several
+    components and the lone empty face (no vertices) included."""
     direct = {f: betti_numbers(cpx, f, method="direct").values for f in ("gf2", "q")}
     assert betti_numbers(cpx, "gf2").values == direct["gf2"]
     reduced, counts = _reduce_cells(cpx), cpx.f_vector_counts()
-    # the second field reads the same reduction and face counts, and keeps
-    # nothing on a complex that holds its faces; a fresh object gives the same
+    # the second field reads the same reduction and face counts, walked once
+    # and kept; a fresh object gives the same
+    walk = cpx._walk
     assert betti_numbers(cpx, "q").values == direct["q"]
     sizes = [m.bit_count() for m in cpx.mask_set]
     assert counts == tuple(sizes.count(k) for k in range(len(counts)))
     assert _reduce_cells(cpx) == reduced and cpx.f_vector_counts() == counts
-    assert cpx._walk is None
-    assert betti_numbers(SimplicialComplex(VERTICES, facets), "q").values == direct["q"]
-    if facets and facets[0]:
-        smaller = cpx.deletion([sorted(facets[0], key=Diagonal.key)[:1]])
-        assert smaller._walk is None
-        for f in ("gf2", "q"):
-            assert (
-                betti_numbers(smaller, f).values
-                == betti_numbers(smaller, f, method="direct").values
-            )
+    assert walk is not None and cpx._walk is walk
+    fresh = SimplicialComplex(cpx.ground, *cpx._graph, None, None)
+    assert betti_numbers(fresh, "q").values == direct["q"]
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.sets(st.sampled_from(VERTICES), max_size=5), max_size=8))
+@given(st.lists(st.sets(st.integers(0, len(VERTICES) - 1), max_size=5), max_size=8))
 def test_is_flag_agrees_with_brute_force_on_random_families(facets):
-    """The verdict is whether every clique of the 1-skeleton is a face; a
-    witness is a missing clique all of whose facets are faces."""
-    cpx = SimplicialComplex(VERTICES, facets)
-    masks = cpx.mask_set
+    """The flag oracle's verdict is whether every clique of the 1-skeleton
+    is a face; a witness is a missing clique all of whose facets are faces.
+    The clique complex of the skeleton is flag and holds the family."""
+    masks = closure(sum(1 << i for i in f) for f in facets)
     present = [1 << p for p in range(len(VERTICES)) if 1 << p in masks]
 
     def is_clique(m):
@@ -120,14 +127,16 @@ def test_is_flag_agrees_with_brute_force_on_random_families(facets):
 
     subsets = [sum(bit for i, bit in enumerate(present) if chosen >> i & 1)
                for chosen in range(1 << len(present))]
-    report = is_flag(cpx)
-    assert report.is_flag == all(m in masks for m in subsets if is_clique(m))
-    if report.is_flag:
-        assert report.witness is None
-    else:
-        w = cpx._mask_of(report.witness)
-        assert is_clique(w) and w not in masks
-        assert all(w ^ bit in masks for bit in present if w & bit)
+    witness = flag_witness(masks)
+    is_flag = all(m in masks for m in subsets if is_clique(m))
+    assert (witness is None) == is_flag
+    if witness is not None:
+        assert is_clique(witness) and witness not in masks
+        assert all(witness ^ bit in masks for bit in present if witness & bit)
+    filled = SimplicialComplex(VERTICES, skeleton_adjacency(masks, len(VERTICES)),
+                               sum(present), None, None)
+    assert filled.mask_set == {m for m in subsets if is_clique(m)} >= masks
+    assert flag_witness(filled.mask_set) is None
 
 
 def _skeleton(cpx):
@@ -144,10 +153,11 @@ def test_reduction_leaves_one_cell_per_sphere(a, b, model):
     left are C(b,a)/b critical cells with a-1 diagonals each.  Falling back
     to direct ranks would leave every face.  The model's graph and the
     skeleton read from its face set leave the same cells."""
-    cells = _reduce_cells(model(a, b))
+    cpx = model(a, b)
+    cells = _reduce_cells(cpx)
     assert len(cells) == comb(b, a) // b
     assert {m.bit_count() for m in cells} == {a - 1}
-    assert _reduce_cells(copy_of(model(a, b))) == cells
+    assert _reduce_cells(SimplicialComplex(cpx.ground, *_skeleton(cpx), a, b)) == cells
 
 
 @pytest.mark.parametrize("a,b", coprime_pairs(max_b=10))
@@ -157,20 +167,35 @@ def test_clique_count_is_the_face_count_of_both_models(a, b):
         assert sum(clique_walk(adj, vertices).counts) == len(cpx.mask_set)
 
 
-HOLLOW_TRIANGLE = [[VERTICES[0], VERTICES[1]], [VERTICES[1], VERTICES[2]], [VERTICES[0], VERTICES[2]]]
-POINT_AND_SQUARE = [[VERTICES[0]]] + [[VERTICES[i], VERTICES[i % 4 + 1]] for i in range(1, 5)]
+# (vertex mask, edges) over VERTICES
+FOUR_CYCLE = (0b1111, [(0, 1), (1, 2), (2, 3), (0, 3)])
+# three pairs of opposite vertices, each vertex adjacent to the four others
+OCTAHEDRON = (0b111111, [(u, v) for u, v in combinations(range(6), 2) if u // 2 != v // 2])
+POINT_AND_SQUARE = (0b11111, [(i, i % 4 + 1) for i in range(1, 5)])
 
 
 @pytest.mark.parametrize(
-    "facets,betti",
-    [(HOLLOW_TRIANGLE, {1: 1}), (POINT_AND_SQUARE, {0: 1, 1: 1})],
-    ids=["hollow-triangle", "point-and-square"],
+    "graph,betti", [(FOUR_CYCLE, {1: 1}), (OCTAHEDRON, {2: 1})], ids=["four-cycle", "octahedron"]
 )
-def test_reduction_keeps_every_cell_when_the_tree_cannot_decide(facets, betti):
-    """Not flag (the hollow triangle), or flag with homology in two
-    dimensions (a point beside a square), so the tree cannot be perfect:
-    every cell goes to the exact ranks."""
-    cpx = SimplicialComplex(VERTICES, facets)
+def test_reduction_leaves_one_cell_on_a_flag_sphere(graph, betti):
+    """A square is a circle and an octahedron a 2-sphere: the tree leaves
+    one critical cell, in the sphere's dimension."""
+    cpx = graph_complex(VERTICES, *graph)
+    [cell] = _reduce_cells(cpx)
+    assert {cell.bit_count() - 1: 1} == betti
+    for field in ("gf2", "q"):
+        vec = betti_numbers(cpx, field)
+        assert vec.values == betti_numbers(cpx, field, method="direct").values
+        assert vec.nonzero() == betti
+
+
+@pytest.mark.parametrize(
+    "graph,betti", [(POINT_AND_SQUARE, {0: 1, 1: 1})], ids=["point-and-square"]
+)
+def test_reduction_keeps_every_cell_when_the_tree_cannot_decide(graph, betti):
+    """A point beside a square has homology in two dimensions, so the tree
+    cannot be perfect: every cell goes to the exact ranks."""
+    cpx = graph_complex(VERTICES, *graph)
     assert _reduce_cells(cpx) == cpx.mask_set
     for field in ("gf2", "q"):
         vec = betti_numbers(cpx, field)
@@ -179,11 +204,15 @@ def test_reduction_keeps_every_cell_when_the_tree_cannot_decide(facets, betti):
 
 
 def test_clique_count_passes_the_face_count_of_a_hollow_triangle():
-    cpx = SimplicialComplex(VERTICES, HOLLOW_TRIANGLE)
-    adj, vertices = _skeleton(cpx)
-    assert cpx.n_faces == 7
-    assert clique_walk(adj, vertices).counts == (1, 3, 3, 1)
-    assert cpx.clique_walk() is None
+    """A hollow triangle is not flag: the clique walk of its skeleton counts
+    the 2-face it lacks."""
+    hollow = closure([0b011, 0b110, 0b101])
+    adj = skeleton_adjacency(hollow, len(VERTICES))
+    assert len(hollow) == 7
+    assert clique_walk(adj, 0b111).counts == (1, 3, 3, 1)
+    filled = SimplicialComplex(VERTICES, adj, 0b111, None, None)
+    assert filled.mask_set == hollow | {0b111}
+    assert filled.n_faces == 8
 
 
 def test_euler_check_reports_integers(monkeypatch):
