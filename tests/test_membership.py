@@ -4,12 +4,14 @@ import pytest
 
 from ratassoc import (
     Diagonal,
+    DyckPath,
+    InvariantViolationError,
     NotAFaceOfHatError,
     all_admissible_diagonals,
     is_face_of_ass,
     valley_path,
 )
-from ratassoc import parse_face
+from ratassoc import membership, parse_face
 
 from helpers import (
     all_facets,
@@ -25,6 +27,33 @@ from helpers import (
 
 def face(text, b):
     return parse_face(text, b)
+
+
+# D58's facet is {0-7, 1-6, 1-3, 4-6}; its valleys are (1,2) and (4,4)
+D58 = "NNENNEEENEEEE"
+
+
+def _hand_back_d58(monkeypatch):
+    """Make the search hand back D58 whatever it built."""
+    monkeypatch.setattr(membership, "_path_with_lasers", lambda a, b, xs, ends: DyckPath(a, b, D58))
+
+
+def test_valley_path_that_misses_the_face_is_refused(monkeypatch):
+    _hand_back_d58(monkeypatch)
+    with pytest.raises(InvariantViolationError) as err:
+        valley_path(face("0-5", 8), 5, 8)
+    assert str(err.value) == (
+        "valley path NNENNEEENEEEE misses part of frozenset({Diagonal(i=0, j=5, b=8)})"
+    )
+
+
+def test_valley_laser_outside_the_face_is_refused(monkeypatch):
+    # the valley check reads the ends the search fired, the staircase's, at
+    # D58's valleys: the first, (1,2), gets 1-5, which the empty face lacks
+    _hand_back_d58(monkeypatch)
+    with pytest.raises(InvariantViolationError) as err:
+        valley_path([], 5, 8)
+    assert str(err.value) == "valley LatticePoint(x=1, y=2) of NNENNEEENEEEE fires a laser outside {}"
 
 
 def test_worked_rejection_with_break_column():
