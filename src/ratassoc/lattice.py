@@ -17,13 +17,15 @@ polygon with points 0..b.
 Give row y the key a xs[y] - b y.  The laser from row y0 is caught by the
 first row y above it with a larger key, and it then ends at
 k = xs[y0] + (y - y0) b // a + 1.  That one inequality is read in two
-orders.  ``_row_step`` reads it bottom-up, for paths grown from the
-origin: each placed row catches the pending sources below it with smaller
-keys.  What a row catches depends only on its row and column and on the
-sources pending below it, so ``enumerate_dyck_paths`` takes that step once
-per move of a walk memoised on that row state, and lists facet masks and
-their skeleton, not paths; ``DyckPath`` takes it once per row of a path
-built from a word.  ``_laser_hit`` reads it top-down, for paths grown from
+orders.  ``_read_row`` reads it bottom-up, for paths grown from the
+origin: row y, placed at each of a run of columns, catches the pending
+sources below it with smaller keys, a longer run of them the farther east
+it stands, and fires each once, when a column first catches it.  What a
+row catches depends only on its row and column and on the sources pending
+below it, so ``enumerate_dyck_paths`` reads each such row state once for
+all its columns, row by row, and lists facet masks and their skeleton, not
+paths; ``DyckPath`` reads one column per row of a path built from a word
+(``_row_step``).  ``_laser_hit`` reads it top-down, for paths grown from
 (b, a), whose top rows are known first: membership's valley-path search,
 which hands the ends it fired to ``_path_with_lasers``, and
 ``laser_diagonal``.
@@ -114,7 +116,8 @@ class DyckFacets(list):
     """The facet masks of the (a, b)-Dyck paths, one per path in lex word
     order, with the 1-skeleton they span: ``adj[p]`` is the mask of the
     ground diagonals that share a facet with diagonal p, and ``vertices``
-    is the union of the facets."""
+    is the union of the facets.  ``enumerate_dyck_paths`` builds all three
+    in one walk over the row states, with no path objects."""
 
     __slots__ = ("adj", "vertices")
 
@@ -128,77 +131,112 @@ def enumerate_dyck_paths(a: int, b: int) -> DyckFacets:
     with N < E, and their skeleton.
 
     The lasers fired above row y depend only on the row state (y, xs[y],
-    the sources pending after row y), so one walk memoises each state's
-    suffixes: the masks of the lasers fired in rows y+1..a along each way
-    on to (b, a), in lex order, and their union.  A state moves to row y+1
-    at each column from xs[y] up to the line, lowest first (``_moves``);
-    the suffixes through a move that fires the lasers m are m | s for the
-    suffixes s of the state it reaches, and the skeleton row of each laser
-    p in m gains the rest of m and that state's union, once per move.
-    Every check of the row step is made once per move: a table miss, a
-    repeat or a crossing among the lasers of m (``_fire``), and a laser of
-    m that one of the suffixes repeats or crosses, read off their union.
-    A source still pending after row a escapes.  A failed check marks the
-    suffixes it spoils with -1, and the first marked path in lex order
-    raises the check's error.
+    the sources pending after row y), so the walk runs in two passes over
+    those states.  Going up, it reads every state of row y, interned by its
+    pending sources in the order found, before any state of row y+1: one
+    ``_read_row`` per state gives its moves to row y+1, one per column from
+    xs[y] up to the line (b for the top row), lowest first, and the lasers
+    they fire.  The columns fire growing prefixes of those lasers, so each
+    laser is checked once per state, against the ones before it: a table
+    miss, a repeat or a crossing fails it and every column that fires it.
+    Going down, from row a, each state lists its suffixes, the masks of the
+    lasers fired in rows y+1..a along each way on to (b, a), in lex order,
+    with their union: a move that fires the lasers m gives m | s for each
+    suffix s of the state it reaches, and fails the suffixes that repeat
+    or cross a laser of m.  A row's lists go as soon as the row below has
+    read them.  A source still pending after row a escapes.  A failed
+    check marks the suffixes it spoils with -1, and the first marked path
+    in lex order raises the check's error, found by a descent that reads
+    its row states again and counts suffixes move by move.
     """
     check_slope_pair(a, b)
     table, compat = admissible_by_ends(a, b), admissible_compatibility(a, b)
     adj = [0] * len(compat)
-    # state -> (its suffixes, their union); -1 marks a failed suffix, and a
-    # union with one is -1 too
-    memo: dict[tuple, tuple[list[int], int]] = {}
-    root = (0, 0, ())
-    # an explicit stack, not a recursive closure, which would be a
-    # reference cycle; a state is entered with its moves unknown, then
-    # revisited with them once every state they reach is memoised
-    stack: list = [(root, None)]
-    while stack:
-        state, moves = stack.pop()
-        if moves is None:
-            if state in memo:
+    # rows[y] interns row y's states by the sources pending after them, in
+    # the order found; steps[y] holds the moves of each state of row y as
+    # (mask of the lasers fired or -1, the ground bits they repeat or
+    # cross, index of the state reached in row y+1)
+    rows: list[dict[tuple, int]] = [{(): 0}]
+    steps: list = []
+    for y in range(1, a + 1):
+        index: dict[tuple, int] = {}
+        step = []
+        for pending in rows[-1]:
+            moves, fired = _read_row(y, _columns(y, pending, a, b), pending, a, b)
+            # the columns fire growing prefixes of ``fired``: each laser is
+            # checked once, as ``_fire`` checks it, against those before it
+            m = clash = done = 0
+            out = []
+            for _, left, n in moves:
+                while done < n:
+                    x0, _, k = fired[done]
+                    done += 1
+                    p = table.get((x0, k))
+                    if p is None or m & ~compat[p]:
+                        m = clash = -1
+                    else:
+                        m |= 1 << p
+                        clash |= ~compat[p]
+                i = index.get(left)
+                if i is None:
+                    i = index[left] = len(index)
+                out.append((m, clash, i))
+            step.append(out)
+        rows.append(index)
+        steps.append(step)
+    # a source still pending after row a escapes; -1 marks a failed suffix,
+    # and a union with one is -1 too
+    lists = [[-1] if left else [0] for left in rows[a]]
+    unions = [-1 if left else 0 for left in rows[a]]
+    counts: list = [None] * a + [[1] * len(lists)]
+    for y in range(a - 1, -1, -1):
+        below_lists, below_unions = lists, unions
+        lists, unions = [], []
+        for out in steps[y]:
+            masks, union = [], 0
+            for m, clash, i in out:
+                below, reach = below_lists[i], below_unions[i]
+                if not m:
+                    masks += below
+                    union |= reach
+                elif m > 0 and not reach & clash:
+                    if len(below) == 1:  # a lone suffix is its state's union
+                        masks.append(m | reach)
+                    else:
+                        masks += [m | s for s in below]
+                    union |= m | reach
+                else:  # a failed s = -1 meets clash; a failed m = clash = -1
+                    masks += [-1 if s & clash else m | s for s in below]
+                    union = -1
+            lists.append(masks)
+            unions.append(union)
+            if union < 0:
                 continue
-            if state[0] == a:
-                memo[state] = ([-1], -1) if state[2] else ([0], 0)
-                continue
-            moves = _moves(state, a, b, table, compat)
-            stack.append((state, moves))
-            stack += [(child, None) for _, _, child in moves if child not in memo]
-            continue
-        masks, union = [], 0
-        for _, m, child in moves:
-            below, reach = memo[child]
-            if not m:
-                masks += below
-                union |= reach
-                continue
-            # the skeleton rows are written before the check, and read only
-            # if no check fails
-            clash, rest = m, m
-            while rest > 0:
-                bit = rest & -rest
-                rest ^= bit
-                p = bit.bit_length() - 1
-                clash |= ~compat[p]
-                adj[p] |= reach | m ^ bit
-            if m > 0 and not reach & clash:
-                masks += [m | s for s in below]
-                union |= m | reach
-            else:  # a failed s = -1 meets the bits of m in clash; a failed m
-                # = -1 makes clash and every m | s -1
-                masks += [-1 if s & clash else m | s for s in below]
-                union = -1
-        memo[state] = (masks, union)
-    masks, union = memo[root]
+            # the skeleton: a laser a move fires first shares a facet with
+            # every laser of the last move and with the union of each state
+            # reached from that move on
+            top, reach = out[-1][0], 0
+            for j in range(len(out) - 1, -1, -1):
+                m, _, i = out[j]
+                reach |= below_unions[i]
+                fresh = m & ~out[j - 1][0] if j else m
+                while fresh:
+                    bit = fresh & -fresh
+                    fresh ^= bit
+                    adj[bit.bit_length() - 1] |= reach | top ^ bit
+        steps[y] = below_lists = below_unions = None
+        counts[y] = [len(masks) for masks in lists]
+    masks, union = lists[0], unions[0]
     if union < 0:
         # descend to the first failed path, counting suffixes move by move
-        index, state, xs = masks.index(-1), root, [0]
-        while state[0] < a:
-            for x, _, child in _moves(state, a, b, table, compat):
-                if index < len(memo[child][0]):
+        index, pending, xs = masks.index(-1), (), [0]
+        for y in range(1, a + 1):
+            moves, _ = _read_row(y, _columns(y, pending, a, b), pending, a, b)
+            for x, pending, _ in moves:
+                n = counts[y][rows[y][pending]]
+                if index < n:
                     break
-                index -= len(memo[child][0])
-            state = child
+                index -= n
             xs.append(x)
         _raise_facet_failure(a, b, _word_of(xs), tuple(xs))
     for p, row in enumerate(adj):
@@ -210,18 +248,11 @@ def enumerate_dyck_paths(a: int, b: int) -> DyckFacets:
     return DyckFacets(masks, adj, union)
 
 
-def _moves(state: tuple, a: int, b: int, table: dict, compat: Sequence[int]) -> list[tuple]:
-    """The moves of the row state (y, x, pending) to row y+1, lowest column
-    first: to every column from x up to the line, or to b for the top row.
-    Each is (column, mask of the lasers row y+1 catches or -1 when ``_fire``
-    fails them, the row state it reaches)."""
-    y, x, pending = state
-    y += 1
-    moves = []
-    for col in range(x, y * b // a + 1) if y < a else (b,):
-        left, fired = _row_step(col, y, pending, a, b)
-        moves.append((col, _fire(0, fired, table, compat) if fired else 0, (y, col, left)))
-    return moves
+def _columns(y: int, pending: tuple, a: int, b: int) -> Sequence[int]:
+    """The columns row y can take above the state whose pending sources are
+    ``pending``: from that state's column (its own source, on top) up to
+    the line, or b for the top row."""
+    return range(pending[-1][1] if pending else 0, y * b // a + 1) if y < a else (b,)
 
 
 def _path_with_lasers(a: int, b: int, xs: tuple[int, ...], ends: Sequence[int]) -> DyckPath:
@@ -286,48 +317,63 @@ def laser_diagonal(path: DyckPath, source: LatticePoint) -> Diagonal:
     return all_admissible_diagonals(path.a, path.b)[p]
 
 
-def _row_step(x: int, y: int, pending: tuple, a: int, b: int) -> tuple[tuple, list]:
-    """Place row y at column x: the rows pending below it that it catches
-    fire, and row y itself becomes pending when it is a source (0 < y < a).
+def _read_row(y: int, cols: Iterable[int], pending: tuple, a: int, b: int) -> tuple[list, list]:
+    """Place row y at each column of ``cols``, ascending, above the sources
+    ``pending`` below it: the ones it catches fire, and row y itself
+    becomes pending when it is a source (0 < y < a).
 
     Row y's key is a x - b y.  The pending sources are held as (key, x0, y0),
-    keys falling toward the top, so the ones caught are those on top with a
-    smaller key than row y's.  A caught source fires the diagonal x0-k with
-    k = x0 + (y - y0) b // a + 1: the inequality of ``_laser_hit``, read
-    from the hitting row down instead of from the source up.  Returns the
-    new pending tuple and the fired lasers as (x0, y0, k).
+    keys falling toward the top, so a column catches those on top with a
+    smaller key than its row's, and a column farther east, with a larger
+    key, catches the same ones and perhaps more.  A caught source fires the
+    diagonal x0-k with k = x0 + (y - y0) b // a + 1, whatever the column:
+    the inequality of ``_laser_hit``, read from the hitting row down
+    instead of from the source up.  Each source is fired once, when the
+    first column catches it.  Returns the moves, one per column as (x, the
+    new pending tuple, how many lasers of ``fired`` it fires), and the
+    fired lasers as (x0, y0, k), top source first.
     """
-    key = a * x - b * y
-    n, fired = len(pending), []
-    while n and pending[n - 1][0] < key:
-        n -= 1
-        _, x0, y0 = pending[n]
-        fired.append((x0, y0, x0 + (y - y0) * b // a + 1))
-    if fired:
-        pending = pending[:n]
-    if 0 < y < a:
-        pending += ((key, x, y),)
-    return pending, fired
+    n, fired, moves = len(pending), [], []
+    for x in cols:
+        key = a * x - b * y
+        while n and pending[n - 1][0] < key:
+            n -= 1
+            _, x0, y0 = pending[n]
+            fired.append((x0, y0, x0 + (y - y0) * b // a + 1))
+        moves.append((x, pending[:n] + ((key, x, y),) if 0 < y < a else pending[:n], len(fired)))
+    return moves, fired
+
+
+def _row_step(x: int, y: int, pending: tuple, a: int, b: int) -> tuple[tuple, list]:
+    """Place row y at column x alone: ``_read_row`` with one column.
+    Returns the new pending tuple and the fired lasers as (x0, y0, k)."""
+    moves, fired = _read_row(y, (x,), pending, a, b)
+    return moves[0][1], fired
 
 
 def _fire(mask: int, fired: list, table: dict, compat: Sequence[int]) -> int:
     """OR the ground bits of the fired lasers into the facet mask ``mask``,
     checking each: a laser missing from ``table`` (``admissible_by_ends``)
-    is off the admissible set, a bit already set is a repeat, and a set bit
-    outside the laser's compatibility row is a crossing.  A failed check
-    returns -1, which every later call returns unchanged."""
+    is off the admissible set, and a set bit outside the laser's
+    compatibility row is a repeat (no row holds its own bit) or a crossing.
+    A failed check returns -1, which every later call returns unchanged."""
     for x0, _, k in fired:
         p = table.get((x0, k))
-        if p is None or mask >> p & 1 or mask & ~compat[p]:
+        if p is None or mask & ~compat[p]:
             return -1
         mask |= 1 << p
     return mask
 
 
 def facet_of(path: DyckPath) -> frozenset[Diagonal]:
-    """The facet of the path as a set of diagonals: ``path.facet``, decoded."""
-    mask, ground = path.facet, all_admissible_diagonals(path.a, path.b)
-    return frozenset(d for p, d in enumerate(ground) if mask >> p & 1)
+    """The facet of the path as a set of diagonals: ``path.facet``, decoded
+    by its set bits."""
+    mask, ground, out = path.facet, all_admissible_diagonals(path.a, path.b), []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(ground[low.bit_length() - 1])
+    return frozenset(out)
 
 
 def _raise_facet_failure(a: int, b: int, word: str, xs: tuple[int, ...]) -> NoReturn:

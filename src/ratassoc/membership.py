@@ -63,11 +63,12 @@ def valley_path(face: Iterable[Diagonal], a: int, b: int) -> MembershipResult:
         wanted.setdefault(d.i, set()).add(d.j)
 
     # the north-step sequence, filled from the top row down, and where each
-    # row's laser ends, fired once as its row is placed
+    # row's laser ends, fired once as its row is placed; only the face's
+    # columns take south steps
     xs, ends = [0] * a + [b], [0] * a
     cy = a
-    for i in range(b, -1, -1):
-        needed = set(wanted.get(i, ()))
+    for i in sorted(wanted, reverse=True):
+        needed = set(wanted[i])
         while needed:
             cy -= 1
             # below the line, or at the origin where no laser fires and
@@ -85,7 +86,7 @@ def valley_path(face: Iterable[Diagonal], a: int, b: int) -> MembershipResult:
     if not face <= got:
         raise InvariantViolationError(f"valley path {path.word} misses part of {face}")
     for p in valleys(path):
-        if Diagonal(p.x, ends[p.y], b) not in face:
+        if ends[p.y] not in wanted.get(p.x, ()):
             raise InvariantViolationError(
                 f"valley {p} of {path.word} fires a laser outside {{{face_text(face)}}}"
             )

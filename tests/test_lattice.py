@@ -218,36 +218,49 @@ def _row_states(a: int, b: int, xs) -> list[tuple[tuple, list[int]]]:
     return out
 
 
-def _first_word_through(a: int, b: int, state: tuple) -> str:
-    """The lex-first reference word whose path takes the row step ``state``."""
+def _first_word_through(a: int, b: int, state: tuple, row: int) -> str:
+    """The lex-first reference word whose path places row y above the
+    pending sources of the row step ``state`` and fires the laser from
+    ``row`` there, at any column: the row state that ``_read_row`` reads."""
+    _, y, pending = state
     return next(
         w for w in reference_dyck_words(a, b)
-        if any(s == state for s, _ in _row_states(a, b, DyckPath(a, b, w).xs))
+        if any(s[1:] == (y, pending) and row in rows
+               for s, rows in _row_states(a, b, DyckPath(a, b, w).xs))
     )
+
+
+def _misfiring_reader(monkeypatch, state: tuple, row: int, end) -> None:
+    """Patch ``lattice._read_row`` so that, reading row y above the pending
+    sources of the (5,8) row step ``state``, it fires the laser from ``row``
+    to ``end(k)`` instead of k, at every column that catches it.  The walk
+    and the checked constructor both read rows through it."""
+    read = lattice._read_row
+    _, y_bad, pending_bad = state
+
+    def misfiring(y, cols, pending, a, b):
+        moves, fired = read(y, cols, pending, a, b)
+        if (a, b) == (5, 8) and (y, pending) == (y_bad, pending_bad):
+            fired = [(x0, y0, end(k) if y0 == row else k) for x0, y0, k in fired]
+        return moves, fired
+
+    monkeypatch.setattr(lattice, "_read_row", misfiring)
 
 
 def _misfire(monkeypatch, row: int, hit: int) -> str:
     """Make the laser from row ``row`` of D58 end at x = ``hit``, in the row
-    step that fires it, keyed on that step's row state: every (5,8)-path
-    that takes the same step misfires with D58, and every other step fires
-    as before.  Returns the lex-first word through that state."""
-    step = lattice._row_step
+    read that fires it, keyed on that read's row state: every (5,8)-path
+    that fires it in the same state misfires with D58, and every other
+    laser fires as before.  Returns the lex-first word that misfires."""
     faulty = next(state for state, rows in _row_states(5, 8, D58.xs) if row in rows)
-    first = _first_word_through(5, 8, faulty)
-
-    def misfiring(x, y, pending, a, b):
-        left, fired = step(x, y, pending, a, b)
-        if (a, b) == (5, 8) and (x, y, pending) == faulty:
-            fired = [(x0, y0, hit if y0 == row else k) for x0, y0, k in fired]
-        return left, fired
-
-    monkeypatch.setattr(lattice, "_row_step", misfiring)
+    first = _first_word_through(5, 8, faulty, row)
+    _misfiring_reader(monkeypatch, faulty, row, lambda k: hit)
     return first
 
 
 # every route that fires D58's lasers, each run after the patch: the
-# constructor's single pass on D58 (decoded by facet_of), and the memoised
-# walk inside the model builder, which names the lex-first failing path
+# constructor's single pass on D58 (decoded by facet_of), and the row walk
+# inside the model builder, which names the lex-first failing path
 _ROUTES = pytest.mark.parametrize("route", ["facet_of", "build_ass"])
 
 
@@ -284,15 +297,17 @@ def test_facet_of_laser_on_a_side_is_not_a_diagonal(monkeypatch, route):
 
 
 def test_a_source_left_pending_after_row_a_escapes(monkeypatch):
-    """A row step that catches nothing leaves every source pending after the
+    """A row read that catches nothing leaves every source pending after the
     top row: the constructor names D58's lowest, and the walk the lowest of
     the lex-first path, which is in column 0 too."""
     first = DyckPath(5, 8, reference_dyck_words(5, 8)[0])
 
-    def catch_nothing(x, y, pending, a, b):
-        return (pending + ((a * x - b * y, x, y),) if 0 < y < a else pending), []
+    def catch_nothing(y, cols, pending, a, b):
+        return [
+            (x, pending + ((a * x - b * y, x, y),) if 0 < y < a else pending, 0) for x in cols
+        ], []
 
-    monkeypatch.setattr(lattice, "_row_step", catch_nothing)
+    monkeypatch.setattr(lattice, "_read_row", catch_nothing)
     with pytest.raises(InvariantViolationError, match=r"laser from \(0,1\) escaped the path"):
         DyckPath(5, 8, D58.word)
     assert first.xs[1] == 0
@@ -325,16 +340,9 @@ _STEPS = sorted({
 def test_the_walk_raises_the_error_of_the_lex_first_failing_path(monkeypatch, state, row, shift):
     """A laser misfired in one row state spoils the paths through it whose
     facet check it breaks, which need not be all of them; the walk raises
-    exactly what the checked constructor raises on the first of them."""
-    step = lattice._row_step
-
-    def misfiring(x, y, pending, a, b):
-        left, fired = step(x, y, pending, a, b)
-        if (a, b) == (5, 8) and (x, y, pending) == state:
-            fired = [(x0, y0, k + shift if y0 == row else k) for x0, y0, k in fired]
-        return left, fired
-
-    monkeypatch.setattr(lattice, "_row_step", misfiring)
+    exactly what the checked constructor raises on the first of them, also
+    when the state's row lists were dropped before the walk found it."""
+    _misfiring_reader(monkeypatch, state, row, lambda k: k + shift)
     expected = _first_failure(5, 8)
     if expected is None:
         lattice.enumerate_dyck_paths(5, 8)
@@ -342,6 +350,27 @@ def test_the_walk_raises_the_error_of_the_lex_first_failing_path(monkeypatch, st
     with pytest.raises(type(expected)) as err:
         lattice.enumerate_dyck_paths(5, 8)
     assert str(err.value) == str(expected)
+
+
+@pytest.mark.parametrize("a,b", [(5, 8), (7, 10)])
+def test_the_walk_reads_each_row_state_once(monkeypatch, a, b):
+    """The walk reads each row state once, for all its columns: its reads
+    are the (row, pending sources) pairs of the reference paths' row steps,
+    each read once."""
+    states = {
+        state[1:] for w in reference_dyck_words(a, b)
+        for state, _ in _row_states(a, b, DyckPath(a, b, w).xs)
+    }
+    read, reads = lattice._read_row, []
+
+    def counting(y, cols, pending, a, b):
+        reads.append((y, pending))
+        return read(y, cols, pending, a, b)
+
+    monkeypatch.setattr(lattice, "_read_row", counting)
+    enumerate_dyck_paths(a, b)
+    assert len(reads) == len(states)
+    assert set(reads) == states
 
 
 @pytest.mark.parametrize("a,b", coprime_pairs(max_b=11))
@@ -363,8 +392,9 @@ def test_walk_matches_the_reference_enumerator_and_both_laser_readings(a, b):
 
 @pytest.mark.parametrize("a,b", coprime_pairs(max_b=11))
 def test_walk_skeleton_is_the_skeleton_of_its_facets(a, b):
-    """The skeleton the walk builds once per move is the one the loop over
-    every bit of every facet builds."""
+    """The skeleton the walk builds once per row state, from the lasers each
+    move fires first and the unions of the states reached, is the one the
+    loop over every bit of every facet builds."""
     facets = enumerate_dyck_paths(a, b)
     adj, vertices = skeleton_of_facets(facets, len(all_admissible_diagonals(a, b)))
     assert facets.adj == adj
