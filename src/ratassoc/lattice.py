@@ -213,9 +213,10 @@ def enumerate_dyck_paths(a: int, b: int) -> DyckFacets:
             if union < 0:
                 continue
             # the skeleton: a laser a move fires first shares a facet with
-            # every laser of the last move and with the union of each state
-            # reached from that move on
-            top, reach = out[-1][0], 0
+            # the other lasers of that move, and with the union of each state
+            # reached from that move on (pairs with the lasers later moves
+            # fire first are theirs to write; adj is symmetrised below)
+            reach = 0
             for j in range(len(out) - 1, -1, -1):
                 m, _, i = out[j]
                 reach |= below_unions[i]
@@ -223,7 +224,7 @@ def enumerate_dyck_paths(a: int, b: int) -> DyckFacets:
                 while fresh:
                     bit = fresh & -fresh
                     fresh ^= bit
-                    adj[bit.bit_length() - 1] |= reach | top ^ bit
+                    adj[bit.bit_length() - 1] |= reach | m ^ bit
         steps[y] = below_lists = below_unions = None
         counts[y] = [len(masks) for masks in lists]
     masks, union = lists[0], unions[0]
