@@ -164,7 +164,8 @@ def enumerate_dyck_paths(a: int, b: int) -> DyckFacets:
         for pending in rows[-1]:
             moves, fired = _read_row(y, _columns(y, pending, a, b), pending, a, b)
             # the columns fire growing prefixes of ``fired``: each laser is
-            # checked once, as ``_fire`` checks it, against those before it
+            # checked once against those before it, inline, by the check
+            # ``_fire`` makes (keep the two in step)
             m = clash = done = 0
             out = []
             for _, left, n in moves:
@@ -200,10 +201,7 @@ def enumerate_dyck_paths(a: int, b: int) -> DyckFacets:
                     masks += below
                     union |= reach
                 elif m > 0 and not reach & clash:
-                    if len(below) == 1:  # a lone suffix is its state's union
-                        masks.append(m | reach)
-                    else:
-                        masks += [m | s for s in below]
+                    masks += [m | s for s in below]
                     union |= m | reach
                 else:  # a failed s = -1 meets clash; a failed m = clash = -1
                     masks += [-1 if s & clash else m | s for s in below]
@@ -357,7 +355,9 @@ def _fire(mask: int, fired: list, table: dict, compat: Sequence[int]) -> int:
     checking each: a laser missing from ``table`` (``admissible_by_ends``)
     is off the admissible set, and a set bit outside the laser's
     compatibility row is a repeat (no row holds its own bit) or a crossing.
-    A failed check returns -1, which every later call returns unchanged."""
+    A failed check returns -1, which every later call returns unchanged.
+    ``enumerate_dyck_paths`` makes the same check inline, one laser at a
+    time, as a state's columns grow its mask; keep the two in step."""
     for x0, _, k in fired:
         p = table.get((x0, k))
         if p is None or mask & ~compat[p]:

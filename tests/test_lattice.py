@@ -328,7 +328,11 @@ def _first_failure(a: int, b: int) -> Exception | None:
 
 # row steps of (5,8) that fire a laser, each with a wrong end for its first
 # laser: states shared by several paths, whose suffixes a misfire spoils in
-# part or in full
+# part or in full.  The misfire is keyed on the row state (y, pending) that
+# ``_read_row`` reads, not on the step's column x, so steps of one state
+# that fire the same row apply one fault: the 36 cases taken below hold 31
+# distinct (y, pending, row) faults.  The repeats are kept so that the
+# test ids stay the same.
 _STEPS = sorted({
     (state, rows[0]) for w in reference_dyck_words(5, 8)
     for state, rows in _row_states(5, 8, DyckPath(5, 8, w).xs) if rows
