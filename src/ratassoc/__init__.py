@@ -78,7 +78,6 @@ from .polygon import (
     crosses,
     is_admissible,
     remainder_set,
-    translate,
 )
 
 __version__ = "0.1.0"

@@ -18,7 +18,11 @@ Three walks over a graph answer what is asked of a model:
 ``clique_walk``, the f-vector and the critical cells of a matching tree,
 for homology; ``maximal_cliques``, the facets and the lattice-path
 model's flag proof; and ``clique_complex``, the face set, built only
-when something reads it (see :class:`SimplicialComplex`).
+when something reads it (see :class:`SimplicialComplex`).  The first two
+run on an explicit stack and memoise a state that fixes all that lies
+below it: ``clique_walk`` its free set, and ``maximal_cliques`` its
+candidates and excluded vertices, whose union is the common
+neighbourhood of the clique grown so far.
 """
 
 from __future__ import annotations
@@ -287,15 +291,40 @@ def maximal_cliques(adj: Sequence[int], vertices: int) -> list[int]:
     already listed; it branches only on the candidates outside the
     neighbourhood of a pivot in P | X with the most neighbours in P.  R is
     maximal when P and X are both empty: the empty clique when
-    ``vertices`` is 0."""
-    found = []
-    stack = [(0, vertices, 0)]  # (R, P, X)
+    ``vertices`` is 0.
+
+    The search below a node depends on its state (P, X) alone, not on R:
+    P | X is the common neighbourhood of R, the pivot is read off P and X,
+    and a branch on v narrows both to adj[v].  So the extensions of a node,
+    the sets S with R | S maximal, are memoised on its state, exactly, in
+    two passes over an explicit stack.  The first visits each state once,
+    picks its pivot, records its branches and counts its readers, the
+    branches that lead to it.  The second, in post-order, lists the
+    extensions of the root and of each state with two readers or more:
+    it walks down the branches, ORing their bits on the way, expands a
+    state read once where it stands, takes a listed state's extensions
+    from its list, and drops that list once its last reader has read it.
+    A state read once is thus walked once and never listed, and what is
+    held besides the states is the output and the lists still to be read.
+    A branch to an empty P is a leaf: one extension, the branch vertex,
+    when its X is empty too, else none."""
+    if not vertices:
+        return [0]
+    # a state's node: [its branches (bit, node or None for a maximal leaf),
+    # or None until visited; its readers; its list, if it has one]
+    root: list = [None, 0, None]
+    nodes = {(vertices, 0): root}
+    order = []
+    stack: list = [(vertices, 0)]
     while stack:
-        clique, cand, done = stack.pop()
-        if not cand:
-            if not done:
-                found.append(clique)
+        state = stack.pop()
+        node = nodes[state] if type(state) is tuple else None
+        if node is None:  # the node's second visit: every state below is done
+            order.append(state)
             continue
+        if node[0] is not None:
+            continue
+        cand, done = state
         most, rest = -1, cand | done
         while rest:
             u = rest.bit_length() - 1
@@ -303,16 +332,47 @@ def maximal_cliques(adj: Sequence[int], vertices: int) -> list[int]:
             n = (cand & adj[u]).bit_count()
             if n > most:
                 most, pivot_row = n, adj[u]
+        out = node[0] = []
+        stack.append(node)
         branch = cand & ~pivot_row
         while branch:
             v = branch.bit_length() - 1
             bit = 1 << v
             branch ^= bit
             row = adj[v]
-            stack.append((clique | bit, cand & row, done & row))
+            child = (cand & row, done & row)
+            if child[0]:
+                below = nodes.get(child)
+                if below is None:
+                    below = nodes[child] = [None, 0, None]
+                if below[0] is None:  # again, if pushed, to finish before ours
+                    stack.append(child)
+                below[1] += 1
+                out.append((bit, below))
+            elif not child[1]:
+                out.append((bit, None))
             cand ^= bit
             done |= bit
-    return found
+    for node in order:
+        if node[1] == 1:  # read once: its reader expands it
+            continue
+        found = []
+        stack = [(node, 0)]  # (a node to expand, the bits of the branches above it)
+        while stack:
+            top, above = stack.pop()
+            for bit, below in top[0]:
+                bit |= above
+                if below is None:
+                    found.append(bit)
+                elif below[2] is None:  # read once; a list goes only after its last read
+                    stack.append((below, bit))
+                else:
+                    found += [s | bit for s in below[2]]
+                    below[1] -= 1
+                    if not below[1]:
+                        below[2] = None
+        node[2] = found
+    return root[2]
 
 
 def clique_complex(adj: Sequence[int], vertices: int) -> set[int]:
@@ -368,8 +428,10 @@ def build_ass(
     """The lattice-path model: the clique complex of the Dyck-facet skeleton,
     checked.  The facet masks ``enumerate_dyck_paths`` lists, with their
     skeleton, must biject with the Dyck paths and be the skeleton's maximal
-    cliques (:func:`maximal_cliques`): each face is then a clique and each
-    clique lies in a facet, so the model is flag.
+    cliques (:func:`maximal_cliques`, which expands each search state once,
+    however many ways reach it): each face is then a clique and each clique
+    lies in a facet, so the model is flag.  The cliques it lists become the
+    complex's facets, sorted on first read.
     Refused before any path is listed when its Kirkman face count passes
     ``max_faces``."""
     ground = _guarded_ground(a, b, max_b)

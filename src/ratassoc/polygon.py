@@ -160,16 +160,3 @@ def check_hat_face(face: frozenset[Diagonal], a: int, b: int) -> None:
         for n in range(m + 1, len(members)):
             if crosses(members[m], members[n]):
                 raise NotAFaceOfHatError(f"diagonals {members[m]} and {members[n]} cross")
-
-
-def translate(d: Diagonal, k: int) -> Diagonal | None:
-    """The diagonal (i-k)-(j-k), or None when it leaves the polygon.
-
-    Negative ``k`` shifts upward; the result must satisfy 0 <= i-k and
-    j-k <= b.  The translate of a diagonal is always a diagonal (span and
-    non-side status are translation invariant away from the boundary wrap).
-    """
-    ni, nj = d.i - k, d.j - k
-    if ni < 0 or nj > d.b:
-        return None
-    return Diagonal(ni, nj, d.b)

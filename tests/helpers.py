@@ -337,6 +337,54 @@ def maximal_masks(masks: set[int]) -> set[int]:
     return masks - covered
 
 
+def bron_kerbosch(adj, vertices: int) -> list[int]:
+    """The maximal cliques of the graph ``adj`` on ``vertices``, each once,
+    by Bron-Kerbosch with Tomita's pivot and no memo: a node grows the
+    clique R from candidates P, with X the vertices whose cliques are
+    already listed, and branches only on the candidates outside the
+    neighbourhood of a pivot in P | X with the most neighbours in P.  R is
+    maximal when P and X are both empty: the empty clique when
+    ``vertices`` is 0."""
+    found = []
+    stack = [(0, vertices, 0)]  # (R, P, X)
+    while stack:
+        clique, cand, done = stack.pop()
+        if not cand:
+            if not done:
+                found.append(clique)
+            continue
+        most, rest = -1, cand | done
+        while rest:
+            u = rest.bit_length() - 1
+            rest ^= 1 << u
+            n = (cand & adj[u]).bit_count()
+            if n > most:
+                most, pivot_row = n, adj[u]
+        branch = cand & ~pivot_row
+        while branch:
+            v = branch.bit_length() - 1
+            bit = 1 << v
+            branch ^= bit
+            row = adj[v]
+            stack.append((clique | bit, cand & row, done & row))
+            cand ^= bit
+            done |= bit
+    return found
+
+
+def translate(d: Diagonal, k: int) -> Diagonal | None:
+    """The diagonal (i-k)-(j-k), or None when it leaves the polygon.
+
+    Negative ``k`` shifts upward; the result must satisfy 0 <= i-k and
+    j-k <= b.  The translate of a diagonal is always a diagonal (span and
+    non-side status are translation invariant away from the boundary wrap).
+    """
+    ni, nj = d.i - k, d.j - k
+    if ni < 0 or nj > d.b:
+        return None
+    return Diagonal(ni, nj, d.b)
+
+
 def random_dyck_path(a: int, b: int, rng: random.Random) -> DyckPath:
     """A uniform-ish random (a, b)-Dyck path by feasible-step sampling."""
     word = []

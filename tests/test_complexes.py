@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -32,6 +33,7 @@ from ratassoc.polygon import admissible_compatibility, compatibility_masks
 
 from helpers import (
     ass,
+    bron_kerbosch,
     closure,
     coprime_pairs,
     dyck_paths,
@@ -311,6 +313,58 @@ def test_clique_walk_needs_no_recursion():
     walk = clique_walk([0] * n, (1 << n) - 1)
     assert walk.counts == (1, n)
     assert len(walk.cells) == n - 1 and all(m.bit_count() == 1 for m in walk.cells)
+
+
+def test_maximal_cliques_needs_no_recursion():
+    """A complete and an edgeless graph on more vertices than the recursion
+    limit: a chain of n search states gives the one clique of all, and one
+    state of n leaf branches gives the n points."""
+    n = sys.getrecursionlimit() + 200
+    everyone = (1 << n) - 1
+    complete = [everyone ^ 1 << v for v in range(n)]
+    assert maximal_cliques(complete, everyone) == [everyone]
+    assert sorted(maximal_cliques([0] * n, everyone)) == [1 << v for v in range(n)]
+
+
+def _rows(n: int, edges) -> list[int]:
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+# (adjacency rows, vertex mask, the maximal cliques)
+_SMALL_GRAPHS = {
+    "no-vertex": ([], 0, [0]),
+    "edgeless": ([0] * 4, 0b1111, [1, 2, 4, 8]),
+    "complete": (_rows(5, combinations(range(5), 2)), 0b11111, [0b11111]),
+    "5-cycle": (_rows(5, [(v, (v + 1) % 5) for v in range(5)]), 0b11111,
+                [0b00011, 0b00110, 0b01100, 0b11000, 0b10001]),
+    "bowtie": (_rows(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]), 0b11111,
+               [0b00111, 0b11100]),
+    # vertex 3 is adjacent to all the others but outside the vertex mask
+    "rows-outside": (_rows(5, [(0, 1), (1, 2), (0, 3), (1, 3), (2, 3), (3, 4)]), 0b10111,
+                     [0b00011, 0b00110, 0b10000]),
+}
+
+
+@pytest.mark.parametrize("name", _SMALL_GRAPHS)
+def test_maximal_cliques_of_small_graphs(name):
+    adj, vertices, expected = _SMALL_GRAPHS[name]
+    found = maximal_cliques(adj, vertices)
+    assert sorted(found) == sorted(expected)
+    assert sorted(bron_kerbosch(adj, vertices)) == sorted(expected)
+
+
+@pytest.mark.parametrize("a,b", coprime_pairs(max_b=12))
+def test_maximal_cliques_match_the_unmemoised_search(a, b):
+    """On both models' graphs the memoised walk lists the cliques that the
+    search without the memo lists, each once."""
+    for adj, vertices in (hat(a, b)._graph, ass(a, b)._graph):
+        found = maximal_cliques(adj, vertices)
+        assert len(set(found)) == len(found)
+        assert set(found) == set(bron_kerbosch(adj, vertices))
 
 
 @pytest.mark.parametrize("a,b", coprime_pairs(max_b=11))

@@ -12,11 +12,10 @@ from ratassoc import (
     crossing_indices,
     half_wedge_completion,
     is_admissible,
-    translate,
     wedge_completion,
 )
 
-from helpers import coprime_pairs, is_fuss, obstruction_graph
+from helpers import coprime_pairs, is_fuss, obstruction_graph, translate
 
 GOLDEN = Path(__file__).parent / "golden"
 

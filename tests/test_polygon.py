@@ -13,11 +13,10 @@ from ratassoc import (
     crosses,
     is_admissible,
     remainder_set,
-    translate,
 )
 from ratassoc.polygon import admissible_by_ends, all_diagonals
 
-from helpers import coprime_pairs
+from helpers import coprime_pairs, translate
 
 
 def d(i, j, b):
