@@ -7,8 +7,8 @@ model (faces generated by the laser sets of rational Dyck paths).  It
 decides membership in the lattice-path model, constructs the obstruction
 graph of blocked pairs, produces and independently re-verifies an explicit
 collapse of the first model onto the second, and checks the closed-form
-face counts, wedge-of-spheres homology, and rank-level Alexander duality
-by exact integer computation.
+face counts, the homology of a wedge of spheres, and rank-level Alexander
+duality by exact integer computation.
 """
 
 from .collapse import (
@@ -34,7 +34,6 @@ from .errors import (
     AdmissibilityViolatedError,
     BadOrderError,
     CapExceededError,
-    InvalidSourceError,
     InvariantViolationError,
     MalformedCertificateError,
     NonIntegralError,
@@ -49,18 +48,15 @@ from .homology import (
     BettiVector,
     DualityReport,
     PartitionReport,
-    WedgeReport,
     alexander_duality_check,
     alexander_partition_check,
     betti_numbers,
-    check_wedge,
 )
 from .lattice import (
     DyckPath,
     LatticePoint,
     enumerate_dyck_paths,
     facet_of,
-    laser_diagonal,
     valleys,
 )
 from .membership import MembershipResult, is_face_of_ass, valley_path

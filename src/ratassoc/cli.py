@@ -5,8 +5,9 @@ exceeded.  All outputs are deterministic; JSON is emitted with sorted keys
 and fixed indentation so identical invocations are byte-identical.
 
 Caps can be overridden with the two environment variables RATASSOC_FACE_CAP
-and RATASSOC_MAX_B; every command that builds a model builds it under them,
-and ``obstruction``, ``duality``, ``membership`` and ``render``, whose first
+and RATASSOC_MAX_B, each a non-negative integer (anything else is a usage
+error); every command that builds a model builds it under them, and
+``obstruction``, ``duality``, ``membership`` and ``render``, whose first
 work grows with b alone, refuse a b over RATASSOC_MAX_B before doing any.
 
 The argument parser is built once per process, on the first ``main`` call,
@@ -52,18 +53,23 @@ def _dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _face_cap() -> int:
-    return int(os.environ.get("RATASSOC_FACE_CAP", DEFAULT_FACE_CAP))
+_CAP_DEFAULTS = {"RATASSOC_FACE_CAP": DEFAULT_FACE_CAP, "RATASSOC_MAX_B": DEFAULT_MAX_B}
 
 
-def _max_b() -> int:
-    return int(os.environ.get("RATASSOC_MAX_B", DEFAULT_MAX_B))
+def _cap(name: str) -> int:
+    """The cap the environment variable ``name`` sets, or its default.  A
+    value that is not a non-negative integer is a usage error."""
+    text = os.environ.get(name)
+    if text is None:
+        return _CAP_DEFAULTS[name]
+    if not text.isdecimal():
+        raise ValueError(f"{name} must be a non-negative integer, not {text!r}")
+    return int(text)
 
 
 def _build(model: str, a: int, b: int):
-    if model == "hat":
-        return build_hat_ass(a, b, max_faces=_face_cap(), max_b=_max_b())
-    return build_ass(a, b, max_faces=_face_cap(), max_b=_max_b())
+    build = build_hat_ass if model == "hat" else build_ass
+    return build(a, b, max_faces=_cap("RATASSOC_FACE_CAP"), max_b=_cap("RATASSOC_MAX_B"))
 
 
 def _add_pair_args(p: argparse.ArgumentParser) -> None:
@@ -97,7 +103,7 @@ def cmd_fvector(args) -> int:
 
 
 def cmd_membership(args) -> int:
-    guard_b(args.b, _max_b())  # the laser table grows as b^2
+    guard_b(args.b, _cap("RATASSOC_MAX_B"))  # the laser table grows as b^2
     face = parse_face(args.face, args.b)
     result = valley_path(face, args.a, args.b)
     doc: dict = {"schema": 1, "a": args.a, "b": args.b, "member": result.is_member}
@@ -110,7 +116,7 @@ def cmd_membership(args) -> int:
 
 
 def cmd_obstruction(args) -> int:
-    guard_b(args.b, _max_b())
+    guard_b(args.b, _cap("RATASSOC_MAX_B"))
     graph = build_obstruction_graph(args.a, args.b)
     if args.format == "dot":
         sys.stdout.write(graph.to_dot())
@@ -154,7 +160,7 @@ def cmd_verify(args) -> int:
             doc = json.load(fh)
         except RecursionError:
             raise MalformedCertificateError("certificate nests too deeply to read") from None
-    cert = CollapseCertificate.from_json(doc, max_b=_max_b())
+    cert = CollapseCertificate.from_json(doc, max_b=_cap("RATASSOC_MAX_B"))
     hat = _build("hat", cert.a, cert.b)
     ass = _build("ass", cert.a, cert.b)
     report = verify_certificate(hat, ass, cert)
@@ -194,7 +200,7 @@ def cmd_homology(args) -> int:
 
 def cmd_duality(args) -> int:
     b = args.b
-    guard_b(b, _max_b())  # before the partition check, which is O(b^3)
+    guard_b(b, _cap("RATASSOC_MAX_B"))  # before the partition check, which is O(b^3)
     partition = alexander_partition_check(b)
     rows: dict[int, dict] = {}
     for a, _, _ in partition.pairs:
@@ -234,7 +240,7 @@ def cmd_duality(args) -> int:
 
 
 def cmd_render(args) -> int:
-    guard_b(args.b, _max_b())  # the drawing grows with b
+    guard_b(args.b, _cap("RATASSOC_MAX_B"))  # the drawing grows with b
     face = parse_face(args.face, args.b)
     check_slope_pair(args.a, args.b)
     check_hat_face(face, args.a, args.b)

@@ -215,10 +215,6 @@ class CollapseCertificate:
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
 
-    @classmethod
-    def loads(cls, text: str) -> "CollapseCertificate":
-        return cls.from_json(json.loads(text))
-
 
 # -- engine ----------------------------------------------------------------
 

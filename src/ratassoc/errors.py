@@ -27,10 +27,6 @@ class CapExceededError(RatAssocError):
     """An enumeration or materialization would exceed a configured cap."""
 
 
-class InvalidSourceError(RatAssocError, ValueError):
-    """Laser source is not the bottom of a north step, or is the origin."""
-
-
 class NotAFaceOfHatError(RatAssocError, ValueError):
     """Input diagonal set has crossings or inadmissible members."""
 

@@ -1,5 +1,5 @@
 """Reduced simplicial homology by exact boundary-matrix rank, plus the
-wedge-of-spheres and Alexander-duality reports.
+Alexander-duality reports.
 
 Betti numbers are reduced: the empty face is a genuine cell in dimension
 -1, every vertex has it on its boundary, and the rank of reduced homology
@@ -235,42 +235,9 @@ def betti_numbers(
 # -- reports ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WedgeReport:
-    a: int
-    b: int
-    ok: bool
-    expected_spheres: int
-    sphere_dim: int
-    betti_gf2: BettiVector
-    betti_q: BettiVector
-    notes: tuple[str, ...]
-
-
 def _sphere_count(a: int, b: int) -> int:
     """C(b, a)/b, the number of spheres in the wedge."""
     return _exact_div(comb(b, a), b, f"C({b},{a})/{b}")
-
-
-def check_wedge(a: int, b: int, *, ass: SimplicialComplex) -> WedgeReport:
-    """Verify the lattice-path model ``ass`` of (a, b) has the homology of a
-    wedge of C(b, a)/b spheres of dimension a-2, over both fields."""
-    check_slope_pair(a, b)
-    expected = _sphere_count(a, b)
-    bg = betti_numbers(ass, "gf2")
-    bq = betti_numbers(ass, "q")
-    ok = True
-    notes = []
-    for k in range(-1, bg.dim + 1):
-        want = expected if k == a - 2 else 0
-        for vec in (bg, bq):
-            if vec.tilde(k) != want:
-                ok = False
-                notes.append(f"b~_{k} over {vec.field} is {vec.tilde(k)}, expected {want}")
-    if bg.values != bq.values:
-        ok = False
-        notes.append("GF(2) and rational Betti vectors disagree (torsion?)")
-    return WedgeReport(a, b, ok, expected, a - 2, bg, bq, tuple(notes))
 
 
 @dataclass(frozen=True)

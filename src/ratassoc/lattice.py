@@ -24,11 +24,11 @@ it stands, and fires each once, when a column first catches it.  What a
 row catches depends only on its row and column and on the sources pending
 below it, so ``enumerate_dyck_paths`` reads each such row state once for
 all its columns, row by row, and lists facet masks and their skeleton, not
-paths; ``DyckPath`` reads one column per row of a path built from a word
-(``_row_step``).  ``_laser_hit`` reads it top-down, for paths grown from
-(b, a), whose top rows are known first: membership's valley-path search,
-which hands the ends it fired to ``_path_with_lasers``, and
-``laser_diagonal``.
+paths; only after a failed check does it read one column per row, path by
+path, to name the first path that fails (``_raise_first_failure``).
+``_laser_hit`` reads it top-down, for paths grown from (b, a), whose top
+rows are known first: membership's valley-path search, which hands the
+ends it fired to ``_path_with_lasers``, the one builder of a ``DyckPath``.
 
 Each fired laser i-k is read as a ground index from the pair's table of
 admissible diagonals by their ends, ``polygon.admissible_by_ends``, and
@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, NoReturn, Sequence
 
-from .errors import InvalidSourceError, InvariantViolationError
+from .errors import InvariantViolationError
 from .polygon import Diagonal, admissible_by_ends, admissible_compatibility, all_admissible_diagonals
 from .polygon import check_slope_pair, crosses, is_admissible
 
@@ -57,56 +57,17 @@ class LatticePoint(NamedTuple):
 
 @dataclass(frozen=True)
 class DyckPath:
-    """An (a, b)-Dyck path stored as a step word over {N, E}, with two fields
-    derived from the word: its north-step sequence ``xs`` and its facet, the
-    ground mask of its laser diagonals over ``all_admissible_diagonals``.
-
-    The constructor checks the word and fires the lasers row by row, with
-    every facet check; membership's valley paths get the facet their search
-    fired, through ``_path_with_lasers``.
+    """An (a, b)-Dyck path: its step word, its north-step sequence ``xs`` and
+    its facet, the ground mask of its laser diagonals over
+    ``all_admissible_diagonals``.  A plain record, compared and hashed by
+    (a, b, word); ``_path_with_lasers`` builds it from lasers it has checked.
     """
 
     a: int
     b: int
     word: str
-    xs: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    facet: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        a, b, w = self.a, self.b, self.word
-        check_slope_pair(a, b)
-        if len(w) != a + b or w.count("N") != a or w.count("E") != b:
-            raise ValueError(f"word {w!r} is not an (N^{a}, E^{b}) shuffle")
-        xs = []
-        east = 0
-        for step in w:
-            if step == "N":
-                xs.append(east)
-            elif step == "E":
-                east += 1
-                if len(xs) * b < east * a:
-                    raise ValueError(f"word {w!r} dips below the line y = {a}/{b} x")
-            else:
-                raise ValueError(f"bad step {step!r} in {w!r}")
-        xs.append(east)
-        xs = tuple(xs)
-        table, compat = admissible_by_ends(a, b), admissible_compatibility(a, b)
-        pending, mask = (), 0
-        for y in range(1, a + 1):
-            pending, fired = _row_step(xs[y], y, pending, a, b)
-            mask = _fire(mask, fired, table, compat)
-        if mask < 0 or pending:
-            _raise_facet_failure(a, b, w, xs)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "facet", mask)
-
-    @classmethod
-    def _trusted(cls, a: int, b: int, word: str, xs: tuple[int, ...], facet: int) -> "DyckPath":
-        """Internal constructor for a word known to be a Dyck path, its ``xs``
-        and its checked facet mask."""
-        self = object.__new__(cls)
-        vars(self).update(a=a, b=b, word=word, xs=xs, facet=facet)
-        return self
+    xs: tuple[int, ...] = field(repr=False, compare=False)
+    facet: int = field(repr=False, compare=False)
 
     def __str__(self) -> str:
         return self.word
@@ -137,25 +98,24 @@ def enumerate_dyck_paths(a: int, b: int) -> DyckFacets:
     ``_read_row`` per state gives its moves to row y+1, one per column from
     xs[y] up to the line (b for the top row), lowest first, and the lasers
     they fire.  The columns fire growing prefixes of those lasers, so each
-    laser is checked once per state, against the ones before it: a table
-    miss, a repeat or a crossing fails it and every column that fires it.
-    Going down, from row a, each state lists its suffixes, the masks of the
-    lasers fired in rows y+1..a along each way on to (b, a), in lex order,
-    with their union: a move that fires the lasers m gives m | s for each
-    suffix s of the state it reaches, and fails the suffixes that repeat
-    or cross a laser of m.  A row's lists go as soon as the row below has
-    read them.  A source still pending after row a escapes.  A failed
-    check marks the suffixes it spoils with -1, and the first marked path
-    in lex order raises the check's error, found by a descent that reads
-    its row states again and counts suffixes move by move.
+    laser is checked once per state, against the ones before it, for a
+    table miss, a repeat or a crossing.  Going down, from row a, each state
+    lists its suffixes, the masks of the lasers fired in rows y+1..a along
+    each way on to (b, a), in lex order, with their union: a move that
+    fires the lasers m gives m | s for each suffix s of the state it
+    reaches, and is checked once against that state's union for a repeat
+    or a crossing.  A row's lists go as soon as the row below has read
+    them.  A source still pending after row a escapes.  Any failed check
+    hands over to ``_raise_first_failure``, which names the first failing
+    path in lex order.
     """
     check_slope_pair(a, b)
     table, compat = admissible_by_ends(a, b), admissible_compatibility(a, b)
     adj = [0] * len(compat)
     # rows[y] interns row y's states by the sources pending after them, in
     # the order found; steps[y] holds the moves of each state of row y as
-    # (mask of the lasers fired or -1, the ground bits they repeat or
-    # cross, index of the state reached in row y+1)
+    # (mask of the lasers fired, the ground bits they repeat or cross,
+    # index of the state reached in row y+1)
     rows: list[dict[tuple, int]] = [{(): 0}]
     steps: list = []
     for y in range(1, a + 1):
@@ -174,10 +134,9 @@ def enumerate_dyck_paths(a: int, b: int) -> DyckFacets:
                     done += 1
                     p = table.get((x0, k))
                     if p is None or m & ~compat[p]:
-                        m = clash = -1
-                    else:
-                        m |= 1 << p
-                        clash |= ~compat[p]
+                        _raise_first_failure(a, b)
+                    m |= 1 << p
+                    clash |= ~compat[p]
                 i = index.get(left)
                 if i is None:
                     i = index[left] = len(index)
@@ -185,11 +144,9 @@ def enumerate_dyck_paths(a: int, b: int) -> DyckFacets:
             step.append(out)
         rows.append(index)
         steps.append(step)
-    # a source still pending after row a escapes; -1 marks a failed suffix,
-    # and a union with one is -1 too
-    lists = [[-1] if left else [0] for left in rows[a]]
-    unions = [-1 if left else 0 for left in rows[a]]
-    counts: list = [None] * a + [[1] * len(lists)]
+    if any(rows[a]):  # a source still pending after row a escapes
+        _raise_first_failure(a, b)
+    lists, unions = [[0]], [0]  # row a's one state, with nothing pending
     for y in range(a - 1, -1, -1):
         below_lists, below_unions = lists, unions
         lists, unions = [], []
@@ -199,17 +156,13 @@ def enumerate_dyck_paths(a: int, b: int) -> DyckFacets:
                 below, reach = below_lists[i], below_unions[i]
                 if not m:
                     masks += below
-                    union |= reach
-                elif m > 0 and not reach & clash:
+                elif reach & clash:
+                    _raise_first_failure(a, b)
+                else:
                     masks += [m | s for s in below]
-                    union |= m | reach
-                else:  # a failed s = -1 meets clash; a failed m = clash = -1
-                    masks += [-1 if s & clash else m | s for s in below]
-                    union = -1
+                union |= m | reach
             lists.append(masks)
             unions.append(union)
-            if union < 0:
-                continue
             # the skeleton: a laser a move fires first shares a facet with
             # the other lasers of that move, and with the union of each state
             # reached from that move on (pairs with the lasers later moves
@@ -224,27 +177,34 @@ def enumerate_dyck_paths(a: int, b: int) -> DyckFacets:
                     fresh ^= bit
                     adj[bit.bit_length() - 1] |= reach | m ^ bit
         steps[y] = below_lists = below_unions = None
-        counts[y] = [len(masks) for masks in lists]
-    masks, union = lists[0], unions[0]
-    if union < 0:
-        # descend to the first failed path, counting suffixes move by move
-        index, pending, xs = masks.index(-1), (), [0]
-        for y in range(1, a + 1):
-            moves, _ = _read_row(y, _columns(y, pending, a, b), pending, a, b)
-            for x, pending, _ in moves:
-                n = counts[y][rows[y][pending]]
-                if index < n:
-                    break
-                index -= n
-            xs.append(x)
-        _raise_facet_failure(a, b, _word_of(xs), tuple(xs))
     for p, row in enumerate(adj):
         bit = 1 << p
         while row:
             low = row & -row
             row ^= low
             adj[low.bit_length() - 1] |= bit
-    return DyckFacets(masks, adj, union)
+    return DyckFacets(lists[0], adj, unions[0])
+
+
+def _raise_first_failure(a: int, b: int) -> NoReturn:
+    """Raise the facet failure of the first (a, b)-Dyck path in lex order
+    whose lasers fail a check, for a walk that has failed one.  Paths grow
+    depth-first from the origin, lowest column first, one ``_read_row`` of
+    one column per row, with the checks of ``_fire``."""
+    table, compat = admissible_by_ends(a, b), admissible_compatibility(a, b)
+
+    def grow(xs: list[int], pending: tuple, mask: int) -> None:
+        y = len(xs)
+        if y > a:
+            if mask < 0 or pending:
+                _raise_facet_failure(a, b, _word_of(xs), tuple(xs))
+            return
+        for x in _columns(y, pending, a, b):
+            moves, fired = _read_row(y, (x,), pending, a, b)
+            grow(xs + [x], moves[0][1], _fire(mask, fired, table, compat))
+
+    grow([0], (), 0)
+    raise InvariantViolationError(f"the ({a},{b}) walk failed a check that no path fails")
 
 
 def _columns(y: int, pending: tuple, a: int, b: int) -> Sequence[int]:
@@ -257,14 +217,15 @@ def _columns(y: int, pending: tuple, a: int, b: int) -> Sequence[int]:
 def _path_with_lasers(a: int, b: int, xs: tuple[int, ...], ends: Sequence[int]) -> DyckPath:
     """The path with north-step sequence ``xs``, given the end ``ends[y]`` of
     the laser from each row 0 < y < a, as ``_laser_hit`` fires it: its facet
-    is built from those ends with every check of ``_fire``, and the first
-    failed check is raised as the row step's is."""
+    is built from those ends with every check of ``_fire``, and a failed
+    check is raised by ``_raise_facet_failure``, which fires the path's
+    lasers again bottom-up.  The one builder of a ``DyckPath``."""
     fired = [(xs[y], y, ends[y]) for y in range(1, a)]
     mask = _fire(0, fired, admissible_by_ends(a, b), admissible_compatibility(a, b))
     word = _word_of(xs)
     if mask < 0:
         _raise_facet_failure(a, b, word, xs)
-    return DyckPath._trusted(a, b, word, xs, mask)
+    return DyckPath(a, b, word, xs, mask)
 
 
 def _word_of(xs: Sequence[int]) -> str:
@@ -297,25 +258,6 @@ def _laser_hit(xs: Sequence[int], a: int, b: int, y0: int) -> int:
     raise InvariantViolationError(f"laser from ({x0},{y0}) escaped the path")
 
 
-def laser_diagonal(path: DyckPath, source: LatticePoint) -> Diagonal:
-    """The admissible diagonal i-k carved out by the laser from ``source``,
-    which must be the bottom of a north step of the path and not the
-    origin.  Exact integer arithmetic throughout."""
-    x, y = source
-    if (x, y) == (0, 0):
-        raise InvalidSourceError("lasers cannot be fired from the origin")
-    if not (0 <= y < path.a and path.xs[y] == x):
-        raise InvalidSourceError(
-            f"{LatticePoint(x, y)} is not the bottom of a north step of {path.word}"
-        )
-    k = _laser_hit(path.xs, path.a, path.b, y)
-    p = admissible_by_ends(path.a, path.b).get((x, k))
-    if p is None:  # a side of the polygon raises ValueError here
-        d = Diagonal(x, k, path.b)
-        raise InvariantViolationError(f"laser diagonal {d} of {path.word} is not admissible")
-    return all_admissible_diagonals(path.a, path.b)[p]
-
-
 def _read_row(y: int, cols: Iterable[int], pending: tuple, a: int, b: int) -> tuple[list, list]:
     """Place row y at each column of ``cols``, ascending, above the sources
     ``pending`` below it: the ones it catches fire, and row y itself
@@ -341,13 +283,6 @@ def _read_row(y: int, cols: Iterable[int], pending: tuple, a: int, b: int) -> tu
             fired.append((x0, y0, x0 + (y - y0) * b // a + 1))
         moves.append((x, pending[:n] + ((key, x, y),) if 0 < y < a else pending[:n], len(fired)))
     return moves, fired
-
-
-def _row_step(x: int, y: int, pending: tuple, a: int, b: int) -> tuple[tuple, list]:
-    """Place row y at column x alone: ``_read_row`` with one column.
-    Returns the new pending tuple and the fired lasers as (x0, y0, k)."""
-    moves, fired = _read_row(y, (x,), pending, a, b)
-    return moves[0][1], fired
 
 
 def _fire(mask: int, fired: list, table: dict, compat: Sequence[int]) -> int:
@@ -379,10 +314,12 @@ def facet_of(path: DyckPath) -> frozenset[Diagonal]:
 
 def _raise_facet_failure(a: int, b: int, word: str, xs: tuple[int, ...]) -> NoReturn:
     """Raise the first failed facet check of the path on fresh diagonals,
-    fired row by row by ``_row_step`` and listed by source row."""
+    fired row by row, one ``_read_row`` of one column each, and listed by
+    source row."""
     pending, fired = (), []
     for y in range(1, a + 1):
-        pending, caught = _row_step(xs[y], y, pending, a, b)
+        moves, caught = _read_row(y, (xs[y],), pending, a, b)
+        pending = moves[0][1]
         fired += caught
     if pending:
         _, x0, y0 = pending[0]

@@ -34,7 +34,9 @@ from ratassoc import (
     half_wedge_completion,
     wedge_completion,
 )
+from ratassoc import lattice
 from ratassoc.complexes import bit_positions, bits_of
+from ratassoc.polygon import admissible_by_ends, admissible_compatibility, check_slope_pair
 from ratassoc.polygon import compatibility_masks
 
 
@@ -83,10 +85,40 @@ def all_facets(a: int, b: int) -> tuple[frozenset, ...]:
     return tuple(frozenset(ground[p] for p in bit_positions(m)) for m in enumerate_dyck_paths(a, b))
 
 
+def checked_path(a: int, b: int, word: str) -> DyckPath:
+    """The (a, b)-Dyck path of the step word ``word``, parsed and checked:
+    the oracle for the walk's masks.  It fires the lasers row by row, one
+    ``lattice._read_row`` of one column each, with every check of
+    ``lattice._fire``, and raises a failed check as the walk does."""
+    check_slope_pair(a, b)
+    if len(word) != a + b or word.count("N") != a or word.count("E") != b:
+        raise ValueError(f"word {word!r} is not an (N^{a}, E^{b}) shuffle")
+    xs, east = [], 0
+    for step in word:
+        if step == "N":
+            xs.append(east)
+        elif step == "E":
+            east += 1
+            if len(xs) * b < east * a:
+                raise ValueError(f"word {word!r} dips below the line y = {a}/{b} x")
+        else:
+            raise ValueError(f"bad step {step!r} in {word!r}")
+    xs = (*xs, east)
+    table, compat = admissible_by_ends(a, b), admissible_compatibility(a, b)
+    pending, mask = (), 0
+    for y in range(1, a + 1):
+        moves, fired = lattice._read_row(y, (xs[y],), pending, a, b)
+        pending = moves[0][1]
+        mask = lattice._fire(mask, fired, table, compat)
+    if mask < 0 or pending:
+        lattice._raise_facet_failure(a, b, word, xs)
+    return DyckPath(a, b, word, xs, mask)
+
+
 def dyck_paths(a: int, b: int) -> list[DyckPath]:
-    """Every (a, b)-Dyck path, built by the checking constructor from the
-    reference words, in their lex order."""
-    return [DyckPath(a, b, w) for w in reference_dyck_words(a, b)]
+    """Every (a, b)-Dyck path, built by ``checked_path`` from the reference
+    words, in their lex order."""
+    return [checked_path(a, b, w) for w in reference_dyck_words(a, b)]
 
 
 def skeleton_of_facets(masks, n_ground: int) -> tuple[list[int], int]:
@@ -401,7 +433,7 @@ def random_dyck_path(a: int, b: int, rng: random.Random) -> DyckPath:
             north += 1
         else:
             east += 1
-    return DyckPath(a, b, "".join(word))
+    return checked_path(a, b, "".join(word))
 
 
 # -- the explicit collapse engine: oracles for the predicate generator and replay

@@ -231,6 +231,21 @@ def test_caps_refuse_before_the_work(capsys, monkeypatch, argv, env, module, nam
     assert err.startswith("cap exceeded: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", ["abc", "-1", "1e3"])
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        ("RATASSOC_FACE_CAP", ["fvector", "--a", "3", "--b", "5"]),
+        ("RATASSOC_MAX_B", ["membership", "--a", "3", "--b", "5", "--face", ""]),
+    ],
+)
+def test_a_cap_that_is_not_a_non_negative_integer_exits_2(capsys, monkeypatch, name, argv, value):
+    monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err == f"error: {name} must be a non-negative integer, not {value!r}\n"
+
+
 @pytest.mark.parametrize(
     "face,reason",
     [("0-3", "diagonal 0-3 is not (3,5)-admissible"), ("0-4,1-5", "diagonals 0-4 and 1-5 cross")],

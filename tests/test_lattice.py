@@ -11,12 +11,10 @@ from ratassoc import (
     Diagonal,
     DyckPath,
     build_ass,
-    InvalidSourceError,
     InvariantViolationError,
     LatticePoint,
     enumerate_dyck_paths,
     facet_of,
-    laser_diagonal,
     rational_catalan,
     valley_path,
     valleys,
@@ -26,6 +24,7 @@ from ratassoc.polygon import admissible_by_ends, all_admissible_diagonals, is_ad
 
 from helpers import (
     all_facets,
+    checked_path,
     coprime_pairs,
     dyck_paths,
     laser_hit_oracle,
@@ -38,20 +37,28 @@ from helpers import (
     young_contains,
 )
 
-D58 = DyckPath(5, 8, "NNENNEEENEEEE")
+D58 = checked_path(5, 8, "NNENNEEENEEEE")
 
 
 def staircase(a, b):
-    return DyckPath(a, b, "N" * a + "E" * b)
+    return checked_path(a, b, "N" * a + "E" * b)
+
+
+def laser_end(path: DyckPath, source) -> int:
+    """``lattice._laser_hit`` from ``source``, the bottom of a north step of
+    ``path``: the right end k of its laser diagonal i-k."""
+    x, y = source
+    assert 0 < y < path.a and path.xs[y] == x
+    return lattice._laser_hit(path.xs, path.a, path.b, y)
 
 
 def test_path_validation():
     with pytest.raises(ValueError):
-        DyckPath(2, 3, "NEENE")  # dips below the line
+        checked_path(2, 3, "NEENE")  # dips below the line
     with pytest.raises(ValueError):
-        DyckPath(2, 3, "NNEE")  # wrong length
+        checked_path(2, 3, "NNEE")  # wrong length
     with pytest.raises(ValueError):
-        DyckPath(2, 3, "NXNEE")
+        checked_path(2, 3, "NXNEE")
 
 
 def test_enumeration_smallest_cases():
@@ -66,8 +73,8 @@ def test_enumeration_smallest_cases():
 @pytest.mark.parametrize("a,b", coprime_pairs(max_b=10))
 def test_enumerated_paths_equal_checked_paths(a, b):
     """Membership builds its valley paths unchecked, from the lasers its
-    search fired; the valley path of each enumerated facet is the path the
-    checking constructor builds from the same word, with the same facet."""
+    search fired; the valley path of each enumerated facet is the path
+    ``checked_path`` builds from the same word, with the same facet."""
     masks = enumerate_dyck_paths(a, b)
     for mask, facet, checked in zip(masks, all_facets(a, b), dyck_paths(a, b), strict=True):
         path = valley_path(facet, a, b).valley_path
@@ -85,7 +92,7 @@ def test_enumeration_counts_and_order():
         rank = {"N": 0, "E": 1}
         keys = [tuple(rank[c] for c in w) for w in words]
         assert keys == sorted(keys)
-        assert masks == [DyckPath(a, b, w).facet for w in words]
+        assert masks == [checked_path(a, b, w).facet for w in words]
 
 
 def test_enumeration_contains_example_path():
@@ -95,7 +102,7 @@ def test_enumeration_contains_example_path():
 def test_partition_examples():
     assert partition_of(staircase(4, 7)) == (0, 0, 0, 0)
     assert partition_of(D58) == (4, 1, 1, 0, 0)
-    assert partition_of(DyckPath(2, 3, "NENEE")) == (1, 0)
+    assert partition_of(checked_path(2, 3, "NENEE")) == (1, 0)
 
 
 def test_partition_fits_staircase():
@@ -119,42 +126,33 @@ def test_young_contains():
 def test_valleys_examples():
     assert valleys(staircase(3, 5)) == []
     assert valleys(D58) == [LatticePoint(1, 2), LatticePoint(4, 4)]
-    assert valleys(DyckPath(2, 3, "NENEE")) == [LatticePoint(1, 1)]
+    assert valleys(checked_path(2, 3, "NENEE")) == [LatticePoint(1, 1)]
 
 
 def test_fire_laser_examples():
-    assert laser_diagonal(D58, LatticePoint(1, 3)).j == 3
-    assert laser_diagonal(D58, LatticePoint(4, 4)).j == 6
+    for source, k in [((1, 3), 3), ((4, 4), 6)]:
+        assert laser_end(D58, source) == laser_hit_oracle(D58, source) == k
 
 
 @pytest.mark.parametrize("a,b", [(3, 5), (5, 8), (4, 7), (3, 10)])
 def test_fire_laser_staircase_formula(a, b):
     path = staircase(a, b)
     for k in range(1, a):
-        got = laser_diagonal(path, LatticePoint(0, k)).j
+        got = laser_end(path, (0, k))
         assert got == ceil((a - k) * b / a)
         assert got == laser_hit_oracle(path, (0, k))
 
 
-def test_fire_laser_rejects_bad_sources():
-    with pytest.raises(InvalidSourceError):
-        laser_diagonal(D58, LatticePoint(0, 0))
-    with pytest.raises(InvalidSourceError):
-        laser_diagonal(D58, LatticePoint(2, 4))  # interior of an east run
-    with pytest.raises(InvalidSourceError):
-        laser_diagonal(D58, LatticePoint(1, 4))  # top of a north run, not a bottom
-
-
 def test_laser_diagonal_examples():
-    assert laser_diagonal(D58, LatticePoint(1, 2)) == Diagonal(1, 6, 8)
-    assert laser_diagonal(D58, LatticePoint(0, 1)) == Diagonal(0, 7, 8)
+    assert laser_end(D58, (1, 2)) == laser_hit_oracle(D58, (1, 2)) == 6
+    assert laser_end(D58, (0, 1)) == laser_hit_oracle(D58, (0, 1)) == 7
 
 
 def test_laser_diagonals_admissible_and_distinct():
     for a, b in coprime_pairs(max_sum=11):
         for path in dyck_paths(a, b):
             sources = [p for p in north_step_bottoms(path) if p != (0, 0)]
-            diags = [laser_diagonal(path, p) for p in sources]
+            diags = [Diagonal(p.x, laser_end(path, p), b) for p in sources]
             assert len(set(diags)) == len(diags)
             assert all(is_admissible(d, a, b) for d in diags)
 
@@ -168,7 +166,7 @@ def test_facet_examples():
     }
     for a, b in [(3, 5), (4, 7)]:
         path = staircase(a, b)
-        assert facet_of(path) == {laser_diagonal(path, LatticePoint(0, k)) for k in range(1, a)}
+        assert facet_of(path) == {Diagonal(0, laser_end(path, (0, k)), b) for k in range(1, a)}
 
 
 def test_facets_biject_with_paths():
@@ -203,38 +201,41 @@ def test_fire_laser_matches_rational_oracle(pair, seed):
     for src in north_step_bottoms(path):
         if src == (0, 0):
             continue
-        assert laser_diagonal(path, src).j == laser_hit_oracle(path, src)
+        assert laser_end(path, src) == laser_hit_oracle(path, src)
 
 
 def _row_states(a: int, b: int, xs) -> list[tuple[tuple, list[int]]]:
-    """The row steps along the path ``xs``, each as its row state, the
-    arguments (x, y, pending) of ``lattice._row_step``, and the source rows
-    it fires, by the unpatched row step."""
+    """The rows along the path ``xs``, each as (x, y, pending), row y placed
+    at column x above the sources pending below it, with the source rows
+    it fires, read by the unpatched ``lattice._read_row`` one column at a
+    time."""
     out, pending = [], ()
     for y in range(1, a + 1):
         state = (xs[y], y, pending)
-        pending, fired = lattice._row_step(*state, a, b)
+        moves, fired = lattice._read_row(y, (xs[y],), pending, a, b)
+        pending = moves[0][1]
         out.append((state, [y0 for _, y0, _ in fired]))
     return out
 
 
 def _first_word_through(a: int, b: int, state: tuple, row: int) -> str:
     """The lex-first reference word whose path places row y above the
-    pending sources of the row step ``state`` and fires the laser from
+    pending sources of the row ``state`` and fires the laser from
     ``row`` there, at any column: the row state that ``_read_row`` reads."""
     _, y, pending = state
     return next(
         w for w in reference_dyck_words(a, b)
         if any(s[1:] == (y, pending) and row in rows
-               for s, rows in _row_states(a, b, DyckPath(a, b, w).xs))
+               for s, rows in _row_states(a, b, checked_path(a, b, w).xs))
     )
 
 
 def _misfiring_reader(monkeypatch, state: tuple, row: int, end) -> None:
     """Patch ``lattice._read_row`` so that, reading row y above the pending
-    sources of the (5,8) row step ``state``, it fires the laser from ``row``
-    to ``end(k)`` instead of k, at every column that catches it.  The walk
-    and the checked constructor both read rows through it."""
+    sources of the (5,8) row ``state``, it fires the laser from ``row`` to
+    ``end(k)`` instead of k, at every column that catches it.  The walk,
+    its search for the first failing path and ``checked_path`` all read
+    rows through it."""
     read = lattice._read_row
     _, y_bad, pending_bad = state
 
@@ -258,15 +259,15 @@ def _misfire(monkeypatch, row: int, hit: int) -> str:
     return first
 
 
-# every route that fires D58's lasers, each run after the patch: the
-# constructor's single pass on D58 (decoded by facet_of), and the row walk
-# inside the model builder, which names the lex-first failing path
+# every route that fires D58's lasers, each run after the patch:
+# ``checked_path``'s single pass on D58 (decoded by facet_of), and the row
+# walk inside the model builder, which names the lex-first failing path
 _ROUTES = pytest.mark.parametrize("route", ["facet_of", "build_ass"])
 
 
 def _scan(route: str) -> None:
     if route == "facet_of":
-        facet_of(DyckPath(5, 8, D58.word))
+        facet_of(checked_path(5, 8, D58.word))
     else:
         build_ass(5, 8)
 
@@ -298,9 +299,9 @@ def test_facet_of_laser_on_a_side_is_not_a_diagonal(monkeypatch, route):
 
 def test_a_source_left_pending_after_row_a_escapes(monkeypatch):
     """A row read that catches nothing leaves every source pending after the
-    top row: the constructor names D58's lowest, and the walk the lowest of
-    the lex-first path, which is in column 0 too."""
-    first = DyckPath(5, 8, reference_dyck_words(5, 8)[0])
+    top row: ``checked_path`` names D58's lowest, and the walk the lowest
+    of the lex-first path, which is in column 0 too."""
+    first = checked_path(5, 8, reference_dyck_words(5, 8)[0])
 
     def catch_nothing(y, cols, pending, a, b):
         return [
@@ -309,33 +310,33 @@ def test_a_source_left_pending_after_row_a_escapes(monkeypatch):
 
     monkeypatch.setattr(lattice, "_read_row", catch_nothing)
     with pytest.raises(InvariantViolationError, match=r"laser from \(0,1\) escaped the path"):
-        DyckPath(5, 8, D58.word)
+        checked_path(5, 8, D58.word)
     assert first.xs[1] == 0
     with pytest.raises(InvariantViolationError, match=r"laser from \(0,1\) escaped the path"):
         build_ass(5, 8)
 
 
 def _first_failure(a: int, b: int) -> Exception | None:
-    """The error of the first reference word whose checked constructor
-    fails, or None when every path passes."""
+    """The error of the first reference word whose ``checked_path`` fails,
+    or None when every path passes."""
     for w in reference_dyck_words(a, b):
         try:
-            DyckPath(a, b, w)
+            checked_path(a, b, w)
         except (ValueError, InvariantViolationError) as err:
             return err
     return None
 
 
-# row steps of (5,8) that fire a laser, each with a wrong end for its first
-# laser: states shared by several paths, whose suffixes a misfire spoils in
-# part or in full.  The misfire is keyed on the row state (y, pending) that
-# ``_read_row`` reads, not on the step's column x, so steps of one state
-# that fire the same row apply one fault: the 36 cases taken below hold 31
-# distinct (y, pending, row) faults.  The repeats are kept so that the
-# test ids stay the same.
+# rows of (5,8) paths that fire a laser, each with a wrong end for its
+# first laser: states shared by several paths, whose suffixes a misfire
+# spoils in part or in full.  The misfire is keyed on the row state
+# (y, pending) that ``_read_row`` reads, not on the row's column x, so rows
+# of one state that fire the same source apply one fault: the 36 cases
+# taken below hold 31 distinct (y, pending, row) faults.  The repeats are
+# kept so that the test ids stay the same.
 _STEPS = sorted({
     (state, rows[0]) for w in reference_dyck_words(5, 8)
-    for state, rows in _row_states(5, 8, DyckPath(5, 8, w).xs) if rows
+    for state, rows in _row_states(5, 8, checked_path(5, 8, w).xs) if rows
 })
 
 
@@ -344,7 +345,7 @@ _STEPS = sorted({
 def test_the_walk_raises_the_error_of_the_lex_first_failing_path(monkeypatch, state, row, shift):
     """A laser misfired in one row state spoils the paths through it whose
     facet check it breaks, which need not be all of them; the walk raises
-    exactly what the checked constructor raises on the first of them, also
+    exactly what ``checked_path`` raises on the first of them, also
     when the state's row lists were dropped before the walk found it."""
     _misfiring_reader(monkeypatch, state, row, lambda k: k + shift)
     expected = _first_failure(5, 8)
@@ -359,11 +360,11 @@ def test_the_walk_raises_the_error_of_the_lex_first_failing_path(monkeypatch, st
 @pytest.mark.parametrize("a,b", [(5, 8), (7, 10)])
 def test_the_walk_reads_each_row_state_once(monkeypatch, a, b):
     """The walk reads each row state once, for all its columns: its reads
-    are the (row, pending sources) pairs of the reference paths' row steps,
-    each read once."""
+    are the (row, pending sources) pairs along the reference paths, each
+    read once."""
     states = {
         state[1:] for w in reference_dyck_words(a, b)
-        for state, _ in _row_states(a, b, DyckPath(a, b, w).xs)
+        for state, _ in _row_states(a, b, checked_path(a, b, w).xs)
     }
     read, reads = lattice._read_row, []
 
@@ -380,13 +381,14 @@ def test_the_walk_reads_each_row_state_once(monkeypatch, a, b):
 @pytest.mark.parametrize("a,b", coprime_pairs(max_b=11))
 def test_walk_matches_the_reference_enumerator_and_both_laser_readings(a, b):
     """The walk lists one facet mask per word of the naive enumerator, in its
-    lex order, Cat(a,b) of them; each is the facet its word's constructor
-    fires, and the one ``_laser_hit`` gives row by row, read top-down."""
+    lex order, Cat(a,b) of them; each is the facet ``checked_path`` fires
+    for its word, and the one ``_laser_hit`` gives row by row, read
+    top-down."""
     masks, words = enumerate_dyck_paths(a, b), reference_dyck_words(a, b)
     assert len(masks) == len(words) == rational_catalan(a, b)
     by_ends = admissible_by_ends(a, b)
     for mask, word in zip(masks, words):
-        path = DyckPath(a, b, word)
+        path = checked_path(a, b, word)
         assert mask == path.facet
         xs = path.xs
         assert mask == sum(
@@ -409,7 +411,6 @@ def test_build_ass_builds_no_path_object(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a DyckPath was built")
 
-    monkeypatch.setattr(DyckPath, "__post_init__", forbidden)
-    monkeypatch.setattr(DyckPath, "_trusted", forbidden)
+    monkeypatch.setattr(DyckPath, "__init__", forbidden)
     cpx = build_ass(8, 13)
     assert len(cpx.facets()) == rational_catalan(8, 13)

@@ -4,7 +4,6 @@ import pytest
 
 from ratassoc import (
     Diagonal,
-    DyckPath,
     InvariantViolationError,
     NotAFaceOfHatError,
     all_admissible_diagonals,
@@ -15,6 +14,7 @@ from ratassoc import membership, parse_face
 
 from helpers import (
     all_facets,
+    checked_path,
     coprime_pairs,
     dyck_paths,
     hat,
@@ -35,7 +35,7 @@ D58 = "NNENNEEENEEEE"
 
 def _hand_back_d58(monkeypatch):
     """Make the search hand back D58 whatever it built."""
-    monkeypatch.setattr(membership, "_path_with_lasers", lambda a, b, xs, ends: DyckPath(a, b, D58))
+    monkeypatch.setattr(membership, "_path_with_lasers", lambda a, b, xs, ends: checked_path(a, b, D58))
 
 
 def test_valley_path_that_misses_the_face_is_refused(monkeypatch):
