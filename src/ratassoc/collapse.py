@@ -5,22 +5,25 @@ A pair (G, F') with F' one smaller than G is free when G is the only face
 properly containing F'; removing both is an elementary collapse.  In a
 downward-closed family, uniqueness of the proper superface is equivalent
 to uniqueness of the one-bigger superface: any strictly larger superface
-would contribute a second cofacet by closure.  The engine checks freeness
-through that cofacet test at every single step rather than trusting the
-structural results that imply it.
+would contribute a second cofacet by closure.  The verifier checks
+freeness through that cofacet test at every single step rather than
+trusting the structural results that imply it.
 
 Batches come from cone vertices.  When c extends every face containing F
 to another face, the faces containing F pair up as (F', F' + {c}); taking
 pairs largest first, each pair is free at its turn, and the batch realizes
-the deletion of F.  The generator and the verifier each run a batch as one
+the deletion of F.  That holds exactly when the link of F is a cone with
+apex c.  The generator decides it from the link alone: a current face is a
+clique, so the link is the clique complex of the graph on the vertices
+adjacent to all of F, and it is a cone with apex c exactly when c is one
+of them and adjacent to every other; the pairs are counted as the cliques
+of the rest.  The verifier proves the same batch pair by pair in one
 checked pass: a walk up from F carries, for each face of its star, the
 vertices adjacent to all of that face, and buckets the faces avoiding c by
 size; then, largest F' first, F' + c must be present and no other F' + x,
 x among those vertices, may be; no face of the star may be left.  Each
-check runs at its pair's turn, on the faces the earlier pairs left.  The
-two sides order faces of one size differently: the generator in walk
-order, the verifier by mask.  Both orders are fixed, so witnesses and
-failure indices are the same on every run.
+check runs at its pair's turn, on the faces the earlier pairs left, ties
+by mask, so failure indices are the same on every run.
 
 The full schedule walks the obstruction-graph edges in descending order;
 for the edge {i-k, j-k} it first clears the crossing triples
@@ -48,18 +51,18 @@ edges, the start skeleton's edges the replay dropped
 
 Neither side builds or changes a face set: each treats the current
 complex as a predicate on the start complex's graph.  A stage that passes
-has removed exactly its target's star (no face containing the target is
-left, and the pairs cover the star), so the current complex is the faces
-of the start complex holding no processed target, less the pairs the
-running stage has removed, which go to a set the size of the star.  A
-processed edge leaves a private copy of the start's graph; the walk draws
-a face's children from its common neighbours there, so every face it
-reaches is a clique, hence a face.  The terminal complex is the clique
-complex of what is left of the graph, less the stars of the larger targets
-still live, and equals the flag lattice-path model exactly when the graphs
-are equal and no live target is a clique; face sets are built only to
-describe a difference.  The replay counts the pairs it removes, so the
-terminal complex has the start complex's faces less two per pair.
+has removed exactly its target's star, so the current complex is the
+faces of the start complex holding no processed target, less, in the
+replay, the pairs the running stage has removed, which go to a set the
+size of the star.  A processed edge leaves a private copy of the start's
+graph; the replay's walk draws a face's children from its common
+neighbours there, so every face it reaches is a clique, hence a face.
+The terminal complex is the clique complex of what is left of the graph,
+less the stars of the larger targets still live, and equals the flag
+lattice-path model exactly when the graphs are equal and no live target
+is a clique; face sets are built only to describe a difference.  The
+replay counts the pairs it removes, so the terminal complex has the start
+complex's faces less two per pair.
 """
 
 from __future__ import annotations
@@ -75,12 +78,12 @@ from .complexes import (
     bit_positions,
     bits_of,
     clique_complex,
+    clique_walk,
     face_text,
     face_to_lists,
     guard_b,
 )
 from .errors import (
-    InvariantViolationError,
     MalformedCertificateError,
     NotAFaceError,
     NotConeVertexError,
@@ -220,18 +223,17 @@ class CollapseCertificate:
 
 
 def _cone_batch(adj: list[int], free: int, face_mask: int, cone_bit: int) -> int:
-    """Check the batch that collapses away every current face containing
-    ``face_mask`` via the cone bit; returns its number of pairs.
+    """Decide, by the link of the target, the batch that collapses away
+    every current face containing ``face_mask`` via the cone bit; returns
+    its number of pairs.
 
-    A face is current when it is a clique of ``adj`` within ``free``; the
-    batch's own pairs go to a local set, since they leave it at their turn.
-    The star (complete because the current complex is downward closed) is
-    walked once, each face carrying its common neighbours on the stack, and
-    the faces avoiding the cone bit are bucketed by size as the walk finds
-    them.  One checked pass then takes the pairs largest first, ties in
-    walk order, and checks each at its turn (see the module docstring).
-    Every face reached is current, and so is F' + x exactly when x is a
-    common neighbour of F' and F' + x has not left.
+    A face is current when it is a clique of ``adj`` within ``free``, so the
+    link of the target T is the clique complex of the graph on V, the free
+    vertices outside T adjacent to all of T.  It is a cone with apex c
+    exactly when c is in V and adjacent to every other vertex of V; the
+    pairs (F', F' + c) are then one per clique of V - c, the empty one
+    included.  A failure names a face whose cone extension is missing: T
+    when c is not in V, else T + v for the lowest v of V that c misses.
     """
     within = free  # the vertices of free adjacent to every other vertex of the target
     for pos in bit_positions(face_mask):
@@ -240,50 +242,16 @@ def _cone_batch(adj: list[int], free: int, face_mask: int, cone_bit: int) -> int
         raise NotAFaceError("the target face is not in the complex", witness=face_mask)
     if face_mask & cone_bit:
         raise NotConeVertexError("cone vertex already belongs to the face")
-    common = within & ~face_mask
-    # lower[k]: (face, common neighbours) of the faces k above the target
-    # that avoid the cone, in walk order
-    lower = [[(face_mask, common)]]
-    n_star = 1
-    stack = [(face_mask, common, common, 0)]
-    while stack:
-        face, cand, common, depth = stack.pop()
-        depth += 1
-        if depth == len(lower):
-            lower.append([])
-        bucket = lower[depth]
-        while cand:
-            bit = cand & -cand
-            cand ^= bit  # faces above face | bit add only higher vertices
-            child = face | bit
-            row = adj[bit.bit_length() - 1]
-            shared = common & row
-            n_star += 1
-            if not child & cone_bit:
-                bucket.append((child, shared))
-            stack.append((child, cand & row, shared, depth))
-    gone: set[int] = set()
-    for bucket in reversed(lower):
-        for m, common in bucket:
-            # m | cone is in no earlier pair: those hold other subfaces and
-            # their own extensions
-            facet = m | cone_bit
-            if not common & cone_bit:
-                raise NotConeVertexError("cone condition fails: a face has no extension", witness=m)
-            rest = common ^ cone_bit
-            while rest:
-                bit = rest & -rest
-                if m | bit not in gone:
-                    raise InvariantViolationError(
-                        "a pair is not free: its smaller face has a second cofacet", witness=m
-                    )
-                rest ^= bit
-            gone.add(facet)
-            gone.add(m)
-    # each removed pair lies in the star, so the star is gone iff they cover it
-    if len(gone) != n_star:
-        raise InvariantViolationError("cone pairing does not partition the star")
-    return n_star // 2
+    link = within ^ face_mask
+    if not link & cone_bit:
+        raise NotConeVertexError("cone condition fails: a face has no extension", witness=face_mask)
+    rest = link ^ cone_bit
+    missed = rest & ~adj[cone_bit.bit_length() - 1]
+    if missed:
+        raise NotConeVertexError(
+            "cone condition fails: a face has no extension", witness=face_mask | missed & -missed
+        )
+    return sum(clique_walk(adj, rest).counts)
 
 
 def collapse_schedule(
@@ -299,12 +267,13 @@ def collapse_schedule(
 
     Obstruction edges are processed strictly in descending edge order; for
     each edge, crossing triples are cleared first (in increasing index
-    order), then the edge itself.  A failing stage raises
-    ScheduleFailedError carrying its coordinates and, when there is one,
-    the failing face.  The terminal complex must equal the lattice-path
-    model exactly, or ScheduleFailedError counts the extra and missing
-    faces and carries the first differing face (fewest diagonals, then
-    lowest mask).
+    order), then the edge itself.  Each stage is decided by the link of
+    its target (:func:`_cone_batch`).  A failing stage raises
+    ScheduleFailedError carrying its coordinates and, when there is one, a
+    face whose cone extension is missing.  The terminal complex must equal
+    the lattice-path model exactly, or ScheduleFailedError counts the extra
+    and missing faces and carries the first differing face (fewest
+    diagonals, then lowest mask).
 
     The current complex is a predicate on ``hat``'s graph: a clique is
     current when it holds no processed edge, and, while an edge's batches
@@ -335,7 +304,7 @@ def collapse_schedule(
             face_mask = hat._mask_of(target)
             try:
                 n_pairs = _cone_batch(adj, free, face_mask, bit[cone])
-            except (NotConeVertexError, NotAFaceError, InvariantViolationError) as exc:
+            except (NotConeVertexError, NotAFaceError) as exc:
                 face = None if exc.witness is None else face_text(hat._face_of(exc.witness))
                 where = f"stage (r={r}, q={q}, cone {cone.text()}) failed"
                 raise ScheduleFailedError(

@@ -17,8 +17,9 @@ cells and the face counts the Euler check reads.  The complex keeps the
 walk, so neither needs its face set, and both fields read the same walk.
 When the critical cells all lie in one dimension, discrete Morse theory
 makes them the homology, over every field, and the rank step sees only
-them.  Otherwise every cell is kept and the exact ranks decide.  The
-direct no-preprocessing path is kept and cross-checked in the tests.
+them.  Otherwise every cell is kept and the exact ranks decide.  Either
+way an Euler-characteristic check against the face counts closes the
+computation.
 """
 
 from __future__ import annotations
@@ -176,47 +177,19 @@ def _build_matrices(
     return by_dim, mats
 
 
-def _check_dd_zero(by_dim: dict[int, list[int]], mats: dict[int, BoundaryMatrix]) -> None:
-    """Assert boundary-of-boundary vanishes over the integers."""
-    for k, mat in mats.items():
-        lower = mats.get(k - 1)
-        if lower is None or not mat.columns:
-            continue
-        for col in mat.columns:
-            acc: dict[int, int] = {}
-            for r, c in col:
-                for rr, cc in lower.columns[r]:
-                    acc[rr] = acc.get(rr, 0) + c * cc
-            if any(acc.values()):
-                raise InvariantViolationError(f"boundary squared is nonzero in dim {k}")
-
-
-def betti_numbers(
-    cpx: SimplicialComplex, field: str = "gf2", *, method: str = "auto"
-) -> BettiVector:
+def betti_numbers(cpx: SimplicialComplex, field: str = "gf2") -> BettiVector:
     """Reduced Betti numbers of the complex over the chosen field.
 
-    ``method="direct"`` builds full boundary matrices (and asserts that the
-    boundary composes to zero).  ``"auto"`` ranks the cells
-    :func:`_reduce_cells` leaves: the critical cells of the matching tree
-    when they lie in one dimension, where the ranks are zero and the Betti
-    numbers are their counts, and every cell otherwise.  An
-    Euler-characteristic cross-check against the face counts is enforced
-    in both paths.
+    Ranks the cells :func:`_reduce_cells` leaves: the critical cells of the
+    matching tree when they lie in one dimension, where the ranks are zero
+    and the Betti numbers are their counts, and every cell otherwise.  An
+    Euler-characteristic cross-check against the face counts is enforced.
     """
     if field not in FIELDS:
         raise ValueError(f"unknown field {field!r}; expected one of {FIELDS}")
     f = cpx.f_vector_counts()
     dim = len(f) - 2
-    if method == "direct":
-        cells = cpx.mask_set
-    elif method == "auto":
-        cells = _reduce_cells(cpx)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    by_dim, mats = _build_matrices(cells)
-    if method == "direct":
-        _check_dd_zero(by_dim, mats)
+    by_dim, mats = _build_matrices(_reduce_cells(cpx))
     ranks = {k: mat.rank(field) for k, mat in mats.items()}
     values = []
     for k in range(-1, dim + 1):

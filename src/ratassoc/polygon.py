@@ -63,9 +63,15 @@ class Diagonal:
 
     @classmethod
     def parse(cls, text: str, b: int) -> "Diagonal":
-        """Parse the text form ``"i-j"``."""
+        """Parse the text form ``"i-j"``; any other text raises ValueError
+        naming it."""
         left, _, right = text.partition("-")
-        return cls(int(left), int(right), b)
+        try:
+            i, j = int(left), int(right)
+        except ValueError:
+            message = f"malformed diagonal {text!r}: expected i-j with integers i and j"
+            raise ValueError(message) from None
+        return cls(i, j, b)
 
 
 @lru_cache(maxsize=None)

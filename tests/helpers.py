@@ -36,6 +36,7 @@ from ratassoc import (
 )
 from ratassoc import lattice
 from ratassoc.complexes import bit_positions, bits_of
+from ratassoc.homology import BettiVector, _build_matrices
 from ratassoc.polygon import admissible_by_ends, admissible_compatibility, check_slope_pair
 from ratassoc.polygon import compatibility_masks
 
@@ -434,6 +435,36 @@ def random_dyck_path(a: int, b: int, rng: random.Random) -> DyckPath:
         else:
             east += 1
     return checked_path(a, b, "".join(word))
+
+
+# -- the direct homology route: the oracle for the matching-tree reduction
+
+
+def check_dd_zero(by_dim: dict, mats: dict) -> None:
+    """Assert boundary-of-boundary vanishes over the integers."""
+    for k, mat in mats.items():
+        lower = mats.get(k - 1)
+        if lower is None or not mat.columns:
+            continue
+        for col in mat.columns:
+            acc: dict[int, int] = {}
+            for r, c in col:
+                for rr, cc in lower.columns[r]:
+                    acc[rr] = acc.get(rr, 0) + c * cc
+            if any(acc.values()):
+                raise InvariantViolationError(f"boundary squared is nonzero in dim {k}")
+
+
+def direct_betti(cpx: SimplicialComplex, field: str) -> BettiVector:
+    """Reduced Betti numbers from the boundary matrices of every face of
+    ``cpx``, with no reduction, once the boundary is checked to compose to
+    zero."""
+    by_dim, mats = _build_matrices(cpx.mask_set)
+    check_dd_zero(by_dim, mats)
+    ranks = {k: mat.rank(field) for k, mat in mats.items()}
+    values = tuple(len(by_dim.get(k, [])) - ranks.get(k, 0) - ranks.get(k + 1, 0)
+                   for k in range(-1, cpx.dim + 1))
+    return BettiVector(field, cpx.dim, values)
 
 
 # -- the explicit collapse engine: oracles for the predicate generator and replay

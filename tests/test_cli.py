@@ -5,6 +5,7 @@ byte-stable output and one argument parser for every call."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from collections import Counter
@@ -61,6 +62,16 @@ def test_golden_certificate_5_8(tmp_path, capsys):
     assert code == cli.EXIT_OK
     assert out == golden
     assert emit(tmp_path, capsys, 5, 8).read_text(encoding="utf-8") == golden
+
+
+def test_certificate_11_13_digest(capsys):
+    """The largest pair below the default cap: its certificate is pinned by
+    digest, byte for byte."""
+    code, out, err = run(capsys, "collapse", "--a", "11", "--b", "13", "--emit", "-")
+    assert code == cli.EXIT_OK and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "bad7478fe13e2de613561139bdbd22940376045b7a04b6f4903d957f22be0f19"
+    )
 
 
 def test_collapse_and_verify_output_is_byte_stable(tmp_path, capsys):
@@ -255,6 +266,14 @@ def test_face_outside_noncrossing_model_exits_2(capsys, command, face, reason):
     code, out, err = run(capsys, command, "--a", "3", "--b", "5", "--face", face)
     assert code == cli.EXIT_USAGE and out == ""
     assert err == f"error: {reason}\n"
+
+
+@pytest.mark.parametrize("text", ["a-b", "5", "1-2-3"])
+@pytest.mark.parametrize("command", ["render", "membership"])
+def test_malformed_face_names_the_bad_diagonal(capsys, command, text):
+    code, out, err = run(capsys, command, "--a", "3", "--b", "5", "--face", text)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err == f"error: malformed diagonal {text!r}: expected i-j with integers i and j\n"
 
 
 def test_render_draws_a_valid_face(capsys):

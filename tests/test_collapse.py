@@ -25,7 +25,6 @@ from ratassoc import (
     build_hat_ass,
     collapse_schedule,
     face_text,
-    parse_face,
     verify_certificate,
 )
 from ratassoc import collapse, complexes
@@ -80,7 +79,7 @@ def predicate_batch(cpx, target: int, cone: int):
     rows = list(adj)
     try:
         result = _cone_batch(rows, vertices, target, cone)
-    except (NotAFaceError, NotConeVertexError, InvariantViolationError) as exc:
+    except (NotAFaceError, NotConeVertexError) as exc:
         result = (type(exc), str(exc), exc.witness)
     assert rows == list(adj)
     return result
@@ -159,6 +158,40 @@ def test_cone_batch_refuses_a_cone_in_the_target():
         explicit_cone_batch({0, 0b01, 0b11}, 0b11, 0b10, [0b11] * 2)
     err = predicate_batch(graph_complex(VERTICES[:2], 0b11, [(0, 1)]), 0b11, 0b10)
     assert err == (NotConeVertexError, "cone vertex already belongs to the face", None)
+
+
+NO_EXTENSION = "cone condition fails: a face has no extension"
+
+
+@pytest.mark.parametrize("vertices,edges,free,expected", [
+    # the cone is no free vertex: the target itself has no extension
+    (0b111, [(0, 1), (0, 2), (1, 2)], 0b101, ("face", 0b001)),
+    # the cone is not adjacent to the target
+    (0b111, [(0, 2), (1, 2)], 0b111, ("face", 0b001)),
+    # the cone misses vertex 2 of the link {1, 2, 3}: the target plus 2
+    (0b1111, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)], 0b1111, ("face", 0b0101)),
+    # the link is the cone alone: one pair, the target and the target + cone
+    (0b111, [(0, 1), (1, 2)], 0b111, ("pairs", 1)),
+])
+def test_cone_batch_decides_by_the_link(vertices, edges, free, expected):
+    """Target vertex 0, cone vertex 1, on small graphs: the generator's
+    batch fails or counts as the explicit batch on the faces within
+    ``free`` does, and a failure names its own face."""
+    target, cone = 0b01, 0b10
+    cpx = graph_complex(VERTICES[:vertices.bit_length()], vertices, edges)
+    adj = list(cpx._graph[0])
+    try:
+        got = ("pairs", _cone_batch(adj, free, target, cone))
+    except NotConeVertexError as exc:
+        assert str(exc) == NO_EXTENSION
+        got = ("face", exc.witness)
+    assert got == expected and adj == list(cpx._graph[0])
+    kept = [(u, v) for u, v in edges if free >> u & free >> v & 1]
+    oracle = explicit_batch(graph_complex(cpx.ground, free, kept), target, cone)
+    if expected[0] == "pairs":
+        assert oracle == expected[1]
+    else:
+        assert oracle[:2] == (NotConeVertexError, NO_EXTENSION)
 
 
 def test_cone_batch_refuses_a_star_its_pairs_do_not_cover():
@@ -407,8 +440,9 @@ def rewired(cpx, drop=(), add=()) -> SimplicialComplex:
 
 def test_schedule_failure_carries_stage_and_face():
     """A start lacking the edge from the first stage's cone to the lowest
-    vertex x of its star: the largest faces holding the target and x no
-    longer extend by the cone."""
+    vertex x of its star: the faces holding the target and x no longer
+    extend by the cone.  The generator fails at the explicit engine's stage
+    with its reason, and names the smallest such face, the target plus x."""
     h = hat(5, 8)
     stage = schedule(5, 8).stages[0]
     target, cone = h._mask_of(stage.target), h._bit[stage.cone]
@@ -424,14 +458,14 @@ def test_schedule_failure_carries_stage_and_face():
     with pytest.raises(ScheduleFailedError) as info:
         collapse_schedule(5, 8, hat=broken, ass=ass(5, 8), graph=obstruction_graph(5, 8))
     err = info.value
-    assert (str(err), err.r, err.q, err.face) == (str(oracle), oracle.r, oracle.q, oracle.face)
+    reason = str(err).partition(" at face ")[0]
+    assert (err.r, err.q, reason) == (oracle.r, oracle.q, str(oracle).partition(" at face ")[0])
     assert (err.r, err.q) == (stage.r, stage.q)
-    # a largest face of the broken star holding x, whose cone extension was
-    # a face of the noncrossing model before the edge went
-    m = h._mask_of(parse_face(err.face, 8))
-    assert m & (target | x) == target | x and not m & cone and m | cone in h.mask_set
-    assert m.bit_count() == max(f.bit_count() for f in broken.mask_set
-                                if f & (target | x) == target | x and not f & cone)
+    # x is the lowest vertex of the link the cone misses, so the face named
+    # is the target plus x, whose cone extension went with the edge
+    assert err.face == face_text(h._face_of(target | x))
+    assert target | x in broken.mask_set and target | x | cone not in broken.mask_set
+    assert target | x | cone in h.mask_set
     assert f"(r={stage.r}, q={stage.q}, cone {stage.cone.text()})" in str(err)
 
 
@@ -636,7 +670,9 @@ def test_cone_lemma_on_both_sides(cpx, data):
     vertex c goes through exactly when every face containing T and avoiding
     c extends by c; then it realizes the deletion of T, the generator's batch
     counts its pairs, and the replay of the same stage agrees with both
-    explicit replays."""
+    explicit replays.  A failing generator batch fails as the explicit one
+    does, and names T when c is not in the link of T, else T + v for the
+    lowest v of the link that c misses."""
     faces = sorted((f for f in cpx.faces() if 0 < len(f) < len(VERTICES)),
                    key=lambda f: sorted(d.key() for d in f))
     target = data.draw(st.sampled_from(faces), label="target")
@@ -644,7 +680,18 @@ def test_cone_lemma_on_both_sides(cpx, data):
     lower = [f for f in cpx.faces() if target <= f and cone not in f]
     is_cone = all(cpx.has_face(f | {cone}) for f in lower)
     t, c = cpx._mask_of(target), cpx._bit[cone]
-    assert predicate_batch(cpx, t, c) == explicit_batch(cpx, t, c)
+    got, oracle = predicate_batch(cpx, t, c), explicit_batch(cpx, t, c)
+    if is_cone:
+        assert got == oracle == len(lower)
+    else:
+        assert got[:2] == oracle[:2] == (NotConeVertexError, NO_EXTENSION)
+        adj, vertices = cpx._graph
+        link = vertices & ~t
+        for p in bit_positions(t):
+            link &= adj[p]
+        missed = link & ~c & ~adj[c.bit_length() - 1]
+        assert got[2] == (t | missed & -missed if link & c else t)
+        assert cpx._face_of(got[2]) in lower
     if is_cone:
         pairs, masks = cone_batch(cpx, target, cone)
         assert masks == without_star(cpx, target)

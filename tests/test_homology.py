@@ -19,12 +19,14 @@ from ratassoc import (
     homology,
 )
 from ratassoc.complexes import bit_positions, clique_walk
-from ratassoc.homology import _build_matrices, _check_dd_zero, _reduce_cells
+from ratassoc.homology import _build_matrices, _reduce_cells
 
 from helpers import (
     ass,
+    check_dd_zero,
     closure,
     coprime_pairs,
+    direct_betti,
     flag_witness,
     graph_complex,
     graph_complexes,
@@ -50,13 +52,13 @@ def test_lonely_empty_face_complex():
     cpx = ass(1, 4)
     assert cpx.dim == -1
     assert betti_numbers(cpx, "gf2").nonzero() == {-1: 1}
-    assert betti_numbers(cpx, "q", method="direct").nonzero() == {-1: 1}
+    assert direct_betti(cpx, "q").nonzero() == {-1: 1}
 
 
 def test_boundary_squared_vanishes():
     for a, b in [(3, 5), (5, 8), (4, 7)]:
         by_dim, mats = _build_matrices(set(ass(a, b).mask_set))
-        _check_dd_zero(by_dim, mats)
+        check_dd_zero(by_dim, mats)
 
 
 @pytest.mark.parametrize("a,b", coprime_pairs(max_sum=12))
@@ -64,7 +66,7 @@ def test_reduction_agrees_with_direct_ranks(a, b):
     for cpx in (ass(a, b), hat(a, b)):
         for field in ("gf2", "q"):
             fast = betti_numbers(cpx, field)
-            slow = betti_numbers(cpx, field, method="direct")
+            slow = direct_betti(cpx, field)
             assert fast.values == slow.values
 
 
@@ -81,10 +83,7 @@ def test_reduction_agrees_on_random_subcomplexes():
                      if u < v and rng.random() < 0.5]
             cpx = graph_complex(model.ground, kept, edges, a, b)
             for field in ("gf2", "q"):
-                assert (
-                    betti_numbers(cpx, field).values
-                    == betti_numbers(cpx, field, method="direct").values
-                )
+                assert betti_numbers(cpx, field).values == direct_betti(cpx, field).values
 
 
 # nine vertices, some of which may lie in no face at all
@@ -96,7 +95,7 @@ VERTICES = [Diagonal(0, k, 12) for k in range(2, 11)]
 def test_reduction_agrees_with_direct_on_random_families(cpx):
     """Clique complexes of random graphs: isolated vertices, several
     components and the lone empty face (no vertices) included."""
-    direct = {f: betti_numbers(cpx, f, method="direct").values for f in ("gf2", "q")}
+    direct = {f: direct_betti(cpx, f).values for f in ("gf2", "q")}
     assert betti_numbers(cpx, "gf2").values == direct["gf2"]
     reduced, counts = _reduce_cells(cpx), cpx.f_vector_counts()
     # the second field reads the same reduction and face counts, walked once
@@ -184,7 +183,7 @@ def test_reduction_leaves_one_cell_on_a_flag_sphere(graph, betti):
     assert {cell.bit_count() - 1: 1} == betti
     for field in ("gf2", "q"):
         vec = betti_numbers(cpx, field)
-        assert vec.values == betti_numbers(cpx, field, method="direct").values
+        assert vec.values == direct_betti(cpx, field).values
         assert vec.nonzero() == betti
 
 
@@ -198,7 +197,7 @@ def test_reduction_keeps_every_cell_when_the_tree_cannot_decide(graph, betti):
     assert _reduce_cells(cpx) == cpx.mask_set
     for field in ("gf2", "q"):
         vec = betti_numbers(cpx, field)
-        assert vec.values == betti_numbers(cpx, field, method="direct").values
+        assert vec.values == direct_betti(cpx, field).values
         assert vec.nonzero() == betti
 
 
