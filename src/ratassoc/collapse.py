@@ -17,13 +17,17 @@ apex c.  The generator decides it from the link alone: a current face is a
 clique, so the link is the clique complex of the graph on the vertices
 adjacent to all of F, and it is a cone with apex c exactly when c is one
 of them and adjacent to every other; the pairs are counted as the cliques
-of the rest.  The verifier proves the same batch pair by pair in one
-checked pass: a walk up from F carries, for each face of its star, the
-vertices adjacent to all of that face, and buckets the faces avoiding c by
-size; then, largest F' first, F' + c must be present and no other F' + x,
-x among those vertices, may be; no face of the star may be left.  Each
-check runs at its pair's turn, on the faces the earlier pairs left, ties
-by mask, so failure indices are the same on every run.
+of the rest.  The verifier decides each stage by the same link with its
+own code: its own cone test and its own clique count.  A stage the link
+does not pass, or one whose link holds the two or more vertices a live
+target (see below) has outside F, goes to a star walk, which proves the
+batch pair by pair and explains a rejection: a walk up from F carries,
+for each face of its star, the vertices adjacent to all of that face, and
+buckets the faces avoiding c by size; then, largest F' first, F' + c must
+be present and no other F' + x, x among those vertices, may be; no face
+of the star may be left.  Each check runs at its pair's turn, on the
+faces the earlier pairs left, ties by mask, so failure indices are the
+same on every run.
 
 The full schedule walks the obstruction-graph edges in descending order;
 for the edge {i-k, j-k} it first clears the crossing triples
@@ -44,19 +48,19 @@ face T whose containing faces it removes and ``pairs`` the number of
 pairs.  :func:`verify_certificate` expands a stage with its own code into
 the pairs (F', F' + c), one for every current face F' containing T and
 avoiding c: T must be present and avoid c, there must be exactly ``pairs``
-pairs and they must pass the checked pass; then the terminal complex must
-equal the lattice-path model, and the labels must fit the obstruction
-edges, the start skeleton's edges the replay dropped
-(:meth:`StageReplay.check_labels`).
+pairs and each must be free at its turn, which a cone link shows at once
+and the checked pass otherwise; then the terminal complex must equal the
+lattice-path model, and the labels must fit the obstruction edges, the
+start skeleton's edges the replay dropped (:meth:`StageReplay.check_labels`).
 
 Neither side builds or changes a face set: each treats the current
 complex as a predicate on the start complex's graph.  A stage that passes
 has removed exactly its target's star, so the current complex is the
 faces of the start complex holding no processed target, less, in the
-replay, the pairs the running stage has removed, which go to a set the
-size of the star.  A processed edge leaves a private copy of the start's
-graph; the replay's walk draws a face's children from its common
-neighbours there, so every face it reaches is a clique, hence a face.
+replay's star walk, the pairs the running stage has removed, which go to
+a set the size of the star.  A processed edge leaves a private copy of
+the start's graph; the replay's link and star walk read it, so every face
+the walk reaches is a clique, hence a face.
 The terminal complex is the clique complex of what is left of the graph,
 less the stars of the larger targets still live, and equals the flag
 lattice-path model exactly when the graphs are equal and no live target
@@ -359,22 +363,30 @@ class StageReplay:
 
     Shares no code with the schedule generator.  The current complex is a
     predicate: the faces of the start complex that hold no processed stage
-    target, less the pairs of the running stage, which go to a local set.
+    target, less, while the star walk runs, the pairs of its stage, which
+    go to a local set.
     A processed target of one vertex drops that vertex, and one of two
     drops that edge, from a private copy of the start's 1-skeleton; a
     larger one stays live until a vertex or an edge inside it is dropped.
     This is exact because a stage that passes has removed exactly its
     target's star.  After a rejected stage the replay is over.
 
-    The star of a stage target is walked upward through the current
-    skeleton, each face carrying the vertices adjacent to all of it, and one
-    checked pass draws each cofacet test's candidates from what the walk
-    kept; both are complete because the start complex is downward closed
-    and removing stars keeps it so.  A live target with one vertex outside
-    the stage target bars that vertex from the walk; one with more is
-    checked face by face.  Every face the walk reaches is a clique, hence a
-    face.  The pairs go largest first, ties by mask, and each check runs at
-    its pair's turn.
+    A stage is decided by its target's link, V_T: the vertices outside the
+    target adjacent to all of it in the current skeleton, less those that
+    complete a live target with one vertex outside the target.  When no
+    live target has two or more vertices outside the target, all in V_T,
+    the star is the target plus each clique of V_T, so a cone link with the
+    recorded count passes at once (:meth:`_link_pairs`).  Any other stage
+    goes to the star walk: the star is walked upward through the current
+    skeleton, each face carrying the vertices adjacent to all of it, and
+    one checked pass draws each cofacet test's candidates from what the
+    walk kept; both are complete because the start complex is downward
+    closed and removing stars keeps it so.  A live target with two or more
+    vertices outside the stage target is checked face by face.  Every face
+    the walk reaches is a clique, hence a face.  The pairs go largest
+    first, ties by mask, and each check runs at its pair's turn, so a
+    rejected stage is named, and its partial collapse left, by the walk.
+    The link route shares no code with the generator's.
     """
 
     def __init__(self, start: SimplicialComplex, cert: CollapseCertificate):
@@ -402,18 +414,99 @@ class StageReplay:
         adj = self._adj
         return not any(face & ~adj[p] & ~(1 << p) for p in bit_positions(face))
 
-    def _star(self, target: int, cone: int, avoid: int, wide: list[int]):
+    def _link(self, target: int) -> tuple[int, list[int]]:
+        """V_T, the vertices outside ``target`` adjacent to all of it that
+        complete no live target, and the live targets with two or more
+        vertices outside it, which the star walk checks face by face."""
+        avoid, wide = 0, []
+        for live in self._live:
+            out = live & ~target
+            if out & (out - 1):
+                wide.append(live)
+            else:
+                avoid |= out
+        link = ~(target | avoid)
+        for p in bit_positions(target):
+            link &= self._adj[p]
+        return link, wide
+
+    def _link_pairs(self, target: int, cone: int, link: int, wide: list[int]) -> int | None:
+        """The pair count of a stage whose target's link is a cone with apex
+        ``cone``, or None when the link is not one, or when a target in
+        ``wide`` lies in ``target | link`` and the link alone cannot say.
+
+        ``link`` is V_T, the vertices outside the target adjacent to all of
+        it that complete no live target.  With no wide target inside it,
+        the star of the target is T + F for every clique F of V_T, so the
+        link is a cone with apex c exactly when c is in V_T and adjacent to
+        every other vertex of it; the pairs are the cliques of V_T - c.
+        """
+        if not link & cone or any(not w & ~target & ~link for w in wide):
+            return None
+        rest = link ^ cone
+        if rest & ~self._adj[cone.bit_length() - 1]:
+            return None
+        return self._cliques(rest)
+
+    def _cliques(self, free: int) -> int:
+        """The number of cliques of the current skeleton within ``free``, the
+        empty one included: P(X) = P(X - p) + P(X & adj[p]) for the top
+        vertex p of X, memoised on X and run on an explicit stack."""
+        adj, memo = self._adj, {0: 1}
+        stack = [free]
+        while stack:
+            x = stack[-1]
+            if x in memo:
+                stack.pop()
+                continue
+            p = x.bit_length() - 1
+            without, within = x ^ 1 << p, x & adj[p]
+            n, m = memo.get(without), memo.get(within)
+            if n is None:
+                stack.append(without)
+            if m is None:
+                stack.append(within)
+            if n is not None and m is not None:
+                memo[x] = n + m
+                stack.pop()
+        return memo[free]
+
+    def expand(self, stage: StageRecord) -> str | None:
+        """Remove the pairs of ``stage``; returns None, or the fixed reason
+        of the first check that fails.
+
+        The stage is decided by its target's link (:meth:`_link_pairs`): a
+        cone link with the recorded pair count passes at once, its pairs
+        counted, not listed.  Any other stage goes to the star walk, whose
+        checked pass removes the pairs one at a time, checking each at its
+        turn, and names the first check that fails; the pairs removed before
+        it stay removed.
+        """
+        target = 0
+        for d in stage.target:
+            target |= self._bit[d]
+        cone = self._bit[stage.cone]
+        if not target:  # every face contains it, and a star walk from ~0 = -1 never ends
+            return "stage target is empty"
+        if not self._spans(target) or any(target & live == live for live in self._live):
+            return "stage target missing from current complex"
+        if target & cone:
+            return "stage target contains its cone"
+        link, wide = self._link(target)
+        if self._link_pairs(target, cone, link, wide) == stage.n_steps:
+            self.steps_applied += stage.n_steps
+            self._drop(target)
+            return None
+        return self._walk(stage.n_steps, target, cone, link, wide)
+
+    def _star(self, target: int, cone: int, common: int, wide: list[int]):
         """The faces containing ``target`` and no live target: those avoiding
         ``cone`` in buckets by size above the target, each as (face, the
         vertices outside it adjacent to all of it), and those containing
-        ``cone``.  No face holds a vertex of ``avoid``, or all of a target
-        in ``wide``."""
-        lower, upper = [[]], []
+        ``cone``.  Each face adds vertices of ``common`` to the target, and
+        none holds all of a target in ``wide``."""
+        lower, upper = [[(target, common)]], []
         adj = self._adj
-        common = ~(target | avoid)
-        for p in bit_positions(target):
-            common &= adj[p]
-        lower[0].append((target, common))
         stack = [(target, common, common, 0)]
         while stack:
             face, cand, common, depth = stack.pop()
@@ -435,31 +528,11 @@ class StageReplay:
                     stack.append((child, cand & row, shared, depth))
         return lower, upper
 
-    def expand(self, stage: StageRecord) -> str | None:
-        """Remove the pairs of ``stage``, checking each at its turn.
-
-        Returns None, or the fixed reason of the first check that fails;
-        the pairs removed before it stay removed.
-        """
-        target = 0
-        for d in stage.target:
-            target |= self._bit[d]
-        cone = self._bit[stage.cone]
-        if not target:  # every face contains it, and a star walk from ~0 = -1 never ends
-            return "stage target is empty"
-        if not self._spans(target) or any(target & live == live for live in self._live):
-            return "stage target missing from current complex"
-        if target & cone:
-            return "stage target contains its cone"
-        avoid, wide = 0, []
-        for live in self._live:
-            out = live & ~target
-            if out & (out - 1):
-                wide.append(live)
-            else:
-                avoid |= out
-        lower, upper = self._star(target, cone, avoid, wide)
-        if sum(map(len, lower)) != stage.n_steps:
+    def _walk(self, n_steps: int, target: int, cone: int, link: int, wide: list[int]) -> str | None:
+        """The star walk and its checked pass: the pairs go largest first,
+        ties by mask, each check at its pair's turn."""
+        lower, upper = self._star(target, cone, link, wide)
+        if sum(map(len, lower)) != n_steps:
             return "expanded pair count differs from the certificate"
         gone = self._gone
         for bucket in reversed(lower):
@@ -584,10 +657,13 @@ def verify_certificate(
     non-empty, present and avoid the cone, its expansion must have the
     recorded pair count, and each pair (F', F' + c) must be present with
     F' + c the only face properly containing F' at its turn; no face
-    containing the target may be left after the stage.  The terminal
-    complex must equal ``target``.  Stops at the first rejected stage.
-    Then each stage's (r, q) must fit the obstruction edges, the 1-skeleton
-    edges of ``start`` the replay dropped (:meth:`StageReplay.check_labels`).
+    containing the target may be left after the stage.  A stage whose
+    target's link is a cone with the recorded count passes by that alone;
+    the star walk decides, and names the first failing check of, any other
+    (:meth:`StageReplay.expand`).  The terminal complex must equal
+    ``target``.  Stops at the first rejected stage.  Then each stage's
+    (r, q) must fit the obstruction edges, the 1-skeleton edges of
+    ``start`` the replay dropped (:meth:`StageReplay.check_labels`).
     """
     replay = StageReplay(start, cert)
     failure = replay.run(cert.stages)

@@ -74,6 +74,27 @@ def test_certificate_11_13_digest(capsys):
     )
 
 
+def test_verify_11_13_report(tmp_path, capsys):
+    """The largest pair below the default cap verifies to the report pinned
+    here byte for byte: every pair applied, the lattice-path model left."""
+    path = emit(tmp_path, capsys, 11, 13)
+    code, out, err = run(capsys, "verify", "--cert", str(path))
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert out == (
+        "{\n"
+        '  "a": 11,\n'
+        '  "b": 13,\n'
+        '  "failure_index": null,\n'
+        '  "ok": true,\n'
+        '  "reason": null,\n'
+        '  "schema": 1,\n'
+        '  "steps_applied": 1933554,\n'
+        '  "target_matched": true,\n'
+        '  "terminal_face_count": 4073898\n'
+        "}\n"
+    )
+
+
 def test_collapse_and_verify_output_is_byte_stable(tmp_path, capsys):
     path = emit(tmp_path, capsys, 4, 7)
     first = run(capsys, "verify", "--cert", str(path))

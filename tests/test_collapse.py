@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 import signal
 from dataclasses import replace
@@ -855,3 +856,110 @@ def test_replay_around_a_live_target_follows_the_explicit_replay(second):
         assert replay.current_faces() == oracle.masks
         if len(target) == 3:
             assert replay._live == [t]
+
+
+# -- the replay's link route against its star walk ----------------------------
+
+
+def _twin(replay: StageReplay) -> StageReplay:
+    """A second replay at the point ``replay`` has reached between stages."""
+    twin = copy.copy(replay)
+    twin._adj, twin._live, twin._gone = list(replay._adj), list(replay._live), set()
+    return twin
+
+
+@pytest.mark.parametrize("a,b", coprime_pairs(max_b=11))
+def test_link_route_equals_the_star_walk(a, b):
+    """At every stage, and with its cone moved to another vertex of the
+    target's link, the link route's decision is the star walk's: both
+    accept with the same count, or the link route declines and the star
+    walk, given its own count, rejects.  The star walk runs on a second
+    replay at the same point; no stage of a generated certificate needs it."""
+    cert, start = schedule(a, b), hat(a, b)
+    replay, walker = StageReplay(start, cert), StageReplay(start, cert)
+    for k, stage in enumerate(cert.stages):
+        target, cone = start._mask_of(stage.target), start._bit[stage.cone]
+        link, wide = replay._link(target)
+        assert (link, wide) == walker._link(target), (a, b, k)
+        others = link & ~cone
+        for c in (cone, others & -others) if others else (cone,):
+            count = replay._link_pairs(target, c, link, wide)
+            lower, _ = walker._star(target, c, link, wide)
+            star = _twin(walker)
+            reason = star._walk(sum(map(len, lower)), target, c, link, wide)
+            if count is None:
+                assert reason is not None, (a, b, k, c)
+            else:
+                assert reason is None and star.steps_applied - walker.steps_applied == count
+        assert replay._link_pairs(target, cone, link, wide) == stage.n_steps, (a, b, k)
+        walked = walker.steps_applied
+        assert walker._walk(stage.n_steps, target, cone, link, wide) is None, (a, b, k)
+        assert walker.steps_applied - walked == stage.n_steps
+        assert replay.expand(stage) is None and not replay._gone, (a, b, k)
+        assert replay.steps_applied == walker.steps_applied
+        assert (replay._adj, replay._live) == (walker._adj, walker._live)
+
+
+def test_a_wide_live_target_sends_its_stage_to_the_star_walk(monkeypatch):
+    """Swapping stages 1 and 4 of (7,10) leaves the crossing triple of edge
+    33 live when the first crossing triple of edge 30 is cleared: two of
+    its vertices lie outside that target, both in its link, and the cone
+    is adjacent to the rest of the link.  The link route declines the
+    stage and the star walk decides it, as the exhaustive explicit replay
+    does: it refuses the recorded count, and the count of the whole link,
+    which ignores the live target; with its own count the stage passes,
+    and the replay goes on to refuse stage 3."""
+    cert = schedule(7, 10)
+    stages = list(cert.stages)
+    assert [(s.r, s.q) for s in (stages[1], stages[4])] == [(33, 2), (30, 1)]
+    stages[1], stages[4] = stages[4], stages[1]
+    walks = []
+    star = StageReplay._star
+    monkeypatch.setattr(
+        StageReplay, "_star", lambda self, *args: walks.append(args[0]) or star(self, *args)
+    )
+    replay = StageReplay(hat(7, 10), cert)
+    assert replay.run(stages[:1]) is None and not walks
+    wide_stage = stages[1]
+    target, cone = replay._start._mask_of(wide_stage.target), replay._bit[wide_stage.cone]
+    link, wide = replay._link(target)
+    (live,) = replay._live
+    assert wide == [live] and (live & ~target).bit_count() == 2 and not live & ~target & ~link
+    assert link & cone and not link & ~cone & ~replay._adj[cone.bit_length() - 1]
+    assert replay._link_pairs(target, cone, link, wide) is None
+    whole_link = replay._cliques(link ^ cone)
+    own = sum(map(len, star(replay, target, cone, link, wide)[0]))
+    assert len({wide_stage.n_steps, whole_link, own}) == 3
+    later = replay._start._mask_of(stages[3].target)
+    for n_steps, index, walked in [
+        (wide_stage.n_steps, 1, [target]),
+        (whole_link, 1, [target]),
+        (own, 3, [target, later]),
+    ]:
+        stages[1] = replace(wide_stage, n_steps=n_steps)
+        mutated = CollapseCertificate(7, 10, cert.ground, tuple(stages))
+        walks.clear()
+        report = verify_certificate(hat(7, 10), ass(7, 10), mutated)
+        assert walks == walked
+        assert (report.ok, report.failure_index) == (False, index)
+        assert report.reason == "expanded pair count differs from the certificate"
+        assert report == exhaustive_verify(hat(7, 10), ass(7, 10), mutated)
+
+
+def test_a_passing_stage_is_decided_by_its_link_alone(monkeypatch):
+    """A valid certificate verifies with the generator's batch and clique
+    walk, the face-set builder and the star walk all out of reach: every
+    stage passes by its link and leaves no pair set behind."""
+    start, model, cert = hat(7, 10), ass(7, 10), schedule(7, 10)
+
+    def forbidden(*args):
+        raise AssertionError("the link route left its own code")
+
+    for name in ("_cone_batch", "clique_walk", "clique_complex"):
+        monkeypatch.setattr(collapse, name, forbidden)
+    monkeypatch.setattr(StageReplay, "_star", forbidden)
+    replay = StageReplay(start, cert)
+    for k, stage in enumerate(cert.stages):
+        assert replay.expand(stage) is None and not replay._gone, k
+    assert replay.steps_applied == cert.n_steps and replay.matches(model)
+    assert verify_certificate(start, model, cert).ok
