@@ -374,19 +374,18 @@ class StageReplay:
     A stage is decided by its target's link, V_T: the vertices outside the
     target adjacent to all of it in the current skeleton, less those that
     complete a live target with one vertex outside the target.  When no
-    live target has two or more vertices outside the target, all in V_T,
-    the star is the target plus each clique of V_T, so a cone link with the
-    recorded count passes at once (:meth:`_link_pairs`).  Any other stage
-    goes to the star walk: the star is walked upward through the current
-    skeleton, each face carrying the vertices adjacent to all of it, and
-    one checked pass draws each cofacet test's candidates from what the
-    walk kept; both are complete because the start complex is downward
-    closed and removing stars keeps it so.  A live target with two or more
-    vertices outside the stage target is checked face by face.  Every face
-    the walk reaches is a clique, hence a face.  The pairs go largest
-    first, ties by mask, and each check runs at its pair's turn, so a
-    rejected stage is named, and its partial collapse left, by the walk.
-    The link route shares no code with the generator's.
+    live target is wide, with two or more vertices outside the target, all
+    in V_T, the star is the target plus each clique of V_T, so a cone link
+    with the recorded count passes at once (:meth:`_link_pairs`).  Any
+    other stage goes to the star walk: the star is walked upward through
+    the current skeleton, each face carrying the vertices adjacent to all
+    of it, and one checked pass draws each cofacet test's candidates from
+    what the walk kept; both are complete because the start complex is
+    downward closed and removing stars keeps it so.  A wide live target is
+    checked face by face.  Every face the walk reaches is a clique, hence a
+    face.  The pairs go largest first, ties by mask, and each check runs at
+    its pair's turn, so a rejected stage is named, and its partial collapse
+    left, by the walk.  The link route shares no code with the generator's.
     """
 
     def __init__(self, start: SimplicialComplex, cert: CollapseCertificate):
@@ -416,32 +415,33 @@ class StageReplay:
 
     def _link(self, target: int) -> tuple[int, list[int]]:
         """V_T, the vertices outside ``target`` adjacent to all of it that
-        complete no live target, and the live targets with two or more
-        vertices outside it, which the star walk checks face by face."""
-        avoid, wide = 0, []
+        complete no live target, and the wide live targets: those with two
+        or more vertices outside the target, all in V_T.  Only these can lie
+        in a face of the target's star; the star walk checks each face
+        against them."""
+        avoid, outside = 0, []
         for live in self._live:
             out = live & ~target
             if out & (out - 1):
-                wide.append(live)
+                outside.append(live)
             else:
                 avoid |= out
         link = ~(target | avoid)
         for p in bit_positions(target):
             link &= self._adj[p]
-        return link, wide
+        return link, [w for w in outside if not w & ~target & ~link]
 
-    def _link_pairs(self, target: int, cone: int, link: int, wide: list[int]) -> int | None:
+    def _link_pairs(self, cone: int, link: int, wide: list[int]) -> int | None:
         """The pair count of a stage whose target's link is a cone with apex
-        ``cone``, or None when the link is not one, or when a target in
-        ``wide`` lies in ``target | link`` and the link alone cannot say.
+        ``cone``, or None when the link is not one, or when there is a wide
+        live target and the link alone cannot say.
 
-        ``link`` is V_T, the vertices outside the target adjacent to all of
-        it that complete no live target.  With no wide target inside it,
-        the star of the target is T + F for every clique F of V_T, so the
-        link is a cone with apex c exactly when c is in V_T and adjacent to
-        every other vertex of it; the pairs are the cliques of V_T - c.
+        ``link`` is V_T.  With no wide target, the star of the target is
+        T + F for every clique F of V_T, so the link is a cone with apex c
+        exactly when c is in V_T and adjacent to every other vertex of it;
+        the pairs are the cliques of V_T - c.
         """
-        if not link & cone or any(not w & ~target & ~link for w in wide):
+        if wide or not link & cone:
             return None
         rest = link ^ cone
         if rest & ~self._adj[cone.bit_length() - 1]:
@@ -493,7 +493,7 @@ class StageReplay:
         if target & cone:
             return "stage target contains its cone"
         link, wide = self._link(target)
-        if self._link_pairs(target, cone, link, wide) == stage.n_steps:
+        if self._link_pairs(cone, link, wide) == stage.n_steps:
             self.steps_applied += stage.n_steps
             self._drop(target)
             return None

@@ -883,7 +883,7 @@ def test_link_route_equals_the_star_walk(a, b):
         assert (link, wide) == walker._link(target), (a, b, k)
         others = link & ~cone
         for c in (cone, others & -others) if others else (cone,):
-            count = replay._link_pairs(target, c, link, wide)
+            count = replay._link_pairs(c, link, wide)
             lower, _ = walker._star(target, c, link, wide)
             star = _twin(walker)
             reason = star._walk(sum(map(len, lower)), target, c, link, wide)
@@ -891,7 +891,7 @@ def test_link_route_equals_the_star_walk(a, b):
                 assert reason is not None, (a, b, k, c)
             else:
                 assert reason is None and star.steps_applied - walker.steps_applied == count
-        assert replay._link_pairs(target, cone, link, wide) == stage.n_steps, (a, b, k)
+        assert replay._link_pairs(cone, link, wide) == stage.n_steps, (a, b, k)
         walked = walker.steps_applied
         assert walker._walk(stage.n_steps, target, cone, link, wide) is None, (a, b, k)
         assert walker.steps_applied - walked == stage.n_steps
@@ -926,7 +926,7 @@ def test_a_wide_live_target_sends_its_stage_to_the_star_walk(monkeypatch):
     (live,) = replay._live
     assert wide == [live] and (live & ~target).bit_count() == 2 and not live & ~target & ~link
     assert link & cone and not link & ~cone & ~replay._adj[cone.bit_length() - 1]
-    assert replay._link_pairs(target, cone, link, wide) is None
+    assert replay._link_pairs(cone, link, wide) is None
     whole_link = replay._cliques(link ^ cone)
     own = sum(map(len, star(replay, target, cone, link, wide)[0]))
     assert len({wide_stage.n_steps, whole_link, own}) == 3
