@@ -5,29 +5,27 @@ A pair (G, F') with F' one smaller than G is free when G is the only face
 properly containing F'; removing both is an elementary collapse.  In a
 downward-closed family, uniqueness of the proper superface is equivalent
 to uniqueness of the one-bigger superface: any strictly larger superface
-would contribute a second cofacet by closure.  The verifier checks
-freeness through that cofacet test at every single step rather than
-trusting the structural results that imply it.
+would contribute a second cofacet by closure.
 
 Batches come from cone vertices.  When c extends every face containing F
-to another face, the faces containing F pair up as (F', F' + {c}); taking
-pairs largest first, each pair is free at its turn, and the batch realizes
-the deletion of F.  That holds exactly when the link of F is a cone with
-apex c.  The generator decides it from the link alone: a current face is a
-clique, so the link is the clique complex of the graph on the vertices
-adjacent to all of F, and it is a cone with apex c exactly when c is one
-of them and adjacent to every other; the pairs are counted as the cliques
-of the rest.  The verifier decides each stage by the same link with its
-own code: its own cone test and its own clique count.  A stage the link
-does not pass, or one whose link holds the two or more vertices a live
-target (see below) has outside F, goes to a star walk, which proves the
-batch pair by pair and explains a rejection: a walk up from F carries,
-for each face of its star, the vertices adjacent to all of that face, and
-buckets the faces avoiding c by size; then, largest F' first, F' + c must
-be present and no other F' + x, x among those vertices, may be; no face
-of the star may be left.  Each check runs at its pair's turn, on the
-faces the earlier pairs left, ties by mask, so failure indices are the
-same on every run.
+to another face, the faces containing F pair up as (F', F' + {c}), and
+taking the lower faces F' largest first, ties by mask, the batch realizes
+the deletion of F with nothing left to check.  Each pair is free at its
+turn: any other cofacet F' + x of F' is a larger lower face, removed
+before it.  No face containing F is left: one holding c is F' + c for the
+F' it was removed with.  So a batch holds exactly when the link of F is a
+cone with apex c.  The generator decides it from the link alone: a
+current face is a clique, so the link is the clique complex of the graph
+on the vertices adjacent to all of F, and it is a cone with apex c exactly
+when c is one of them and adjacent to every other; the pairs are counted
+as the cliques of the rest.  The verifier decides each stage by the same
+link with its own code: its own cone test and its own clique count, which
+refuses a wrong count at once.  A stage whose link is not a cone, or one
+whose link holds the two or more vertices a live target (see below) has
+outside F, has its lower faces listed in that order: there must be
+``pairs`` of them, and the first one c does not extend names the
+rejection, the pairs before it removed, so failure indices are the same
+on every run.
 
 The full schedule walks the obstruction-graph edges in descending order;
 for the edge {i-k, j-k} it first clears the crossing triples
@@ -48,19 +46,19 @@ face T whose containing faces it removes and ``pairs`` the number of
 pairs.  :func:`verify_certificate` expands a stage with its own code into
 the pairs (F', F' + c), one for every current face F' containing T and
 avoiding c: T must be present and avoid c, there must be exactly ``pairs``
-pairs and each must be free at its turn, which a cone link shows at once
-and the checked pass otherwise; then the terminal complex must equal the
-lattice-path model, and the labels must fit the obstruction edges, the
-start skeleton's edges the replay dropped (:meth:`StageReplay.check_labels`).
+pairs and c must extend every F', which a cone link shows at once and the
+listing otherwise; then the terminal complex must equal the lattice-path
+model, and the labels must fit the obstruction edges, the start
+skeleton's edges the replay dropped (:meth:`StageReplay.check_labels`).
 
 Neither side builds or changes a face set: each treats the current
 complex as a predicate on the start complex's graph.  A stage that passes
 has removed exactly its target's star, so the current complex is the
-faces of the start complex holding no processed target, less, in the
-replay's star walk, the pairs the running stage has removed, which go to
-a set the size of the star.  A processed edge leaves a private copy of
-the start's graph; the replay's link and star walk read it, so every face
-the walk reaches is a clique, hence a face.
+faces of the start complex holding no processed target, less, after a
+rejected stage, the pairs it removed before its failure, which go to a
+set.  A processed edge leaves a private copy of the start's graph; the
+replay's link and its listing read it, so every clique listed is a face
+of the start complex.
 The terminal complex is the clique complex of what is left of the graph,
 less the stars of the larger targets still live, and equals the flag
 lattice-path model exactly when the graphs are equal and no live target
@@ -138,8 +136,8 @@ class CollapseCertificate:
     "target", "pairs"}`` object per stage under ``"steps"``.  No pair is
     stored: :class:`StageReplay` re-derives them as (F', F' + c) for every
     current face F' containing T and avoiding c, largest F' first, checks
-    the target, the count and each pair's freeness at its turn, and counts
-    the pairs it removes.
+    the target, the count and that c extends each F', and counts the pairs
+    it removes.
     """
 
     __slots__ = ("a", "b", "ground", "stages")
@@ -363,29 +361,22 @@ class StageReplay:
 
     Shares no code with the schedule generator.  The current complex is a
     predicate: the faces of the start complex that hold no processed stage
-    target, less, while the star walk runs, the pairs of its stage, which
-    go to a local set.
-    A processed target of one vertex drops that vertex, and one of two
-    drops that edge, from a private copy of the start's 1-skeleton; a
-    larger one stays live until a vertex or an edge inside it is dropped.
-    This is exact because a stage that passes has removed exactly its
-    target's star.  After a rejected stage the replay is over.
+    target, less, after a rejected stage, the pairs it removed, in
+    ``_gone``.  A processed target of one vertex drops that vertex, and
+    one of two drops that edge, from a private copy of the start's
+    1-skeleton; a larger one stays live until a vertex or an edge inside
+    it is dropped.  This is exact because a stage that passes has removed
+    exactly its target's star.  After a rejected stage the replay is over.
 
     A stage is decided by its target's link, V_T: the vertices outside the
     target adjacent to all of it in the current skeleton, less those that
     complete a live target with one vertex outside the target.  When no
     live target is wide, with two or more vertices outside the target, all
-    in V_T, the star is the target plus each clique of V_T, so a cone link
-    with the recorded count passes at once (:meth:`_link_pairs`).  Any
-    other stage goes to the star walk: the star is walked upward through
-    the current skeleton, each face carrying the vertices adjacent to all
-    of it, and one checked pass draws each cofacet test's candidates from
-    what the walk kept; both are complete because the start complex is
-    downward closed and removing stars keeps it so.  A wide live target is
-    checked face by face.  Every face the walk reaches is a clique, hence a
-    face.  The pairs go largest first, ties by mask, and each check runs at
-    its pair's turn, so a rejected stage is named, and its partial collapse
-    left, by the walk.  The link route shares no code with the generator's.
+    in V_T, the star is the target plus each clique of V_T, so the count
+    and a cone link decide the stage (:meth:`expand`).  Any other stage
+    lists its lower faces (:meth:`_walk`), which explains a rejection: the
+    pairs go largest first, ties by mask, and the first face the cone does
+    not extend names it, with the pairs before it removed.
     """
 
     def __init__(self, start: SimplicialComplex, cert: CollapseCertificate):
@@ -417,8 +408,8 @@ class StageReplay:
         """V_T, the vertices outside ``target`` adjacent to all of it that
         complete no live target, and the wide live targets: those with two
         or more vertices outside the target, all in V_T.  Only these can lie
-        in a face of the target's star; the star walk checks each face
-        against them."""
+        in a face of the target's star; the listing of its lower faces checks
+        each face against them."""
         avoid, outside = 0, []
         for live in self._live:
             out = live & ~target
@@ -430,23 +421,6 @@ class StageReplay:
         for p in bit_positions(target):
             link &= self._adj[p]
         return link, [w for w in outside if not w & ~target & ~link]
-
-    def _link_pairs(self, cone: int, link: int, wide: list[int]) -> int | None:
-        """The pair count of a stage whose target's link is a cone with apex
-        ``cone``, or None when the link is not one, or when there is a wide
-        live target and the link alone cannot say.
-
-        ``link`` is V_T.  With no wide target, the star of the target is
-        T + F for every clique F of V_T, so the link is a cone with apex c
-        exactly when c is in V_T and adjacent to every other vertex of it;
-        the pairs are the cliques of V_T - c.
-        """
-        if wide or not link & cone:
-            return None
-        rest = link ^ cone
-        if rest & ~self._adj[cone.bit_length() - 1]:
-            return None
-        return self._cliques(rest)
 
     def _cliques(self, free: int) -> int:
         """The number of cliques of the current skeleton within ``free``, the
@@ -471,95 +445,79 @@ class StageReplay:
                 stack.pop()
         return memo[free]
 
+    def _faces(self, free: int) -> list[int]:
+        """The cliques of the current skeleton within ``free``, the empty one
+        included.  A clique grows only by candidates above its top vertex and
+        adjacent to all of it, so each is listed once."""
+        adj, faces = self._adj, []
+        stack = [(0, free)]
+        while stack:
+            face, cand = stack.pop()
+            faces.append(face)
+            while cand:
+                x = cand & -cand
+                cand ^= x
+                stack.append((face | x, cand & adj[x.bit_length() - 1]))
+        return faces
+
     def expand(self, stage: StageRecord) -> str | None:
         """Remove the pairs of ``stage``; returns None, or the fixed reason
         of the first check that fails.
 
-        The stage is decided by its target's link (:meth:`_link_pairs`): a
-        cone link with the recorded pair count passes at once, its pairs
-        counted, not listed.  Any other stage goes to the star walk, whose
-        checked pass removes the pairs one at a time, checking each at its
-        turn, and names the first check that fails; the pairs removed before
-        it stay removed.
+        With no wide live target the star is T + F for every clique F of
+        V_T: the pairs are the cliques of V_T - c, counted, not listed, and
+        the link is a cone with apex c exactly when c is in V_T and adjacent
+        to every other vertex of it.  So a wrong count is refused at once and
+        a cone link passes.  Any other stage goes to :meth:`_walk`.
         """
         target = 0
         for d in stage.target:
             target |= self._bit[d]
         cone = self._bit[stage.cone]
-        if not target:  # every face contains it, and a star walk from ~0 = -1 never ends
+        if not target:  # every face contains it, and its link ~0 = -1 has no top vertex
             return "stage target is empty"
         if not self._spans(target) or any(target & live == live for live in self._live):
             return "stage target missing from current complex"
         if target & cone:
             return "stage target contains its cone"
         link, wide = self._link(target)
-        if self._link_pairs(cone, link, wide) == stage.n_steps:
-            self.steps_applied += stage.n_steps
-            self._drop(target)
-            return None
-        return self._walk(stage.n_steps, target, cone, link, wide)
-
-    def _star(self, target: int, cone: int, common: int, wide: list[int]):
-        """The faces containing ``target`` and no live target: those avoiding
-        ``cone`` in buckets by size above the target, each as (face, the
-        vertices outside it adjacent to all of it), and those containing
-        ``cone``.  Each face adds vertices of ``common`` to the target, and
-        none holds all of a target in ``wide``."""
-        lower, upper = [[(target, common)]], []
-        adj = self._adj
-        stack = [(target, common, common, 0)]
-        while stack:
-            face, cand, common, depth = stack.pop()
-            depth += 1
-            if depth == len(lower):
-                lower.append([])
-            bucket = lower[depth]
-            while cand:
-                x = cand & -cand
-                cand ^= x  # children of face | x draw only on higher vertices
-                child = face | x
-                if not (wide and any(child & w == w for w in wide)):
-                    row = adj[x.bit_length() - 1]
-                    shared = common & row
-                    if child & cone:
-                        upper.append(child)
-                    else:
-                        bucket.append((child, shared))
-                    stack.append((child, cand & row, shared, depth))
-        return lower, upper
+        rest = link & ~cone
+        if not wide and self._cliques(rest) != stage.n_steps:
+            return "expanded pair count differs from the certificate"
+        if wide or not link & cone or rest & ~self._adj[cone.bit_length() - 1]:
+            reason = self._walk(stage.n_steps, target, cone, link, wide)
+            if reason is not None:
+                return reason
+        self.steps_applied += stage.n_steps
+        self._drop(target)
+        return None
 
     def _walk(self, n_steps: int, target: int, cone: int, link: int, wide: list[int]) -> str | None:
-        """The star walk and its checked pass: the pairs go largest first,
-        ties by mask, each check at its pair's turn."""
-        lower, upper = self._star(target, cone, link, wide)
-        if sum(map(len, lower)) != n_steps:
+        """Decide a stage by its lower faces, the faces of the star that
+        avoid the cone: T + F for each clique F of V_T - c holding w - T for
+        no wide live target w that avoids c.  They must number ``n_steps``.
+        Then, largest F first, ties by mask, F must extend: c is in V_T and
+        adjacent to all of F, and F + c holds w - T for no wide w.  A failure
+        leaves the pairs before it removed, in ``_gone``.
+
+        No other check can fail.  A cofacet T + F + x, x not c, of a lower
+        face is a larger lower face, removed before it, or holds a wide
+        target; and a face of the star holding c is T + F + c for a lower F,
+        removed with it."""
+        barred = [w & ~target for w in wide if not w & cone]
+        lower = [f for f in self._faces(link & ~cone) if not any(f & w == w for w in barred)]
+        if len(lower) != n_steps:
             return "expanded pair count differs from the certificate"
-        gone = self._gone
-        for bucket in reversed(lower):
-            bucket.sort()  # ties by mask; the buckets run largest first
-            for sub, common in bucket:
-                # sub | cone is in no earlier pair: those hold other subfaces
-                # and their own extensions
-                facet = sub | cone
-                if not common & cone or (wide and any(facet & w == w for w in wide)):
-                    return "cone extension missing from current complex"
-                # every cofacet of sub contains the target, so it extends
-                # sub by a vertex the star walk kept as adjacent to all of sub
-                rest = common ^ cone
-                while rest:
-                    x = rest & -rest
-                    up = sub | x
-                    if up not in gone and not (wide and any(up & w == w for w in wide)):
-                        return "subface has another cofacet"
-                    rest ^= x
-                gone.add(facet)
-                gone.add(sub)
-                self.steps_applied += 1
-        # every face of the star avoiding the cone was removed as a subface
-        if not gone.issuperset(upper):
-            return "faces containing the stage target remain"
-        self._gone = set()
-        self._drop(target)
+        if not link & cone:
+            return "cone extension missing from current complex"
+        lower.sort(key=lambda f: (-f.bit_count(), f))
+        misses = ~self._adj[cone.bit_length() - 1]
+        closing = [w & ~target & ~cone for w in wide if w & cone]
+        for k, f in enumerate(lower):
+            if f & misses or any(f & w == w for w in closing):
+                self._gone = {target | g | e for g in lower[:k] for e in (0, cone)}
+                self.steps_applied += k
+                return "cone extension missing from current complex"
         return None
 
     def _drop(self, target: int) -> None:
@@ -592,8 +550,7 @@ class StageReplay:
 
     def current_faces(self) -> set[int]:
         """The current complex as a face set, built on demand."""
-        faces = clique_complex(self._adj, self._vertices)
-        live = self._live
+        live, faces = self._live, self._faces(self._vertices)
         return {m for m in faces if not any(m & t == t for t in live)} - self._gone
 
     def matches(self, target: SimplicialComplex) -> bool:
@@ -655,15 +612,16 @@ def verify_certificate(
 
     Every stage is expanded by :class:`StageReplay`: its target must be
     non-empty, present and avoid the cone, its expansion must have the
-    recorded pair count, and each pair (F', F' + c) must be present with
-    F' + c the only face properly containing F' at its turn; no face
-    containing the target may be left after the stage.  A stage whose
-    target's link is a cone with the recorded count passes by that alone;
-    the star walk decides, and names the first failing check of, any other
-    (:meth:`StageReplay.expand`).  The terminal complex must equal
-    ``target``.  Stops at the first rejected stage.  Then each stage's
-    (r, q) must fit the obstruction edges, the 1-skeleton edges of
-    ``start`` the replay dropped (:meth:`StageReplay.check_labels`).
+    recorded pair count, and the cone must extend every face of the star
+    that avoids it, which makes each pair (F', F' + c) free at its turn and
+    leaves no face containing the target.  A stage whose target's link is
+    a cone with the recorded count passes by that alone; the listing of its
+    lower faces decides, and names where it fails, a stage with a wide live
+    target or a link that is not a cone (:meth:`StageReplay.expand`).  The
+    terminal complex must equal ``target``.  Stops at the first rejected
+    stage.  Then each stage's (r, q) must fit the obstruction edges, the
+    1-skeleton edges of ``start`` the replay dropped
+    (:meth:`StageReplay.check_labels`).
     """
     replay = StageReplay(start, cert)
     failure = replay.run(cert.stages)

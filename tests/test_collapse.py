@@ -858,7 +858,7 @@ def test_replay_around_a_live_target_follows_the_explicit_replay(second):
             assert replay._live == [t]
 
 
-# -- the replay's link route against its star walk ----------------------------
+# -- the replay's link route against its listing of lower faces ---------------
 
 
 def _twin(replay: StageReplay) -> StageReplay:
@@ -871,53 +871,59 @@ def _twin(replay: StageReplay) -> StageReplay:
 @pytest.mark.parametrize("a,b", coprime_pairs(max_b=11))
 def test_link_route_equals_the_star_walk(a, b):
     """At every stage, and with its cone moved to another vertex of the
-    target's link, the link route's decision is the star walk's: both
-    accept with the same count, or the link route declines and the star
-    walk, given its own count, rejects.  The star walk runs on a second
-    replay at the same point; no stage of a generated certificate needs it."""
+    target's link, the link route's decision is the listing's: given the
+    listing's count, ``expand`` passes by the link alone exactly when
+    ``_walk``, listing the star's lower faces, passes too.  Both run on
+    twins of the replay at the same point.  No stage of a generated
+    certificate has a wide live target, so the listing's count is the
+    link's clique count."""
     cert, start = schedule(a, b), hat(a, b)
-    replay, walker = StageReplay(start, cert), StageReplay(start, cert)
+    replay = StageReplay(start, cert)
     for k, stage in enumerate(cert.stages):
         target, cone = start._mask_of(stage.target), start._bit[stage.cone]
         link, wide = replay._link(target)
-        assert (link, wide) == walker._link(target), (a, b, k)
+        assert wide == [], (a, b, k)
         others = link & ~cone
         for c in (cone, others & -others) if others else (cone,):
-            count = replay._link_pairs(c, link, wide)
-            lower, _ = walker._star(target, c, link, wide)
-            star = _twin(walker)
-            reason = star._walk(sum(map(len, lower)), target, c, link, wide)
-            if count is None:
-                assert reason is not None, (a, b, k, c)
+            count = len(replay._faces(link & ~c))
+            assert count == replay._cliques(link & ~c), (a, b, k, c)
+            moved = replace(stage, cone=start.ground[c.bit_length() - 1], n_steps=count)
+            by_link, walks = _twin(replay), []
+            by_link._walk = lambda *args: walks.append(args) or "listed"
+            passed = by_link.expand(moved) is None
+            assert passed != bool(walks), (a, b, k, c)
+            reason = _twin(replay)._walk(count, target, c, link, wide)
+            assert (reason is None) == passed, (a, b, k, c)
+            if passed:
+                assert by_link.steps_applied - replay.steps_applied == count
             else:
-                assert reason is None and star.steps_applied - walker.steps_applied == count
-        assert replay._link_pairs(cone, link, wide) == stage.n_steps, (a, b, k)
-        walked = walker.steps_applied
-        assert walker._walk(stage.n_steps, target, cone, link, wide) is None, (a, b, k)
-        assert walker.steps_applied - walked == stage.n_steps
+                assert reason == "cone extension missing from current complex"
+        assert stage.n_steps == replay._cliques(others), (a, b, k)
         assert replay.expand(stage) is None and not replay._gone, (a, b, k)
-        assert replay.steps_applied == walker.steps_applied
-        assert (replay._adj, replay._live) == (walker._adj, walker._live)
 
 
 def test_a_wide_live_target_sends_its_stage_to_the_star_walk(monkeypatch):
     """Swapping stages 1 and 4 of (7,10) leaves the crossing triple of edge
     33 live when the first crossing triple of edge 30 is cleared: two of
     its vertices lie outside that target, both in its link, and the cone
-    is adjacent to the rest of the link.  The link route declines the
-    stage and the star walk decides it, as the exhaustive explicit replay
-    does: it refuses the recorded count, and the count of the whole link,
-    which ignores the live target; with its own count the stage passes,
-    and the replay goes on to refuse stage 3."""
+    is adjacent to the rest of the link.  The link alone cannot decide the
+    stage, so its lower faces are listed, and the replay decides it as the
+    exhaustive explicit replay does: it refuses the recorded count, and
+    the count of the whole link, which ignores the live target; with the
+    count of the star the stage passes, and the replay goes on to refuse
+    stage 3, which also has a wide live target, by its listing's count."""
     cert = schedule(7, 10)
     stages = list(cert.stages)
     assert [(s.r, s.q) for s in (stages[1], stages[4])] == [(33, 2), (30, 1)]
     stages[1], stages[4] = stages[4], stages[1]
     walks = []
-    star = StageReplay._star
-    monkeypatch.setattr(
-        StageReplay, "_star", lambda self, *args: walks.append(args[0]) or star(self, *args)
-    )
+    walk = StageReplay._walk
+
+    def recorded(self, n_steps, target, *args):
+        walks.append(target)
+        return walk(self, n_steps, target, *args)
+
+    monkeypatch.setattr(StageReplay, "_walk", recorded)
     replay = StageReplay(hat(7, 10), cert)
     assert replay.run(stages[:1]) is None and not walks
     wide_stage = stages[1]
@@ -926,9 +932,10 @@ def test_a_wide_live_target_sends_its_stage_to_the_star_walk(monkeypatch):
     (live,) = replay._live
     assert wide == [live] and (live & ~target).bit_count() == 2 and not live & ~target & ~link
     assert link & cone and not link & ~cone & ~replay._adj[cone.bit_length() - 1]
-    assert replay._link_pairs(cone, link, wide) is None
     whole_link = replay._cliques(link ^ cone)
-    own = sum(map(len, star(replay, target, cone, link, wide)[0]))
+    oracle = ExplicitReplay(hat(7, 10), cert, exhaustive=True)
+    assert oracle.run(stages[:1]) is None
+    own = sum(1 for m in oracle.masks if m & target == target and not m & cone)
     assert len({wide_stage.n_steps, whole_link, own}) == 3
     later = replay._start._mask_of(stages[3].target)
     for n_steps, index, walked in [
@@ -948,8 +955,9 @@ def test_a_wide_live_target_sends_its_stage_to_the_star_walk(monkeypatch):
 
 def test_a_passing_stage_is_decided_by_its_link_alone(monkeypatch):
     """A valid certificate verifies with the generator's batch and clique
-    walk, the face-set builder and the star walk all out of reach: every
-    stage passes by its link and leaves no pair set behind."""
+    walk, the face-set builder, and the replay's listing of lower faces and
+    its clique lister all out of reach: every stage passes by its link and
+    leaves no pair set behind."""
     start, model, cert = hat(7, 10), ass(7, 10), schedule(7, 10)
 
     def forbidden(*args):
@@ -957,9 +965,71 @@ def test_a_passing_stage_is_decided_by_its_link_alone(monkeypatch):
 
     for name in ("_cone_batch", "clique_walk", "clique_complex"):
         monkeypatch.setattr(collapse, name, forbidden)
-    monkeypatch.setattr(StageReplay, "_star", forbidden)
+    for name in ("_walk", "_faces"):
+        monkeypatch.setattr(StageReplay, name, forbidden)
     replay = StageReplay(start, cert)
     for k, stage in enumerate(cert.stages):
         assert replay.expand(stage) is None and not replay._gone, k
     assert replay.steps_applied == cert.n_steps and replay.matches(model)
     assert verify_certificate(start, model, cert).ok
+
+
+def test_a_wrong_count_is_refused_without_listing(monkeypatch):
+    """One pair too many on the largest stage of (7,10) is refused by its
+    link's clique count, with no face listed, and reported as the
+    exhaustive explicit replay reports it."""
+    start, model, cert = hat(7, 10), ass(7, 10), schedule(7, 10)
+    k = max(range(len(cert.stages)), key=lambda i: cert.stages[i].n_steps)
+    stages = list(cert.stages)
+    stages[k] = replace(stages[k], n_steps=stages[k].n_steps + 1)
+    mutated = CollapseCertificate(7, 10, cert.ground, tuple(stages))
+    expected = exhaustive_verify(start, model, mutated)
+
+    def forbidden(*args):
+        raise AssertionError("a wrong count listed faces")
+
+    monkeypatch.setattr(StageReplay, "_faces", forbidden)
+    report = verify_certificate(start, model, mutated)
+    assert report.failure_index == k
+    assert report.reason == "expanded pair count differs from the certificate"
+    assert report == expected
+
+
+SEVEN = [Diagonal(0, k, 12) for k in range(2, 9)]
+
+
+def _clique(*vertices):
+    return list(combinations(vertices, 2))
+
+
+@pytest.mark.parametrize(
+    "edges,stages,steps",
+    [
+        # T = {0}, V_T = {1}: the cone 2 lies outside the link
+        ([(0, 1), (1, 2)], [((0,), 2, 2)], 0),
+        # T = {0}, c = 1: {2, 4} and {2} extend, then {3} misses a neighbour of 1
+        (_clique(0, 1, 2, 4) + [(0, 3)], [((0,), 1, 5)], 2),
+        # {0, 1, 2} stays live; then T = {0}, c = 1: {3, 4, 5, 6} and its four
+        # triples extend, and {2, 3} + 1 would complete {0, 1, 2}
+        (_clique(0, 1, 2, 3) + _clique(0, 3, 4, 5, 6) + [(1, 4), (1, 5), (1, 6)],
+         [((0, 1, 2), 3, 1), ((0,), 1, 18)], 6),
+    ],
+    ids=["cone-outside-the-link", "a-face-misses-a-cone-neighbour",
+         "a-face-completes-a-wide-target"],
+)
+def test_a_rejected_stage_follows_the_exhaustive_replay(edges, stages, steps):
+    """Each way the listing of lower faces can reject a stage with the right
+    count stops where the exhaustive explicit replay stops: the same reason
+    at the same stage, the same pairs removed before it and the same faces
+    left."""
+    vertices = 0
+    for u, v in edges:
+        vertices |= 1 << u | 1 << v
+    cpx = graph_complex(SEVEN, vertices, edges)
+    cert = CollapseCertificate(None, 12, cpx.ground, ())
+    replay, oracle = StageReplay(cpx, cert), ExplicitReplay(cpx, cert, exhaustive=True)
+    staged = [StageRecord(1, 1, SEVEN[c], frozenset(SEVEN[p] for p in t), n) for t, c, n in stages]
+    failure = (len(staged) - 1, "cone extension missing from current complex")
+    assert replay.run(staged) == oracle.run(staged) == failure
+    assert replay.steps_applied == oracle.steps_applied == steps
+    assert replay.current_faces() == oracle.masks
