@@ -438,11 +438,12 @@ def build_ass(
     predicted = sum(rational_kirkman(a, b, i) for i in range(1, a + 1))
     if predicted > max_faces:
         raise CapExceededError(f"({a},{b}) has {predicted} faces, over the cap {max_faces}")
-    facets = enumerate_dyck_paths(a, b)  # Cat(a,b) <= predicted
+    facets, cat = enumerate_dyck_paths(a, b), rational_catalan(a, b)  # cat <= predicted
     facet_masks = set(facets)
-    if len(facet_masks) != rational_catalan(a, b):
+    if not len(facets) == len(facet_masks) == cat:
         raise InvariantViolationError(
-            f"({a},{b}) facets do not biject with Dyck paths: {len(facet_masks)}"
+            f"({a},{b}) facets do not biject with Dyck paths: {len(facets)} listed,"
+            f" {len(facet_masks)} distinct, Cat = {cat}"
         )
     adj, vertices = facets.adj, facets.vertices
     maximal = maximal_cliques(adj, vertices)

@@ -20,12 +20,17 @@ k = xs[y0] + (y - y0) b // a + 1.  That one inequality is read in two
 orders.  ``_read_row`` reads it bottom-up, for paths grown from the
 origin: row y, placed at each of a run of columns, catches the pending
 sources below it with smaller keys, a longer run of them the farther east
-it stands, and fires each once, when a column first catches it.  What a
-row catches depends only on its row and column and on the sources pending
-below it, so ``enumerate_dyck_paths`` reads each such row state once for
-all its columns, row by row, and lists facet masks and their skeleton, not
-paths; only after a failed check does it read one column per row, path by
-path, to name the first path that fails (``_raise_first_failure``).
+it stands, and fires each once, when a column first catches it.  The
+pending sources are a stack, held as a node of a trie: one source on top
+of the node below it, node 0 the empty stack.  What a row catches depends
+only on its row and column and on the node below it, so
+``enumerate_dyck_paths`` reads each such row state once for all its
+columns, row by row, and lists facet masks and their skeleton, not paths.
+The top row catches every source still pending, so there each source is
+read once, at its own node, when the node is made: a stack's top-row
+lasers are read once per prefix, not once per state.  Only after a failed
+check does the walk read paths one by one, on a one-path trie, one column
+per row, to name the first path that fails (``_raise_first_failure``).
 ``_laser_hit`` reads it top-down, for paths grown from (b, a), whose top
 rows are known first: membership's valley-path search, which hands the
 ends it fired to ``_path_with_lasers``, the one builder of a ``DyckPath``.
@@ -78,7 +83,8 @@ class DyckFacets(list):
     order, with the 1-skeleton they span: ``adj[p]`` is the mask of the
     ground diagonals that share a facet with diagonal p, and ``vertices``
     is the union of the facets.  ``enumerate_dyck_paths`` builds all three
-    in one walk over the row states, with no path objects."""
+    in one walk over the row states, held as nodes of a trie of pending
+    stacks, with no path objects."""
 
     __slots__ = ("adj", "vertices")
 
@@ -93,43 +99,54 @@ def enumerate_dyck_paths(a: int, b: int) -> DyckFacets:
 
     The lasers fired above row y depend only on the row state (y, xs[y],
     the sources pending after row y), so the walk runs in two passes over
-    those states.  Going up, it reads every state of row y, interned by its
-    pending sources in the order found, before any state of row y+1: one
-    ``_read_row`` per state gives its moves to row y+1, one per column from
-    xs[y] up to the line (b for the top row), lowest first, and the lasers
-    they fire.  The columns fire growing prefixes of those lasers, so each
-    laser is checked once per state, against the ones before it, for a
-    table miss, a repeat or a crossing.  Going down, from row a, each state
-    lists its suffixes, the masks of the lasers fired in rows y+1..a along
-    each way on to (b, a), in lex order, with their union: a move that
-    fires the lasers m gives m | s for each suffix s of the state it
-    reaches, and is checked once against that state's union for a repeat
-    or a crossing.  A row's lists go as soon as the row below has read
-    them.  A source still pending after row a escapes.  Any failed check
-    hands over to ``_raise_first_failure``, which names the first failing
-    path in lex order.
+    those states.  The pending sources of a state are a node of a trie, a
+    source on top of the node left below it (node 0 is the empty stack), so
+    a state of row y is a node, interned by the node left below its source
+    and its column.  Going up, the walk reads every state of row y before
+    any state of row y+1: one ``_read_row`` per state gives its moves to
+    row y+1, one per column from xs[y] up to the line, lowest first, and
+    the lasers they fire.  The columns fire growing prefixes of those
+    lasers, so each laser is checked once per state, against the ones
+    before it, for a table miss, a repeat or a crossing.  The top row
+    catches every source still pending, so a node reads its own source's
+    top-row laser once, when it is made, and keeps its stack's top-row
+    mask: its parent's with that laser, checked against the parent's the
+    same way, or -1 after a failed check or a source that escapes.  A state
+    of row a-1 then moves to (b, a) with its node's mask, firing nothing.
+    Going down, from row a, each state lists its suffixes, the masks of the
+    lasers fired in rows y+1..a along each way on to (b, a), in lex order,
+    with their union: a move that fires the lasers m gives m | s for each
+    suffix s of the state it reaches, and is checked once against that
+    state's union for a repeat or a crossing.  The trie goes before the
+    down pass, and a row's lists as soon as the row below has read them.
+    Any failed check hands over to ``_raise_first_failure``, which names
+    the first failing path in lex order.
     """
     check_slope_pair(a, b)
     table, compat = admissible_by_ends(a, b), admissible_compatibility(a, b)
     adj = [0] * len(compat)
-    # rows[y] interns row y's states by the sources pending after them, in
-    # the order found; steps[y] holds the moves of each state of row y as
-    # (mask of the lasers fired, the ground bits they repeat or cross,
-    # index of the state reached in row y+1)
-    rows: list[dict[tuple, int]] = [{(): 0}]
+    # trie[n] is node n, a source as (node below, key, x0, y0), and top[n]
+    # its stack's top-row mask.  The states of row y are the nodes made, in
+    # order, while reading row y, so a state's index in its row is its node
+    # less the row's first, ``lo`` when row y+1 is read.  steps[y] holds the
+    # moves of each state of row y as (mask of the lasers fired, the ground
+    # bits they repeat or cross, index of the state reached in row y+1)
+    trie, top, lo, w = [(0, 0, 0, 0)], [0], 0, b + 1
     steps: list = []
-    for y in range(1, a + 1):
-        index: dict[tuple, int] = {}
+    for y in range(1, a):
+        index: dict[int, int] = {}
         step = []
-        for pending in rows[-1]:
-            moves, fired = _read_row(y, _columns(y, pending, a, b), pending, a, b)
+        made = len(trie)
+        for n in range(lo, made):
+            moves, fired = _read_row(y, _columns(y, n, trie, a, b), n, 0, trie, a, b)
             # the columns fire growing prefixes of ``fired``: each laser is
             # checked once against those before it, inline, by the check
             # ``_fire`` makes (keep the two in step)
             m = clash = done = 0
             out = []
-            for _, left, n in moves:
-                while done < n:
+            for source, count in moves:
+                left, _, x, _ = source
+                while done < count:
                     x0, _, k = fired[done]
                     done += 1
                     p = table.get((x0, k))
@@ -137,15 +154,20 @@ def enumerate_dyck_paths(a: int, b: int) -> DyckFacets:
                         _raise_first_failure(a, b)
                     m |= 1 << p
                     clash |= ~compat[p]
-                i = index.get(left)
+                i = index.get(key := left * w + x)
                 if i is None:
-                    i = index[left] = len(index)
+                    i = index[key] = len(index)
+                    trie.append(source)
+                    ((lifted, _),), caught = _read_row(a, (b,), len(top), left, trie, a, b)
+                    top.append(_fire(top[left], caught, table, compat) if lifted[0] == left else -1)
                 out.append((m, clash, i))
             step.append(out)
-        rows.append(index)
         steps.append(step)
-    if any(rows[a]):  # a source still pending after row a escapes
+        lo = made
+    if min(top[lo:]) < 0:  # a top-row check failed, or a source escapes
         _raise_first_failure(a, b)
+    steps.append([[(t, 0, 0)] for t in top[lo:]])
+    trie = top = None
     lists, unions = [[0]], [0]  # row a's one state, with nothing pending
     for y in range(a - 1, -1, -1):
         below_lists, below_unions = lists, unions
@@ -189,29 +211,33 @@ def enumerate_dyck_paths(a: int, b: int) -> DyckFacets:
 def _raise_first_failure(a: int, b: int) -> NoReturn:
     """Raise the facet failure of the first (a, b)-Dyck path in lex order
     whose lasers fail a check, for a walk that has failed one.  Paths grow
-    depth-first from the origin, lowest column first, one ``_read_row`` of
-    one column per row, with the checks of ``_fire``."""
+    depth-first from the origin, lowest column first, on a one-path trie
+    (node y is row y's source): one ``_read_row`` of one column per row,
+    then ``_top_row``, with the checks of ``_fire``."""
     table, compat = admissible_by_ends(a, b), admissible_compatibility(a, b)
+    trie = [(0, 0, 0, 0)] * a
 
-    def grow(xs: list[int], pending: tuple, mask: int) -> None:
+    def grow(xs: list[int], node: int, mask: int) -> None:
         y = len(xs)
-        if y > a:
-            if mask < 0 or pending:
-                _raise_facet_failure(a, b, _word_of(xs), tuple(xs))
+        if y == a:
+            fired, escaped = _top_row(node, trie, a, b)
+            if escaped or _fire(mask, fired, table, compat) < 0:
+                path = (*xs, b)
+                _raise_facet_failure(a, b, _word_of(path), path)
             return
-        for x in _columns(y, pending, a, b):
-            moves, fired = _read_row(y, (x,), pending, a, b)
-            grow(xs + [x], moves[0][1], _fire(mask, fired, table, compat))
+        for x in _columns(y, node, trie, a, b):
+            moves, fired = _read_row(y, (x,), node, 0, trie, a, b)
+            trie[y] = moves[0][0]
+            grow(xs + [x], y, _fire(mask, fired, table, compat))
 
-    grow([0], (), 0)
+    grow([0], 0, 0)
     raise InvariantViolationError(f"the ({a},{b}) walk failed a check that no path fails")
 
 
-def _columns(y: int, pending: tuple, a: int, b: int) -> Sequence[int]:
-    """The columns row y can take above the state whose pending sources are
-    ``pending``: from that state's column (its own source, on top) up to
-    the line, or b for the top row."""
-    return range(pending[-1][1] if pending else 0, y * b // a + 1) if y < a else (b,)
+def _columns(y: int, node: int, trie: Sequence[tuple], a: int, b: int) -> range:
+    """The columns row y < a can take above the state at trie node ``node``:
+    from that state's column (its own source, on top) up to the line."""
+    return range(trie[node][2], y * b // a + 1)
 
 
 def _path_with_lasers(a: int, b: int, xs: tuple[int, ...], ends: Sequence[int]) -> DyckPath:
@@ -258,31 +284,65 @@ def _laser_hit(xs: Sequence[int], a: int, b: int, y0: int) -> int:
     raise InvariantViolationError(f"laser from ({x0},{y0}) escaped the path")
 
 
-def _read_row(y: int, cols: Iterable[int], pending: tuple, a: int, b: int) -> tuple[list, list]:
-    """Place row y at each column of ``cols``, ascending, above the sources
-    ``pending`` below it: the ones it catches fire, and row y itself
-    becomes pending when it is a source (0 < y < a).
+def _read_row(
+    y: int, cols: Iterable[int], node: int, stop: int, trie: Sequence[tuple], a: int, b: int
+) -> tuple[list, list]:
+    """Place row y at each column of ``cols``, ascending, above the stack of
+    pending sources at trie node ``node``, read down to the node ``stop``:
+    the sources it catches fire.
 
-    Row y's key is a x - b y.  The pending sources are held as (key, x0, y0),
-    keys falling toward the top, so a column catches those on top with a
-    smaller key than its row's, and a column farther east, with a larger
-    key, catches the same ones and perhaps more.  A caught source fires the
-    diagonal x0-k with k = x0 + (y - y0) b // a + 1, whatever the column:
-    the inequality of ``_laser_hit``, read from the hitting row down
-    instead of from the source up.  Each source is fired once, when the
-    first column catches it.  Returns the moves, one per column as (x, the
-    new pending tuple, how many lasers of ``fired`` it fires), and the
-    fired lasers as (x0, y0, k), top source first.
+    Row y's key is a x - b y.  A trie node is a source (node below, key,
+    x0, y0), keys falling toward the top, so a column catches the sources
+    on top with a smaller key than its row's, and a column farther east,
+    with a larger key, catches the same ones and perhaps more.  A caught
+    source fires the diagonal x0-k with k = x0 + (y - y0) b // a + 1,
+    whatever the column: the inequality of ``_laser_hit``, read from the
+    hitting row down instead of from the source up.  Each source is fired
+    once, when the first column catches it.  Returns the moves, one per
+    column as (row y's source there, a node on top of the node the column
+    leaves; how many lasers of ``fired`` it fires), and the fired lasers as
+    (x0, y0, k), top source first.  Below the top row ``stop`` is 0, the
+    empty stack; the top row catches every source, and is read one source
+    at a time, ``stop`` the parent of ``node`` (``_top_row``).
     """
-    n, fired, moves = len(pending), [], []
+    fired, moves = [], []
     for x in cols:
         key = a * x - b * y
-        while n and pending[n - 1][0] < key:
-            n -= 1
-            _, x0, y0 = pending[n]
+        while node != stop and trie[node][1] < key:
+            node, _, x0, y0 = trie[node]
             fired.append((x0, y0, x0 + (y - y0) * b // a + 1))
-        moves.append((x, pending[:n] + ((key, x, y),) if 0 < y < a else pending[:n], len(fired)))
+        moves.append(((node, key, x, y), len(fired)))
     return moves, fired
+
+
+def _top_row(node: int, trie: Sequence[tuple], a: int, b: int) -> tuple[list, tuple | None]:
+    """The top-row lasers of the stack at trie node ``node``, top source
+    first, each read as the walk reads it, by one ``_read_row`` over its own
+    node down to its parent; and the lowest source whose read leaves it
+    pending, which escapes, or None."""
+    fired, escaped = [], None
+    while node:
+        below = trie[node][0]
+        moves, caught = _read_row(a, (b,), node, below, trie, a, b)
+        if moves[0][0][0] != below:
+            escaped = trie[node]
+        fired += caught
+        node = below
+    return fired, escaped
+
+
+def _path_lasers(a: int, b: int, xs: Sequence[int]) -> tuple[list, tuple | None]:
+    """The lasers of the path ``xs`` as (x0, y0, k), read on a one-path trie
+    (node y is row y's source): one ``_read_row`` of one column per row
+    below the top, then ``_top_row``; with the source that escapes, or
+    None."""
+    trie, node, fired = [(0, 0, 0, 0)] * a, 0, []
+    for y in range(1, a):
+        moves, caught = _read_row(y, (xs[y],), node, 0, trie, a, b)
+        trie[y], node = moves[0][0], y
+        fired += caught
+    caught, escaped = _top_row(node, trie, a, b)
+    return fired + caught, escaped
 
 
 def _fire(mask: int, fired: list, table: dict, compat: Sequence[int]) -> int:
@@ -314,15 +374,10 @@ def facet_of(path: DyckPath) -> frozenset[Diagonal]:
 
 def _raise_facet_failure(a: int, b: int, word: str, xs: tuple[int, ...]) -> NoReturn:
     """Raise the first failed facet check of the path on fresh diagonals,
-    fired row by row, one ``_read_row`` of one column each, and listed by
-    source row."""
-    pending, fired = (), []
-    for y in range(1, a + 1):
-        moves, caught = _read_row(y, (xs[y],), pending, a, b)
-        pending = moves[0][1]
-        fired += caught
-    if pending:
-        _, x0, y0 = pending[0]
+    fired by ``_path_lasers`` and listed by source row."""
+    fired, escaped = _path_lasers(a, b, xs)
+    if escaped:
+        _, _, x0, y0 = escaped
         raise InvariantViolationError(f"laser from ({x0},{y0}) escaped the path")
     diag = [Diagonal(x0, k, b) for x0, _, k in sorted(fired, key=lambda f: f[1])]
     face = frozenset(diag)

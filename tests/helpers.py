@@ -88,9 +88,10 @@ def all_facets(a: int, b: int) -> tuple[frozenset, ...]:
 
 def checked_path(a: int, b: int, word: str) -> DyckPath:
     """The (a, b)-Dyck path of the step word ``word``, parsed and checked:
-    the oracle for the walk's masks.  It fires the lasers row by row, one
-    ``lattice._read_row`` of one column each, with every check of
-    ``lattice._fire``, and raises a failed check as the walk does."""
+    the oracle for the walk's masks.  It fires the lasers with
+    ``lattice._path_lasers``, through ``lattice._read_row`` on a one-path
+    trie, checks them with ``lattice._fire``, and raises a failed check as
+    the walk does."""
     check_slope_pair(a, b)
     if len(word) != a + b or word.count("N") != a or word.count("E") != b:
         raise ValueError(f"word {word!r} is not an (N^{a}, E^{b}) shuffle")
@@ -105,13 +106,9 @@ def checked_path(a: int, b: int, word: str) -> DyckPath:
         else:
             raise ValueError(f"bad step {step!r} in {word!r}")
     xs = (*xs, east)
-    table, compat = admissible_by_ends(a, b), admissible_compatibility(a, b)
-    pending, mask = (), 0
-    for y in range(1, a + 1):
-        moves, fired = lattice._read_row(y, (xs[y],), pending, a, b)
-        pending = moves[0][1]
-        mask = lattice._fire(mask, fired, table, compat)
-    if mask < 0 or pending:
+    fired, escaped = lattice._path_lasers(a, b, xs)
+    mask = lattice._fire(0, fired, admissible_by_ends(a, b), admissible_compatibility(a, b))
+    if mask < 0 or escaped:
         lattice._raise_facet_failure(a, b, word, xs)
     return DyckPath(a, b, word, xs, mask)
 

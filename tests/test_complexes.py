@@ -28,7 +28,7 @@ from ratassoc.complexes import (
     maximal_cliques,
     polygon_dissections,
 )
-from ratassoc.lattice import DyckFacets
+from ratassoc.lattice import DyckFacets, enumerate_dyck_paths
 from ratassoc.polygon import admissible_compatibility, compatibility_masks
 
 from helpers import (
@@ -195,6 +195,19 @@ def test_build_ass_rejects_a_skeleton_with_other_maximal_cliques(monkeypatch):
     monkeypatch.setattr(complexes, "enumerate_dyck_paths", lambda a, b: fakes)
     with pytest.raises(InvariantViolationError, match="not the Dyck facets"):
         build_ass(2, 5)
+
+
+def test_build_ass_rejects_a_repeated_facet(monkeypatch):
+    # Cat(5,8) = 99 distinct masks with one of them listed twice: the
+    # distinct count alone would pass
+    facets = enumerate_dyck_paths(5, 8)
+    fakes = DyckFacets([*facets, facets[0]], facets.adj, facets.vertices)
+    monkeypatch.setattr(complexes, "enumerate_dyck_paths", lambda a, b: fakes)
+    with pytest.raises(InvariantViolationError) as err:
+        build_ass(5, 8)
+    assert str(err.value) == (
+        "(5,8) facets do not biject with Dyck paths: 100 listed, 99 distinct, Cat = 99"
+    )
 
 
 def test_is_flag_witness_on_hollow_triangle():

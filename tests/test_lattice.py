@@ -204,44 +204,74 @@ def test_fire_laser_matches_rational_oracle(pair, seed):
         assert laser_end(path, src) == laser_hit_oracle(path, src)
 
 
+def _stack(node: int, trie) -> tuple:
+    """The pending sources at trie node ``node`` as (key, x0, y0), bottom
+    first."""
+    out = []
+    while node:
+        node, key, x0, y0 = trie[node]
+        out.append((key, x0, y0))
+    return tuple(reversed(out))
+
+
+def _sources(pending: tuple) -> tuple:
+    """The pending sources as (x0, y0), without their keys."""
+    return tuple((x0, y0) for _, x0, y0 in pending)
+
+
 def _row_states(a: int, b: int, xs) -> list[tuple[tuple, list[int]]]:
     """The rows along the path ``xs``, each as (x, y, pending), row y placed
     at column x above the sources pending below it, with the source rows
-    it fires, read by the unpatched ``lattice._read_row`` one column at a
-    time."""
-    out, pending = [], ()
-    for y in range(1, a + 1):
-        state = (xs[y], y, pending)
-        moves, fired = lattice._read_row(y, (xs[y],), pending, a, b)
-        pending = moves[0][1]
-        out.append((state, [y0 for _, y0, _ in fired]))
+    it fires, read by the unpatched ``lattice._read_row`` on a one-path
+    trie: one column per row below the top, then the top row one source at
+    a time (``lattice._top_row``), top source first."""
+    out, trie, node = [], [(0, 0, 0, 0)] * a, 0
+    for y in range(1, a):
+        moves, fired = lattice._read_row(y, (xs[y],), node, 0, trie, a, b)
+        out.append(((xs[y], y, _stack(node, trie)), [y0 for _, y0, _ in fired]))
+        trie[y], node = moves[0][0], y
+    fired, _ = lattice._top_row(node, trie, a, b)
+    out.append(((xs[a], a, _stack(node, trie)), [y0 for _, y0, _ in fired]))
     return out
 
 
-def _first_word_through(a: int, b: int, state: tuple, row: int) -> str:
-    """The lex-first reference word whose path places row y above the
-    pending sources of the row ``state`` and fires the laser from
-    ``row`` there, at any column: the row state that ``_read_row`` reads."""
+def _read_of(a: int, state: tuple, row: int) -> tuple:
+    """The read that fires the laser from ``row`` in the row ``state``, as
+    (y, the stack read, as (x0, y0) bottom first): below the top row the
+    state's own stack, and at the top row, which reads each source at its
+    own trie node, the prefix of the stack up to that source."""
     _, y, pending = state
+    stack = _sources(pending)
+    if y == a:
+        stack = stack[: [y0 for _, y0 in stack].index(row) + 1]
+    return y, stack
+
+
+def _first_word_through(a: int, b: int, state: tuple, row: int) -> str:
+    """The lex-first reference word whose path fires the laser from ``row``
+    in the read ``_read_of`` names for the row ``state``."""
+    read = _read_of(a, state, row)
     return next(
         w for w in reference_dyck_words(a, b)
-        if any(s[1:] == (y, pending) and row in rows
+        if any(row in rows and _read_of(a, s, row) == read
                for s, rows in _row_states(a, b, checked_path(a, b, w).xs))
     )
 
 
 def _misfiring_reader(monkeypatch, state: tuple, row: int, end) -> None:
-    """Patch ``lattice._read_row`` so that, reading row y above the pending
-    sources of the (5,8) row ``state``, it fires the laser from ``row`` to
-    ``end(k)`` instead of k, at every column that catches it.  The walk,
-    its search for the first failing path and ``checked_path`` all read
-    rows through it."""
+    """Patch ``lattice._read_row`` so that its read of the (5,8) row
+    ``state`` that fires the laser from ``row`` (``_read_of``), keyed on the
+    stack as (x0, y0) rebuilt from the trie node read, fires that laser to
+    ``end(k)`` instead of k, at every column that catches it.  The walk, its
+    search for the first failing path and ``checked_path`` all read rows
+    through it, the walk on its trie of all states and the others on
+    one-path tries."""
     read = lattice._read_row
-    _, y_bad, pending_bad = state
+    faulty = _read_of(5, state, row)
 
-    def misfiring(y, cols, pending, a, b):
-        moves, fired = read(y, cols, pending, a, b)
-        if (a, b) == (5, 8) and (y, pending) == (y_bad, pending_bad):
+    def misfiring(y, cols, node, stop, trie, a, b):
+        moves, fired = read(y, cols, node, stop, trie, a, b)
+        if (a, b) == (5, 8) and (y, _sources(_stack(node, trie))) == faulty:
             fired = [(x0, y0, end(k) if y0 == row else k) for x0, y0, k in fired]
         return moves, fired
 
@@ -249,10 +279,10 @@ def _misfiring_reader(monkeypatch, state: tuple, row: int, end) -> None:
 
 
 def _misfire(monkeypatch, row: int, hit: int) -> str:
-    """Make the laser from row ``row`` of D58 end at x = ``hit``, in the row
-    read that fires it, keyed on that read's row state: every (5,8)-path
-    that fires it in the same state misfires with D58, and every other
-    laser fires as before.  Returns the lex-first word that misfires."""
+    """Make the laser from row ``row`` of D58 end at x = ``hit``, in the read
+    that fires it (``_read_of``): every (5,8)-path that fires it in the same
+    read misfires with D58, and every other laser fires as before.  Returns
+    the lex-first word that misfires."""
     faulty = next(state for state, rows in _row_states(5, 8, D58.xs) if row in rows)
     first = _first_word_through(5, 8, faulty, row)
     _misfiring_reader(monkeypatch, faulty, row, lambda k: hit)
@@ -303,10 +333,8 @@ def test_a_source_left_pending_after_row_a_escapes(monkeypatch):
     of the lex-first path, which is in column 0 too."""
     first = checked_path(5, 8, reference_dyck_words(5, 8)[0])
 
-    def catch_nothing(y, cols, pending, a, b):
-        return [
-            (x, pending + ((a * x - b * y, x, y),) if 0 < y < a else pending, 0) for x in cols
-        ], []
+    def catch_nothing(y, cols, node, stop, trie, a, b):
+        return [((node, a * x - b * y, x, y), 0) for x in cols], []
 
     monkeypatch.setattr(lattice, "_read_row", catch_nothing)
     with pytest.raises(InvariantViolationError, match=r"laser from \(0,1\) escaped the path"):
@@ -329,11 +357,12 @@ def _first_failure(a: int, b: int) -> Exception | None:
 
 # rows of (5,8) paths that fire a laser, each with a wrong end for its
 # first laser: states shared by several paths, whose suffixes a misfire
-# spoils in part or in full.  The misfire is keyed on the row state
-# (y, pending) that ``_read_row`` reads, not on the row's column x, so rows
-# of one state that fire the same source apply one fault: the 36 cases
-# taken below hold 31 distinct (y, pending, row) faults.  The repeats are
-# kept so that the test ids stay the same.
+# spoils in part or in full.  The misfire is keyed on the read that fires
+# it (``_read_of``), not on the row's column x: below the top row the row
+# state (y, pending), and at the top row the prefix of the stack up to the
+# source.  So rows of one state that fire the same source apply one fault:
+# the 36 cases taken below hold 31 distinct faults.  The repeats are kept
+# so that the test ids stay the same.
 _STEPS = sorted({
     (state, rows[0]) for w in reference_dyck_words(5, 8)
     for state, rows in _row_states(5, 8, checked_path(5, 8, w).xs) if rows
@@ -359,23 +388,47 @@ def test_the_walk_raises_the_error_of_the_lex_first_failing_path(monkeypatch, st
 
 @pytest.mark.parametrize("a,b", [(5, 8), (7, 10)])
 def test_the_walk_reads_each_row_state_once(monkeypatch, a, b):
-    """The walk reads each row state once, for all its columns: its reads
-    are the (row, pending sources) pairs along the reference paths, each
-    read once."""
-    states = {
-        state[1:] for w in reference_dyck_words(a, b)
-        for state, _ in _row_states(a, b, checked_path(a, b, w).xs)
-    }
+    """The walk reads each row state below the top once, for all its
+    columns, and each trie node's top-row laser once: its reads are the
+    (row, pending sources) pairs along the reference paths below the top
+    row, and (a, stack) for the stack each row 0 < y < a leaves, each read
+    once."""
+    states = set()
+    for w in reference_dyck_words(a, b):
+        for (_, y, pending), _ in _row_states(a, b, checked_path(a, b, w).xs):
+            stack = _sources(pending)
+            if y < a:
+                states.add((y, stack))
+            if y > 1:
+                states.add((a, stack))
     read, reads = lattice._read_row, []
 
-    def counting(y, cols, pending, a, b):
-        reads.append((y, pending))
-        return read(y, cols, pending, a, b)
+    def counting(y, cols, node, stop, trie, a, b):
+        reads.append((y, _sources(_stack(node, trie))))
+        return read(y, cols, node, stop, trie, a, b)
 
     monkeypatch.setattr(lattice, "_read_row", counting)
     enumerate_dyck_paths(a, b)
     assert len(reads) == len(states)
     assert set(reads) == states
+
+
+@pytest.mark.parametrize("a,b,nodes", [(8, 13, 1891), (9, 14, 5460)])
+def test_the_walk_fires_each_top_row_laser_once_per_node(monkeypatch, a, b, nodes):
+    """The top row fires one laser per trie node, its own source's, read
+    when the node is made: 1,891 at (8,13) and 5,460 at (9,14), where a
+    read of the whole stack per state of row a-1 fired 6,400 and 21,016."""
+    read, top = lattice._read_row, []
+
+    def counting(y, cols, node, stop, trie, a, b):
+        moves, fired = read(y, cols, node, stop, trie, a, b)
+        if y == a:
+            top.append(len(fired))
+        return moves, fired
+
+    monkeypatch.setattr(lattice, "_read_row", counting)
+    enumerate_dyck_paths(a, b)
+    assert len(top) == sum(top) == nodes
 
 
 @pytest.mark.parametrize("a,b", coprime_pairs(max_b=11))
