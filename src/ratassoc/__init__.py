@@ -7,8 +7,8 @@ model (faces generated by the laser sets of rational Dyck paths).  It
 decides membership in the lattice-path model, constructs the obstruction
 graph of blocked pairs, produces and independently re-verifies an explicit
 collapse of the first model onto the second, and checks the closed-form
-face counts, the homology of a wedge of spheres, and rank-level Alexander
-duality by exact integer computation.
+face counts, the homology of a wedge of spheres, read from the critical
+cells of a matching tree, and rank-level Alexander duality.
 """
 
 from .collapse import (

@@ -85,7 +85,7 @@ class SimplicialComplex:
     cells come from one :func:`clique_walk`, kept in one slot, its facets
     from :func:`maximal_cliques`, and its face set is filled, by
     :func:`clique_complex`, only when something reads it: ``mask_set``,
-    ``faces``, ``has_face``, ``==`` and ``to_json(include_faces=True)``.
+    ``faces`` and ``to_json(include_faces=True)``.
     ``walk`` and ``maximal``, when the builder already has them, are the
     graph's :func:`clique_walk` and :func:`maximal_cliques`, in any order.
 
@@ -134,14 +134,6 @@ class SimplicialComplex:
         """Max face dimension; -1 when only the empty face is present."""
         return len(self.f_vector_counts()) - 2
 
-    def has_face(self, face: Iterable[Diagonal]) -> bool:
-        try:
-            return self._mask_of(face) in self.mask_set
-        except KeyError:
-            return False
-
-    __contains__ = has_face
-
     def faces(self) -> Iterator[frozenset[Diagonal]]:
         """All faces, empty face included, in mask order."""
         for m in sorted(self.mask_set):
@@ -181,13 +173,6 @@ class SimplicialComplex:
         if self._walk is None:
             self._walk = clique_walk(*self._graph)
         return self._walk
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SimplicialComplex):
-            return NotImplemented
-        return self.ground == other.ground and self.mask_set == other.mask_set
-
-    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         tag = f"a={self.a}, b={self.b}, " if self.a is not None else ""

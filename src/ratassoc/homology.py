@@ -1,34 +1,30 @@
-"""Reduced simplicial homology by exact boundary-matrix rank, plus the
-Alexander-duality reports.
+"""Reduced simplicial homology from the critical cells of a matching tree,
+plus the Alexander-duality reports.
 
 Betti numbers are reduced: the empty face is a genuine cell in dimension
 -1, every vertex has it on its boundary, and the rank of reduced homology
 in dimension -1 is nonzero only for the complex whose sole face is empty.
 
-Two rank backends run over the same chain data: bit-packed Gaussian
-elimination over GF(2), and division-free integer elimination with gcd
-normalization over the rationals.  Agreement of the two Betti vectors
-rules out 2-torsion at this scale.
-
-Large complexes are first shrunk (:func:`_reduce_cells`) to the critical
-cells of a matching tree.  One walk over the graph the complex is the
-clique complex of, :meth:`SimplicialComplex.clique_walk`, gives both those
-cells and the face counts the Euler check reads.  The complex keeps the
-walk, so neither needs its face set, and both fields read the same walk.
-When the critical cells all lie in one dimension, discrete Morse theory
-makes them the homology, over every field, and the rank step sees only
-them.  Otherwise every cell is kept and the exact ranks decide.  Either
-way an Euler-characteristic check against the face counts closes the
+One walk over the graph the complex is the clique complex of,
+:meth:`SimplicialComplex.clique_walk`, gives both the critical cells of
+its matching tree (:func:`_reduce_cells`) and the face counts the Euler
+check reads.  The complex keeps the walk, so neither needs its face set,
+and both fields read the same walk.  When the critical cells all lie in
+one dimension, the Morse complex has no differential (Forman, Adv. Math.
+134, 1998): each reduced Betti number is a cell count, the same over
+every field, and the integral homology has no torsion.  Cells in two or
+more dimensions are refused; no model in reach has them.  An
+Euler-characteristic check against the face counts closes the
 computation.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb, gcd
-from typing import Collection
 
-from .complexes import SimplicialComplex, _exact_div, bits_of
+from .complexes import SimplicialComplex, _exact_div
 from .errors import InvariantViolationError
 from .polygon import all_admissible_diagonals, all_diagonals, check_slope_pair
 
@@ -53,14 +49,14 @@ class BettiVector:
         return {k - 1: v for k, v in enumerate(self.values) if v}
 
 
-def _reduce_cells(cpx: SimplicialComplex) -> Collection[int]:
-    """A cell set with the same reduced homology as ``cpx``: its critical
-    cells when they decide it, else all of its faces, ``cpx.mask_set``
-    itself, not to be mutated.
+def _reduce_cells(cpx: SimplicialComplex) -> tuple[int, ...]:
+    """The critical cells of the complex's matching tree, which carry its
+    reduced homology: refused with :class:`InvariantViolationError` when
+    they lie in two or more dimensions.
 
-    The critical cells are read from :meth:`SimplicialComplex.clique_walk`,
-    which the complex walks once over its graph and keeps, so no face set
-    is built unless the cells lie in two or more dimensions.
+    The cells are read from :meth:`SimplicialComplex.clique_walk`, which
+    the complex walks once over its graph and keeps, so no face set is
+    built.
 
     The tree is the matching tree of Bousquet-Melou, Linusson and Nevo
     (J. Algebraic Combin. 27, 2008): a node (A, free) holds the faces A + S
@@ -75,127 +71,33 @@ def _reduce_cells(cpx: SimplicialComplex) -> Collection[int]:
     face included.  When every critical cell lies in one dimension d, the
     Morse complex has no differential (Forman, Adv. Math. 134, 1998): over
     every field the reduced Betti number in dimension d is the number of
-    critical cells and all others vanish, so the critical cells stand in for
-    the complex.  Critical cells in two or more dimensions keep every cell.
+    critical cells and all others vanish.  In two or more dimensions the
+    cells bound the Betti numbers from above but do not decide them.
     """
-    walk = cpx.clique_walk()
-    if len({m.bit_count() for m in walk.cells}) > 1:
-        return cpx.mask_set
-    return walk.cells
-
-
-class BoundaryMatrix:
-    """Sparse boundary operator from k-cells to (k-1)-cells.
-
-    Columns follow the canonical cell order (sorted masks); entries are
-    +-1 by position parity of the removed diagonal within the cell.
-    """
-
-    def __init__(self, k: int, rows: list[int], cols: list[int], row_index: dict[int, int]):
-        self.k = k
-        self.shape = (len(rows), len(cols))
-        self.columns: list[list[tuple[int, int]]] = []
-        for m in cols:
-            col = []
-            for pos, bit in enumerate(bits_of(m)):
-                cell = m ^ bit
-                r = row_index.get(cell)
-                if r is not None:
-                    col.append((r, -1 if pos % 2 else 1))
-            self.columns.append(col)
-
-    def rank_gf2(self) -> int:
-        # each column as a bitmask over its rows, eliminated column by column
-        packed = []
-        for col in self.columns:
-            v = 0
-            for r, _ in col:
-                v |= 1 << r
-            packed.append(v)
-        pivots: dict[int, int] = {}  # leading row bit -> reduced column
-        rank = 0
-        for v in packed:
-            while v:
-                lead = v & -v
-                other = pivots.get(lead)
-                if other is None:
-                    pivots[lead] = v
-                    rank += 1
-                    break
-                v ^= other
-        return rank
-
-    def rank_q(self) -> int:
-        cols = [dict(col) for col in self.columns]
-        pivots: dict[int, dict[int, int]] = {}  # pivot row -> column, normalized
-        rank = 0
-        for col in cols:
-            while col:
-                lead = min(col)
-                piv = pivots.get(lead)
-                if piv is None:
-                    g = gcd(*col.values())
-                    pivots[lead] = {r: c // g for r, c in col.items()}
-                    rank += 1
-                    break
-                # col -= (col[lead]/piv[lead]) * piv, cleared without division:
-                # scale col by piv[lead], subtract col[lead] * piv, renormalize
-                s, t = piv[lead], col[lead]
-                merged: dict[int, int] = {}
-                for r, c in col.items():
-                    merged[r] = c * s
-                for r, c in piv.items():
-                    merged[r] = merged.get(r, 0) - c * t
-                col = {r: c for r, c in merged.items() if c}
-                if col:
-                    g = gcd(*col.values())
-                    if g > 1:
-                        col = {r: c // g for r, c in col.items()}
-        return rank
-
-    def rank(self, field: str) -> int:
-        if field == "gf2":
-            return self.rank_gf2()
-        if field == "q":
-            return self.rank_q()
-        raise ValueError(f"unknown field {field!r}; expected one of {FIELDS}")
-
-
-def _build_matrices(
-    cells: Collection[int],
-) -> tuple[dict[int, list[int]], dict[int, BoundaryMatrix]]:
-    by_dim: dict[int, list[int]] = {}
-    for m in cells:
-        by_dim.setdefault(m.bit_count() - 1, []).append(m)
-    for cl in by_dim.values():
-        cl.sort()
-    mats: dict[int, BoundaryMatrix] = {}
-    for k, col_cells in sorted(by_dim.items()):
-        rows = by_dim.get(k - 1, [])
-        row_index = {m: i for i, m in enumerate(rows)}
-        mats[k] = BoundaryMatrix(k, rows, col_cells, row_index)
-    return by_dim, mats
+    cells = cpx.clique_walk().cells
+    sizes = Counter(m.bit_count() for m in cells)
+    if len(sizes) > 1:
+        spread = ", ".join(f"{n} in dimension {k - 1}" for k, n in sorted(sizes.items()))
+        raise InvariantViolationError(
+            f"the matching tree's critical cells lie in two or more dimensions "
+            f"({spread}), so they do not decide the homology"
+        )
+    return cells
 
 
 def betti_numbers(cpx: SimplicialComplex, field: str = "gf2") -> BettiVector:
     """Reduced Betti numbers of the complex over the chosen field.
 
-    Ranks the cells :func:`_reduce_cells` leaves: the critical cells of the
-    matching tree when they lie in one dimension, where the ranks are zero
-    and the Betti numbers are their counts, and every cell otherwise.  An
+    Counts the critical cells :func:`_reduce_cells` leaves in their one
+    dimension, which are the Betti numbers over every field.  An
     Euler-characteristic cross-check against the face counts is enforced.
     """
     if field not in FIELDS:
         raise ValueError(f"unknown field {field!r}; expected one of {FIELDS}")
     f = cpx.f_vector_counts()
     dim = len(f) - 2
-    by_dim, mats = _build_matrices(_reduce_cells(cpx))
-    ranks = {k: mat.rank(field) for k, mat in mats.items()}
-    values = []
-    for k in range(-1, dim + 1):
-        n_k = len(by_dim.get(k, []))
-        values.append(n_k - ranks.get(k, 0) - ranks.get(k + 1, 0))
-    vec = BettiVector(field, dim, tuple(values))
+    sizes = Counter(m.bit_count() for m in _reduce_cells(cpx))
+    vec = BettiVector(field, dim, tuple(sizes[n] for n in range(dim + 2)))
     euler_faces = sum((-1) ** (k % 2) * f[k + 1] for k in range(-1, dim + 1))
     euler_betti = sum((-1) ** (k % 2) * vec.tilde(k) for k in range(-1, dim + 1))
     if euler_faces != euler_betti:
@@ -235,7 +137,7 @@ def alexander_partition_check(b: int) -> PartitionReport:
         if gcd(a, b) != 1:
             continue
         mine = set(all_admissible_diagonals(a, b))
-        dual = set(all_admissible_diagonals(b - a, b)) if b - a > 0 else set()
+        dual = set(all_admissible_diagonals(b - a, b))
         rows.append((a, len(mine), len(dual)))
         if mine & dual:
             ok = False

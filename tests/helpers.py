@@ -36,7 +36,7 @@ from ratassoc import (
 )
 from ratassoc import lattice
 from ratassoc.complexes import bit_positions, bits_of
-from ratassoc.homology import BettiVector, _build_matrices
+from ratassoc.homology import BettiVector
 from ratassoc.polygon import admissible_by_ends, admissible_compatibility, check_slope_pair
 from ratassoc.polygon import compatibility_masks
 
@@ -437,6 +437,99 @@ def random_dyck_path(a: int, b: int, rng: random.Random) -> DyckPath:
 # -- the direct homology route: the oracle for the matching-tree reduction
 
 
+class BoundaryMatrix:
+    """Sparse boundary operator from k-cells to (k-1)-cells.
+
+    Columns follow the canonical cell order (sorted masks); entries are
+    +-1 by position parity of the removed diagonal within the cell.
+    """
+
+    def __init__(self, k: int, rows: list[int], cols: list[int], row_index: dict[int, int]):
+        self.k = k
+        self.shape = (len(rows), len(cols))
+        self.columns: list[list[tuple[int, int]]] = []
+        for m in cols:
+            col = []
+            for pos, bit in enumerate(bits_of(m)):
+                cell = m ^ bit
+                r = row_index.get(cell)
+                if r is not None:
+                    col.append((r, -1 if pos % 2 else 1))
+            self.columns.append(col)
+
+    def rank_gf2(self) -> int:
+        # each column as a bitmask over its rows, eliminated column by column
+        packed = []
+        for col in self.columns:
+            v = 0
+            for r, _ in col:
+                v |= 1 << r
+            packed.append(v)
+        pivots: dict[int, int] = {}  # leading row bit -> reduced column
+        rank = 0
+        for v in packed:
+            while v:
+                lead = v & -v
+                other = pivots.get(lead)
+                if other is None:
+                    pivots[lead] = v
+                    rank += 1
+                    break
+                v ^= other
+        return rank
+
+    def rank_q(self) -> int:
+        cols = [dict(col) for col in self.columns]
+        pivots: dict[int, dict[int, int]] = {}  # pivot row -> column, normalized
+        rank = 0
+        for col in cols:
+            while col:
+                lead = min(col)
+                piv = pivots.get(lead)
+                if piv is None:
+                    g = gcd(*col.values())
+                    pivots[lead] = {r: c // g for r, c in col.items()}
+                    rank += 1
+                    break
+                # col -= (col[lead]/piv[lead]) * piv, cleared without division:
+                # scale col by piv[lead], subtract col[lead] * piv, renormalize
+                s, t = piv[lead], col[lead]
+                merged: dict[int, int] = {}
+                for r, c in col.items():
+                    merged[r] = c * s
+                for r, c in piv.items():
+                    merged[r] = merged.get(r, 0) - c * t
+                col = {r: c for r, c in merged.items() if c}
+                if col:
+                    g = gcd(*col.values())
+                    if g > 1:
+                        col = {r: c // g for r, c in col.items()}
+        return rank
+
+    def rank(self, field: str) -> int:
+        if field == "gf2":
+            return self.rank_gf2()
+        if field == "q":
+            return self.rank_q()
+        raise ValueError(f"unknown field {field!r}; expected 'gf2' or 'q'")
+
+
+def build_matrices(cells) -> tuple[dict[int, list[int]], dict[int, BoundaryMatrix]]:
+    """The cells by dimension, each list sorted, and the boundary matrix of
+    each dimension into the one below."""
+    by_dim: dict[int, list[int]] = {}
+    for m in cells:
+        by_dim.setdefault(m.bit_count() - 1, []).append(m)
+    for cl in by_dim.values():
+        cl.sort()
+    mats: dict[int, BoundaryMatrix] = {}
+    for k, col_cells in sorted(by_dim.items()):
+        rows = by_dim.get(k - 1, [])
+        row_index = {m: i for i, m in enumerate(rows)}
+        mats[k] = BoundaryMatrix(k, rows, col_cells, row_index)
+    return by_dim, mats
+
+
 def check_dd_zero(by_dim: dict, mats: dict) -> None:
     """Assert boundary-of-boundary vanishes over the integers."""
     for k, mat in mats.items():
@@ -456,7 +549,7 @@ def direct_betti(cpx: SimplicialComplex, field: str) -> BettiVector:
     """Reduced Betti numbers from the boundary matrices of every face of
     ``cpx``, with no reduction, once the boundary is checked to compose to
     zero."""
-    by_dim, mats = _build_matrices(cpx.mask_set)
+    by_dim, mats = build_matrices(cpx.mask_set)
     check_dd_zero(by_dim, mats)
     ranks = {k: mat.rank(field) for k, mat in mats.items()}
     values = tuple(len(by_dim.get(k, [])) - ranks.get(k, 0) - ranks.get(k + 1, 0)

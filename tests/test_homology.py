@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import re
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -16,13 +18,15 @@ from ratassoc import (
     alexander_partition_check,
     betti_numbers,
     build_ass,
+    build_hat_ass,
     homology,
 )
 from ratassoc.complexes import bit_positions, clique_walk
-from ratassoc.homology import _build_matrices, _reduce_cells
+from ratassoc.homology import FIELDS, _reduce_cells
 
 from helpers import (
     ass,
+    build_matrices,
     check_dd_zero,
     closure,
     coprime_pairs,
@@ -57,7 +61,7 @@ def test_lonely_empty_face_complex():
 
 def test_boundary_squared_vanishes():
     for a, b in [(3, 5), (5, 8), (4, 7)]:
-        by_dim, mats = _build_matrices(set(ass(a, b).mask_set))
+        by_dim, mats = build_matrices(set(ass(a, b).mask_set))
         check_dd_zero(by_dim, mats)
 
 
@@ -68,6 +72,23 @@ def test_reduction_agrees_with_direct_ranks(a, b):
             fast = betti_numbers(cpx, field)
             slow = direct_betti(cpx, field)
             assert fast.values == slow.values
+
+
+def check_betti_or_refusal(cpx, direct) -> None:
+    """With the walk's critical cells in one dimension, ``betti_numbers``
+    equals ``direct`` on both fields.  Otherwise it refuses, naming each
+    dimension with its cell count, and those counts bound the direct Betti
+    numbers from above (the weak Morse inequalities)."""
+    cells = Counter(m.bit_count() - 1 for m in cpx.clique_walk().cells)
+    if len(cells) <= 1:
+        for field in FIELDS:
+            assert betti_numbers(cpx, field).values == direct[field].values
+        return
+    spread = ", ".join(f"{n} in dimension {k}" for k, n in sorted(cells.items()))
+    for field in FIELDS:
+        with pytest.raises(InvariantViolationError, match=re.escape(f"({spread})")):
+            betti_numbers(cpx, field)
+        assert all(cells[k] >= v for k, v in direct[field].nonzero().items())
 
 
 def test_reduction_agrees_on_random_subcomplexes():
@@ -82,8 +103,7 @@ def test_reduction_agrees_on_random_subcomplexes():
             edges = [(u, v) for u in bit_positions(kept) for v in bit_positions(adj[u] & kept)
                      if u < v and rng.random() < 0.5]
             cpx = graph_complex(model.ground, kept, edges, a, b)
-            for field in ("gf2", "q"):
-                assert betti_numbers(cpx, field).values == direct_betti(cpx, field).values
+            check_betti_or_refusal(cpx, {f: direct_betti(cpx, f) for f in FIELDS})
 
 
 # nine vertices, some of which may lie in no face at all
@@ -95,19 +115,19 @@ VERTICES = [Diagonal(0, k, 12) for k in range(2, 11)]
 def test_reduction_agrees_with_direct_on_random_families(cpx):
     """Clique complexes of random graphs: isolated vertices, several
     components and the lone empty face (no vertices) included."""
-    direct = {f: direct_betti(cpx, f).values for f in ("gf2", "q")}
-    assert betti_numbers(cpx, "gf2").values == direct["gf2"]
-    reduced, counts = _reduce_cells(cpx), cpx.f_vector_counts()
-    # the second field reads the same reduction and face counts, walked once
-    # and kept; a fresh object gives the same
+    direct = {f: direct_betti(cpx, f) for f in FIELDS}
+    check_betti_or_refusal(cpx, direct)
+    cells, counts = cpx.clique_walk().cells, cpx.f_vector_counts()
+    # a second reading sees the same cells and face counts, walked once and
+    # kept; a fresh object gives the same
     walk = cpx._walk
-    assert betti_numbers(cpx, "q").values == direct["q"]
+    check_betti_or_refusal(cpx, direct)
     sizes = [m.bit_count() for m in cpx.mask_set]
     assert counts == tuple(sizes.count(k) for k in range(len(counts)))
-    assert _reduce_cells(cpx) == reduced and cpx.f_vector_counts() == counts
+    assert cpx.clique_walk().cells == cells and cpx.f_vector_counts() == counts
     assert walk is not None and cpx._walk is walk
     fresh = SimplicialComplex(cpx.ground, *cpx._graph, None, None)
-    assert betti_numbers(fresh, "q").values == direct["q"]
+    check_betti_or_refusal(fresh, direct)
 
 
 @settings(max_examples=150, deadline=None)
@@ -158,6 +178,18 @@ def test_reduction_leaves_one_cell_per_sphere(a, b, model):
     assert _reduce_cells(SimplicialComplex(cpx.ground, *_skeleton(cpx), a, b)) == cells
 
 
+@pytest.mark.parametrize("a,b", coprime_pairs(max_b=12))
+def test_every_model_leaves_one_cell_per_sphere(a, b):
+    """The precondition of homology's refusal: under the default caps both
+    models' walks leave C(b,a)/b critical cells of a-1 diagonals each, with
+    no face set built."""
+    for cpx in (build_hat_ass(a, b), build_ass(a, b)):
+        cells = cpx.clique_walk().cells
+        assert len(cells) == comb(b, a) // b
+        assert all(m.bit_count() == a - 1 for m in cells)
+        assert cpx._masks is None
+
+
 @pytest.mark.parametrize("a,b", coprime_pairs(max_b=10))
 def test_clique_count_is_the_face_count_of_both_models(a, b):
     for cpx in (ass(a, b), hat(a, b)):
@@ -192,13 +224,16 @@ def test_reduction_leaves_one_cell_on_a_flag_sphere(graph, betti):
 )
 def test_reduction_keeps_every_cell_when_the_tree_cannot_decide(graph, betti):
     """A point beside a square has homology in two dimensions, so the tree
-    cannot be perfect: every cell goes to the exact ranks."""
+    cannot be perfect: its critical cells lie in dimensions 0 and 1, and
+    homology refuses them, naming both, while the direct ranks decide."""
     cpx = graph_complex(VERTICES, *graph)
-    assert _reduce_cells(cpx) == cpx.mask_set
-    for field in ("gf2", "q"):
-        vec = betti_numbers(cpx, field)
-        assert vec.values == direct_betti(cpx, field).values
-        assert vec.nonzero() == betti
+    named = r"\(1 in dimension 0, 1 in dimension 1\)"
+    with pytest.raises(InvariantViolationError, match=named):
+        _reduce_cells(cpx)
+    for field in FIELDS:
+        with pytest.raises(InvariantViolationError, match=named):
+            betti_numbers(cpx, field)
+        assert direct_betti(cpx, field).nonzero() == betti
 
 
 def test_clique_count_passes_the_face_count_of_a_hollow_triangle():
