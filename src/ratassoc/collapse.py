@@ -18,12 +18,15 @@ cone with apex c.  The generator decides it from the link alone: a
 current face is a clique, so the link is the clique complex of the graph
 on the vertices adjacent to all of F, and it is a cone with apex c exactly
 when c is one of them and adjacent to every other; the pairs are counted
-as the cliques of the rest.  The verifier decides each stage by the same
-link with its own code: its own cone test and its own clique count, which
-refuses a wrong count at once.  A stage whose link is not a cone, or one
-whose link holds the two or more vertices a live target (see below) has
-outside F, has its lower faces listed in that order: there must be
-``pairs`` of them, and the first one c does not extend names the
+as the cliques of the rest, by the generator's own memoised split on the
+top vertex (:func:`_clique_count`).  The verifier decides each stage by the
+same link with its own code: its own cone test and its own clique count,
+the same split written again (:meth:`StageReplay._cliques`), which refuses
+a wrong count at once.  Neither side runs ``complexes.clique_walk``, the
+f-vector and matching-tree walk of homology.  A stage whose link is not a
+cone, or one whose link holds the two or more vertices a live target (see
+below) has outside F, has its lower faces listed in that order: there
+must be ``pairs`` of them, and the first one c does not extend names the
 rejection, the pairs before it removed, so failure indices are the same
 on every run.
 
@@ -63,8 +66,9 @@ The terminal complex is the clique complex of what is left of the graph,
 less the stars of the larger targets still live, and equals the flag
 lattice-path model exactly when the graphs are equal and no live target
 is a clique; face sets are built only to describe a difference.  The
-replay counts the pairs it removes, so the terminal complex has the start
-complex's faces less two per pair.
+replay counts the start complex's faces with its own clique count before
+the first stage, and the pairs it removes, so the terminal complex has
+the start complex's faces less two per pair.
 """
 
 from __future__ import annotations
@@ -80,7 +84,6 @@ from .complexes import (
     bit_positions,
     bits_of,
     clique_complex,
-    clique_walk,
     face_text,
     face_to_lists,
     guard_b,
@@ -236,6 +239,8 @@ def _cone_batch(adj: list[int], free: int, face_mask: int, cone_bit: int) -> int
     pairs (F', F' + c) are then one per clique of V - c, the empty one
     included.  A failure names a face whose cone extension is missing: T
     when c is not in V, else T + v for the lowest v of V that c misses.
+    The pairs are counted by :func:`_clique_count`, which holds only the
+    number of cliques below each free set, not their sizes or cells.
     """
     within = free  # the vertices of free adjacent to every other vertex of the target
     for pos in bit_positions(face_mask):
@@ -253,7 +258,31 @@ def _cone_batch(adj: list[int], free: int, face_mask: int, cone_bit: int) -> int
         raise NotConeVertexError(
             "cone condition fails: a face has no extension", witness=face_mask | missed & -missed
         )
-    return sum(clique_walk(adj, rest).counts)
+    return _clique_count(adj, rest)
+
+
+def _clique_count(adj: list[int], free: int) -> int:
+    """The number of cliques of ``adj`` within ``free``, the empty one
+    included: N(X) = N(X - p) + N(X & adj[p]) for the top vertex p of X,
+    with N(0) = 1, memoised on X and run on an explicit stack."""
+    memo = {0: 1}
+    stack = [free]
+    while stack:
+        x = stack[-1]
+        if x in memo:
+            stack.pop()
+            continue
+        p = x.bit_length() - 1
+        without, within = x ^ 1 << p, x & adj[p]
+        n, m = memo.get(without), memo.get(within)
+        if n is None:
+            stack.append(without)
+        if m is None:
+            stack.append(within)
+        if n is not None and m is not None:
+            memo[x] = n + m
+            stack.pop()
+    return memo[free]
 
 
 def collapse_schedule(
@@ -326,7 +355,7 @@ def collapse_schedule(
         extra, missing = current - ass.mask_set, ass.mask_set - current
         first = face_text(hat._face_of(min(extra | missing, key=lambda m: (m.bit_count(), m))))
         raise ScheduleFailedError(
-            f"terminal complex has {len(current)} faces, expected {ass.n_faces}: "
+            f"terminal complex has {len(current)} faces, expected {len(ass.mask_set)}: "
             f"{len(extra)} extra, {len(missing)} missing, first at face {first}",
             face=first,
         )
@@ -367,6 +396,10 @@ class StageReplay:
     1-skeleton; a larger one stays live until a vertex or an edge inside
     it is dropped.  This is exact because a stage that passes has removed
     exactly its target's star.  After a rejected stage the replay is over.
+    The start complex's faces are counted once, by :meth:`_cliques`, before
+    the first stage, so ``n_faces`` is that count less two per pair; a face
+    count or face set of the target, when :meth:`matches` needs one, is
+    counted and listed on the target's own rows by the same code.
 
     A stage is decided by its target's link, V_T: the vertices outside the
     target adjacent to all of it in the current skeleton, less those that
@@ -382,10 +415,10 @@ class StageReplay:
     def __init__(self, start: SimplicialComplex, cert: CollapseCertificate):
         if start.ground != cert.ground:
             raise ValueError("certificate ground set does not match the start complex")
-        self._start = start
         self._start_adj, self._vertices = start._graph
         # _adj[p]: the current skeleton's neighbours of ground position p
         self._adj = list(self._start_adj)
+        self._start_faces = self._cliques(self._vertices)
         self._live: list[int] = []
         self._gone: set[int] = set()
         self.steps_applied = 0
@@ -394,7 +427,7 @@ class StageReplay:
     @property
     def n_faces(self) -> int:
         """The number of current faces: every removal takes out a pair."""
-        return self._start.n_faces - 2 * self.steps_applied
+        return self._start_faces - 2 * self.steps_applied
 
     def _spans(self, face: int) -> bool:
         """Whether ``face`` is a face of the start complex holding no dropped
@@ -422,11 +455,12 @@ class StageReplay:
             link &= self._adj[p]
         return link, [w for w in outside if not w & ~target & ~link]
 
-    def _cliques(self, free: int) -> int:
-        """The number of cliques of the current skeleton within ``free``, the
-        empty one included: P(X) = P(X - p) + P(X & adj[p]) for the top
-        vertex p of X, memoised on X and run on an explicit stack."""
-        adj, memo = self._adj, {0: 1}
+    def _cliques(self, free: int, adj: Sequence[int] | None = None) -> int:
+        """The number of cliques within ``free`` of the current skeleton, or
+        of the graph with rows ``adj``, the empty one included:
+        P(X) = P(X - p) + P(X & adj[p]) for the top vertex p of X, memoised
+        on X and run on an explicit stack."""
+        adj, memo = self._adj if adj is None else adj, {0: 1}
         stack = [free]
         while stack:
             x = stack[-1]
@@ -445,11 +479,12 @@ class StageReplay:
                 stack.pop()
         return memo[free]
 
-    def _faces(self, free: int) -> list[int]:
-        """The cliques of the current skeleton within ``free``, the empty one
-        included.  A clique grows only by candidates above its top vertex and
-        adjacent to all of it, so each is listed once."""
-        adj, faces = self._adj, []
+    def _faces(self, free: int, adj: Sequence[int] | None = None) -> list[int]:
+        """The cliques within ``free`` of the current skeleton, or of the
+        graph with rows ``adj``, the empty one included.  A clique grows only
+        by candidates above its top vertex and adjacent to all of it, so each
+        is listed once."""
+        adj, faces = self._adj if adj is None else adj, []
         stack = [(0, free)]
         while stack:
             face, cand = stack.pop()
@@ -559,16 +594,19 @@ class StageReplay:
         skeleton with the live targets' stars taken out, and ``target`` is
         the clique complex of its own graph: so the graphs must be equal and
         no live target a clique.  Otherwise the face counts, then the face
-        sets, are compared."""
+        sets, are compared, ``target``'s counted and listed on its own rows."""
+        adj, vertices = target._graph
         if not self._gone:
-            adj, vertices = target._graph
             return (
                 vertices == self._vertices
                 and all(self._adj[p] & vertices == adj[p] & vertices
                         for p in bit_positions(vertices))
                 and not any(self._spans(live) for live in self._live)
             )
-        return self.n_faces == target.n_faces and self.current_faces() == target.mask_set
+        return (
+            self.n_faces == self._cliques(vertices, adj)
+            and self.current_faces() == set(self._faces(vertices, adj))
+        )
 
     def check_labels(self, stages: Sequence[StageRecord]) -> tuple[int, str] | None:
         """Check each stage's (r, q), once the replay has ended on the target,

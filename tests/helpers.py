@@ -269,6 +269,30 @@ def weighted_clique_tree(adj, vertices: int, limit: int) -> tuple[int, list[int]
     return count, unmatched
 
 
+def rows_of(n: int, edges) -> list[int]:
+    """The adjacency rows of the graph on n vertices with the pairs ``edges``."""
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+# name: (adjacency rows, vertex mask, the maximal cliques)
+SMALL_GRAPHS = {
+    "no-vertex": ([], 0, [0]),
+    "edgeless": ([0] * 4, 0b1111, [1, 2, 4, 8]),
+    "complete": (rows_of(5, combinations(range(5), 2)), 0b11111, [0b11111]),
+    "5-cycle": (rows_of(5, [(v, (v + 1) % 5) for v in range(5)]), 0b11111,
+                [0b00011, 0b00110, 0b01100, 0b11000, 0b10001]),
+    "bowtie": (rows_of(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]), 0b11111,
+               [0b00111, 0b11100]),
+    # vertex 3 is adjacent to all the others but outside the vertex mask
+    "rows-outside": (rows_of(5, [(0, 1), (1, 2), (0, 3), (1, 3), (2, 3), (3, 4)]), 0b10111,
+                     [0b00011, 0b00110, 0b10000]),
+}
+
+
 def graph_complex(ground, vertices: int, edges, a=None, b=None) -> SimplicialComplex:
     """The clique complex of the graph on the ground positions in the mask
     ``vertices`` whose edges are the position pairs ``edges``."""

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import copy
 import json
+import random
 import signal
 from dataclasses import replace
+from functools import partial
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -34,6 +36,7 @@ from ratassoc.complexes import bit_positions, rational_kirkman
 from ratassoc.polygon import compatibility_masks
 
 from helpers import (
+    SMALL_GRAPHS,
     ExplicitReplay,
     ass,
     closure,
@@ -46,6 +49,7 @@ from helpers import (
     hat,
     is_fuss,
     obstruction_graph,
+    rows_of,
     schedule,
 )
 
@@ -779,6 +783,70 @@ def test_pairs_account_for_the_kirkman_faces(a, b):
     assert n_faces - 2 * schedule(a, b).n_steps == kirkman
 
 
+def _walk_count(adj, free) -> int:
+    return sum(complexes.clique_walk(adj, free).counts)
+
+
+@pytest.mark.parametrize("a,b", coprime_pairs(max_b=11))
+def test_the_generator_counts_each_stage_as_the_walk_does(a, b, monkeypatch):
+    """At every stage of the schedule, the generator's own clique count of
+    the link less its cone is the clique walk's."""
+    count, checked = collapse._clique_count, []
+
+    def compared(adj, free):
+        n = count(adj, free)
+        checked.append(n == _walk_count(adj, free))
+        return n
+
+    monkeypatch.setattr(collapse, "_clique_count", compared)
+    cert = collapse_schedule(a, b, hat=hat(a, b), ass=ass(a, b), graph=obstruction_graph(a, b))
+    assert len(checked) == len(cert.stages) and all(checked)
+
+
+@pytest.mark.parametrize("name", SMALL_GRAPHS)
+def test_the_generator_count_on_small_graphs(name):
+    """On each small graph, within every subset of its vertices."""
+    adj, vertices, _ = SMALL_GRAPHS[name]
+    free = vertices
+    while True:
+        assert collapse._clique_count(adj, free) == _walk_count(adj, free), free
+        if not free:
+            break
+        free = (free - 1) & vertices
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_the_generator_count_on_random_graphs(seed):
+    """On a seeded random graph of up to 16 vertices, of a random density,
+    within all of it and within random subsets."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 16)
+    density = rng.random()
+    adj = rows_of(n, [e for e in combinations(range(n), 2) if rng.random() < density])
+    for free in [(1 << n) - 1] + [rng.getrandbits(n) for _ in range(6)]:
+        assert collapse._clique_count(adj, free) == _walk_count(adj, free), (n, free)
+
+
+def _forbid_the_walk_and_the_face_set(monkeypatch) -> None:
+    def forbidden(*args):
+        raise AssertionError("the replay reached the clique walk or the face-set builder")
+
+    monkeypatch.setattr(complexes, "clique_walk", forbidden)
+    monkeypatch.setattr(complexes, "clique_complex", forbidden)
+
+
+@pytest.mark.parametrize("a,b", coprime_pairs(max_b=12))
+def test_verify_counts_the_kirkman_faces(a, b, monkeypatch):
+    """The replay's own count of the start complex, less two per pair, is
+    the Kirkman sum, as the clique walk's is in
+    :func:`test_pairs_account_for_the_kirkman_faces`; the walk is not run."""
+    start, model, cert = hat(a, b), ass(a, b), schedule(a, b)
+    _forbid_the_walk_and_the_face_set(monkeypatch)
+    report = verify_certificate(start, model, cert)
+    kirkman = sum(rational_kirkman(a, b, i) for i in range(1, a + 1))
+    assert report.ok and report.terminal_face_count == kirkman
+
+
 def test_collapse_and_replay_build_no_face_set(monkeypatch):
     """On built models, neither side lists a face: the clique walk that
     would build a face set is never called, on success."""
@@ -927,7 +995,7 @@ def test_a_wide_live_target_sends_its_stage_to_the_star_walk(monkeypatch):
     replay = StageReplay(hat(7, 10), cert)
     assert replay.run(stages[:1]) is None and not walks
     wide_stage = stages[1]
-    target, cone = replay._start._mask_of(wide_stage.target), replay._bit[wide_stage.cone]
+    target, cone = hat(7, 10)._mask_of(wide_stage.target), replay._bit[wide_stage.cone]
     link, wide = replay._link(target)
     (live,) = replay._live
     assert wide == [live] and (live & ~target).bit_count() == 2 and not live & ~target & ~link
@@ -937,7 +1005,7 @@ def test_a_wide_live_target_sends_its_stage_to_the_star_walk(monkeypatch):
     assert oracle.run(stages[:1]) is None
     own = sum(1 for m in oracle.masks if m & target == target and not m & cone)
     assert len({wide_stage.n_steps, whole_link, own}) == 3
-    later = replay._start._mask_of(stages[3].target)
+    later = hat(7, 10)._mask_of(stages[3].target)
     for n_steps, index, walked in [
         (wide_stage.n_steps, 1, [target]),
         (whole_link, 1, [target]),
@@ -955,7 +1023,7 @@ def test_a_wide_live_target_sends_its_stage_to_the_star_walk(monkeypatch):
 
 def test_a_passing_stage_is_decided_by_its_link_alone(monkeypatch):
     """A valid certificate verifies with the generator's batch and clique
-    walk, the face-set builder, and the replay's listing of lower faces and
+    count, the face-set builder, and the replay's listing of lower faces and
     its clique lister all out of reach: every stage passes by its link and
     leaves no pair set behind."""
     start, model, cert = hat(7, 10), ass(7, 10), schedule(7, 10)
@@ -963,7 +1031,7 @@ def test_a_passing_stage_is_decided_by_its_link_alone(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the link route left its own code")
 
-    for name in ("_cone_batch", "clique_walk", "clique_complex"):
+    for name in ("_cone_batch", "_clique_count", "clique_complex"):
         monkeypatch.setattr(collapse, name, forbidden)
     for name in ("_walk", "_faces"):
         monkeypatch.setattr(StageReplay, name, forbidden)
@@ -1002,34 +1070,72 @@ def _clique(*vertices):
     return list(combinations(vertices, 2))
 
 
-@pytest.mark.parametrize(
-    "edges,stages,steps",
-    [
-        # T = {0}, V_T = {1}: the cone 2 lies outside the link
-        ([(0, 1), (1, 2)], [((0,), 2, 2)], 0),
-        # T = {0}, c = 1: {2, 4} and {2} extend, then {3} misses a neighbour of 1
-        (_clique(0, 1, 2, 4) + [(0, 3)], [((0,), 1, 5)], 2),
-        # {0, 1, 2} stays live; then T = {0}, c = 1: {3, 4, 5, 6} and its four
-        # triples extend, and {2, 3} + 1 would complete {0, 1, 2}
-        (_clique(0, 1, 2, 3) + _clique(0, 3, 4, 5, 6) + [(1, 4), (1, 5), (1, 6)],
-         [((0, 1, 2), 3, 1), ((0,), 1, 18)], 6),
-    ],
-    ids=["cone-outside-the-link", "a-face-misses-a-cone-neighbour",
-         "a-face-completes-a-wide-target"],
-)
+# (edges on SEVEN, stages as (target, cone, pairs), pairs removed before the
+# rejection)
+REJECTIONS = [
+    # T = {0}, V_T = {1}: the cone 2 lies outside the link
+    pytest.param([(0, 1), (1, 2)], [((0,), 2, 2)], 0, id="cone-outside-the-link"),
+    # T = {0}, c = 1: {2, 4} and {2} extend, then {3} misses a neighbour of 1
+    pytest.param(_clique(0, 1, 2, 4) + [(0, 3)], [((0,), 1, 5)], 2,
+                 id="a-face-misses-a-cone-neighbour"),
+    # {0, 1, 2} stays live; then T = {0}, c = 1: {3, 4, 5, 6} and its four
+    # triples extend, and {2, 3} + 1 would complete {0, 1, 2}
+    pytest.param(_clique(0, 1, 2, 3) + _clique(0, 3, 4, 5, 6) + [(1, 4), (1, 5), (1, 6)],
+                 [((0, 1, 2), 3, 1), ((0,), 1, 18)], 6, id="a-face-completes-a-wide-target"),
+]
+
+
+def _rejected(edges, stages) -> tuple[SimplicialComplex, CollapseCertificate]:
+    """The clique complex of ``edges`` on SEVEN and a certificate of
+    ``stages`` on it."""
+    vertices = 0
+    for u, v in edges:
+        vertices |= 1 << u | 1 << v
+    cpx = graph_complex(SEVEN, vertices, edges)
+    staged = [StageRecord(1, 1, SEVEN[c], frozenset(SEVEN[p] for p in t), n) for t, c, n in stages]
+    return cpx, CollapseCertificate(None, 12, cpx.ground, tuple(staged))
+
+
+@pytest.mark.parametrize("edges,stages,steps", REJECTIONS)
 def test_a_rejected_stage_follows_the_exhaustive_replay(edges, stages, steps):
     """Each way the listing of lower faces can reject a stage with the right
     count stops where the exhaustive explicit replay stops: the same reason
     at the same stage, the same pairs removed before it and the same faces
     left."""
-    vertices = 0
-    for u, v in edges:
-        vertices |= 1 << u | 1 << v
-    cpx = graph_complex(SEVEN, vertices, edges)
-    cert = CollapseCertificate(None, 12, cpx.ground, ())
+    cpx, cert = _rejected(edges, stages)
     replay, oracle = StageReplay(cpx, cert), ExplicitReplay(cpx, cert, exhaustive=True)
-    staged = [StageRecord(1, 1, SEVEN[c], frozenset(SEVEN[p] for p in t), n) for t, c, n in stages]
+    staged = cert.stages
     failure = (len(staged) - 1, "cone extension missing from current complex")
     assert replay.run(staged) == oracle.run(staged) == failure
     assert replay.steps_applied == oracle.steps_applied == steps
     assert replay.current_faces() == oracle.masks
+
+
+def test_no_verify_path_reaches_the_walk_or_the_face_set_builder(monkeypatch):
+    """With the clique walk and the face-set builder out of reach, models
+    built beforehand verify as the explicit replay verifies them: a valid
+    certificate of (7,10), and each rejection above against its own start
+    complex and against the path on SEVEN, whose 14 faces are as many as
+    the second rejection leaves, so that the terminal face sets are listed
+    and compared.  The oracle reads copies, whose cached faces and counts
+    could hide a call."""
+    path = [(v, v + 1) for v in range(6)]
+
+    def valid():
+        return build_hat_ass(7, 10), build_ass(7, 10), schedule(7, 10)
+
+    def rejected(edges, stages, target_edges):
+        start, cert = _rejected(edges, stages)
+        return start, _rejected(target_edges, [])[0], cert
+
+    makers = [valid] + [
+        partial(rejected, edges, stages, target_edges)
+        for edges, stages, _ in (param.values for param in REJECTIONS)
+        for target_edges in (edges, path)
+    ]
+    expected = [explicit_verify(*make()) for make in makers]
+    assert [report.ok for report in expected] == [True] + [False] * 6
+    assert expected[4].terminal_face_count == 14  # the second rejection against the path
+    _forbid_the_walk_and_the_face_set(monkeypatch)
+    for make, report in zip(makers, expected):
+        assert verify_certificate(*make()) == report
