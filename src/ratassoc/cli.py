@@ -4,11 +4,15 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 cap
 exceeded.  All outputs are deterministic; JSON is emitted with sorted keys
 and fixed indentation so identical invocations are byte-identical.
 
-Caps can be overridden with the two environment variables RATASSOC_FACE_CAP
-and RATASSOC_MAX_B, each a non-negative integer (anything else is a usage
-error); every command that builds a model builds it under them, and
-``obstruction``, ``duality``, ``membership`` and ``render``, whose first
-work grows with b alone, refuse a b over RATASSOC_MAX_B before doing any.
+Caps can be overridden with the two environment variables RATASSOC_MAX_B
+and RATASSOC_FACE_CAP, each a non-negative integer (anything else is a
+usage error).  RATASSOC_MAX_B is the size guard: every command that builds
+a model builds it under it, and ``obstruction``, ``duality``,
+``membership`` and ``render``, whose first work grows with b alone, refuse
+a b over it before doing any.  RATASSOC_FACE_CAP bounds ``build``, the one
+command that lists a model: it counts the model's faces, without listing
+one, and refuses a model with more faces than the cap.  Every other
+command holds graphs and counts, not faces, and does not read it.
 
 The argument parser is built once per process, on the first ``main`` call,
 and reused by every later call.  Each subcommand's handler looks up its
@@ -26,7 +30,6 @@ import sys
 from . import __version__
 from .collapse import CollapseCertificate, collapse_schedule, verify_certificate
 from .complexes import (
-    DEFAULT_FACE_CAP,
     DEFAULT_MAX_B,
     FHVector,
     build_ass,
@@ -53,7 +56,7 @@ def _dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-_CAP_DEFAULTS = {"RATASSOC_FACE_CAP": DEFAULT_FACE_CAP, "RATASSOC_MAX_B": DEFAULT_MAX_B}
+_CAP_DEFAULTS = {"RATASSOC_FACE_CAP": 10**7, "RATASSOC_MAX_B": DEFAULT_MAX_B}
 
 
 def _cap(name: str) -> int:
@@ -69,7 +72,7 @@ def _cap(name: str) -> int:
 
 def _build(model: str, a: int, b: int):
     build = build_hat_ass if model == "hat" else build_ass
-    return build(a, b, max_faces=_cap("RATASSOC_FACE_CAP"), max_b=_cap("RATASSOC_MAX_B"))
+    return build(a, b, max_b=_cap("RATASSOC_MAX_B"))
 
 
 def _add_pair_args(p: argparse.ArgumentParser) -> None:
@@ -78,7 +81,11 @@ def _add_pair_args(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_build(args) -> int:
+    cap = _cap("RATASSOC_FACE_CAP")
     cpx = _build(args.model, args.a, args.b)
+    faces = cpx.n_faces  # the clique walk's count: nothing is listed yet
+    if faces > cap:
+        raise CapExceededError(f"({args.a},{args.b}) has {faces} faces, over the face cap {cap}")
     sys.stdout.write(_dumps(cpx.to_json(include_faces=args.full_faces)))
     return EXIT_OK
 

@@ -23,6 +23,10 @@ run on an explicit stack and memoise a state that fixes all that lies
 below it: ``clique_walk`` its free set, and ``maximal_cliques`` its
 candidates and excluded vertices, whose union is the common
 neighbourhood of the clique grown so far.
+
+A builder holds a graph, not a face set, so its one bound is the size
+guard ``max_b`` on the width; a cap on faces belongs to whatever lists
+them.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from .errors import CapExceededError, InvariantViolationError, NonIntegralError
 from .lattice import enumerate_dyck_paths
 from .polygon import Diagonal, admissible_compatibility, all_admissible_diagonals, check_slope_pair
 
-DEFAULT_FACE_CAP = 10**7
 DEFAULT_MAX_B = 14
 
 
@@ -81,13 +84,13 @@ class SimplicialComplex:
     Both models are flag, so a complex is its graph: ``adj``, the adjacency
     rows of its 1-skeleton, each without its own bit, and ``vertices``, its
     vertex mask, over a canonically sorted ground set; a face is a clique,
-    as a bitmask over that order.  Its f-vector, dimension and homology
-    cells come from one :func:`clique_walk`, kept in one slot, its facets
-    from :func:`maximal_cliques`, and its face set is filled, by
-    :func:`clique_complex`, only when something reads it: ``mask_set``,
-    ``faces`` and ``to_json(include_faces=True)``.
-    ``walk`` and ``maximal``, when the builder already has them, are the
-    graph's :func:`clique_walk` and :func:`maximal_cliques`, in any order.
+    as a bitmask over that order.  Its f-vector and homology cells come
+    from one :func:`clique_walk`, walked on first read and kept in one
+    slot, its facets from :func:`maximal_cliques`, and its face set is
+    filled, by :func:`clique_complex`, only when something reads it:
+    ``mask_set``, ``faces`` and ``to_json(include_faces=True)``.
+    ``maximal``, when the builder already has it, is the graph's
+    :func:`maximal_cliques`, in any order.
 
     Instances behave as immutable values.  ``collapse_schedule`` and
     ``verify_certificate`` read the start complex without changing it: the
@@ -106,13 +109,12 @@ class SimplicialComplex:
         a: int | None,
         b: int | None,
         *,
-        walk: CliqueWalk | None = None,
         maximal: list[int] | None = None,
     ):
         self.ground, self.a, self.b = ground, a, b
         self._bit = {d: 1 << i for i, d in enumerate(ground)}
-        self._graph, self._walk, self._facet_masks = (adj, vertices), walk, maximal
-        self._masks = None
+        self._graph, self._facet_masks = (adj, vertices), maximal
+        self._walk = self._masks = None
 
     def _mask_of(self, face: Iterable[Diagonal]) -> int:
         m = 0
@@ -128,11 +130,6 @@ class SimplicialComplex:
     @property
     def n_faces(self) -> int:
         return sum(self.f_vector_counts())
-
-    @property
-    def dim(self) -> int:
-        """Max face dimension; -1 when only the empty face is present."""
-        return len(self.f_vector_counts()) - 2
 
     def faces(self) -> Iterator[frozenset[Diagonal]]:
         """All faces, empty face included, in mask order."""
@@ -381,49 +378,26 @@ def clique_complex(adj: Sequence[int], vertices: int) -> set[int]:
 # -- builders -------------------------------------------------------------
 
 
-def build_hat_ass(
-    a: int,
-    b: int,
-    *,
-    max_faces: int = DEFAULT_FACE_CAP,
-    max_b: int = DEFAULT_MAX_B,
-) -> SimplicialComplex:
+def build_hat_ass(a: int, b: int, *, max_b: int = DEFAULT_MAX_B) -> SimplicialComplex:
     """The noncrossing model: the clique complex of the compatibility graph,
-    refused when its exact face count by :func:`clique_walk` passes
-    ``max_faces``.  The noncrossing sets of all diagonals contain the model,
-    so the walk is needed only when they do not fit under the cap."""
+    whose rows ``polygon.admissible_compatibility`` holds once per pair.
+    Nothing is walked or listed until it is read."""
     ground = _guarded_ground(a, b, max_b)
-    compat, vertices = admissible_compatibility(a, b), (1 << len(ground)) - 1
-    walk = None
-    if polygon_dissections(b) > max_faces:
-        walk = clique_walk(compat, vertices)
-        if sum(walk.counts) > max_faces:
-            what = f"noncrossing family of ({a},{b})"
-            raise CapExceededError(f"{what} exceeds the face cap {max_faces}")
-    return SimplicialComplex(ground, compat, vertices, a, b, walk=walk)
+    return SimplicialComplex(ground, admissible_compatibility(a, b), (1 << len(ground)) - 1, a, b)
 
 
-def build_ass(
-    a: int,
-    b: int,
-    *,
-    max_faces: int = DEFAULT_FACE_CAP,
-    max_b: int = DEFAULT_MAX_B,
-) -> SimplicialComplex:
+def build_ass(a: int, b: int, *, max_b: int = DEFAULT_MAX_B) -> SimplicialComplex:
     """The lattice-path model: the clique complex of the Dyck-facet skeleton,
     checked.  The facet masks ``enumerate_dyck_paths`` lists, with their
     skeleton, must biject with the Dyck paths and be the skeleton's maximal
     cliques (:func:`maximal_cliques`, which expands each search state once,
     however many ways reach it): each face is then a clique and each clique
     lies in a facet, so the model is flag.  The cliques it lists become the
-    complex's facets, sorted on first read.
-    Refused before any path is listed when its Kirkman face count passes
-    ``max_faces``."""
+    complex's facets, sorted on first read.  The Dyck walk's row states
+    and the Cat(a,b) facet masks are what it holds; the size guard
+    ``max_b`` bounds them."""
     ground = _guarded_ground(a, b, max_b)
-    predicted = sum(rational_kirkman(a, b, i) for i in range(1, a + 1))
-    if predicted > max_faces:
-        raise CapExceededError(f"({a},{b}) has {predicted} faces, over the cap {max_faces}")
-    facets, cat = enumerate_dyck_paths(a, b), rational_catalan(a, b)  # cat <= predicted
+    facets, cat = enumerate_dyck_paths(a, b), rational_catalan(a, b)
     facet_masks = set(facets)
     if not len(facets) == len(facet_masks) == cat:
         raise InvariantViolationError(
@@ -451,13 +425,6 @@ def rational_catalan(a: int, b: int) -> int:
     """C(a+b, a) / (a+b), the facet count of the lattice-path model."""
     check_slope_pair(a, b)
     return _exact_div(comb(a + b, a), a + b, f"catalan({a},{b})")
-
-
-def polygon_dissections(b: int) -> int:
-    """Sum over k of C(b-2, k) C(b+k, k) / (k+1), the number of sets of
-    pairwise noncrossing diagonals of the (b+1)-gon (Kirkman-Cayley)."""
-    return sum(_exact_div(comb(b - 2, k) * comb(b + k, k), k + 1, f"dissections({b})")
-               for k in range(b - 1))
 
 
 def rational_kirkman(a: int, b: int, i: int) -> int:

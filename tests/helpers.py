@@ -7,7 +7,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 
 from hypothesis import strategies as st
 
@@ -57,6 +57,14 @@ def coprime_pairs(max_sum: int | None = None, max_b: int | None = None) -> list[
 def is_fuss(a: int, b: int) -> bool:
     """True when b = k*a + 1 for some positive k (the two models coincide)."""
     return b % a == 1
+
+
+def polygon_dissections(b: int) -> int:
+    """Sum over k of C(b-2, k) C(b+k, k) / (k+1), the number of sets of
+    pairwise noncrossing diagonals of the (b+1)-gon (Kirkman-Cayley): the
+    closed form of the face count of Delta_b = hat(b-1, b).  Each term counts
+    the dissections with k diagonals, so each division is exact."""
+    return sum(comb(b - 2, k) * comb(b + k, k) // (k + 1) for k in range(b - 1))
 
 
 @lru_cache(maxsize=None)
@@ -576,9 +584,10 @@ def direct_betti(cpx: SimplicialComplex, field: str) -> BettiVector:
     by_dim, mats = build_matrices(cpx.mask_set)
     check_dd_zero(by_dim, mats)
     ranks = {k: mat.rank(field) for k, mat in mats.items()}
+    dim = len(cpx.f_vector_counts()) - 2
     values = tuple(len(by_dim.get(k, [])) - ranks.get(k, 0) - ranks.get(k + 1, 0)
-                   for k in range(-1, cpx.dim + 1))
-    return BettiVector(field, cpx.dim, values)
+                   for k in range(-1, dim + 1))
+    return BettiVector(field, dim, values)
 
 
 # -- the explicit collapse engine: oracles for the predicate generator and replay

@@ -30,6 +30,8 @@ from ratassoc.complexes import bit_positions, face_text
 
 MANIFEST = Path(__file__).parent / "golden" / "manifest.json"
 
+# the cap errors; under RATASSOC_FACE_CAP, collapse, duality and fvector list
+# no face and print what they print uncapped, while build refuses both models
 CAP_ERRORS = [
     (["collapse", "--a", "5", "--b", "7", "--emit", "-"], {"RATASSOC_MAX_B": "5"}),
     (["duality", "--b", "7"], {"RATASSOC_MAX_B": "5"}),
@@ -37,6 +39,9 @@ CAP_ERRORS = [
     (["duality", "--b", "8"], {"RATASSOC_FACE_CAP": "100"}),
     (["fvector", "--a", "5", "--b", "8"], {"RATASSOC_FACE_CAP": "100"}),
     (["build", "--model", "hat", "--a", "5", "--b", "8"], {"RATASSOC_FACE_CAP": "100"}),
+    (["build", "--model", "ass", "--a", "5", "--b", "8"], {"RATASSOC_FACE_CAP": "100"}),
+    (["build", "--model", "ass", "--a", "5", "--b", "8", "--full-faces"],
+     {"RATASSOC_FACE_CAP": "100"}),
     (["duality", "--b", "400"], {}),
     (["obstruction", "--a", "20", "--b", "41"], {}),
     (["membership", "--a", "299", "--b", "300", "--face", ""], {}),

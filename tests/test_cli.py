@@ -215,8 +215,6 @@ def test_verify_over_size_guard_exits_3(tmp_path, capsys, monkeypatch):
     [
         (["collapse", "--a", "5", "--b", "7", "--emit", "-"], {"RATASSOC_MAX_B": "5"}),
         (["duality", "--b", "7"], {"RATASSOC_MAX_B": "5"}),
-        (["collapse", "--a", "5", "--b", "8", "--emit", "-"], {"RATASSOC_FACE_CAP": "100"}),
-        (["duality", "--b", "8"], {"RATASSOC_FACE_CAP": "100"}),
     ],
 )
 def test_collapse_and_duality_honour_caps(capsys, monkeypatch, argv, env):
@@ -230,13 +228,13 @@ def test_collapse_and_duality_honour_caps(capsys, monkeypatch, argv, env):
 @pytest.mark.parametrize(
     "argv,env,module,name",
     [
-        # the face cap bounds path enumeration: Cat(a,b) is a term of the Kirkman sum
-        (["fvector", "--a", "5", "--b", "8"], {"RATASSOC_FACE_CAP": "100"},
+        # the size guard, not a face count, bounds the Dyck walk
+        (["fvector", "--a", "5", "--b", "8"], {"RATASSOC_MAX_B": "7"},
          complexes, "enumerate_dyck_paths"),
         # the size guard comes before the partition check, which is O(b^3)
         (["duality", "--b", "400"], {}, cli, "alexander_partition_check"),
-        # the noncrossing model's exact clique count refuses it before any
-        # face is built, though --full-faces would build them all
+        # build's exact clique count refuses the noncrossing model before
+        # any face is listed, though --full-faces would list them all
         (["build", "--model", "hat", "--a", "5", "--b", "8", "--full-faces"],
          {"RATASSOC_FACE_CAP": "100"}, complexes, "clique_complex"),
         # the obstruction graph builds no model, so the size guard alone bounds it
@@ -245,10 +243,12 @@ def test_collapse_and_duality_honour_caps(capsys, monkeypatch, argv, env):
         (["membership", "--a", "299", "--b", "300", "--face", ""], {}, cli, "parse_face"),
         # the drawing grows with b
         (["render", "--a", "2", "--b", "100001", "--face", ""], {}, cli, "parse_face"),
-        # Delta_13 = ass(12,13) has 13,648,869 faces, over the default cap
-        (["homology", "--a", "12", "--b", "13"], {}, complexes, "enumerate_dyck_paths"),
-        # duality refuses at its first pair, (1,13) against (12,13)
-        (["duality", "--b", "13"], {}, cli, "alexander_duality_check"),
+        # Delta_13 = ass(12,13) has 13,648,869 faces, over the face cap, yet
+        # homology reads no face: only the size guard refuses it
+        (["homology", "--a", "12", "--b", "13"], {"RATASSOC_MAX_B": "12"},
+         complexes, "enumerate_dyck_paths"),
+        # so too duality, before its first pair, (1,13) against (12,13)
+        (["duality", "--b", "13"], {"RATASSOC_MAX_B": "12"}, cli, "alexander_duality_check"),
     ],
 )
 def test_caps_refuse_before_the_work(capsys, monkeypatch, argv, env, module, name):
@@ -267,7 +267,7 @@ def test_caps_refuse_before_the_work(capsys, monkeypatch, argv, env, module, nam
 @pytest.mark.parametrize(
     "name,argv",
     [
-        ("RATASSOC_FACE_CAP", ["fvector", "--a", "3", "--b", "5"]),
+        ("RATASSOC_FACE_CAP", ["build", "--a", "3", "--b", "5"]),
         ("RATASSOC_MAX_B", ["membership", "--a", "3", "--b", "5", "--face", ""]),
     ],
 )
@@ -276,6 +276,44 @@ def test_a_cap_that_is_not_a_non_negative_integer_exits_2(capsys, monkeypatch, n
     code, out, err = run(capsys, *argv)
     assert code == cli.EXIT_USAGE and out == ""
     assert err == f"error: {name} must be a non-negative integer, not {value!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["collapse", "--a", "5", "--b", "8", "--emit", "-"],
+        ["duality", "--b", "8"],
+        ["fvector", "--a", "5", "--b", "8"],
+    ],
+)
+def test_the_face_cap_binds_build_alone(capsys, monkeypatch, argv):
+    """A command that lists no model prints byte for byte the same with the
+    face cap far under its models' face counts as with no cap set."""
+    monkeypatch.delenv("RATASSOC_FACE_CAP", raising=False)
+    free = run(capsys, *argv)
+    monkeypatch.setenv("RATASSOC_FACE_CAP", "100")
+    assert run(capsys, *argv) == free
+    assert free[0] == cli.EXIT_OK and free[2] == ""
+
+
+@pytest.mark.parametrize("a,b", [(12, 13), (11, 14), (13, 14)])
+def test_hat_homology_reaches_b_14(capsys, a, b):
+    """hat(a, b) over the face cap is a wedge of C(b,a)/b (a-2)-spheres,
+    read from its matching tree with no face listed."""
+    code, out, err = run(capsys, "homology", "--a", str(a), "--b", str(b), "--model", "hat")
+    assert code == cli.EXIT_OK and err == ""
+    wedge = {str(a - 2): comb(b, a) // b}
+    assert json.loads(out)["reduced_betti_nonzero"] == {"gf2": wedge, "q": wedge}
+
+
+def test_collapse_then_verify_reaches_11_14(tmp_path, capsys):
+    """hat(11,14) has over 10**7 faces; its certificate replays onto
+    ass(11,14), whose face count is the Kirkman sum."""
+    code, out, err = run(capsys, "verify", "--cert", str(emit(tmp_path, capsys, 11, 14)))
+    assert code == cli.EXIT_OK and err == ""
+    doc = json.loads(out)
+    assert doc["ok"] and doc["target_matched"]
+    assert doc["terminal_face_count"] == sum(kirkman(11, 14, i) for i in range(1, 12))
 
 
 @pytest.mark.parametrize(

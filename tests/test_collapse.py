@@ -288,7 +288,6 @@ def test_a_collapsed_model_forgets_its_graph(a, b, consumer):
         assert report.terminal_face_count == start.n_faces - 2 * report.steps_applied
     assert start._graph is graph and start._masks is None and model._masks is None
     assert start.n_faces == hat(a, b).n_faces > model.n_faces
-    assert start.dim == hat(a, b).dim
     assert start.f_vector_counts() == hat(a, b).f_vector_counts()
     assert start.facets() == facets
     for field in ("gf2", "q"):

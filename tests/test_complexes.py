@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import sys
 from collections import Counter
 
@@ -15,6 +16,7 @@ from ratassoc import (
     all_admissible_diagonals,
     build_ass,
     build_hat_ass,
+    cli,
     complexes,
     facet_of,
     rational_catalan,
@@ -25,7 +27,6 @@ from ratassoc.complexes import (
     clique_complex,
     clique_walk,
     maximal_cliques,
-    polygon_dissections,
 )
 from ratassoc.lattice import DyckFacets, enumerate_dyck_paths
 from ratassoc.polygon import admissible_compatibility, compatibility_masks
@@ -43,6 +44,7 @@ from helpers import (
     is_fuss,
     maximal_masks,
     obstruction_graph,
+    polygon_dissections,
     skeleton_adjacency,
     skeleton_of_facets,
     weighted_clique_tree,
@@ -100,7 +102,7 @@ def test_ass_is_pure_with_catalan_facets(a, b):
     facets = cpx.facets()
     assert len(facets) == rational_catalan(a, b)
     assert all(len(f) == a - 1 for f in facets)
-    assert cpx.dim == a - 2
+    assert len(cpx.f_vector_counts()) - 2 == a - 2
 
 
 def test_f_vector_examples():
@@ -267,41 +269,52 @@ def test_build_caps():
         build_hat_ass(8, 15)
     with pytest.raises(CapExceededError):
         build_ass(8, 15)
-    with pytest.raises(CapExceededError):
-        build_hat_ass(5, 8, max_faces=100)
-    with pytest.raises(CapExceededError):
-        build_ass(5, 8, max_faces=100)
 
 
-def test_hat_cap_refuses_before_the_clique_walk(monkeypatch):
+def _forbid_face_listing(monkeypatch) -> None:
+    def listed(*args):
+        raise AssertionError("clique_complex ran")
+
+    monkeypatch.setattr(complexes, "clique_complex", listed)
+
+
+def _cli_build(capsys, monkeypatch, cap: int, *argv: str) -> tuple[int, str, str]:
+    monkeypatch.setenv("RATASSOC_FACE_CAP", str(cap))
+    code = cli.main(["build", *argv])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_hat_cap_refuses_before_the_clique_walk(capsys, monkeypatch):
     # (8,13): the Kirkman sum is under the cap, the noncrossing model is not;
-    # its exact clique count refuses it, and no face is built on the way
+    # build's exact clique count refuses it, and no face is listed on the way
     assert sum(rational_kirkman(8, 13, i) for i in range(1, 9)) == 89_155 < 100_000
     compat = admissible_compatibility(8, 13)
     assert sum(clique_walk(compat, (1 << len(compat)) - 1).counts) == 354_875
-
-    def walked(*args):
-        raise AssertionError("clique_complex ran on a model over the cap")
-
-    monkeypatch.setattr(complexes, "clique_complex", walked)
-    with pytest.raises(CapExceededError, match="exceeds the face cap 100000"):
-        build_hat_ass(8, 13, max_faces=100_000)
-    # under the cap the build holds the graph and the walk that counted it
-    # alone: faces wait for a reader
-    cpx = build_hat_ass(8, 13, max_faces=354_875)
-    assert cpx._walk is not None
-    assert cpx.n_faces == 354_875 and cpx.dim == 10
+    _forbid_face_listing(monkeypatch)
+    code, out, err = _cli_build(capsys, monkeypatch, 100_000,
+                                "--model", "hat", "--a", "8", "--b", "13", "--full-faces")
+    assert code == cli.EXIT_CAP and out == ""
+    assert err == "cap exceeded: (8,13) has 354875 faces, over the face cap 100000\n"
+    # the builder holds the graph alone: the walk and the faces wait for a reader
+    cpx = build_hat_ass(8, 13)
+    assert cpx._walk is None and cpx._masks is None
+    assert cpx.n_faces == 354_875 and len(cpx.f_vector_counts()) - 2 == 10
     with pytest.raises(AssertionError, match="clique_complex ran"):
         cpx.mask_set
 
 
-def test_hat_cap_count_is_exact_at_the_boundary():
+def test_hat_cap_count_is_exact_at_the_boundary(capsys, monkeypatch):
     n = hat(5, 8).n_faces
-    assert n < polygon_dissections(8)  # so the clique count decides
-    at_cap = build_hat_ass(5, 8, max_faces=n)
-    assert at_cap.ground == hat(5, 8).ground and at_cap.mask_set == hat(5, 8).mask_set
-    with pytest.raises(CapExceededError):
-        build_hat_ass(5, 8, max_faces=n - 1)
+    full = ("--model", "hat", "--a", "5", "--b", "8", "--full-faces")
+    code, out, _ = _cli_build(capsys, monkeypatch, n, *full)
+    assert code == cli.EXIT_OK and len(json.loads(out)["faces"]) == n
+    _forbid_face_listing(monkeypatch)
+    code, out, _ = _cli_build(capsys, monkeypatch, n, *full[:-1])
+    assert code == cli.EXIT_OK and len(json.loads(out)["facets"]) == len(hat(5, 8).facets())
+    code, out, err = _cli_build(capsys, monkeypatch, n - 1, *full)
+    assert code == cli.EXIT_CAP and out == ""
+    assert err == f"cap exceeded: (5,8) has {n} faces, over the face cap {n - 1}\n"
 
 
 @pytest.mark.parametrize("b", range(2, 10))
@@ -313,7 +326,7 @@ def test_polygon_dissections_count_the_full_noncrossing_model(b):
 def test_counting_walk_gives_the_dissections_of_delta_b(b):
     """Delta_b = hat(b-1, b), every noncrossing set of diagonals of the
     (b+1)-gon: no face set is built, so b = 13 and 14 are in reach though
-    their models are over the face cap.  It is a (b-3)-sphere, and its
+    their models have over 10**7 faces.  It is a (b-3)-sphere, and its
     matching tree leaves one critical cell, of b-2 diagonals."""
     compat = admissible_compatibility(b - 1, b)
     walk = clique_walk(compat, (1 << len(compat)) - 1)

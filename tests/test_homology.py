@@ -54,7 +54,7 @@ def test_full_simplex_is_acyclic():
 
 def test_lonely_empty_face_complex():
     cpx = ass(1, 4)
-    assert cpx.dim == -1
+    assert len(cpx.f_vector_counts()) - 2 == -1
     assert betti_numbers(cpx, "gf2").nonzero() == {-1: 1}
     assert direct_betti(cpx, "q").nonzero() == {-1: 1}
 
